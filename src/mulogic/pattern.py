@@ -5,10 +5,22 @@ the sorts of dangling existentially-bound variables, ``mu`` the sorts of
 dangling fixpoint-bound variables (index 0 = innermost binder).  A pattern
 is closed when both contexts are empty.
 
-Node invariants are enforced in ``__post_init__``, so an ill-sorted or
+Node invariants are stated once, in ``__post_init__``, so an ill-sorted or
 ill-scoped tree cannot be built, not even by constructing the dataclasses
-directly.  The ``mk_*`` helpers below compute the derived fields (sort and
-contexts) and raise the friendlier, more specific errors.
+directly.  The ``mk_*`` helpers below only compute the derived fields (sort
+and contexts) and let the constructor check them.
+
+Every node offers the same protocol: ``children`` (the subpatterns, in
+order) and ``rebuild(ex, mu, children)``, which makes a node of the same
+kind through the constructor.  A binder's body context is its own context
+with one sort prepended (``Exists`` prepends ``binder_sort`` to ``ex``,
+``Mu`` its own sort to ``mu``), which the constructors check.  On that
+protocol sits the one traversal, :func:`walk`, with :func:`fold_pattern`
+and :func:`map_pattern` on top of it.  Every operation here and in
+:mod:`mulogic.subst` and :mod:`mulogic.printer` is a walk, fold or map, so
+pattern depth is not limited by the interpreter's recursion limit.  Only
+the dataclass-generated ``==`` and ``hash`` (and so :func:`structural_eq`)
+still recurse.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -17,7 +29,8 @@ may share subtrees freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import is_
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ArgSortMismatchError,
@@ -25,11 +38,16 @@ from .errors import (
     BinderSortMismatchError,
     ContextMismatchError,
     IndexOutOfScopeError,
+    MuLogicError,
     SortMismatchError,
 )
 from .signature import ElemVar, SetVar, Signature, Sort, SymbolDecl
 
 Context = tuple[Sort, ...]
+T = TypeVar("T")
+
+# Context kinds, as positions in a node's ``(ex, mu)`` pair.
+EX, MU = 0, 1
 
 
 def _ctx(sorts: Iterable[Sort]) -> Context:
@@ -42,9 +60,17 @@ class Pattern:
     ex: Context
     mu: Context
 
+    # Leaves have no subpatterns; inner node classes override this.
+    children = ()
+
     @property
     def is_closed(self) -> bool:
         return not self.ex and not self.mu
+
+    def rebuild(self, ex: Context, mu: Context, children: Sequence[Pattern]) -> Pattern:
+        """A node of the same kind and fields, with new contexts and
+        children, made (and so checked) by the constructor."""
+        raise NotImplementedError
 
     def __str__(self) -> str:
         from .printer import print_pattern
@@ -62,6 +88,9 @@ class FreeEVar(Pattern):
                 f"free element variable {self.var} cannot have sort {self.sort}"
             )
 
+    def rebuild(self, ex, mu, children):
+        return FreeEVar(self.sort, ex, mu, self.var)
+
 
 @dataclass(frozen=True)
 class FreeSVar(Pattern):
@@ -72,6 +101,9 @@ class FreeSVar(Pattern):
             raise SortMismatchError(
                 f"free set variable {self.var} cannot have sort {self.sort}"
             )
+
+    def rebuild(self, ex, mu, children):
+        return FreeSVar(self.sort, ex, mu, self.var)
 
 
 @dataclass(frozen=True)
@@ -90,6 +122,9 @@ class BoundEVar(Pattern):
                 f"{self.ex[self.index]}, not {self.sort}"
             )
 
+    def rebuild(self, ex, mu, children):
+        return BoundEVar(self.sort, ex, mu, self.index)
+
 
 @dataclass(frozen=True)
 class BoundSVar(Pattern):
@@ -106,6 +141,9 @@ class BoundSVar(Pattern):
                 f"bound set variable B{self.index} has sort "
                 f"{self.mu[self.index]}, not {self.sort}"
             )
+
+    def rebuild(self, ex, mu, children):
+        return BoundSVar(self.sort, ex, mu, self.index)
 
 
 @dataclass(frozen=True)
@@ -137,6 +175,13 @@ class App(Pattern):
                     f"argument {k} of {symbol.name} lives in a different context"
                 )
 
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return self.args
+
+    def rebuild(self, ex, mu, children):
+        return App(self.sort, ex, mu, self.symbol, tuple(children))
+
 
 @dataclass(frozen=True)
 class Not(Pattern):
@@ -144,6 +189,13 @@ class Not(Pattern):
 
     def __post_init__(self) -> None:
         _require_same_shape("negation", self, self.body)
+
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.body,)
+
+    def rebuild(self, ex, mu, children):
+        return Not(self.sort, ex, mu, children[0])
 
 
 @dataclass(frozen=True)
@@ -154,6 +206,13 @@ class And(Pattern):
     def __post_init__(self) -> None:
         _require_same_shape("conjunction", self, self.left)
         _require_same_shape("conjunction", self, self.right)
+
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.left, self.right)
+
+    def rebuild(self, ex, mu, children):
+        return And(self.sort, ex, mu, children[0], children[1])
 
 
 @dataclass(frozen=True)
@@ -172,6 +231,13 @@ class Exists(Pattern):
         if self.body.sort != self.sort:
             raise SortMismatchError("exists inherits the sort of its body")
 
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.body,)
+
+    def rebuild(self, ex, mu, children):
+        return Exists(self.sort, ex, mu, self.binder_sort, children[0])
+
 
 @dataclass(frozen=True)
 class Mu(Pattern):
@@ -188,6 +254,13 @@ class Mu(Pattern):
         if self.body.sort != self.sort:
             raise SortMismatchError("mu inherits the sort of its body")
 
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.body,)
+
+    def rebuild(self, ex, mu, children):
+        return Mu(self.sort, ex, mu, children[0])
+
 
 @dataclass(frozen=True)
 class Defined(Pattern):
@@ -200,6 +273,13 @@ class Defined(Pattern):
         if self.body.ex != self.ex or self.body.mu != self.mu:
             raise ContextMismatchError("definedness body has a different context")
 
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.body,)
+
+    def rebuild(self, ex, mu, children):
+        return Defined(self.sort, ex, mu, children[0])
+
 
 def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
     if child.sort != node.sort:
@@ -208,6 +288,101 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
         )
     if child.ex != node.ex or child.mu != node.mu:
         raise ContextMismatchError(f"{what} child lives in a different context")
+
+
+# --- the traversal ------------------------------------------------------
+
+
+def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
+    """Yield ``(node, node.children)`` for each distinct node of ``p``,
+    after all of its children; each later meeting of a node already
+    yielded yields ``(node, None)``.
+
+    The one traversal of the kernel.  An explicit stack replaces recursion,
+    so depth is bounded by memory, not by the interpreter's recursion
+    limit; a subtree that derived connectives share is expanded once.
+    """
+    seen: set[int] = set()
+    stack: list = [p]  # nodes to enter, and (node, children) to leave
+    pop, push, mark = stack.pop, stack.append, seen.add
+    while stack:
+        node = pop()
+        if type(node) is tuple:
+            yield node
+            continue
+        key = id(node)
+        if key in seen:
+            yield node, None
+        else:
+            mark(key)
+            kids = node.children
+            if kids:
+                push((node, kids))
+                stack += reversed(kids)
+            else:
+                yield node, kids
+
+
+def fold_pattern(p: Pattern, combine: Callable[[Pattern, Sequence[T]], T]) -> T:
+    """Fold ``p`` bottom-up over :func:`walk`: ``combine(node, results)``
+    runs once for each distinct node, with its children's results in
+    order.  Results are memoised on node identity.  A node's offset below
+    ``p`` (the binders between them) is fixed by the node itself, as the
+    growth of its contexts over ``p``'s, so identity alone is a sound memo
+    key."""
+    done: dict[int, T] = {}
+    results: list[T] = []  # results of the children met so far, in order
+    emit = results.append
+    for node, kids in walk(p):
+        if kids is None:
+            emit(done[id(node)])
+            continue
+        n = len(kids)
+        if n:
+            kids = results[-n:]
+            del results[-n:]
+        done[id(node)] = result = combine(node, kids)
+        emit(result)
+    return results[0]
+
+
+def map_pattern(
+    p: Pattern,
+    leaf: Callable[[Pattern, Context, Context], Pattern],
+    cuts: Sequence[tuple[int, int, int, Context]] = (),
+) -> Pattern:
+    """Rebuild ``p`` over :func:`fold_pattern`.
+
+    Each cut ``(kind, tail, drop, insert)`` edits every node's context of
+    ``kind`` (``EX`` or ``MU``): the ``drop`` sorts just before its last
+    ``tail`` sorts are replaced by ``insert``.  Binders only ever prepend
+    to a context, so the last ``tail`` sorts are the same ones at every
+    node: counting from the end is the one shift rule under binders.
+
+    ``leaf(node, ex, mu)`` gives the image of each node without children,
+    given its new contexts; every other node is rebuilt through its
+    constructor over its children's images.  Without cuts, a node whose
+    children come out unchanged is kept, so the result shares what ``p``
+    shares.
+    """
+
+    def combine(node: Pattern, kids: Sequence[Pattern]) -> Pattern:
+        ex, mu = node.ex, node.mu
+        for kind, tail, drop, insert in cuts:
+            ctx = mu if kind == MU else ex
+            at = len(ctx) - tail - drop
+            ctx = ctx[:at] + insert + ctx[at + drop :]
+            if kind == MU:
+                mu = ctx
+            else:
+                ex = ctx
+        if not kids:
+            return leaf(node, ex, mu)
+        if not cuts and all(map(is_, kids, node.children)):
+            return node
+        return node.rebuild(ex, mu, kids)
+
+    return fold_pattern(p, combine)
 
 
 # --- core constructors --------------------------------------------------
@@ -252,33 +427,12 @@ def mk_app(
 ) -> Pattern:
     """Application node.  Contexts are inherited from the arguments; for
     0-ary symbols the caller supplies the intended contexts (default
-    closed)."""
+    closed).  Given contexts must match the arguments'."""
     sig._require_symbol(symbol)
     args = tuple(args)
-    if len(args) != len(symbol.params):
-        raise ArityMismatchError(
-            f"{symbol.name} expects {len(symbol.params)} arguments, got {len(args)}"
-        )
-    if args:
-        node_ex, node_mu = args[0].ex, args[0].mu
-        if ex is not None and _ctx(ex) != node_ex:
-            raise ContextMismatchError("given ex context differs from the arguments'")
-        if mu is not None and _ctx(mu) != node_mu:
-            raise ContextMismatchError("given mu context differs from the arguments'")
-    else:
-        node_ex = _ctx(ex) if ex is not None else ()
-        node_mu = _ctx(mu) if mu is not None else ()
-    for k, (arg, param) in enumerate(zip(args, symbol.params)):
-        if arg.sort != param:
-            raise ArgSortMismatchError(
-                k,
-                f"argument {k} of {symbol.name} must have sort {param}, got {arg.sort}",
-            )
-        if arg.ex != node_ex or arg.mu != node_mu:
-            raise ContextMismatchError(
-                f"argument {k} of {symbol.name} lives in a different context"
-            )
-    return App(symbol.result, node_ex, node_mu, symbol, args)
+    ex = _ctx(ex) if ex is not None else args[0].ex if args else ()
+    mu = _ctx(mu) if mu is not None else args[0].mu if args else ()
+    return App(symbol.result, ex, mu, symbol, args)
 
 
 def mk_not(body: Pattern) -> Pattern:
@@ -286,32 +440,16 @@ def mk_not(body: Pattern) -> Pattern:
 
 
 def mk_and(left: Pattern, right: Pattern) -> Pattern:
-    if left.sort != right.sort:
-        raise SortMismatchError(
-            f"conjunction requires one sort, got {left.sort} and {right.sort}"
-        )
-    if left.ex != right.ex or left.mu != right.mu:
-        raise ContextMismatchError("conjunction children live in different contexts")
     return And(left.sort, left.ex, left.mu, left, right)
 
 
 def mk_exists(binder_sort: Sort, body: Pattern) -> Pattern:
     """Existential binder; consumes the head of the body's ex context."""
-    if not body.ex or body.ex[0] != binder_sort:
-        raise BinderSortMismatchError(
-            f"exists binder over {binder_sort} does not match the body "
-            f"context {[str(s) for s in body.ex]}"
-        )
     return Exists(body.sort, body.ex[1:], body.mu, binder_sort, body)
 
 
 def mk_mu(body: Pattern) -> Pattern:
     """Least-fixpoint binder; the bound variable shares the body's sort."""
-    if not body.mu or body.mu[0] != body.sort:
-        raise BinderSortMismatchError(
-            f"mu binder requires the body context to start with the body "
-            f"sort {body.sort}, got {[str(s) for s in body.mu]}"
-        )
     return Mu(body.sort, body.ex, body.mu[1:], body)
 
 
@@ -357,12 +495,8 @@ def mk_nu(body: Pattern) -> Pattern:
     Occurrences of the binder's own variable are negated in place (a
     context-preserving rewrite, not a substitution: the replacement
     ``not B0`` is not closed, so the substitution calculus must not see
-    it)."""
-    if not body.mu or body.mu[0] != body.sort:
-        raise BinderSortMismatchError(
-            f"nu binder requires the body context to start with the body "
-            f"sort {body.sort}, got {[str(s) for s in body.mu]}"
-        )
+    it).  ``mk_mu`` rejects a body whose mu context does not start with
+    its sort."""
     return mk_not(mk_mu(mk_not(_negate_bound_svar(body, 0))))
 
 
@@ -380,32 +514,16 @@ def mk_subseteq(result_sort: Sort, left: Pattern, right: Pattern) -> Pattern:
 
 def _negate_bound_svar(p: Pattern, target: int) -> Pattern:
     """Replace every occurrence of bound set variable ``target`` by its
-    negation, shifting the target under nested mu binders."""
-    match p:
-        case BoundSVar(index=i) if i == target:
-            return mk_not(p)
-        case FreeEVar() | FreeSVar() | BoundEVar() | BoundSVar():
-            return p
-        case App(symbol=symbol, args=args):
-            return App(
-                p.sort, p.ex, p.mu, symbol,
-                tuple(_negate_bound_svar(a, target) for a in args),
-            )
-        case Not(body=body):
-            return Not(p.sort, p.ex, p.mu, _negate_bound_svar(body, target))
-        case And(left=left, right=right):
-            return And(
-                p.sort, p.ex, p.mu,
-                _negate_bound_svar(left, target),
-                _negate_bound_svar(right, target),
-            )
-        case Exists(binder_sort=b, body=body):
-            return Exists(p.sort, p.ex, p.mu, b, _negate_bound_svar(body, target))
-        case Mu(body=body):
-            return Mu(p.sort, p.ex, p.mu, _negate_bound_svar(body, target + 1))
-        case Defined(body=body):
-            return Defined(p.sort, p.ex, p.mu, _negate_bound_svar(body, target))
-    raise TypeError(f"unexpected pattern node {p!r}")
+    negation; under nested mu binders the target index grows with the
+    mu context."""
+    tail = len(p.mu) - target
+
+    def negate(node: Pattern, ex: Context, mu: Context) -> Pattern:
+        if type(node) is BoundSVar and node.index == len(mu) - tail:
+            return mk_not(node)
+        return node
+
+    return map_pattern(p, negate)
 
 
 # --- observations -------------------------------------------------------
@@ -419,58 +537,18 @@ def size(p: Pattern) -> int:
     can be exponentially larger than the shared in-memory structure; the
     count is memoized over shared subtrees to stay linear.
     """
-    return _size(p, {})
-
-
-def _size(p: Pattern, memo: dict[int, int]) -> int:
-    known = memo.get(id(p))
-    if known is not None:
-        return known
-    match p:
-        case FreeEVar() | FreeSVar() | BoundEVar() | BoundSVar():
-            n = 1
-        case App(args=args):
-            n = 1 + sum(_size(a, memo) for a in args)
-        case Not(body=body) | Exists(body=body) | Mu(body=body) | Defined(body=body):
-            n = 1 + _size(body, memo)
-        case And(left=left, right=right):
-            n = 1 + _size(left, memo) + _size(right, memo)
-        case _:
-            raise TypeError(f"unexpected pattern node {p!r}")
-    memo[id(p)] = n
-    return n
+    return fold_pattern(p, lambda node, kids: 1 + sum(kids))
 
 
 def free_vars(p: Pattern) -> tuple[frozenset[ElemVar], frozenset[SetVar]]:
     evars: set[ElemVar] = set()
     svars: set[SetVar] = set()
-    _collect_free(p, evars, svars, set())
+    for node, _ in walk(p):
+        if type(node) is FreeEVar:
+            evars.add(node.var)
+        elif type(node) is FreeSVar:
+            svars.add(node.var)
     return frozenset(evars), frozenset(svars)
-
-
-def _collect_free(
-    p: Pattern, evars: set[ElemVar], svars: set[SetVar], seen: set[int]
-) -> None:
-    if id(p) in seen:
-        return
-    seen.add(id(p))
-    match p:
-        case FreeEVar(var=var):
-            evars.add(var)
-        case FreeSVar(var=var):
-            svars.add(var)
-        case BoundEVar() | BoundSVar():
-            pass
-        case App(args=args):
-            for a in args:
-                _collect_free(a, evars, svars, seen)
-        case Not(body=body) | Exists(body=body) | Mu(body=body) | Defined(body=body):
-            _collect_free(body, evars, svars, seen)
-        case And(left=left, right=right):
-            _collect_free(left, evars, svars, seen)
-            _collect_free(right, evars, svars, seen)
-        case _:
-            raise TypeError(f"unexpected pattern node {p!r}")
 
 
 def structural_eq(p: Pattern, q: Pattern) -> bool:
@@ -479,68 +557,18 @@ def structural_eq(p: Pattern, q: Pattern) -> bool:
 
 
 def validate(p: Pattern) -> bool:
-    """Recursively re-derive every per-node invariant.
+    """Rebuild ``p`` through the node constructors, so every node's
+    ``__post_init__`` checks it again; False if any check fails.
 
-    Construction already enforces them, so this is a trust-but-verify pass
-    for tests and debugging.  Shared subtrees are checked once.
+    Construction already enforces the invariants, so this can only fail on
+    a tree changed behind the constructors (for instance with
+    ``object.__setattr__``).  Shared subtrees are checked once.
     """
-    return _validate(p, set())
-
-
-def _validate(p: Pattern, ok: set[int]) -> bool:
-    if id(p) in ok:
-        return True
-    match p:
-        case FreeEVar(var=var):
-            good = var.sort == p.sort
-        case FreeSVar(var=var):
-            good = var.sort == p.sort
-        case BoundEVar(index=i):
-            good = 0 <= i < len(p.ex) and p.ex[i] == p.sort
-        case BoundSVar(index=i):
-            good = 0 <= i < len(p.mu) and p.mu[i] == p.sort
-        case App(symbol=symbol, args=args):
-            good = (
-                len(args) == len(symbol.params)
-                and p.sort == symbol.result
-                and all(
-                    a.sort == s and a.ex == p.ex and a.mu == p.mu and _validate(a, ok)
-                    for a, s in zip(args, symbol.params)
-                )
-            )
-        case Not(body=body):
-            good = (
-                body.sort == p.sort
-                and body.ex == p.ex
-                and body.mu == p.mu
-                and _validate(body, ok)
-            )
-        case And(left=left, right=right):
-            good = all(
-                c.sort == p.sort and c.ex == p.ex and c.mu == p.mu and _validate(c, ok)
-                for c in (left, right)
-            )
-        case Exists(binder_sort=b, body=body):
-            good = (
-                body.ex == (b,) + p.ex
-                and body.mu == p.mu
-                and body.sort == p.sort
-                and _validate(body, ok)
-            )
-        case Mu(body=body):
-            good = (
-                body.mu == (p.sort,) + p.mu
-                and body.ex == p.ex
-                and body.sort == p.sort
-                and _validate(body, ok)
-            )
-        case Defined(body=body):
-            good = body.ex == p.ex and body.mu == p.mu and _validate(body, ok)
-        case _:
-            good = False
-    if good:
-        ok.add(id(p))
-    return good
+    try:
+        fold_pattern(p, lambda node, kids: node.rebuild(node.ex, node.mu, kids))
+    except MuLogicError:
+        return False
+    return True
 
 
 # --- positivity ---------------------------------------------------------
@@ -571,67 +599,47 @@ def check_mu_positivity(p: Pattern) -> PositivityReport:
     """Report, for every mu binder in ``p``, whether its bound variable
     occurs only under an even number of negations.
 
-    Binders inside shared (derived-form) subtrees are reported once, at
-    the first path that reaches them.
+    Binders are listed in preorder.  Binders inside shared (derived-form)
+    subtrees are reported once, at the first path that reaches them.
     """
-    checks: list[MuCheck] = []
-    _walk_mu(p, (), checks, set())
+
+    def binders(node: Pattern, kids: Sequence[dict]) -> dict:
+        # id(binder) -> (binder, path as nested (index, rest) pairs), in
+        # preorder; nested pairs make prefixing a path O(1) per level
+        found = {id(node): (node, ())} if type(node) is Mu else {}
+        for k, below in enumerate(kids):
+            for key, (mu, path) in below.items():
+                if key not in found:
+                    found[key] = (mu, (k, path))
+        return found
+
+    checks = []
+    for mu, path in fold_pattern(p, binders).values():
+        route: list[int] = []
+        while path:
+            k, path = path
+            route.append(k)
+        checks.append(MuCheck(tuple(route), svar_occurs_positively(mu.body, 0)))
     return PositivityReport(tuple(checks))
-
-
-def _walk_mu(
-    p: Pattern, path: tuple[int, ...], out: list[MuCheck], seen: set[int]
-) -> None:
-    if id(p) in seen:
-        return
-    seen.add(id(p))
-    match p:
-        case Mu(body=body):
-            out.append(MuCheck(path, svar_occurs_positively(body, 0)))
-            _walk_mu(body, path + (0,), out, seen)
-        case App(args=args):
-            for k, a in enumerate(args):
-                _walk_mu(a, path + (k,), out, seen)
-        case Not(body=body) | Exists(body=body) | Defined(body=body):
-            _walk_mu(body, path + (0,), out, seen)
-        case And(left=left, right=right):
-            _walk_mu(left, path + (0,), out, seen)
-            _walk_mu(right, path + (1,), out, seen)
-        case _:
-            pass
 
 
 def svar_occurs_positively(p: Pattern, target: int, negations: int = 0) -> bool:
     """True iff every occurrence of bound set variable ``target`` sits
     under an even number of negations."""
-    return _svar_positive(p, target, negations % 2 == 0, {})
-
-
-def _svar_positive(
-    p: Pattern, target: int, even: bool, memo: dict[tuple[int, int, bool], bool]
-) -> bool:
-    key = (id(p), target, even)
-    known = memo.get(key)
-    if known is not None:
-        return known
-    match p:
-        case BoundSVar(index=i):
-            good = i != target or even
-        case FreeEVar() | FreeSVar() | BoundEVar():
-            good = True
-        case App(args=args):
-            good = all(_svar_positive(a, target, even, memo) for a in args)
-        case Not(body=body):
-            good = _svar_positive(body, target, not even, memo)
-        case And(left=left, right=right):
-            good = _svar_positive(left, target, even, memo) and _svar_positive(
-                right, target, even, memo
-            )
-        case Exists(body=body) | Defined(body=body):
-            good = _svar_positive(body, target, even, memo)
-        case Mu(body=body):
-            good = _svar_positive(body, target + 1, even, memo)
-        case _:
-            raise TypeError(f"unexpected pattern node {p!r}")
-    memo[key] = good
-    return good
+    tail = len(p.mu) - target
+    # id(node) -> bit 1: the variable occurs under an even number of
+    # negations below ``node``; bit 2: under an odd number
+    bits: dict[int, int] = {}
+    for node, kids in walk(p):
+        if kids is None:
+            continue
+        if type(node) is BoundSVar:
+            b = 1 if node.index == len(node.mu) - tail else 0
+        else:
+            b = 0
+            for k in kids:
+                b |= bits[id(k)]
+            if type(node) is Not:
+                b = (b & 1) << 1 | b >> 1
+        bits[id(node)] = b
+    return not bits[id(p)] & (2 if negations % 2 == 0 else 1)

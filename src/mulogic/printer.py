@@ -8,6 +8,8 @@ back without an expected sort, giving ``parse(print(p)) == p``.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .pattern import (
     And,
     App,
@@ -20,29 +22,41 @@ from .pattern import (
     Mu,
     Not,
     Pattern,
+    fold_pattern,
 )
+
+# Per node kind: the text before the children, between them, and after.
+_SYNTAX = {
+    FreeEVar: lambda p: (f"{p.var.name}:{p.var.sort.name}", "", ""),
+    FreeSVar: lambda p: (f"#{p.var.name}:{p.var.sort.name}", "", ""),
+    BoundEVar: lambda p: (f"b{p.index}", "", ""),
+    BoundSVar: lambda p: (f"B{p.index}", "", ""),
+    App: lambda p: (f"{p.symbol.name}(", ", ", ")"),
+    Not: lambda p: ("\\not(", "", ")"),
+    And: lambda p: ("\\and(", ", ", ")"),
+    Exists: lambda p: (f"\\exists{{{p.binder_sort.name}}} ", "", ""),
+    Mu: lambda p: (f"\\mu{{{p.sort.name}}} ", "", ""),
+    Defined: lambda p: (f"\\ceil{{{p.sort.name}}}(", "", ")"),
+}
+
+
+def _layout(node: Pattern, kids: Sequence[list]) -> list:
+    # A rope: strings and the children's ropes, shared, not copied.
+    before, between, after = _SYNTAX[type(node)](node)
+    rope = [before]
+    for k, kid in enumerate(kids):
+        rope += (between, kid) if k else (kid,)
+    rope.append(after)
+    return rope
 
 
 def print_pattern(p: Pattern) -> str:
-    match p:
-        case FreeEVar(var=var):
-            return f"{var.name}:{var.sort.name}"
-        case FreeSVar(var=var):
-            return f"#{var.name}:{var.sort.name}"
-        case BoundEVar(index=i):
-            return f"b{i}"
-        case BoundSVar(index=i):
-            return f"B{i}"
-        case App(symbol=symbol, args=args):
-            return f"{symbol.name}({', '.join(print_pattern(a) for a in args)})"
-        case Not(body=body):
-            return f"\\not({print_pattern(body)})"
-        case And(left=left, right=right):
-            return f"\\and({print_pattern(left)}, {print_pattern(right)})"
-        case Exists(binder_sort=b, body=body):
-            return f"\\exists{{{b.name}}} {print_pattern(body)}"
-        case Mu(body=body):
-            return f"\\mu{{{p.sort.name}}} {print_pattern(body)}"
-        case Defined(body=body):
-            return f"\\ceil{{{p.sort.name}}}({print_pattern(body)})"
-    raise TypeError(f"unexpected pattern node {p!r}")
+    out: list[str] = []
+    todo = [fold_pattern(p, _layout)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)

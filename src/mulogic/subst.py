@@ -1,21 +1,27 @@
 """The substitution calculus: context extension (weakening), bound-variable
-substitution via the four-case index procedure, and free-variable
-substitution.
+substitution via the index procedure, and free-variable substitution.
 
-All four substitution entry points are structural recursions on the target
-pattern; the index procedure runs at bound-variable leaves, so no step
-recurses on anything but a subterm.  Context bookkeeping:
+Each job has one implementation that takes the context kind, ``EX`` (the
+existential context) or ``MU`` (the fixpoint context), as an argument; the
+public names are one-line calls that fix the kind.  Extension and the
+substitutions are maps (:func:`mulogic.pattern.map_pattern`) over the one
+pattern traversal, and the index procedure runs at bound-variable leaves.
+Context bookkeeping:
 
 * ``extend_env`` inserts sorts into a context at a split point and shifts
   the indices at or past it.
 * ``bevar_subst(psi, p)`` locates the substituted slot purely from the
   context lengths: the slot is ``len(p.ex) - len(psi.ex) - 1``, which makes
   the decomposition ``p.ex == pre + (psi.sort,) + psi.ex`` unique whenever
-  it exists at all.
-* ``fevar_subst`` requires the replacement's contexts to be suffixes of the
-  target's and weakens the replacement at each binder it descends under.
+  it exists at all.  ``bsvar_subst`` does the same on the mu context.
+* ``fevar_subst``/``fsvar_subst`` require the replacement's contexts to be
+  suffixes of the target's and weaken the replacement to the contexts of
+  each occurrence, so no binder can capture its dangling indices.
 
-Set-variable variants mirror the element-variable ones on the mu context.
+Binders only ever prepend to a context, so a position counted from the end
+of a context names the same slot at every node below the root.  That is
+the one shift rule under binders; every operation here states its split
+or slot that way (see :func:`mulogic.pattern.map_pattern`).
 """
 
 from __future__ import annotations
@@ -27,20 +33,143 @@ from .errors import (
     SortMismatchError,
 )
 from .pattern import (
-    And,
-    App,
+    EX,
+    MU,
     BoundEVar,
     BoundSVar,
     Context,
-    Defined,
-    Exists,
     FreeEVar,
     FreeSVar,
-    Mu,
-    Not,
     Pattern,
+    map_pattern,
 )
 from .signature import ElemVar, SetVar, Sort
+
+_NAME = ("ex", "mu")
+_BOUND = (BoundEVar, BoundSVar)
+
+
+def _show(ctx: Context) -> list[str]:
+    return [str(s) for s in ctx]
+
+
+def _extend(
+    p: Pattern, splits: tuple[int, int], inserts: tuple[Context, Context]
+) -> Pattern:
+    """Insert ``inserts[kind]`` into each context at ``splits[kind]``."""
+    cuts = []
+    for kind, ctx in enumerate((p.ex, p.mu)):
+        split, insert = splits[kind], inserts[kind]
+        if not 0 <= split <= len(ctx):
+            raise BadSplitError(
+                f"{_NAME[kind]} split {split} exceeds context length {len(ctx)}"
+            )
+        if insert:
+            cuts.append((kind, len(ctx) - split, 0, insert))
+    if not cuts:
+        return p
+
+    def shift(node: Pattern, ex: Context, mu: Context) -> Pattern:
+        for kind, tail, _, insert in cuts:
+            if type(node) is _BOUND[kind]:
+                i = node.index
+                if i >= len((node.ex, node.mu)[kind]) - tail:
+                    i += len(insert)
+                return _BOUND[kind](node.sort, ex, mu, i)
+        return node.rebuild(ex, mu, ())
+
+    return map_pattern(p, shift, cuts)
+
+
+def _weaken(psi: Pattern, kind: int, prefix: Context) -> Pattern:
+    """``psi`` with ``prefix`` put in front of its context of ``kind``."""
+    inserts = (prefix, ()) if kind == EX else ((), prefix)
+    return _extend(psi, (0, 0), inserts)
+
+
+def _align(psi: Pattern, kind: int, target: Context) -> Pattern:
+    """Weaken ``psi``'s context of ``kind`` to ``target``, of which it must
+    be a suffix."""
+    ctx = (psi.ex, psi.mu)[kind]
+    d = len(target) - len(ctx)
+    if d < 0 or target[d:] != ctx:
+        raise SlotNotFoundError(
+            f"replacement {_NAME[kind]} context {_show(ctx)} is not a "
+            f"suffix of the target's {_show(target)}"
+        )
+    return _weaken(psi, kind, target[:d]) if d else psi
+
+
+def _index_subst(kind: int, index: int, prefix: Context, psi: Pattern) -> Pattern:
+    """Substitute bound variable ``index`` of ``kind``, read against the
+    context ``prefix + (psi.sort,) + ctx`` where ``ctx`` is ``psi``'s
+    context of that kind.
+
+    The four-case procedure recurses on the context tail and re-extends
+    the result by each dropped head sort; unrolled, an index before the
+    slot stays, the slot itself becomes ``psi`` weakened by ``prefix``,
+    and an index past the slot decrements.
+    """
+    ctx = (psi.ex, psi.mu)[kind]
+    if not 0 <= index <= len(prefix) + len(ctx):
+        raise IndexOutOfScopeError(
+            f"index {index} out of scope in a context of length "
+            f"{len(prefix) + 1 + len(ctx)}"
+        )
+    if index == len(prefix):
+        return _weaken(psi, kind, prefix) if prefix else psi
+    j = index if index < len(prefix) else index - 1
+    ctxs = [psi.ex, psi.mu]
+    ctxs[kind] = full = prefix + ctx
+    return _BOUND[kind](full[j], *ctxs, j)
+
+
+def _bound_subst(kind: int, psi: Pattern, p: Pattern) -> Pattern:
+    """Replace the dangling bound variable of ``kind`` whose slot is given
+    by the decomposition ``ctx == pre + (psi.sort,) + psi_ctx`` of ``p``'s
+    context of that kind.
+
+    Indices past the slot decrement; free variables are untouched; the
+    result's context of that kind is ``pre + psi_ctx``.
+    """
+    other = 1 - kind
+    ctx, psi_ctx = (p.ex, p.mu)[kind], (psi.ex, psi.mu)[kind]
+    tail = len(psi_ctx)
+    k = len(ctx) - tail - 1
+    if k < 0 or ctx[k] != psi.sort or ctx[k + 1 :] != psi_ctx:
+        raise SlotNotFoundError(
+            f"target {_NAME[kind]} context {_show(ctx)} does not decompose "
+            f"around a {psi.sort} slot followed by {_show(psi_ctx)}"
+        )
+    psi = _align(psi, other, (p.ex, p.mu)[other])
+    bound = _BOUND[kind]
+
+    def replace(node: Pattern, ex: Context, mu: Context) -> Pattern:
+        if type(node) is not bound:
+            return node.rebuild(ex, mu, ())
+        ctxs = (ex, mu)
+        pre = ctxs[kind][: len(ctxs[kind]) - tail]
+        return _index_subst(kind, node.index, pre, _align(psi, other, ctxs[other]))
+
+    return map_pattern(p, replace, [(kind, tail, 1, ())])
+
+
+def _free_subst(psi: Pattern, x: ElemVar | SetVar, p: Pattern) -> Pattern:
+    """Replace every free occurrence of ``x`` in ``p`` by ``psi``, weakened
+    to the occurrence's contexts; bound variables are untouched."""
+    if psi.sort != x.sort:
+        raise SortMismatchError(
+            f"replacement of sort {psi.sort} cannot substitute {x}"
+        )
+    psi = _align(_align(psi, EX, p.ex), MU, p.mu)
+    occurrence = FreeEVar if isinstance(x, ElemVar) else FreeSVar
+
+    def replace(node: Pattern, ex: Context, mu: Context) -> Pattern:
+        if type(node) is occurrence and node.var == x:
+            return _align(_align(psi, EX, ex), MU, mu)
+        return node
+
+    return map_pattern(p, replace)
 
 
 def extend_env(
@@ -55,108 +184,19 @@ def extend_env(
     Bound indices at or past the split are shifted by the insert length;
     nothing else changes (in particular the size is preserved).
     """
-    if not 0 <= ex_split <= len(p.ex):
-        raise BadSplitError(
-            f"ex split {ex_split} exceeds context length {len(p.ex)}"
-        )
-    if not 0 <= mu_split <= len(p.mu):
-        raise BadSplitError(
-            f"mu split {mu_split} exceeds context length {len(p.mu)}"
-        )
-    if not ex_insert and not mu_insert:
-        return p
-    return _extend(p, ex_split, tuple(ex_insert), mu_split, tuple(mu_insert))
-
-
-def _extend(
-    p: Pattern,
-    ex_split: int,
-    ex_insert: tuple[Sort, ...],
-    mu_split: int,
-    mu_insert: tuple[Sort, ...],
-) -> Pattern:
-    ex = p.ex[:ex_split] + ex_insert + p.ex[ex_split:]
-    mu = p.mu[:mu_split] + mu_insert + p.mu[mu_split:]
-    match p:
-        case FreeEVar(var=var):
-            return FreeEVar(p.sort, ex, mu, var)
-        case FreeSVar(var=var):
-            return FreeSVar(p.sort, ex, mu, var)
-        case BoundEVar(index=i):
-            return BoundEVar(p.sort, ex, mu, i + len(ex_insert) if i >= ex_split else i)
-        case BoundSVar(index=i):
-            return BoundSVar(p.sort, ex, mu, i + len(mu_insert) if i >= mu_split else i)
-        case App(symbol=symbol, args=args):
-            return App(
-                p.sort, ex, mu, symbol,
-                tuple(_extend(a, ex_split, ex_insert, mu_split, mu_insert) for a in args),
-            )
-        case Not(body=body):
-            return Not(p.sort, ex, mu, _extend(body, ex_split, ex_insert, mu_split, mu_insert))
-        case And(left=left, right=right):
-            return And(
-                p.sort, ex, mu,
-                _extend(left, ex_split, ex_insert, mu_split, mu_insert),
-                _extend(right, ex_split, ex_insert, mu_split, mu_insert),
-            )
-        case Exists(binder_sort=b, body=body):
-            return Exists(
-                p.sort, ex, mu, b,
-                _extend(body, ex_split + 1, ex_insert, mu_split, mu_insert),
-            )
-        case Mu(body=body):
-            return Mu(
-                p.sort, ex, mu,
-                _extend(body, ex_split, ex_insert, mu_split + 1, mu_insert),
-            )
-        case Defined(body=body):
-            return Defined(
-                p.sort, ex, mu,
-                _extend(body, ex_split, ex_insert, mu_split, mu_insert),
-            )
-    raise TypeError(f"unexpected pattern node {p!r}")
+    return _extend(p, (ex_split, mu_split), (tuple(ex_insert), tuple(mu_insert)))
 
 
 def index_subst(index: int, prefix: Context, psi: Pattern) -> Pattern:
     """Substitute bound element variable ``index`` read against the context
-    ``prefix + (psi.sort,) + psi.ex``.
-
-    Four cases on (index, |prefix|): the slot itself is replaced by ``psi``;
-    an index before the slot stays; an index past the slot decrements; and
-    with both nonzero we recurse on the context tail, then re-extend the
-    result by the dropped head sort.
-    """
-    if not 0 <= index <= len(prefix) + len(psi.ex):
-        raise IndexOutOfScopeError(
-            f"index {index} out of scope in a context of length "
-            f"{len(prefix) + 1 + len(psi.ex)}"
-        )
-    if index == 0:
-        if not prefix:
-            return psi
-        return BoundEVar(prefix[0], prefix + psi.ex, psi.mu, 0)
-    if not prefix:
-        return BoundEVar(psi.ex[index - 1], psi.ex, psi.mu, index - 1)
-    inner = index_subst(index - 1, prefix[1:], psi)
-    return extend_env(inner, 0, (prefix[0],))
+    ``prefix + (psi.sort,) + psi.ex`` (see :func:`_index_subst`)."""
+    return _index_subst(EX, index, prefix, psi)
 
 
 def index_subst_set(index: int, prefix: Context, psi: Pattern) -> Pattern:
-    """Mirror of :func:`index_subst` for bound set variables: the slot
-    lives in the context ``prefix + (psi.sort,) + psi.mu``."""
-    if not 0 <= index <= len(prefix) + len(psi.mu):
-        raise IndexOutOfScopeError(
-            f"index {index} out of scope in a context of length "
-            f"{len(prefix) + 1 + len(psi.mu)}"
-        )
-    if index == 0:
-        if not prefix:
-            return psi
-        return BoundSVar(prefix[0], psi.ex, prefix + psi.mu, 0)
-    if not prefix:
-        return BoundSVar(psi.mu[index - 1], psi.ex, psi.mu, index - 1)
-    inner = index_subst_set(index - 1, prefix[1:], psi)
-    return extend_env(inner, 0, (), 0, (prefix[0],))
+    """:func:`index_subst` for bound set variables: the slot lives in the
+    context ``prefix + (psi.sort,) + psi.mu``."""
+    return _index_subst(MU, index, prefix, psi)
 
 
 def bevar_subst(psi: Pattern, p: Pattern) -> Pattern:
@@ -166,105 +206,12 @@ def bevar_subst(psi: Pattern, p: Pattern) -> Pattern:
     Indices past the slot decrement; free variables are untouched; the
     result's ex context is ``pre + psi.ex``.
     """
-    k = len(p.ex) - len(psi.ex) - 1
-    if k < 0 or p.ex[k] != psi.sort or p.ex[k + 1 :] != psi.ex:
-        raise SlotNotFoundError(
-            f"target ex context {[str(s) for s in p.ex]} does not decompose "
-            f"around a {psi.sort} slot followed by {[str(s) for s in psi.ex]}"
-        )
-    psi = _align_mu(psi, p)
-    return _bevar(psi, p, k)
-
-
-def _align_mu(psi: Pattern, p: Pattern) -> Pattern:
-    """Weaken ``psi``'s mu context to ``p``'s (it must be a suffix)."""
-    if psi.mu == p.mu:
-        return psi
-    d = len(p.mu) - len(psi.mu)
-    if d < 0 or p.mu[d:] != psi.mu:
-        raise SlotNotFoundError(
-            f"replacement mu context {[str(s) for s in psi.mu]} is not a "
-            f"suffix of the target's {[str(s) for s in p.mu]}"
-        )
-    return extend_env(psi, 0, (), 0, p.mu[:d])
-
-
-def _bevar(psi: Pattern, p: Pattern, k: int) -> Pattern:
-    ex = p.ex[:k] + p.ex[k + 1 :]
-    match p:
-        case FreeEVar(var=var):
-            return FreeEVar(p.sort, ex, p.mu, var)
-        case FreeSVar(var=var):
-            return FreeSVar(p.sort, ex, p.mu, var)
-        case BoundEVar(index=i):
-            return index_subst(i, p.ex[:k], psi)
-        case BoundSVar(index=i):
-            return BoundSVar(p.sort, ex, p.mu, i)
-        case App(symbol=symbol, args=args):
-            return App(p.sort, ex, p.mu, symbol, tuple(_bevar(psi, a, k) for a in args))
-        case Not(body=body):
-            return Not(p.sort, ex, p.mu, _bevar(psi, body, k))
-        case And(left=left, right=right):
-            return And(p.sort, ex, p.mu, _bevar(psi, left, k), _bevar(psi, right, k))
-        case Exists(binder_sort=b, body=body):
-            return Exists(p.sort, ex, p.mu, b, _bevar(psi, body, k + 1))
-        case Mu(body=body):
-            weakened = extend_env(psi, 0, (), 0, (p.sort,))
-            return Mu(p.sort, ex, p.mu, _bevar(weakened, body, k))
-        case Defined(body=body):
-            return Defined(p.sort, ex, p.mu, _bevar(psi, body, k))
-    raise TypeError(f"unexpected pattern node {p!r}")
+    return _bound_subst(EX, psi, p)
 
 
 def bsvar_subst(psi: Pattern, p: Pattern) -> Pattern:
-    """Mirror of :func:`bevar_subst` on the mu context."""
-    k = len(p.mu) - len(psi.mu) - 1
-    if k < 0 or p.mu[k] != psi.sort or p.mu[k + 1 :] != psi.mu:
-        raise SlotNotFoundError(
-            f"target mu context {[str(s) for s in p.mu]} does not decompose "
-            f"around a {psi.sort} slot followed by {[str(s) for s in psi.mu]}"
-        )
-    psi = _align_ex(psi, p)
-    return _bsvar(psi, p, k)
-
-
-def _align_ex(psi: Pattern, p: Pattern) -> Pattern:
-    if psi.ex == p.ex:
-        return psi
-    d = len(p.ex) - len(psi.ex)
-    if d < 0 or p.ex[d:] != psi.ex:
-        raise SlotNotFoundError(
-            f"replacement ex context {[str(s) for s in psi.ex]} is not a "
-            f"suffix of the target's {[str(s) for s in p.ex]}"
-        )
-    return extend_env(psi, 0, p.ex[:d])
-
-
-def _bsvar(psi: Pattern, p: Pattern, k: int) -> Pattern:
-    mu = p.mu[:k] + p.mu[k + 1 :]
-    match p:
-        case FreeEVar(var=var):
-            return FreeEVar(p.sort, p.ex, mu, var)
-        case FreeSVar(var=var):
-            return FreeSVar(p.sort, p.ex, mu, var)
-        case BoundEVar(index=i):
-            return BoundEVar(p.sort, p.ex, mu, i)
-        case BoundSVar(index=i):
-            return index_subst_set(i, p.mu[:k], psi)
-        case App(symbol=symbol, args=args):
-            return App(p.sort, p.ex, mu, symbol, tuple(_bsvar(psi, a, k) for a in args))
-        case Not(body=body):
-            return Not(p.sort, p.ex, mu, _bsvar(psi, body, k))
-        case And(left=left, right=right):
-            return And(p.sort, p.ex, mu, _bsvar(psi, left, k), _bsvar(psi, right, k))
-        case Exists(binder_sort=b, body=body):
-            weakened = extend_env(psi, 0, (b,))
-            return Exists(p.sort, p.ex, mu, b, _bsvar(weakened, body, k))
-        case Mu(body=body):
-            return Mu(p.sort, p.ex, mu, _bsvar(psi, body, k + 1))
-        case Defined(body=body):
-            return Defined(p.sort, p.ex, mu, _bsvar(psi, body, k))
-    raise TypeError(f"unexpected pattern node {p!r}")
+    """:func:`bevar_subst` on the mu context."""
+    return _bound_subst(MU, psi, p)
 
 
 def fevar_subst(psi: Pattern, x: ElemVar, p: Pattern) -> Pattern:
@@ -274,89 +221,9 @@ def fevar_subst(psi: Pattern, x: ElemVar, p: Pattern) -> Pattern:
     way down, so no binder can capture its dangling indices.  Bound
     variables are untouched.
     """
-    if psi.sort != x.sort:
-        raise SortMismatchError(
-            f"replacement of sort {psi.sort} cannot substitute {x}"
-        )
-    psi = _align_both(psi, p)
-    return _fevar(psi, x, p)
-
-
-def _align_both(psi: Pattern, p: Pattern) -> Pattern:
-    dex = len(p.ex) - len(psi.ex)
-    if dex < 0 or p.ex[dex:] != psi.ex:
-        raise SlotNotFoundError(
-            f"replacement ex context {[str(s) for s in psi.ex]} is not a "
-            f"suffix of the target's {[str(s) for s in p.ex]}"
-        )
-    dmu = len(p.mu) - len(psi.mu)
-    if dmu < 0 or p.mu[dmu:] != psi.mu:
-        raise SlotNotFoundError(
-            f"replacement mu context {[str(s) for s in psi.mu]} is not a "
-            f"suffix of the target's {[str(s) for s in p.mu]}"
-        )
-    return extend_env(psi, 0, p.ex[:dex], 0, p.mu[:dmu])
-
-
-def _fevar(psi: Pattern, x: ElemVar, p: Pattern) -> Pattern:
-    match p:
-        case FreeEVar(var=var):
-            return psi if var == x else p
-        case FreeSVar() | BoundEVar() | BoundSVar():
-            return p
-        case App(symbol=symbol, args=args):
-            return App(p.sort, p.ex, p.mu, symbol, tuple(_fevar(psi, x, a) for a in args))
-        case Not(body=body):
-            return Not(p.sort, p.ex, p.mu, _fevar(psi, x, body))
-        case And(left=left, right=right):
-            return And(p.sort, p.ex, p.mu, _fevar(psi, x, left), _fevar(psi, x, right))
-        case Exists(binder_sort=b, body=body):
-            return Exists(
-                p.sort, p.ex, p.mu, b,
-                _fevar(extend_env(psi, 0, (b,)), x, body),
-            )
-        case Mu(body=body):
-            return Mu(
-                p.sort, p.ex, p.mu,
-                _fevar(extend_env(psi, 0, (), 0, (p.sort,)), x, body),
-            )
-        case Defined(body=body):
-            return Defined(p.sort, p.ex, p.mu, _fevar(psi, x, body))
-    raise TypeError(f"unexpected pattern node {p!r}")
+    return _free_subst(psi, x, p)
 
 
 def fsvar_subst(psi: Pattern, x: SetVar, p: Pattern) -> Pattern:
-    """Mirror of :func:`fevar_subst` for free set variables."""
-    if psi.sort != x.sort:
-        raise SortMismatchError(
-            f"replacement of sort {psi.sort} cannot substitute {x}"
-        )
-    psi = _align_both(psi, p)
-    return _fsvar(psi, x, p)
-
-
-def _fsvar(psi: Pattern, x: SetVar, p: Pattern) -> Pattern:
-    match p:
-        case FreeSVar(var=var):
-            return psi if var == x else p
-        case FreeEVar() | BoundEVar() | BoundSVar():
-            return p
-        case App(symbol=symbol, args=args):
-            return App(p.sort, p.ex, p.mu, symbol, tuple(_fsvar(psi, x, a) for a in args))
-        case Not(body=body):
-            return Not(p.sort, p.ex, p.mu, _fsvar(psi, x, body))
-        case And(left=left, right=right):
-            return And(p.sort, p.ex, p.mu, _fsvar(psi, x, left), _fsvar(psi, x, right))
-        case Exists(binder_sort=b, body=body):
-            return Exists(
-                p.sort, p.ex, p.mu, b,
-                _fsvar(extend_env(psi, 0, (b,)), x, body),
-            )
-        case Mu(body=body):
-            return Mu(
-                p.sort, p.ex, p.mu,
-                _fsvar(extend_env(psi, 0, (), 0, (p.sort,)), x, body),
-            )
-        case Defined(body=body):
-            return Defined(p.sort, p.ex, p.mu, _fsvar(psi, x, body))
-    raise TypeError(f"unexpected pattern node {p!r}")
+    """:func:`fevar_subst` for free set variables."""
+    return _free_subst(psi, x, p)

@@ -1,13 +1,20 @@
 import random
+import sys
 
 import pytest
 
 from mulogic import (
     And,
     ElemVar,
+    MuCheck,
     SetVar,
+    bevar_subst,
+    bsvar_subst,
     check_mu_positivity,
+    extend_env,
+    fevar_subst,
     free_vars,
+    fsvar_subst,
     mk_and,
     mk_app,
     mk_bottom,
@@ -28,6 +35,7 @@ from mulogic import (
     mk_or,
     mk_subseteq,
     mk_top,
+    print_pattern,
     size,
     structural_eq,
     validate,
@@ -291,3 +299,61 @@ def test_structural_eq_is_an_equivalence():
     for p in patterns:
         for q in patterns:
             assert structural_eq(p, q) == structural_eq(q, p)
+
+
+def test_validate_rejects_nodes_changed_behind_the_constructor(std_sig, nat, bool_):
+    # a leaf's sort, an application's argument and a binder's body, each
+    # changed after construction; validate must answer False, not raise
+    x = mk_free_evar(ElemVar("x", nat))
+    pair = mk_and(x, x)
+    object.__setattr__(x, "sort", bool_)
+    app = mk_app(std_sig, std_sig.symbol("S"), [mk_app(std_sig, std_sig.symbol("O"), [])])
+    object.__setattr__(app, "args", (mk_app(std_sig, std_sig.symbol("true"), []),))
+    binder = mk_exists(nat, mk_bound_evar((nat,), (), 0))
+    object.__setattr__(binder, "body", mk_bound_evar((bool_,), (), 0))
+    for tampered in (x, pair, app, mk_not(app), binder):
+        assert validate(tampered) is False
+
+
+DEEP = 10_000  # even, so a mu over a chain this long is positive
+
+
+def _not_chain(p, depth=DEEP):
+    for _ in range(depth):
+        p = mk_not(p)
+    return p
+
+
+def _chain_text(leaf):
+    return "\\not(" * DEEP + leaf + ")" * DEEP
+
+
+def test_deep_patterns_need_no_recursion(nat, bool_):
+    # every traversal runs on an explicit stack; results are compared by
+    # size and printed text, since == and hash still recurse
+    limit = sys.getrecursionlimit()
+    x, X = ElemVar("x", nat), SetVar("X", nat)
+    b0 = mk_bound_evar((nat,), (), 0)
+    B0 = mk_bound_svar((), (nat,), 0)
+    deep_b, deep_B = _not_chain(b0), _not_chain(B0)
+    fix = mk_mu(_not_chain(B0))
+
+    assert size(deep_b) == DEEP + 1 and size(fix) == DEEP + 2
+    assert validate(deep_b) and validate(fix)
+    assert check_mu_positivity(fix).checks == (MuCheck((), True),)
+    assert print_pattern(fix) == "\\mu{Nat} " + _chain_text("B0")
+    assert print_pattern(extend_env(deep_b, 0, (bool_,))) == _chain_text("b1")
+
+    opened = bevar_subst(mk_free_evar(x), deep_b)
+    assert opened.is_closed and print_pattern(opened) == _chain_text("x:Nat")
+    assert free_vars(opened) == (frozenset({x}), frozenset())
+    closed_again = fevar_subst(b0, x, extend_env(opened, 0, (nat,)))
+    assert print_pattern(closed_again) == _chain_text("b0")
+
+    opened = bsvar_subst(mk_free_svar(X), deep_B)
+    assert opened.is_closed and print_pattern(opened) == _chain_text("#X:Nat")
+    assert free_vars(opened) == (frozenset(), frozenset({X}))
+    closed_again = fsvar_subst(B0, X, extend_env(opened, 0, (), 0, (nat,)))
+    assert print_pattern(closed_again) == _chain_text("B0")
+    assert size(closed_again) == DEEP + 1
+    assert sys.getrecursionlimit() == limit
