@@ -54,7 +54,6 @@ from .pattern import (
 )
 from .printer import print_pattern
 from .semantics import (
-    FreshNameSource,
     Valuation,
     eval_pattern,
     lfp_iterate,
@@ -105,7 +104,7 @@ __all__ = [
     "FiniteModel", "CarrierElem", "CarrierSet", "SymbolInterp",
     "build_model", "singleton_fastpath",
     # semantics
-    "Valuation", "FreshNameSource", "eval_pattern",
+    "Valuation", "eval_pattern",
     "lfp_iterate", "lfp_prefixpoints",
     # theories
     "Theory", "Axiom", "AxiomResult", "Verdict", "SatisfactionReport",

@@ -26,8 +26,7 @@ constructors only).  Binders scope as far right as possible.  ``\\mu`` and
 ``\\nu`` accept an optional sort annotation (``\\mu{Sort} p``), which the
 printer always emits; unannotated fixpoints are fine wherever the sort is
 inferable.  Declarations must precede use.  Identifiers ending in a quote
-followed by digits (``x'1``) are reserved for fresh-variable generation
-and rejected.
+followed by digits (``x'1``) are reserved and rejected.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ def tokenize(text: str) -> list[Token]:
             if kind == "name" and _RESERVED_NAME_RE.search(value):
                 raise ParseError(
                     [Diagnostic("error", (line, col, len(value)), "reserved-name",
-                                f"identifier {value!r} is reserved for "
-                                "fresh-variable generation")]
+                                f"identifier {value!r} is reserved: no name may "
+                                "end in a quote followed by digits")]
                 )
             if kind not in ("ws", "comment"):
                 tokens.append(Token(kind, value, line, col))

@@ -293,7 +293,9 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
 # --- the traversal ------------------------------------------------------
 
 
-def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
+def walk(
+    p: Pattern, stop: tuple[type, ...] = ()
+) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
     """Yield ``(node, node.children)`` for each distinct node of ``p``,
     after all of its children; each later meeting of a node already
     yielded yields ``(node, None)``.
@@ -301,6 +303,8 @@ def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
     The one traversal of the kernel.  An explicit stack replaces recursion,
     so depth is bounded by memory, not by the interpreter's recursion
     limit; a subtree that derived connectives share is expanded once.
+    A node whose type is in ``stop`` is not entered: it is yielded as a
+    leaf, with ``()`` for its children, and nothing below it is visited.
     """
     seen: set[int] = set()
     stack: list = [p]  # nodes to enter, and (node, children) to leave
@@ -315,7 +319,7 @@ def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
             yield node, None
         else:
             mark(key)
-            kids = node.children
+            kids = () if type(node) in stop else node.children
             if kids:
                 push((node, kids))
                 stack += reversed(kids)
@@ -323,17 +327,22 @@ def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
                 yield node, kids
 
 
-def fold_pattern(p: Pattern, combine: Callable[[Pattern, Sequence[T]], T]) -> T:
+def fold_pattern(
+    p: Pattern,
+    combine: Callable[[Pattern, Sequence[T]], T],
+    stop: tuple[type, ...] = (),
+) -> T:
     """Fold ``p`` bottom-up over :func:`walk`: ``combine(node, results)``
     runs once for each distinct node, with its children's results in
     order.  Results are memoised on node identity.  A node's offset below
     ``p`` (the binders between them) is fixed by the node itself, as the
     growth of its contexts over ``p``'s, so identity alone is a sound memo
-    key."""
+    key.  A node whose type is in ``stop`` gets no results (``()``):
+    ``combine`` handles what lies below it itself."""
     done: dict[int, T] = {}
     results: list[T] = []  # results of the children met so far, in order
     emit = results.append
-    for node, kids in walk(p):
+    for node, kids in walk(p, stop):
         if kids is None:
             emit(done[id(node)])
             continue

@@ -1,10 +1,14 @@
 """Pattern evaluation over finite models.
 
-Only closed patterns are evaluated: binders are eliminated by substituting
-a fresh free variable and ranging its binding over the carrier, so a
-dangling index is never reached.  Each recursive call is on a pattern of
-strictly smaller size (substituting a single free variable preserves
-size), which is the termination argument.
+Only closed patterns are evaluated, over environments: a bound variable is
+a de Bruijn index into a tuple of carrier elements (ex) or carrier sets
+(mu), index 0 innermost.  Evaluation is one fold that stops at binders,
+so only ``Exists`` (once per element) and ``Mu`` (once per fixpoint step)
+recurse, each into its body with the environment extended at index 0: the
+recursion depth is the binder nesting depth, not the pattern depth.
+Closedness and positivity are decided once per :func:`eval_pattern` or
+:func:`mulogic.theory.check_axiom` call, so a non-positive binder under
+``prefix`` warns once per call, not once per visit.
 
 Least fixpoints come in two engines:
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     CarrierTooLargeError,
@@ -42,13 +46,15 @@ from .pattern import (
     Mu,
     Not,
     Pattern,
+    check_mu_positivity,
+    fold_pattern,
     free_vars,
-    mk_free_evar,
-    mk_free_svar,
-    svar_occurs_positively,
 )
 from .signature import ElemVar, SetVar, Sort
-from .subst import bevar_subst, bsvar_subst
+
+# Unused here; kept because the benchmark's tracer wraps these names.
+from .pattern import svar_occurs_positively  # noqa: F401
+from .subst import bevar_subst, bsvar_subst  # noqa: F401
 
 LFP_ITERATE = "iterate"
 LFP_PREFIX = "prefix"
@@ -100,28 +106,6 @@ class Valuation:
         if isinstance(var, ElemVar):
             return var in self.evars
         return var in self.svars
-
-
-class FreshNameSource:
-    """Produces variable names from the reserved ``'<digits>`` namespace,
-    skipping anything already visible to the evaluation."""
-
-    def __init__(self, reserved: Iterable[str] = ()):
-        self._counter = 0
-        self._reserved = set(reserved)
-
-    def _next(self, base: str) -> str:
-        while True:
-            self._counter += 1
-            name = f"{base}'{self._counter}"
-            if name not in self._reserved:
-                return name
-
-    def elem_var(self, sort: Sort) -> ElemVar:
-        return ElemVar(self._next("x"), sort)
-
-    def set_var(self, sort: Sort) -> SetVar:
-        return SetVar(self._next("X"), sort)
 
 
 def lfp_iterate(
@@ -182,8 +166,22 @@ def eval_pattern(
     ``rho`` must bind every free variable of ``p``.  ``lfp_mode`` selects
     the fixpoint engine: ``iterate`` requires each mu binder to be
     positive, ``prefix`` computes the pre-fixpoint intersection regardless
-    (warning on non-positive binders).
+    (warning once per call if some binder is not positive).  Bound
+    variables are read from environments, so the depth of ``p`` is not
+    limited by the interpreter's recursion limit; its binder nesting is.
     """
+    _check_evaluable(p, lfp_mode)
+    evs, svs = free_vars(p)
+    for var in (*evs, *svs):
+        if not rho.binds(var):
+            raise UnboundFreeVariableError(var, f"{var} is not bound")
+    return _eval(model, rho, p, (), (), lfp_mode, prefix_cap)
+
+
+def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
+    """Raise unless ``p`` is closed, ``lfp_mode`` is known and, under
+    ``iterate``, every mu binder in ``p`` is positive; under ``prefix`` a
+    non-positive binder warns instead."""
     if not p.is_closed:
         raise NotClosedError(
             f"cannot evaluate a pattern with dangling bound variables "
@@ -191,79 +189,69 @@ def eval_pattern(
         )
     if lfp_mode not in (LFP_ITERATE, LFP_PREFIX):
         raise ValueError(f"unknown lfp mode {lfp_mode!r}")
-    evs, svs = free_vars(p)
-    for var in (*evs, *svs):
-        if not rho.binds(var):
-            raise UnboundFreeVariableError(var, f"{var} is not bound")
-    reserved = {v.name for v in (*evs, *svs)}
-    reserved.update(v.name for v in rho.evars)
-    reserved.update(v.name for v in rho.svars)
-    fresh = FreshNameSource(reserved)
-    return _eval(model, rho, p, fresh, lfp_mode, prefix_cap)
+    if check_mu_positivity(p).all_positive:
+        return
+    if lfp_mode == LFP_ITERATE:
+        raise NonPositiveMuError(
+            "mu binder body is not positive; iteration is unsound "
+            "(use the prefix engine to apply the set-theoretic "
+            "definition regardless)"
+        )
+    warnings.warn(
+        "computing the pre-fixpoint intersection of a "
+        "non-positive mu binder; the result need not be a fixpoint",
+        NonPositiveMuWarning,
+        stacklevel=3,
+    )
 
 
 def _eval(
     model: FiniteModel,
     rho: Valuation,
     p: Pattern,
-    fresh: FreshNameSource,
+    exs: tuple[CarrierElem, ...],
+    mus: tuple[CarrierSet, ...],
     mode: str,
     cap: int,
 ) -> CarrierSet:
-    match p:
-        case FreeEVar(var=var):
-            return model.singleton(rho.evar(var))
-        case FreeSVar(var=var):
-            return rho.svar(var)
-        case App(symbol=symbol, args=args):
-            arg_sets = [_eval(model, rho, a, fresh, mode, cap) for a in args]
-            extracted = singleton_fastpath(model, arg_sets)
+    """The denotation of ``p`` with free variables read from ``rho`` and
+    bound ex and mu indices from ``exs`` and ``mus``, which must match
+    ``p``'s contexts.  ``p`` must have passed :func:`_check_evaluable`."""
+
+    def denote(node: Pattern, kids: Sequence[CarrierSet]) -> CarrierSet:
+        kind = type(node)
+        if kind is App:
+            extracted = singleton_fastpath(model, kids)
             if extracted is not None:
-                return model.interpret_symbol(symbol, extracted)
-            return model.extended_app(symbol, arg_sets)
-        case Not(body=body):
-            return _eval(model, rho, body, fresh, mode, cap).complement()
-        case And(left=left, right=right):
-            return _eval(model, rho, left, fresh, mode, cap) & _eval(
-                model, rho, right, fresh, mode, cap
-            )
-        case Defined(body=body):
-            return model.definedness(p.sort, _eval(model, rho, body, fresh, mode, cap))
-        case Exists(binder_sort=bsort, body=body):
-            x = fresh.elem_var(bsort)
-            opened = bevar_subst(mk_free_evar(x), body)
-            out = model.empty_set(p.sort)
-            for m in model.carrier(bsort):
-                out = out | _eval(
-                    model, rho.update_evar(x, m), opened, fresh, mode, cap
-                )
+                return model.interpret_symbol(node.symbol, extracted)
+            return model.extended_app(node.symbol, kids)
+        if kind is Not:
+            return kids[0].complement()
+        if kind is And:
+            return kids[0] & kids[1]
+        if kind is BoundEVar:
+            return model.singleton(exs[node.index])
+        if kind is BoundSVar:
+            return mus[node.index]
+        if kind is FreeEVar:
+            return model.singleton(rho.evar(node.var))
+        if kind is FreeSVar:
+            return rho.svar(node.var)
+        if kind is Defined:
+            return model.definedness(node.sort, kids[0])
+        if kind is Exists:
+            out = model.empty_set(node.sort)
+            for m in model.carrier(node.binder_sort):
+                out = out | _eval(model, rho, node.body, (m, *exs), mus, mode, cap)
             return out
-        case Mu(body=body):
-            x = fresh.set_var(p.sort)
-            opened = bsvar_subst(mk_free_svar(x), body)
+        if kind is Mu:
 
             def step(a: CarrierSet) -> CarrierSet:
-                return _eval(model, rho.update_svar(x, a), opened, fresh, mode, cap)
+                return _eval(model, rho, node.body, exs, (a, *mus), mode, cap)
 
             if mode == LFP_ITERATE:
-                if not svar_occurs_positively(body, 0):
-                    raise NonPositiveMuError(
-                        "mu binder body is not positive; iteration is unsound "
-                        "(use the prefix engine to apply the set-theoretic "
-                        "definition regardless)"
-                    )
-                return lfp_iterate(step, model, p.sort)
-            if not svar_occurs_positively(body, 0):
-                warnings.warn(
-                    "computing the pre-fixpoint intersection of a "
-                    "non-positive mu binder; the result need not be a fixpoint",
-                    NonPositiveMuWarning,
-                    stacklevel=2,
-                )
-            return lfp_prefixpoints(step, model, p.sort, cap)
-        case BoundEVar() | BoundSVar():
-            raise AssertionError(
-                "dangling bound variable reached during evaluation of a "
-                "closed pattern"
-            )
-    raise TypeError(f"unexpected pattern node {p!r}")
+                return lfp_iterate(step, model, node.sort)
+            return lfp_prefixpoints(step, model, node.sort, cap)
+        raise TypeError(f"unexpected pattern node {node!r}")
+
+    return fold_pattern(p, denote, stop=(Exists, Mu))

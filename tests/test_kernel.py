@@ -8,9 +8,11 @@ from mulogic import (
     ElemVar,
     MuCheck,
     SetVar,
+    Valuation,
     bevar_subst,
     bsvar_subst,
     check_mu_positivity,
+    eval_pattern,
     extend_env,
     fevar_subst,
     free_vars,
@@ -328,7 +330,7 @@ def _chain_text(leaf):
     return "\\not(" * DEEP + leaf + ")" * DEEP
 
 
-def test_deep_patterns_need_no_recursion(nat, bool_):
+def test_deep_patterns_need_no_recursion(std_sig, std_model, nat, bool_):
     # every traversal runs on an explicit stack; results are compared by
     # size and printed text, since == and hash still recurse
     limit = sys.getrecursionlimit()
@@ -356,4 +358,11 @@ def test_deep_patterns_need_no_recursion(nat, bool_):
     closed_again = fsvar_subst(B0, X, extend_env(opened, 0, (), 0, (nat,)))
     assert print_pattern(closed_again) == _chain_text("B0")
     assert size(closed_again) == DEEP + 1
+
+    zero = std_sig.symbol("O")
+    zero_set = std_model.set_of(nat, (std_model.elem(nat, "0"),))
+    grows = mk_mu(mk_or(deep_B, mk_app(std_sig, zero, [], mu=(nat,))))
+    empty = Valuation.empty()
+    assert eval_pattern(std_model, empty, _not_chain(mk_app(std_sig, zero, []))) == zero_set
+    assert eval_pattern(std_model, empty, grows) == zero_set
     assert sys.getrecursionlimit() == limit

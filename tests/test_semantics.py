@@ -7,6 +7,7 @@ from mulogic import (
     SetVar,
     Valuation,
     bevar_subst,
+    bsvar_subst,
     eval_pattern,
     free_vars,
     lfp_iterate,
@@ -288,3 +289,21 @@ class TestEvalProperties:
             for m in model.carrier(binder):
                 manual = manual | eval_pattern(model, rho.update_evar(x, m), opened)
             assert out == manual
+
+    def test_mu_matches_iteration_over_substituted_body(self):
+        # the substitution calculus stays the reference semantics for mu:
+        # open the body with a free set variable, iterate by hand
+        rng = random.Random(46)
+        for _ in range(40):
+            sig = random_signature(rng)
+            model = random_model(rng, sig)
+            p = random_positive_mu(rng, sig)
+            rho = random_valuation(rng, model, p)
+            X = SetVar("Q0", p.sort)
+            opened = bsvar_subst(mk_free_svar(X), p.body)
+            manual = lfp_iterate(
+                lambda a: eval_pattern(model, rho.update_svar(X, a), opened),
+                model,
+                p.sort,
+            )
+            assert eval_pattern(model, rho, p) == manual
