@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 from .errors import MuLogicError
 from .model import FiniteModel
-from .parser import ParseError, parse_model, parse_pattern, parse_theory
+from .parser import ParseError, parse_binding, parse_model, parse_pattern, parse_theory
 from .pattern import check_mu_positivity, validate
 from .semantics import (
     DEFAULT_PREFIX_CAP,
@@ -31,14 +30,6 @@ from .theory import (
     report_text,
     satisfies,
 )
-
-_EVAR_BINDING_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_'-]*):([A-Za-z_][A-Za-z0-9_'-]*)=([A-Za-z0-9_]+)$"
-)
-_SVAR_BINDING_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_'-]*):([A-Za-z_][A-Za-z0-9_'-]*)=\{([A-Za-z0-9_,\s]*)\}$"
-)
-
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -201,32 +192,24 @@ def _cmd_check(args) -> int:
 
 
 def _parse_bindings(args, model: FiniteModel) -> Valuation:
-    sig = model.signature
     rho = Valuation.empty()
     for text in args.evar_bindings:
-        m = _EVAR_BINDING_RE.match(text)
-        if m is None:
-            print(f"error: malformed -v binding {text!r} (want x:Sort=elem)",
-                  file=sys.stderr)
-            raise _Exit(1)
-        name, sort_name, label = m.groups()
-        sort = sig.sort(sort_name)
-        rho = rho.update_evar(ElemVar(name, sort), model.elem(sort, label))
+        name, sort, labels = _binding(model, text, "-v", "x:Sort=elem")
+        rho = rho.update_evar(ElemVar(name, sort), model.elem(sort, labels[0]))
     for text in args.svar_bindings:
-        m = _SVAR_BINDING_RE.match(text)
-        if m is None:
-            print(f"error: malformed -V binding {text!r} (want X:Sort={{e1,e2}})",
-                  file=sys.stderr)
-            raise _Exit(1)
-        name, sort_name, labels = m.groups()
-        sort = sig.sort(sort_name)
-        elems = [
-            model.elem(sort, label.strip())
-            for label in labels.split(",")
-            if label.strip()
-        ]
+        name, sort, labels = _binding(model, text, "-V", "X:Sort={e1,e2}")
+        elems = [model.elem(sort, label) for label in labels]
         rho = rho.update_svar(SetVar(name, sort), model.set_of(sort, elems))
     return rho
+
+
+def _binding(model: FiniteModel, text: str, flag: str, want: str):
+    try:
+        name, sort_name, labels = parse_binding(text, braced=flag == "-V")
+    except ParseError:
+        print(f"error: malformed {flag} binding {text!r} (want {want})", file=sys.stderr)
+        raise _Exit(1) from None
+    return name, model.signature.sort(sort_name), labels
 
 
 def _cmd_eval(args) -> int:

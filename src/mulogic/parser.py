@@ -27,6 +27,14 @@ constructors only).  Binders scope as far right as possible.  ``\\mu`` and
 printer always emits; unannotated fixpoints are fine wherever the sort is
 inferable.  Declarations must precede use.  Identifiers ending in a quote
 followed by digits (``x'1``) are reserved and rejected.
+
+Connectives are table-driven: one ``_CONNECTIVES`` row per keyword fixes
+its sort annotation (required, optional or absent), operand count,
+parentheses, scope and builder, and parsing, elaboration and sort
+inference all read that row.  One delimited-list parser reads application
+arguments, ``interp`` arguments and label sets, and one line driver runs
+both file formats.  :func:`parse_binding` reads the CLI's ``-v``/``-V``
+bindings with the same tokenizer and label grammar as model files.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import MuLogicError
 from .model import FiniteModel, build_model
@@ -63,9 +71,10 @@ from .pattern import (
     mk_top,
 )
 from .signature import ElemVar, SetVar, Signature, Sort
-from .theory import DEFINEDNESS_OPTION, Theory, instantiate_definedness
+from .theory import DEFINEDNESS_OPTION, Axiom, Theory, instantiate_definedness
 
 Span = tuple[int, int, int]  # (line, column, length), 1-based positions
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 # Derived forms expand to several core levels each (\equals is the worst
-# at ~8), and the recursive kernel operations get one stack frame per core
-# level, so the surface cap keeps every downstream recursion well inside
-# the interpreter's limit.
+# at ~8).  What still recurses on a parsed tree is ``_parse_node`` and
+# ``_Elaborator._elab``/``infer`` (once per surface level) and the
+# dataclass-generated ``==``/``hash`` of pattern nodes, which
+# ``structural_eq`` uses (once per core level), so the surface cap keeps
+# them well inside the interpreter's limit.  Raising it waits for interned
+# nodes, whose ``==`` and ``hash`` do not recurse.
 MAX_NESTING = 64
 
 
@@ -176,16 +188,13 @@ class _TokenStream:
         self._end_span = end_span
         self.depth = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._tokens)
-
     def peek(self) -> Token | None:
-        return None if self.exhausted else self._tokens[self._pos]
+        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
 
-    def here(self) -> Span:
+    def at(self, punct: str) -> bool:
+        """Whether the next token is the punctuation ``punct``."""
         tok = self.peek()
-        return tok.span if tok is not None else self._end_span
+        return tok is not None and tok.kind == "punct" and tok.text == punct
 
     def next(self, what: str) -> Token:
         tok = self.peek()
@@ -202,14 +211,90 @@ class _TokenStream:
         return tok
 
 
+def _delimited(ts: _TokenStream, open_: str, close: str,
+               item: Callable[[_TokenStream], T]) -> list[T]:
+    """Parse ``open_ item, ... close`` (possibly empty)."""
+    ts.expect("punct", open_)
+    items: list[T] = []
+    if ts.at(close):
+        ts.next(close)
+        return items
+    while True:
+        items.append(item(ts))
+        sep = ts.next(f"',' or '{close}'")
+        if sep.kind == "punct" and sep.text == close:
+            return items
+        if not (sep.kind == "punct" and sep.text == ","):
+            raise _err(sep.span, "syntax", f"expected ',' or '{close}', found {sep.text!r}")
+
+
+def _expect_end(ts: _TokenStream) -> None:
+    trailing = ts.peek()
+    if trailing is not None:
+        raise _err(trailing.span, "syntax",
+                   f"unexpected trailing input {trailing.text!r}")
+
+
+def _known_sort(sig: Signature, name: str) -> Sort | None:
+    return sig.sort(name) if sig.has_sort(name) else None
+
+
+def _declared_sort(sig: Signature, name: str, span: Span) -> Sort:
+    sort = _known_sort(sig, name)
+    if sort is None:
+        raise _err(span, "unknown-sort", f"sort {name!r} is not declared")
+    return sort
+
+
 # --- surface syntax -------------------------------------------------------
 
-_BINARY = {"\\and": "and", "\\or": "or", "\\implies": "implies", "\\iff": "iff"}
-_EX_BINDERS = {"\\exists": "exists", "\\forall": "forall"}
-_FIXPOINTS = {"\\mu": "mu", "\\nu": "nu"}
-_SORTED_WRAP = {"\\ceil": "ceil", "\\floor": "floor"}
-_SORTED_PAIR = {"\\equals": "equals", "\\subseteq": "subseteq"}
-_CONSTANTS = {"\\top": "top", "\\bottom": "bottom"}
+_REQUIRED, _OPTIONAL, _ABSENT = "required", "optional", "absent"
+
+
+@dataclass(frozen=True)
+class _Connective:
+    """How a connective ``\\kind`` is written, sort-checked and built.
+
+    ``annotation`` says whether ``{Sort}`` follows the keyword.  On a
+    binder (``binds == "ex"``) the annotation is the bound variable's sort;
+    elsewhere it is the sort of the whole pattern.  ``binds`` names the
+    context the operand's scope extends: ``"ex"`` by the annotation,
+    ``"mu"`` by the pattern's own sort.  The builder takes the required
+    annotation first, then the operands, or the contexts when there are
+    none.
+    """
+
+    kind: str
+    annotation: str
+    arity: int
+    parens: bool
+    build: Callable[..., Pattern]
+    binds: str = ""
+
+    @property
+    def infers_operands(self) -> bool:
+        """A required annotation on a non-binder fixes the pattern's sort
+        and not its operands': they share a sort inferred from them."""
+        return self.annotation == _REQUIRED and not self.binds
+
+
+_CONNECTIVES = {conn.kind: conn for conn in (
+    _Connective("not", _ABSENT, 1, True, mk_not),
+    _Connective("and", _ABSENT, 2, True, mk_and),
+    _Connective("or", _ABSENT, 2, True, mk_or),
+    _Connective("implies", _ABSENT, 2, True, mk_implies),
+    _Connective("iff", _ABSENT, 2, True, mk_iff),
+    _Connective("exists", _REQUIRED, 1, False, mk_exists, binds="ex"),
+    _Connective("forall", _REQUIRED, 1, False, mk_forall, binds="ex"),
+    _Connective("mu", _OPTIONAL, 1, False, mk_mu, binds="mu"),
+    _Connective("nu", _OPTIONAL, 1, False, mk_nu, binds="mu"),
+    _Connective("ceil", _REQUIRED, 1, True, mk_defined),
+    _Connective("floor", _REQUIRED, 1, True, mk_floor),
+    _Connective("equals", _REQUIRED, 2, True, mk_equals),
+    _Connective("subseteq", _REQUIRED, 2, True, mk_subseteq),
+    _Connective("top", _REQUIRED, 0, False, mk_top),
+    _Connective("bottom", _REQUIRED, 0, False, mk_bottom),
+)}
 
 
 @dataclass(frozen=True)
@@ -237,32 +322,17 @@ def _parse_node_inner(ts: _TokenStream, tok: Token) -> _SNode:
                    f"pattern nesting exceeds {MAX_NESTING} levels")
     if tok.kind == "keyword":
         return _parse_keyword(ts, tok)
-    if tok.kind == "bevar":
-        return _SNode("bevar", tok.span, index=int(tok.text[1:]))
-    if tok.kind == "bsvar":
-        return _SNode("bsvar", tok.span, index=int(tok.text[1:]))
+    if tok.kind in ("bevar", "bsvar"):
+        index = int(tok.text[1:])
+        return _SNode(tok.kind, tok.span, name=f"{tok.text[0]}{index}", index=index)
     if tok.kind == "punct" and tok.text == "#":
         name = ts.expect("name", what="a set variable name")
         ts.expect("punct", ":")
         sort = ts.expect("name", what="a sort name")
         return _SNode("svar", tok.span, name=name.text, sort_name=sort.text)
     if tok.kind == "name":
-        nxt = ts.peek()
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            ts.next("(")
-            args: list[_SNode] = []
-            closer = ts.peek()
-            if closer is not None and closer.kind == "punct" and closer.text == ")":
-                ts.next(")")
-            else:
-                while True:
-                    args.append(_parse_node(ts))
-                    sep = ts.next("',' or ')'")
-                    if sep.kind == "punct" and sep.text == ")":
-                        break
-                    if not (sep.kind == "punct" and sep.text == ","):
-                        raise _err(sep.span, "syntax",
-                                   f"expected ',' or ')', found {sep.text!r}")
+        if ts.at("("):
+            args = _delimited(ts, "(", ")", _parse_node)
             return _SNode("app", tok.span, name=tok.text, children=tuple(args))
         ts.expect("punct", ":", what="':' (free variables are written name:Sort)")
         sort = ts.expect("name", what="a sort name")
@@ -271,59 +341,39 @@ def _parse_node_inner(ts: _TokenStream, tok: Token) -> _SNode:
 
 
 def _parse_keyword(ts: _TokenStream, tok: Token) -> _SNode:
-    word = tok.text
-    if word == "\\not":
+    conn = _CONNECTIVES.get(tok.text[1:])
+    if conn is None:
+        raise _err(tok.span, "syntax", f"unknown connective {tok.text!r}")
+    sort = None
+    if conn.annotation == _REQUIRED or (conn.annotation == _OPTIONAL and ts.at("{")):
+        ts.expect("punct", "{")
+        sort = ts.expect("name", what="a sort name").text
+        ts.expect("punct", "}")
+    if conn.parens:
         ts.expect("punct", "(")
-        body = _parse_node(ts)
+    operands = []
+    for i in range(conn.arity):
+        if conn.parens and i:
+            ts.expect("punct", ",")
+        operands.append(_parse_node(ts))
+    if conn.parens:
         ts.expect("punct", ")")
-        return _SNode("not", tok.span, children=(body,))
-    if word in _BINARY:
-        ts.expect("punct", "(")
-        left = _parse_node(ts)
-        ts.expect("punct", ",")
-        right = _parse_node(ts)
-        ts.expect("punct", ")")
-        return _SNode(_BINARY[word], tok.span, children=(left, right))
-    if word in _EX_BINDERS:
-        sort = _parse_sort_annotation(ts)
-        body = _parse_node(ts)
-        return _SNode(_EX_BINDERS[word], tok.span, sort_name=sort, children=(body,))
-    if word in _FIXPOINTS:
-        sort = None
-        nxt = ts.peek()
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "{":
-            sort = _parse_sort_annotation(ts)
-        body = _parse_node(ts)
-        return _SNode(_FIXPOINTS[word], tok.span, sort_name=sort, children=(body,))
-    if word in _SORTED_WRAP:
-        sort = _parse_sort_annotation(ts)
-        ts.expect("punct", "(")
-        body = _parse_node(ts)
-        ts.expect("punct", ")")
-        return _SNode(_SORTED_WRAP[word], tok.span, sort_name=sort, children=(body,))
-    if word in _SORTED_PAIR:
-        sort = _parse_sort_annotation(ts)
-        ts.expect("punct", "(")
-        left = _parse_node(ts)
-        ts.expect("punct", ",")
-        right = _parse_node(ts)
-        ts.expect("punct", ")")
-        return _SNode(_SORTED_PAIR[word], tok.span, sort_name=sort,
-                      children=(left, right))
-    if word in _CONSTANTS:
-        sort = _parse_sort_annotation(ts)
-        return _SNode(_CONSTANTS[word], tok.span, sort_name=sort)
-    raise _err(tok.span, "syntax", f"unknown connective {word!r}")
-
-
-def _parse_sort_annotation(ts: _TokenStream) -> str:
-    ts.expect("punct", "{")
-    sort = ts.expect("name", what="a sort name")
-    ts.expect("punct", "}")
-    return sort.text
+    return _SNode(conn.kind, tok.span, sort_name=sort, children=tuple(operands))
 
 
 # --- elaboration ----------------------------------------------------------
+
+_CANNOT_INFER = ("cannot infer the sort of this pattern; add a sort "
+                 "annotation (e.g. \\mu{Sort})")
+
+
+def _bound_sort(node: _SNode, ex: Context, mu: tuple[Sort | None, ...]) -> Sort | None:
+    context = ex if node.kind == "bevar" else mu
+    if node.index >= len(context):
+        raise _err(node.span, "dangling-bound-variable",
+                   f"dangling bound variable {node.name}: the "
+                   f"context has {len(context)} entries")
+    return context[node.index]
 
 
 class _Elaborator:
@@ -338,9 +388,7 @@ class _Elaborator:
         if expect is None:
             expect = self.infer(node, ex, mu)
             if expect is None:
-                raise _err(node.span, "cannot-infer-sort",
-                           "cannot infer the sort of this pattern; add a sort "
-                           "annotation (e.g. \\mu{Sort})")
+                raise _err(node.span, "cannot-infer-sort", _CANNOT_INFER)
         try:
             return self._elab(node, expect, ex, mu)
         except _Bail:
@@ -348,41 +396,20 @@ class _Elaborator:
         except MuLogicError as kernel_error:
             raise _err(node.span, "kernel", str(kernel_error)) from None
 
-    def _sort(self, name: str | None, span: Span) -> Sort:
-        if name is None or not self.sig.has_sort(name):
-            raise _err(span, "unknown-sort", f"sort {name!r} is not declared")
-        return self.sig.sort(name)
-
     def _check(self, got: Sort, expect: Sort, span: Span, what: str) -> None:
         if got != expect:
             raise _err(span, "sort-mismatch",
                        f"{what} has sort {got}, expected {expect}")
 
     def _elab(self, node: _SNode, expect: Sort, ex: Context, mu: Context) -> Pattern:
-        kind = node.kind
-        if kind == "evar":
-            sort = self._sort(node.sort_name, node.span)
-            self._check(sort, expect, node.span, f"variable {node.name}")
-            return mk_free_evar(ElemVar(node.name, sort), ex, mu)
-        if kind == "svar":
-            sort = self._sort(node.sort_name, node.span)
-            self._check(sort, expect, node.span, f"set variable {node.name}")
-            return mk_free_svar(SetVar(node.name, sort), ex, mu)
-        if kind == "bevar":
-            if node.index >= len(ex):
-                raise _err(node.span, "dangling-bound-variable",
-                           f"dangling bound variable b{node.index}: the "
-                           f"context has {len(ex)} entries")
-            self._check(ex[node.index], expect, node.span, f"b{node.index}")
-            return mk_bound_evar(ex, mu, node.index)
-        if kind == "bsvar":
-            if node.index >= len(mu):
-                raise _err(node.span, "dangling-bound-variable",
-                           f"dangling bound variable B{node.index}: the "
-                           f"context has {len(mu)} entries")
-            self._check(mu[node.index], expect, node.span, f"B{node.index}")
-            return mk_bound_svar(ex, mu, node.index)
-        if kind == "app":
+        conn = _CONNECTIVES.get(node.kind)
+        if conn is not None:
+            return self._elab_connective(conn, node, expect, ex, mu)
+        if node.kind in ("bevar", "bsvar"):
+            self._check(_bound_sort(node, ex, mu), expect, node.span, node.name)
+            build = mk_bound_evar if node.kind == "bevar" else mk_bound_svar
+            return build(ex, mu, node.index)
+        if node.kind == "app":
             if not self.sig.has_symbol(node.name):
                 raise _err(node.span, "unknown-symbol",
                            f"symbol {node.name!r} is not declared")
@@ -398,88 +425,65 @@ class _Elaborator:
                 for child, param in zip(node.children, symbol.params)
             ]
             return mk_app(self.sig, symbol, args, ex, mu)
-        if kind == "not":
-            return mk_not(self._elab(node.children[0], expect, ex, mu))
-        if kind in ("and", "or", "implies", "iff"):
-            left = self._elab(node.children[0], expect, ex, mu)
-            right = self._elab(node.children[1], expect, ex, mu)
-            build = {"and": mk_and, "or": mk_or, "implies": mk_implies,
-                     "iff": mk_iff}[kind]
-            return build(left, right)
-        if kind in ("exists", "forall"):
-            binder = self._sort(node.sort_name, node.span)
-            body = self._elab(node.children[0], expect, (binder,) + ex, mu)
-            return (mk_exists if kind == "exists" else mk_forall)(binder, body)
-        if kind in ("mu", "nu"):
-            if node.sort_name is not None:
-                annotated = self._sort(node.sort_name, node.span)
-                self._check(annotated, expect, node.span, f"\\{kind} annotation")
-            body = self._elab(node.children[0], expect, ex, (expect,) + mu)
-            return (mk_mu if kind == "mu" else mk_nu)(body)
-        if kind in ("ceil", "floor"):
-            sort = self._sort(node.sort_name, node.span)
-            self._check(sort, expect, node.span, f"\\{kind} pattern")
-            body = self.elab(node.children[0], None, ex, mu)
-            return (mk_defined if kind == "ceil" else mk_floor)(sort, body)
-        if kind in ("equals", "subseteq"):
-            sort = self._sort(node.sort_name, node.span)
-            self._check(sort, expect, node.span, f"\\{kind} pattern")
-            operand = self.infer(node.children[0], ex, mu)
-            if operand is None:
-                operand = self.infer(node.children[1], ex, mu)
+        sort = _declared_sort(self.sig, node.sort_name, node.span)
+        if node.kind == "evar":
+            self._check(sort, expect, node.span, f"variable {node.name}")
+            return mk_free_evar(ElemVar(node.name, sort), ex, mu)
+        self._check(sort, expect, node.span, f"set variable {node.name}")
+        return mk_free_svar(SetVar(node.name, sort), ex, mu)
+
+    def _elab_connective(self, conn: _Connective, node: _SNode, expect: Sort,
+                         ex: Context, mu: Context) -> Pattern:
+        annotation = None
+        if node.sort_name is not None:
+            annotation = _declared_sort(self.sig, node.sort_name, node.span)
+        if conn.binds == "ex":
+            ex = (annotation,) + ex
+        elif annotation is not None:
+            what = "annotation" if conn.annotation == _OPTIONAL else "pattern"
+            self._check(annotation, expect, node.span, f"\\{conn.kind} {what}")
+        if conn.binds == "mu":
+            mu = (expect,) + mu
+        operand = expect
+        if conn.infers_operands and node.children:
+            operand = self._first_sort(node.children, ex, mu)
             if operand is None:
                 raise _err(node.children[0].span, "cannot-infer-sort",
+                           _CANNOT_INFER if len(node.children) == 1 else
                            "cannot infer the operand sort; add a sort annotation")
-            left = self._elab(node.children[0], operand, ex, mu)
-            right = self._elab(node.children[1], operand, ex, mu)
-            return (mk_equals if kind == "equals" else mk_subseteq)(sort, left, right)
-        if kind in ("top", "bottom"):
-            sort = self._sort(node.sort_name, node.span)
-            self._check(sort, expect, node.span, f"\\{kind} pattern")
-            return (mk_top if kind == "top" else mk_bottom)(sort, ex, mu)
-        raise AssertionError(f"unhandled surface node {kind}")
+        operands = [self._elab(child, operand, ex, mu) for child in node.children]
+        leading = [annotation] if conn.annotation == _REQUIRED else []
+        return conn.build(*leading, *(operands or (ex, mu)))
 
     def infer(self, node: _SNode, ex: Context,
               mu: tuple[Sort | None, ...]) -> Sort | None:
-        kind = node.kind
-        if kind in ("evar", "svar"):
-            name = node.sort_name
-            return self.sig.sort(name) if name and self.sig.has_sort(name) else None
-        if kind == "bevar":
-            if node.index >= len(ex):
-                raise _err(node.span, "dangling-bound-variable",
-                           f"dangling bound variable b{node.index}: the "
-                           f"context has {len(ex)} entries")
-            return ex[node.index]
-        if kind == "bsvar":
-            if node.index >= len(mu):
-                raise _err(node.span, "dangling-bound-variable",
-                           f"dangling bound variable B{node.index}: the "
-                           f"context has {len(mu)} entries")
-            return mu[node.index]
-        if kind == "app":
-            if not self.sig.has_symbol(node.name):
+        conn = _CONNECTIVES.get(node.kind)
+        if conn is None:
+            if node.kind in ("bevar", "bsvar"):
+                return _bound_sort(node, ex, mu)
+            if node.kind == "app":
+                if not self.sig.has_symbol(node.name):
+                    return None
+                return self.sig.symbol(node.name).result
+            return _known_sort(self.sig, node.sort_name)
+        if conn.binds == "ex":
+            binder = _known_sort(self.sig, node.sort_name)
+            if binder is None:
                 return None
-            return self.sig.symbol(node.name).result
-        if kind == "not":
-            return self.infer(node.children[0], ex, mu)
-        if kind in ("and", "or", "implies", "iff"):
-            left = self.infer(node.children[0], ex, mu)
-            return left if left is not None else self.infer(node.children[1], ex, mu)
-        if kind in ("exists", "forall"):
-            name = node.sort_name
-            if not (name and self.sig.has_sort(name)):
-                return None
-            return self.infer(node.children[0], (self.sig.sort(name),) + ex, mu)
-        if kind in ("mu", "nu"):
-            if node.sort_name is not None:
-                name = node.sort_name
-                return self.sig.sort(name) if self.sig.has_sort(name) else None
-            return self.infer(node.children[0], ex, (None,) + mu)
-        if kind in ("ceil", "floor", "equals", "subseteq", "top", "bottom"):
-            name = node.sort_name
-            return self.sig.sort(name) if name and self.sig.has_sort(name) else None
-        raise AssertionError(f"unhandled surface node {kind}")
+            return self._first_sort(node.children, (binder,) + ex, mu)
+        if node.sort_name is not None:
+            return _known_sort(self.sig, node.sort_name)
+        if conn.binds == "mu":
+            mu = (None,) + mu
+        return self._first_sort(node.children, ex, mu)
+
+    def _first_sort(self, nodes: Sequence[_SNode], ex: Context,
+                    mu: tuple[Sort | None, ...]) -> Sort | None:
+        for node in nodes:
+            sort = self.infer(node, ex, mu)
+            if sort is not None:
+                return sort
+        return None
 
 
 # --- public pattern API ----------------------------------------------------
@@ -498,15 +502,10 @@ def parse_pattern(
     genuinely open (an unannotated ``\\mu B0`` under ``\\ceil``) need
     either the expected sort or an annotation.
     """
-    tokens = tokenize(text)
-    end = _end_span(text)
-    ts = _TokenStream(tokens, end)
+    ts = _TokenStream(tokenize(text), _end_span(text))
     try:
         node = _parse_node(ts)
-        trailing = ts.peek()
-        if trailing is not None:
-            raise _err(trailing.span, "syntax",
-                       f"unexpected trailing input {trailing.text!r}")
+        _expect_end(ts)
         return _Elaborator(sig).elab(node, expect_sort, tuple(ex), tuple(mu))
     except _Bail as bail:
         raise ParseError([bail.diagnostic]) from None
@@ -517,6 +516,32 @@ def _end_span(text: str) -> Span:
     return (len(lines), len(lines[-1]) + 1, 1)
 
 
+# --- line-oriented files ------------------------------------------------------
+
+
+def _parse_lines(
+    text: str, handlers: dict[str, Callable[[Token, _TokenStream], None]]
+) -> list[Diagnostic]:
+    """Run ``handlers[head word](head, rest)`` on each non-empty line;
+    return one diagnostic per failing line."""
+    words = [f"'{word}'" for word in handlers]
+    expected = f"{', '.join(words[:-1])} or {words[-1]}"
+    diagnostics: list[Diagnostic] = []
+    for line, group in itertools.groupby(tokenize(text), key=lambda tok: tok.line):
+        head, *rest = group
+        last = rest[-1] if rest else head
+        ts = _TokenStream(rest, (line, last.col + len(last.text), 1))
+        handler = handlers.get(head.text) if head.kind == "name" else None
+        try:
+            if handler is None:
+                raise _err(head.span, "syntax",
+                           f"expected {expected}, found {head.text!r}")
+            handler(head, ts)
+        except _Bail as bail:
+            diagnostics.append(bail.diagnostic)
+    return diagnostics
+
+
 # --- theory files -----------------------------------------------------------
 
 _KNOWN_OPTIONS = frozenset({DEFINEDNESS_OPTION})
@@ -525,80 +550,50 @@ _KNOWN_OPTIONS = frozenset({DEFINEDNESS_OPTION})
 def parse_theory(text: str) -> Theory:
     """Parse a .mlt theory file; raises :class:`ParseError` carrying every
     diagnostic found."""
-    diagnostics: list[Diagnostic] = []
     sig = Signature()
-    axioms: list[tuple[str, Sort, Pattern]] = []
-    labels: set[str] = set()
-    options: set[str] = set()
     elab = _Elaborator(sig)
+    axioms: dict[str, Axiom] = {}
+    options: set[str] = set()
 
-    for line_tokens, end in _lines(text):
-        head = line_tokens[0]
-        ts = _TokenStream(line_tokens[1:], end)
-        try:
-            if head.kind == "name" and head.text == "sort":
-                name = ts.expect("name", what="a sort name")
-                _expect_line_end(ts)
-                if sig.has_sort(name.text):
-                    raise _err(name.span, "duplicate-sort",
-                               f"sort {name.text!r} already declared")
-                sig.declare_sort(name.text)
-            elif head.kind == "name" and head.text == "symbol":
-                _parse_symbol_line(sig, ts)
-            elif head.kind == "name" and head.text == "axiom":
-                label, sort, pattern = _parse_axiom_line(elab, ts)
-                if label in labels:
-                    raise _err(head.span, "duplicate-label",
-                               f"axiom label {label!r} already used")
-                labels.add(label)
-                axioms.append((label, sort, pattern))
-            elif head.kind == "name" and head.text == "option":
-                name = ts.expect("name", what="an option name")
-                _expect_line_end(ts)
-                if name.text not in _KNOWN_OPTIONS:
-                    raise _err(name.span, "unknown-option",
-                               f"unknown option {name.text!r}")
-                options.add(name.text)
-            else:
-                raise _err(head.span, "syntax",
-                           f"expected 'sort', 'symbol', 'axiom' or 'option', "
-                           f"found {head.text!r}")
-        except _Bail as bail:
-            diagnostics.append(bail.diagnostic)
+    def sort_line(head: Token, ts: _TokenStream) -> None:
+        name = ts.expect("name", what="a sort name")
+        _expect_end(ts)
+        if sig.has_sort(name.text):
+            raise _err(name.span, "duplicate-sort",
+                       f"sort {name.text!r} already declared")
+        sig.declare_sort(name.text)
 
+    def axiom_line(head: Token, ts: _TokenStream) -> None:
+        axiom = _parse_axiom_line(elab, ts)
+        if axiom.label in axioms:
+            raise _err(head.span, "duplicate-label",
+                       f"axiom label {axiom.label!r} already used")
+        axioms[axiom.label] = axiom
+
+    def option_line(head: Token, ts: _TokenStream) -> None:
+        name = ts.expect("name", what="an option name")
+        _expect_end(ts)
+        if name.text not in _KNOWN_OPTIONS:
+            raise _err(name.span, "unknown-option",
+                       f"unknown option {name.text!r}")
+        options.add(name.text)
+
+    diagnostics = _parse_lines(text, {
+        "sort": sort_line,
+        "symbol": lambda head, ts: _parse_symbol_line(sig, ts),
+        "axiom": axiom_line,
+        "option": option_line,
+    })
     if not sig.sorts:
         diagnostics.append(Diagnostic("error", (1, 1, 1), "no-sorts",
                                       "a theory must declare at least one sort"))
     if diagnostics:
         raise ParseError(diagnostics)
 
-    theory = Theory(sig)
-    for label, sort, pattern in axioms:
-        theory = theory.add_axiom(label, sort, pattern)
-    theory = Theory(theory.signature, theory.axioms, frozenset(options))
+    theory = Theory(sig, tuple(axioms.values()), frozenset(options))
     if DEFINEDNESS_OPTION in options:
         theory = instantiate_definedness(theory)
     return theory
-
-
-def _lines(text: str) -> list[tuple[list[Token], Span]]:
-    tokens = tokenize(text)
-    grouped: dict[int, list[Token]] = {}
-    for tok in tokens:
-        grouped.setdefault(tok.line, []).append(tok)
-    out = []
-    for line in sorted(grouped):
-        toks = grouped[line]
-        last = toks[-1]
-        out.append((toks, (line, last.col + len(last.text), 1)))
-    return out
-
-
-def _expect_line_end(ts: _TokenStream) -> None:
-    trailing = ts.peek()
-    if trailing is not None:
-        raise _err(trailing.span, "syntax",
-                   f"unexpected trailing input {trailing.text!r}")
 
 
 def _parse_symbol_line(sig: Signature, ts: _TokenStream) -> None:
@@ -610,10 +605,7 @@ def _parse_symbol_line(sig: Signature, ts: _TokenStream) -> None:
         if tok.kind != "name":
             raise _err(tok.span, "syntax",
                        f"expected a sort name or '->', found {tok.text!r}")
-        if not sig.has_sort(tok.text):
-            raise _err(tok.span, "unknown-sort",
-                       f"sort {tok.text!r} is not declared")
-        params.append(sig.sort(tok.text))
+        params.append(_declared_sort(sig, tok.text, tok.span))
         tok = ts.next("',' or '->'")
         if tok.kind == "punct" and tok.text == ",":
             tok = ts.next("a sort name")
@@ -621,31 +613,23 @@ def _parse_symbol_line(sig: Signature, ts: _TokenStream) -> None:
             raise _err(tok.span, "syntax",
                        f"expected ',' or '->', found {tok.text!r}")
     result = ts.expect("name", what="a result sort")
-    _expect_line_end(ts)
-    if not sig.has_sort(result.text):
-        raise _err(result.span, "unknown-sort",
-                   f"sort {result.text!r} is not declared")
+    _expect_end(ts)
+    result_sort = _declared_sort(sig, result.text, result.span)
     if sig.has_symbol(name.text):
         raise _err(name.span, "duplicate-symbol",
                    f"symbol {name.text!r} already declared")
-    sig.declare_symbol(name.text, params, sig.sort(result.text))
+    sig.declare_symbol(name.text, params, result_sort)
 
 
-def _parse_axiom_line(
-    elab: _Elaborator, ts: _TokenStream
-) -> tuple[str, Sort, Pattern]:
+def _parse_axiom_line(elab: _Elaborator, ts: _TokenStream) -> Axiom:
     label = ts.expect("name", what="an axiom label")
     ts.expect("punct", "[")
     sort_tok = ts.expect("name", what="a sort name")
     ts.expect("punct", "]")
-    if not elab.sig.has_sort(sort_tok.text):
-        raise _err(sort_tok.span, "unknown-sort",
-                   f"sort {sort_tok.text!r} is not declared")
-    sort = elab.sig.sort(sort_tok.text)
+    sort = _declared_sort(elab.sig, sort_tok.text, sort_tok.span)
     node = _parse_node(ts)
-    _expect_line_end(ts)
-    pattern = elab.elab(node, sort, (), ())
-    return label.text, sort, pattern
+    _expect_end(ts)
+    return Axiom(label.text, sort, elab.elab(node, sort, (), ()))
 
 
 # --- model files -------------------------------------------------------------
@@ -660,50 +644,36 @@ def parse_model(
     interpretation tuples left to the default empty set).
     """
     sig = theory.signature
-    diagnostics: list[Diagnostic] = []
-    warnings_out: list[Diagnostic] = []
     carriers: dict[str, list[str]] = {}
-    carrier_lines: dict[str, Span] = {}
+    carrier_lines: set[str] = set()
     interps: dict[str, dict[tuple[str, ...], list[str]]] = {}
     interp_lines: dict[str, Span] = {}
-    saw_model_line = False
+    model_lines: list[Token] = []
 
-    for line_tokens, end in _lines(text):
-        head = line_tokens[0]
-        ts = _TokenStream(line_tokens[1:], end)
-        try:
-            if head.kind == "name" and head.text == "model":
-                ts.expect("name", what="a model name")
-                _expect_line_end(ts)
-                if saw_model_line:
-                    raise _err(head.span, "syntax", "duplicate 'model' line")
-                saw_model_line = True
-            elif head.kind == "name" and head.text == "carrier":
-                _parse_carrier_line(sig, ts, carriers, carrier_lines)
-            elif head.kind == "name" and head.text == "interp":
-                _parse_interp_line(sig, ts, carriers, interps, interp_lines)
-            else:
-                raise _err(head.span, "syntax",
-                           f"expected 'model', 'carrier' or 'interp', "
-                           f"found {head.text!r}")
-        except _Bail as bail:
-            diagnostics.append(bail.diagnostic)
+    def model_line(head: Token, ts: _TokenStream) -> None:
+        ts.expect("name", what="a model name")
+        _expect_end(ts)
+        if model_lines:
+            raise _err(head.span, "syntax", "duplicate 'model' line")
+        model_lines.append(head)
 
+    diagnostics = _parse_lines(text, {
+        "model": model_line,
+        "carrier": lambda head, ts: _parse_carrier_line(sig, ts, carriers, carrier_lines),
+        "interp": lambda head, ts: _parse_interp_line(
+            sig, ts, carriers, interps, interp_lines),
+    })
     for sort in sig.sorts:
-        if not carriers.get(sort.name) and sort.name not in carrier_lines:
+        if sort.name not in carrier_lines:
             diagnostics.append(Diagnostic(
                 "error", (1, 1, 1), "empty-carrier",
                 f"sort {sort.name} declares no carrier"))
     if diagnostics:
         raise ParseError(diagnostics)
 
-    model = build_model(
-        sig,
-        carriers,
-        {name: {tuple(k): v for k, v in table.items()}
-         for name, table in interps.items()},
-    )
+    model = build_model(sig, carriers, interps)
 
+    warnings_out: list[Diagnostic] = []
     if lint_totality:
         for symbol in sig.symbols:
             table = interps.get(symbol.name, {})
@@ -730,40 +700,21 @@ def _parse_label(ts: _TokenStream) -> Token:
     return tok
 
 
-def _parse_label_set(ts: _TokenStream) -> list[Token]:
-    ts.expect("punct", "{")
-    labels: list[Token] = []
-    tok = ts.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == "}":
-        ts.next("}")
-        return labels
-    while True:
-        labels.append(_parse_label(ts))
-        sep = ts.next("',' or '}'")
-        if sep.kind == "punct" and sep.text == "}":
-            return labels
-        if not (sep.kind == "punct" and sep.text == ","):
-            raise _err(sep.span, "syntax",
-                       f"expected ',' or '}}', found {sep.text!r}")
-
-
 def _parse_carrier_line(
     sig: Signature,
     ts: _TokenStream,
     carriers: dict[str, list[str]],
-    carrier_lines: dict[str, Span],
+    carrier_lines: set[str],
 ) -> None:
     sort_tok = ts.expect("name", what="a sort name")
-    if not sig.has_sort(sort_tok.text):
-        raise _err(sort_tok.span, "unknown-sort",
-                   f"sort {sort_tok.text!r} is not declared")
+    _declared_sort(sig, sort_tok.text, sort_tok.span)
     if sort_tok.text in carrier_lines:
         raise _err(sort_tok.span, "duplicate-carrier",
                    f"carrier of {sort_tok.text} already declared")
-    carrier_lines[sort_tok.text] = sort_tok.span
+    carrier_lines.add(sort_tok.text)
     ts.expect("eq", what="'='")
-    labels = _parse_label_set(ts)
-    _expect_line_end(ts)
+    labels = _delimited(ts, "{", "}", _parse_label)
+    _expect_end(ts)
     if not labels:
         raise _err(sort_tok.span, "empty-carrier",
                    f"sort {sort_tok.text} must have a non-empty carrier")
@@ -788,46 +739,17 @@ def _parse_interp_line(
         raise _err(sym_tok.span, "unknown-symbol",
                    f"symbol {sym_tok.text!r} is not declared")
     symbol = sig.symbol(sym_tok.text)
-    ts.expect("punct", "(")
-    args: list[Token] = []
-    tok = ts.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == ")":
-        ts.next(")")
-    else:
-        while True:
-            args.append(_parse_label(ts))
-            sep = ts.next("',' or ')'")
-            if sep.kind == "punct" and sep.text == ")":
-                break
-            if not (sep.kind == "punct" and sep.text == ","):
-                raise _err(sep.span, "syntax",
-                           f"expected ',' or ')', found {sep.text!r}")
+    args = _delimited(ts, "(", ")", _parse_label)
     ts.expect("eq", what="'='")
-    values = _parse_label_set(ts)
-    _expect_line_end(ts)
+    values = _delimited(ts, "{", "}", _parse_label)
+    _expect_end(ts)
 
     if len(args) != len(symbol.params):
         raise _err(sym_tok.span, "bad-tuple",
                    f"{symbol.name} expects {len(symbol.params)} argument(s), "
                    f"got {len(args)}")
-    for tok, param in zip(args, symbol.params):
-        domain = carriers.get(param.name)
-        if domain is None:
-            raise _err(tok.span, "bad-tuple",
-                       f"no carrier declared (yet) for sort {param.name}")
-        if tok.text not in domain:
-            raise _err(tok.span, "bad-tuple",
-                       f"{tok.text!r} is not an element of the {param.name} "
-                       "carrier")
-    result_domain = carriers.get(symbol.result.name)
-    for tok in values:
-        if result_domain is None:
-            raise _err(tok.span, "bad-value",
-                       f"no carrier declared (yet) for sort {symbol.result.name}")
-        if tok.text not in result_domain:
-            raise _err(tok.span, "bad-value",
-                       f"{tok.text!r} is not an element of the "
-                       f"{symbol.result.name} carrier")
+    _check_elements(carriers, args, symbol.params, "bad-tuple")
+    _check_elements(carriers, values, itertools.repeat(symbol.result), "bad-value")
 
     table = interps.setdefault(symbol.name, {})
     key = tuple(tok.text for tok in args)
@@ -836,3 +758,34 @@ def _parse_interp_line(
                    f"{symbol.name}({', '.join(key)}) already interpreted")
     table[key] = [tok.text for tok in values]
     interp_lines.setdefault(symbol.name, sym_tok.span)
+
+
+def _check_elements(carriers: dict[str, list[str]], labels: Iterable[Token],
+                    sorts: Iterable[Sort], code: str) -> None:
+    for tok, sort in zip(labels, sorts):
+        domain = carriers.get(sort.name)
+        if domain is None:
+            raise _err(tok.span, code, f"no carrier declared (yet) for sort {sort.name}")
+        if tok.text not in domain:
+            raise _err(tok.span, code,
+                       f"{tok.text!r} is not an element of the {sort.name} carrier")
+
+
+# --- command-line bindings ----------------------------------------------------
+
+
+def parse_binding(text: str, braced: bool) -> tuple[str, str, list[str]]:
+    """Read a variable binding ``name:Sort=label``, or ``name:Sort={label,
+    ...}`` when ``braced``, with the tokenizer and label grammar of model
+    files.  Returns the names and labels; raises :class:`ParseError`."""
+    ts = _TokenStream(tokenize(text), _end_span(text))
+    try:
+        name = ts.expect("name", what="a variable name")
+        ts.expect("punct", ":")
+        sort = ts.expect("name", what="a sort name")
+        ts.expect("eq", what="'='")
+        labels = _delimited(ts, "{", "}", _parse_label) if braced else [_parse_label(ts)]
+        _expect_end(ts)
+    except _Bail as bail:
+        raise ParseError([bail.diagnostic]) from None
+    return name.text, sort.text, [tok.text for tok in labels]

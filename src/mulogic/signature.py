@@ -4,6 +4,8 @@ A :class:`Signature` is an append-only registry: sorts and symbols receive
 dense integer ids in declaration order and are never removed, so patterns
 may hold references into it for the signature's lifetime.  A populated
 signature is treated as immutable and can be shared across threads.
+Sorts and symbols compare by identity, so those of two signatures are
+never equal, even under the same name and id.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sort:
     name: str
     id: int
@@ -28,7 +30,7 @@ class Sort:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolDecl:
     name: str
     params: tuple[Sort, ...]
@@ -131,11 +133,11 @@ class Signature:
         return symbol.params, symbol.result
 
     def _require_sort(self, sort: Sort) -> None:
-        if self._sorts_by_name.get(sort.name) != sort:
+        if self._sorts_by_name.get(sort.name) is not sort:
             raise UnknownSortError(f"sort {sort.name!r} is not declared here")
 
     def _require_symbol(self, symbol: SymbolDecl) -> None:
-        if self._symbols_by_name.get(symbol.name) != symbol:
+        if self._symbols_by_name.get(symbol.name) is not symbol:
             raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
 
     def elem_var(self, name: str, sort: Sort) -> ElemVar:

@@ -29,6 +29,19 @@ def tiny(tmp_path):
     return theory, model
 
 
+@pytest.fixture
+def primed(tmp_path):
+    """A model whose element labels use quotes and hyphens."""
+    theory = tmp_path / "primed.mlt"
+    theory.write_text("sort Nat\nsymbol S : Nat -> Nat\n")
+    model = tmp_path / "primed.mlm"
+    model.write_text(
+        "model primed\ncarrier Nat = { zero, one', n-2 }\n"
+        "interp S(zero) = { one' }\ninterp S(one') = { n-2 }\n"
+    )
+    return str(theory), str(model)
+
+
 class TestCheck:
     def test_valid_theory(self, capsys):
         assert main(["check", NATBOOL_MLT]) == 0
@@ -106,6 +119,29 @@ class TestEval:
 
     def test_malformed_binding(self, capsys):
         assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "x:Nat", "-v", "nonsense"]) == 1
+
+    def test_binding_labels_follow_model_grammar(self, primed, capsys):
+        theory, model = primed
+        for binding, out in (("x:Nat=one'", "{ one' }"), ("x:Nat=n-2", "{ n-2 }")):
+            assert main(["eval", theory, model, "x:Nat", "-v", binding]) == 0
+            assert capsys.readouterr().out.strip() == out
+        code = main(["eval", theory, model, "S(#X:Nat)", "-V", "X:Nat={zero, one'}"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "{ one', n-2 }"
+
+    @pytest.mark.parametrize("flag, binding", [
+        ("-v", "x'1:Nat=zero"),
+        ("-v", "x:Nat={zero}"),
+        ("-V", "X:Nat=zero"),
+        ("-V", "X:Nat={zero,}"),
+        ("-V", "X:Nat={,}"),
+    ])
+    def test_binding_grammar_rejects(self, primed, capsys, flag, binding):
+        theory, model = primed
+        assert main(["eval", theory, model, "\\top{Nat}", flag, binding]) == 1
+        want = "x:Sort=elem" if flag == "-v" else "X:Sort={e1,e2}"
+        assert capsys.readouterr().err.strip() == (
+            f"error: malformed {flag} binding {binding!r} (want {want})")
 
     def test_pattern_diagnostics(self, capsys):
         assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "isZero(true())"]) == 1

@@ -195,6 +195,23 @@ class TestParsePattern:
             except ParseError:
                 pass
 
+    @pytest.mark.parametrize("text, code, span", [
+        ("\\exists isZero(b0)", "syntax", (1, 9, 6)),
+        ("\\ceil(O())", "syntax", (1, 6, 1)),
+        ("\\equals(O(), O())", "syntax", (1, 8, 1)),
+        ("\\top", "syntax", (1, 5, 1)),
+        ("\\nu{3} B0", "syntax", (1, 5, 1)),
+        ("\\nu{Zed} O()", "cannot-infer-sort", (1, 1, 3)),
+        ("\\and(true(), \\nu{Nat} B0)", "sort-mismatch", (1, 14, 3)),
+        ("\\and(true())", "syntax", (1, 12, 1)),
+        ("\\not(true()", "syntax", (1, 12, 1)),
+        ("\\foo(O())", "syntax", (1, 1, 4)),
+    ])
+    def test_malformed_connective_diagnostics(self, std_sig, text, code, span):
+        with pytest.raises(ParseError) as err:
+            parse_pattern(text, std_sig)
+        assert (err.value.diagnostics[0].code, err.value.diagnostics[0].span) == (code, span)
+
     def test_deep_nesting_is_a_diagnostic_not_a_crash(self, std_sig):
         text = "\\not(" * 300 + "\\top{Bool}" + ")" * 300
         with pytest.raises(ParseError) as err:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mulogic import Signature
+from mulogic import Signature, mk_app
 from mulogic.errors import (
     DuplicateSortError,
     DuplicateSymbolError,
@@ -66,6 +66,17 @@ def test_foreign_symbol_lookup_rejected(std_sig):
         std_sig.symbol_signature(stray)
     with pytest.raises(UnknownSymbolError):
         std_sig.symbol("stray")
+    # A twin signature declares the same names with the same ids; its sorts
+    # and symbols are still foreign.
+    a, b = Signature(), Signature()
+    a_nat, b_nat = a.declare_sort("Nat"), b.declare_sort("Nat")
+    a_zero = a.declare_symbol("zero", [], a_nat)
+    b.declare_symbol("zero", [], b_nat)
+    assert a_nat != b_nat
+    with pytest.raises(UnknownSortError):
+        b.elem_var("x", a_nat)
+    with pytest.raises(UnknownSymbolError):
+        mk_app(b, a_zero, [])
 
 
 def test_unknown_sort_lookup(std_sig):
