@@ -160,12 +160,7 @@ def _print_diagnostics(path: str, diagnostics) -> None:
 
 def _cmd_check(args) -> int:
     path = args.theory
-    text = _read(path)
-    try:
-        theory = parse_theory(text)
-    except ParseError as err:
-        _print_diagnostics(path, err.diagnostics)
-        return 1
+    theory = _load_theory(path)
     warned = False
     for axiom in theory.axioms:
         if not validate(axiom.pattern):

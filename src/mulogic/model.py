@@ -6,6 +6,11 @@ keeps the set algebra cheap and every iteration order deterministic.
 Interpretation tables map argument tuples to result subsets; tuples absent
 from a table denote the empty set, so partial tables (e.g. a successor
 capped at the largest element) stay small.
+
+Symbol application is one pointwise routine: it ORs the table entries of
+every combination of argument choices, and a plain lookup is its
+one-combination case.  Elements compare by identity, so each belongs to the
+one model that built it; the public methods validate their input once.
 """
 
 from __future__ import annotations
@@ -21,12 +26,16 @@ from .errors import (
     EmptyCarrierError,
     SortMismatchError,
     UnknownSortError,
+    UnknownSymbolError,
 )
 from .signature import Signature, Sort, SymbolDecl
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarrierElem:
+    """Element ``ordinal`` of one model's ``sort`` carrier.  Compares by
+    identity: a model accepts only its own (``carrier[e.ordinal] is e``)."""
+
     sort: Sort
     ordinal: int
     label: str
@@ -59,9 +68,11 @@ class CarrierSet:
         return self.bits.bit_count()
 
     def ordinals(self) -> Iterator[int]:
-        for i in range(self.width):
-            if self.bits >> i & 1:
-                yield i
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
     def contains(self, elem: CarrierElem) -> bool:
         self._check_elem(elem)
@@ -123,7 +134,8 @@ class FiniteModel:
     ):
         self.signature = signature
         self._carriers = dict(carriers)
-        self._interps = dict(interps)
+        self._interps = {s: interps.get(s) or SymbolInterp(s, {})
+                         for s in signature.symbols}
         self._by_label = {
             sort: {e.label: e for e in elems} for sort, elems in self._carriers.items()
         }
@@ -138,15 +150,7 @@ class FiniteModel:
         return len(self.carrier(sort))
 
     def elem(self, sort: Sort, label: str) -> CarrierElem:
-        table = self._by_label.get(sort)
-        if table is None:
-            raise UnknownSortError(f"model has no carrier for sort {sort}")
-        try:
-            return table[label]
-        except KeyError:
-            raise BadTupleError(
-                f"{label!r} is not an element of the {sort} carrier"
-            ) from None
+        return _find(self._by_label, sort, label)
 
     def interp(self, symbol: SymbolDecl) -> SymbolInterp:
         return self._interps[symbol]
@@ -164,15 +168,13 @@ class FiniteModel:
         return CarrierSet(elem.sort, self.carrier_size(elem.sort), 1 << elem.ordinal)
 
     def set_of(self, sort: Sort, elems: Iterable[CarrierElem]) -> CarrierSet:
+        carrier = self.carrier(sort)
         bits = 0
-        n = self.carrier_size(sort)
         for e in elems:
-            if e.sort != sort or e.ordinal >= n:
-                raise SortMismatchError(
-                    f"element {e} does not belong to the {sort} carrier"
-                )
+            if not _member(carrier, e):
+                raise SortMismatchError(f"element {e} is not in this model's {sort} carrier")
             bits |= 1 << e.ordinal
-        return CarrierSet(sort, n, bits)
+        return CarrierSet(sort, len(carrier), bits)
 
     def elems(self, cset: CarrierSet) -> tuple[CarrierElem, ...]:
         carrier = self.carrier(cset.sort)
@@ -190,36 +192,28 @@ class FiniteModel:
         self, symbol: SymbolDecl, args: Sequence[CarrierElem]
     ) -> CarrierSet:
         """Look up one tuple in the symbol's table (empty set if unlisted)."""
-        interp = self._require_interp(symbol)
         args = tuple(args)
-        self._check_tuple(symbol, args)
-        stored = interp.table.get(args)
-        return stored if stored is not None else self.empty_set(symbol.result)
+        table = self._table(symbol, len(args))
+        for k, (elem, param) in enumerate(zip(args, symbol.params)):
+            if not _member(self._carriers[param], elem):
+                raise BadTupleError(f"argument {k} of {symbol.name} must be an "
+                                    f"element of this model's {param} carrier, got {elem}")
+        return self._apply(symbol.result, table, [(e,) for e in args])
 
     def extended_app(
         self, symbol: SymbolDecl, arg_sets: Sequence[CarrierSet]
     ) -> CarrierSet:
         """Pointwise lift: union of the table over every combination of
         elements drawn from the argument sets."""
-        interp = self._require_interp(symbol)
-        arg_sets = tuple(arg_sets)
-        if len(arg_sets) != len(symbol.params):
-            raise BadTupleError(
-                f"{symbol.name} expects {len(symbol.params)} argument sets, "
-                f"got {len(arg_sets)}"
-            )
+        table = self._table(symbol, len(arg_sets))
+        choices = []
         for cset, param in zip(arg_sets, symbol.params):
-            if cset.sort != param or cset.width != self.carrier_size(param):
-                raise BadTupleError(
-                    f"argument set of sort {cset.sort} does not match "
-                    f"parameter sort {param} of {symbol.name}"
-                )
-        out = self.empty_set(symbol.result)
-        for combo in itertools.product(*(self.elems(s) for s in arg_sets)):
-            stored = interp.table.get(combo)
-            if stored is not None:
-                out = out | stored
-        return out
+            carrier = self._carriers[param]
+            if cset.sort is not param or cset.width != len(carrier):
+                raise BadTupleError(f"argument set of sort {cset.sort} does not match "
+                                    f"parameter sort {param} of {symbol.name}")
+            choices.append([carrier[i] for i in cset.ordinals()])
+        return self._apply(symbol.result, table, choices)
 
     def definedness(self, result_sort: Sort, arg_set: CarrierSet) -> CarrierSet:
         """Two-valued lift: empty if the argument set is empty, otherwise
@@ -228,29 +222,44 @@ class FiniteModel:
             return self.empty_set(result_sort)
         return self.full_set(result_sort)
 
-    def _require_interp(self, symbol: SymbolDecl) -> SymbolInterp:
-        self.signature._require_symbol(symbol)
+    def _table(self, symbol: SymbolDecl, count: int) -> Mapping:
         interp = self._interps.get(symbol)
-        return interp if interp is not None else SymbolInterp(symbol, {})
+        if interp is None:
+            raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
+        _check_arity(symbol, count)
+        return interp.table
 
-    def _check_tuple(
-        self, symbol: SymbolDecl, args: tuple[CarrierElem, ...]
-    ) -> None:
-        if len(args) != len(symbol.params):
-            raise BadTupleError(
-                f"{symbol.name} expects {len(symbol.params)} arguments, "
-                f"got {len(args)}"
-            )
-        for k, (elem, param) in enumerate(zip(args, symbol.params)):
-            if elem.sort != param:
-                raise BadTupleError(
-                    f"argument {k} of {symbol.name} must be a {param} "
-                    f"element, got {elem}"
-                )
-            if self._by_label.get(param, {}).get(elem.label) != elem:
-                raise BadTupleError(
-                    f"argument {k} of {symbol.name}: {elem} is not in the model"
-                )
+    def _apply(self, result: Sort, table: Mapping, choices: Sequence) -> CarrierSet:
+        """OR the table entries of every combination of argument choices,
+        which must be this model's elements of the parameter sorts."""
+        hit, bits = None, 0
+        for combo in itertools.product(*choices):
+            stored = table.get(combo)
+            if stored is not None:
+                hit, bits = stored, bits | stored.bits
+        if hit is not None and hit.bits == bits:
+            return hit  # the OR equals one stored set: return it, not a new equal one
+        return CarrierSet(result, len(self._carriers[result]), bits)
+
+
+def _member(carrier: tuple[CarrierElem, ...], elem: CarrierElem) -> bool:
+    return elem.ordinal < len(carrier) and carrier[elem.ordinal] is elem
+
+
+def _check_arity(symbol: SymbolDecl, count: int) -> None:
+    if count != len(symbol.params):
+        raise BadTupleError(
+            f"{symbol.name} expects {len(symbol.params)} argument(s), got {count}"
+        )
+
+
+def _find(by_label: Mapping[Sort, Mapping], sort: Sort, label: str) -> CarrierElem:
+    elems = by_label.get(sort)
+    if elems is None:
+        raise UnknownSortError(f"model has no carrier for sort {sort}")
+    if label not in elems:
+        raise BadTupleError(f"{label!r} is not an element of the {sort} carrier")
+    return elems[label]
 
 
 def singleton_fastpath(
@@ -259,8 +268,8 @@ def singleton_fastpath(
     """Extract the element tuple when every argument set is a singleton.
 
     On success the extended application agrees with the plain table lookup
-    on the extracted tuple, so callers may skip the product.  The 0-ary
-    case extracts the empty tuple.
+    on the extracted tuple (the one-combination case of the lift).  The
+    0-ary case extracts the empty tuple.
     """
     out = []
     for cset in arg_sets:
@@ -281,51 +290,40 @@ def build_model(
     names to {argument-label tuple: result-label collection}.  Symbols
     without an entry get the everywhere-empty interpretation.
     """
-    carrier_map: dict[Sort, tuple[CarrierElem, ...]] = {}
+    by_label: dict[Sort, dict[str, CarrierElem]] = {}
     for name, labels in carriers.items():
         sort = sig.sort(name)
-        seen: set[str] = set()
-        elems = []
-        for i, label in enumerate(labels):
-            if label in seen:
+        index: dict[str, CarrierElem] = {}
+        for label in labels:
+            if label in index:
                 raise DuplicateLabelError(
                     f"carrier of {sort} lists element {label!r} twice"
                 )
-            seen.add(label)
-            elems.append(CarrierElem(sort, i, label))
-        carrier_map[sort] = tuple(elems)
+            index[label] = CarrierElem(sort, len(index), label)
+        by_label[sort] = index
     for sort in sig.sorts:
-        if not carrier_map.get(sort):
+        if not by_label.get(sort):
             raise EmptyCarrierError(f"sort {sort} has an empty carrier")
 
-    model = FiniteModel(sig, carrier_map, {})
     interp_map: dict[SymbolDecl, SymbolInterp] = {}
     for name, table in interps.items():
         symbol = sig.symbol(name)
+        result = symbol.result
         built: dict[tuple[CarrierElem, ...], CarrierSet] = {}
         for arg_labels, value_labels in table.items():
-            if len(arg_labels) != len(symbol.params):
-                raise BadTupleError(
-                    f"{symbol.name} expects {len(symbol.params)} arguments, "
-                    f"got {len(arg_labels)}"
-                )
+            _check_arity(symbol, len(arg_labels))
             args = tuple(
-                model.elem(param, label)
+                _find(by_label, param, label)
                 for param, label in zip(symbol.params, arg_labels)
             )
+            bits = 0
             try:
-                value = model.set_of(
-                    symbol.result,
-                    (model.elem(symbol.result, v) for v in value_labels),
-                )
+                for label in value_labels:
+                    bits |= 1 << _find(by_label, result, label).ordinal
             except BadTupleError as err:
-                raise BadValueSortError(
-                    f"value of {symbol.name}{arg_labels}: {err}"
-                ) from None
-            built[args] = value
+                raise BadValueSortError(f"value of {symbol.name}{arg_labels}: {err}") from None
+            built[args] = CarrierSet(result, len(by_label[result]), bits)
         interp_map[symbol] = SymbolInterp(symbol, built)
-    for symbol in sig.symbols:
-        if symbol not in interp_map:
-            interp_map[symbol] = SymbolInterp(symbol, {})
 
+    carrier_map = {sort: tuple(index.values()) for sort, index in by_label.items()}
     return FiniteModel(sig, carrier_map, interp_map)

@@ -235,15 +235,10 @@ def _expect_end(ts: _TokenStream) -> None:
                    f"unexpected trailing input {trailing.text!r}")
 
 
-def _known_sort(sig: Signature, name: str) -> Sort | None:
-    return sig.sort(name) if sig.has_sort(name) else None
-
-
 def _declared_sort(sig: Signature, name: str, span: Span) -> Sort:
-    sort = _known_sort(sig, name)
-    if sort is None:
+    if not sig.has_sort(name):
         raise _err(span, "unknown-sort", f"sort {name!r} is not declared")
-    return sort
+    return sig.sort(name)
 
 
 # --- surface syntax -------------------------------------------------------
@@ -465,14 +460,12 @@ class _Elaborator:
                 if not self.sig.has_symbol(node.name):
                     return None
                 return self.sig.symbol(node.name).result
-            return _known_sort(self.sig, node.sort_name)
+            return _declared_sort(self.sig, node.sort_name, node.span)
         if conn.binds == "ex":
-            binder = _known_sort(self.sig, node.sort_name)
-            if binder is None:
-                return None
+            binder = _declared_sort(self.sig, node.sort_name, node.span)
             return self._first_sort(node.children, (binder,) + ex, mu)
         if node.sort_name is not None:
-            return _known_sort(self.sig, node.sort_name)
+            return _declared_sort(self.sig, node.sort_name, node.span)
         if conn.binds == "mu":
             mu = (None,) + mu
         return self._first_sort(node.children, ex, mu)

@@ -33,7 +33,7 @@ from .errors import (
     SortMismatchError,
     UnboundFreeVariableError,
 )
-from .model import CarrierElem, CarrierSet, FiniteModel, singleton_fastpath
+from .model import CarrierElem, CarrierSet, FiniteModel
 from .pattern import (
     And,
     App,
@@ -53,6 +53,7 @@ from .pattern import (
 from .signature import ElemVar, SetVar, Sort
 
 # Unused here; kept because the benchmark's tracer wraps these names.
+from .model import singleton_fastpath  # noqa: F401
 from .pattern import svar_occurs_positively  # noqa: F401
 from .subst import bevar_subst, bsvar_subst  # noqa: F401
 
@@ -221,9 +222,6 @@ def _eval(
     def denote(node: Pattern, kids: Sequence[CarrierSet]) -> CarrierSet:
         kind = type(node)
         if kind is App:
-            extracted = singleton_fastpath(model, kids)
-            if extracted is not None:
-                return model.interpret_symbol(node.symbol, extracted)
             return model.extended_app(node.symbol, kids)
         if kind is Not:
             return kids[0].complement()

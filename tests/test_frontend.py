@@ -201,11 +201,12 @@ class TestParsePattern:
         ("\\equals(O(), O())", "syntax", (1, 8, 1)),
         ("\\top", "syntax", (1, 5, 1)),
         ("\\nu{3} B0", "syntax", (1, 5, 1)),
-        ("\\nu{Zed} O()", "cannot-infer-sort", (1, 1, 3)),
+        ("\\nu{Zed} O()", "unknown-sort", (1, 1, 3)),
         ("\\and(true(), \\nu{Nat} B0)", "sort-mismatch", (1, 14, 3)),
         ("\\and(true())", "syntax", (1, 12, 1)),
         ("\\not(true()", "syntax", (1, 12, 1)),
         ("\\foo(O())", "syntax", (1, 1, 4)),
+        ("\\ceil{Bool}(x:Zed)", "unknown-sort", (1, 13, 1)),
     ])
     def test_malformed_connective_diagnostics(self, std_sig, text, code, span):
         with pytest.raises(ParseError) as err:

@@ -13,6 +13,7 @@ from mulogic.errors import (
     UnknownSortError,
     UnknownSymbolError,
 )
+from conftest import make_std_model
 
 
 def elems(model, sort_name, *labels):
@@ -90,12 +91,18 @@ def test_unknown_names_rejected(std_sig):
         )
 
 
-def test_interpret_symbol_checks_tuples(std_model):
+def test_interpret_symbol_checks_tuples(std_sig, std_model):
     is_zero = std_model.signature.symbol("isZero")
     with pytest.raises(BadTupleError):
         std_model.interpret_symbol(is_zero, elems(std_model, "Bool", "t"))
     with pytest.raises(BadTupleError):
         std_model.interpret_symbol(is_zero, ())
+    # Same signature, same labels, separate build: its elements are not ours.
+    foreign = elems(make_std_model(std_sig), "Nat", "0")
+    with pytest.raises(BadTupleError):
+        std_model.interpret_symbol(is_zero, foreign)
+    with pytest.raises(SortMismatchError):
+        std_model.set_of(std_sig.sort("Nat"), foreign)
 
 
 def test_extended_app_with_empty_argument(std_model):
