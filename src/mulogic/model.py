@@ -11,13 +11,17 @@ Symbol application is one pointwise routine: it ORs the table entries of
 every combination of argument choices, and a plain lookup is its
 one-combination case.  Elements compare by identity, so each belongs to the
 one model that built it; the public methods validate their input once.
+
+Each model also keeps every table in the form the compiled evaluator reads
+(:meth:`FiniteModel.mask_table`): a map from tuples of one-bit masks, one
+per argument, to the result's bits.  They are built once, with the model.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     BadTupleError,
@@ -29,6 +33,8 @@ from .errors import (
     UnknownSymbolError,
 )
 from .signature import Signature, Sort, SymbolDecl
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +145,11 @@ class FiniteModel:
         self._by_label = {
             sort: {e.label: e for e in elems} for sort, elems in self._carriers.items()
         }
+        self._masks = {
+            s: {tuple(1 << e.ordinal for e in args): value.bits
+                for args, value in interp.table.items() if value.bits}
+            for s, interp in self._interps.items()
+        }
 
     def carrier(self, sort: Sort) -> tuple[CarrierElem, ...]:
         try:
@@ -153,7 +164,12 @@ class FiniteModel:
         return _find(self._by_label, sort, label)
 
     def interp(self, symbol: SymbolDecl) -> SymbolInterp:
-        return self._interps[symbol]
+        return _lookup(self._interps, symbol)
+
+    def mask_table(self, symbol: SymbolDecl) -> Mapping[tuple[int, ...], int]:
+        """The symbol's table keyed by argument one-bit masks (``1 <<
+        ordinal``), valued by result bits; nonempty entries only."""
+        return _lookup(self._masks, symbol)
 
     # --- carrier subsets -------------------------------------------------
 
@@ -223,11 +239,9 @@ class FiniteModel:
         return self.full_set(result_sort)
 
     def _table(self, symbol: SymbolDecl, count: int) -> Mapping:
-        interp = self._interps.get(symbol)
-        if interp is None:
-            raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
+        table = self.interp(symbol).table
         _check_arity(symbol, count)
-        return interp.table
+        return table
 
     def _apply(self, result: Sort, table: Mapping, choices: Sequence) -> CarrierSet:
         """OR the table entries of every combination of argument choices,
@@ -240,6 +254,13 @@ class FiniteModel:
         if hit is not None and hit.bits == bits:
             return hit  # the OR equals one stored set: return it, not a new equal one
         return CarrierSet(result, len(self._carriers[result]), bits)
+
+
+def _lookup(tables: Mapping[SymbolDecl, T], symbol: SymbolDecl) -> T:
+    found = tables.get(symbol)
+    if found is None:
+        raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
+    return found
 
 
 def _member(carrier: tuple[CarrierElem, ...], elem: CarrierElem) -> bool:

@@ -15,12 +15,14 @@ order) and ``rebuild(ex, mu, children)``, which makes a node of the same
 kind through the constructor.  A binder's body context is its own context
 with one sort prepended (``Exists`` prepends ``binder_sort`` to ``ex``,
 ``Mu`` its own sort to ``mu``), which the constructors check.  On that
-protocol sits the one traversal, :func:`walk`, with :func:`fold_pattern`
-and :func:`map_pattern` on top of it.  Every operation here and in
-:mod:`mulogic.subst` and :mod:`mulogic.printer` is a walk, fold or map, so
-pattern depth is not limited by the interpreter's recursion limit.  Only
-the dataclass-generated ``==`` and ``hash`` (and so :func:`structural_eq`)
-still recurse.
+protocol sits the one traversal, :func:`walk`, which expands each distinct
+node once, with :func:`fold_pattern` and :func:`map_pattern` on top of it.
+Every operation here and in :mod:`mulogic.subst` and :mod:`mulogic.printer`
+is a walk, fold or map, as is the evaluator's facts pass; only its
+placement pass, which expands a node once per binder scope, keeps a stack
+of its own.  So pattern depth is not limited by the interpreter's
+recursion limit.  Only the dataclass-generated ``==`` and ``hash`` (and so
+:func:`structural_eq`) still recurse.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -293,9 +295,7 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
 # --- the traversal ------------------------------------------------------
 
 
-def walk(
-    p: Pattern, stop: tuple[type, ...] = ()
-) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
+def walk(p: Pattern) -> Iterator[tuple[Pattern, Sequence[Pattern] | None]]:
     """Yield ``(node, node.children)`` for each distinct node of ``p``,
     after all of its children; each later meeting of a node already
     yielded yields ``(node, None)``.
@@ -303,8 +303,6 @@ def walk(
     The one traversal of the kernel.  An explicit stack replaces recursion,
     so depth is bounded by memory, not by the interpreter's recursion
     limit; a subtree that derived connectives share is expanded once.
-    A node whose type is in ``stop`` is not entered: it is yielded as a
-    leaf, with ``()`` for its children, and nothing below it is visited.
     """
     seen: set[int] = set()
     stack: list = [p]  # nodes to enter, and (node, children) to leave
@@ -319,7 +317,7 @@ def walk(
             yield node, None
         else:
             mark(key)
-            kids = () if type(node) in stop else node.children
+            kids = node.children
             if kids:
                 push((node, kids))
                 stack += reversed(kids)
@@ -327,22 +325,17 @@ def walk(
                 yield node, kids
 
 
-def fold_pattern(
-    p: Pattern,
-    combine: Callable[[Pattern, Sequence[T]], T],
-    stop: tuple[type, ...] = (),
-) -> T:
+def fold_pattern(p: Pattern, combine: Callable[[Pattern, Sequence[T]], T]) -> T:
     """Fold ``p`` bottom-up over :func:`walk`: ``combine(node, results)``
     runs once for each distinct node, with its children's results in
     order.  Results are memoised on node identity.  A node's offset below
     ``p`` (the binders between them) is fixed by the node itself, as the
     growth of its contexts over ``p``'s, so identity alone is a sound memo
-    key.  A node whose type is in ``stop`` gets no results (``()``):
-    ``combine`` handles what lies below it itself."""
+    key."""
     done: dict[int, T] = {}
     results: list[T] = []  # results of the children met so far, in order
     emit = results.append
-    for node, kids in walk(p, stop):
+    for node, kids in walk(p):
         if kids is None:
             emit(done[id(node)])
             continue

@@ -1,14 +1,36 @@
 """Pattern evaluation over finite models.
 
-Only closed patterns are evaluated, over environments: a bound variable is
-a de Bruijn index into a tuple of carrier elements (ex) or carrier sets
-(mu), index 0 innermost.  Evaluation is one fold that stops at binders,
-so only ``Exists`` (once per element) and ``Mu`` (once per fixpoint step)
-recurse, each into its body with the environment extended at index 0: the
-recursion depth is the binder nesting depth, not the pattern depth.
-Closedness and positivity are decided once per :func:`eval_pattern` or
-:func:`mulogic.theory.check_axiom` call, so a non-positive binder under
-``prefix`` warns once per call, not once per visit.
+Only closed patterns are evaluated.  Each :func:`eval_pattern` or
+:func:`mulogic.theory.check_axiom` call compiles its pattern afresh, in
+three stages; nothing compiled is kept between calls.
+
+* **Facts.**  One walk gives every node the ex indices it reads and the mu
+  indices it reads under an even and under an odd number of negations, as
+  int bitmasks relative to the node, plus a bitmask of the free variables
+  below it.  Closedness, the lfp mode, positivity (a mu binder is positive
+  iff bit 0 of its body's odd mask is clear) and unbound variables are
+  decided from them, in that order, so a non-positive binder under
+  ``prefix`` warns once per call.
+* **Placement.**  A second walk, on an explicit stack, puts each node into
+  the flat instruction list of the innermost binder whose variable it
+  reads.  A node that reads no variable bound inside a loop is computed
+  once outside it: loop-invariant code motion.  Each (node, placement)
+  pair gets one register, an int bitmask over the carrier of the node's
+  sort, so a subtree shared within one scope is computed once, and one
+  shared by two sibling binders that both read their own variable is
+  computed in each.  A bound variable's node is its binder's register; a
+  0-ary symbol is a constant.  Symbol applications read the model's
+  one-bit-mask tables (:meth:`~mulogic.model.FiniteModel.mask_table`), and
+  a ``CarrierSet`` is built only for what is returned.  The errors that
+  depend only on the pattern and the model (an unknown sort or symbol, a
+  carrier larger than ``prefix_cap``) are raised here, in the order in
+  which a node-by-node evaluation would reach them.
+* **Run.**  Instructions are closures run in list order; an ``Exists`` or
+  ``Mu`` instruction loops over its body's list, so Python recursion depth
+  is the binder nesting depth, not the pattern depth.  Free variables are
+  the outermost levels, each with its own list: ``eval_pattern`` runs each
+  once, ``check_axiom`` re-runs only the levels from the first variable
+  that changed.
 
 Least fixpoints come in two engines:
 
@@ -17,13 +39,18 @@ Least fixpoints come in two engines:
 * ``prefix`` — the intersection of all pre-fixpoints, enumerating every
   subset of the carrier.  Exponential, but total even for non-monotone
   bodies, and therefore the oracle the fast engine is checked against.
+
+:func:`lfp_iterate` and :func:`lfp_prefixpoints` state both engines over
+``CarrierSet`` step functions; the compiled ``Mu`` loops run the same
+algorithms on registers.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CarrierTooLargeError,
@@ -35,7 +62,6 @@ from .errors import (
 )
 from .model import CarrierElem, CarrierSet, FiniteModel
 from .pattern import (
-    And,
     App,
     BoundEVar,
     BoundSVar,
@@ -46,15 +72,13 @@ from .pattern import (
     Mu,
     Not,
     Pattern,
-    check_mu_positivity,
-    fold_pattern,
-    free_vars,
+    walk,
 )
 from .signature import ElemVar, SetVar, Sort
 
 # Unused here; kept because the benchmark's tracer wraps these names.
 from .model import singleton_fastpath  # noqa: F401
-from .pattern import svar_occurs_positively  # noqa: F401
+from .pattern import free_vars, svar_occurs_positively  # noqa: F401
 from .subst import bevar_subst, bsvar_subst  # noqa: F401
 
 LFP_ITERATE = "iterate"
@@ -123,10 +147,7 @@ def lfp_iterate(
         if nxt == current:
             return current
         current = nxt
-    raise NonPositiveMuError(
-        f"fixpoint iteration over {sort} did not converge; "
-        "the step function is not monotone"
-    )
+    raise _diverged(sort)
 
 
 def lfp_prefixpoints(
@@ -142,17 +163,28 @@ def lfp_prefixpoints(
     well-defined for any step function.
     """
     n = model.carrier_size(sort)
-    if n > cap:
-        raise CarrierTooLargeError(
-            f"carrier of {sort} has {n} elements; enumerating 2^{n} subsets "
-            f"exceeds the cap of {cap}"
-        )
+    _check_prefix_cap(sort, n, cap)
     acc = (1 << n) - 1
     for bits in range(1 << n):
         candidate = CarrierSet(sort, n, bits)
         if step(candidate).bits & ~bits == 0:
             acc &= bits
     return CarrierSet(sort, n, acc)
+
+
+def _check_prefix_cap(sort: Sort, n: int, cap: int) -> None:
+    if n > cap:
+        raise CarrierTooLargeError(
+            f"carrier of {sort} has {n} elements; enumerating 2^{n} subsets "
+            f"exceeds the cap of {cap}"
+        )
+
+
+def _diverged(sort: Sort) -> NonPositiveMuError:
+    return NonPositiveMuError(
+        f"fixpoint iteration over {sort} did not converge; "
+        "the step function is not monotone"
+    )
 
 
 def eval_pattern(
@@ -167,19 +199,101 @@ def eval_pattern(
     ``rho`` must bind every free variable of ``p``.  ``lfp_mode`` selects
     the fixpoint engine: ``iterate`` requires each mu binder to be
     positive, ``prefix`` computes the pre-fixpoint intersection regardless
-    (warning once per call if some binder is not positive).  Bound
-    variables are read from environments, so the depth of ``p`` is not
-    limited by the interpreter's recursion limit; its binder nesting is.
+    (warning once per call if some binder is not positive).  ``p`` is
+    compiled for this call and run once; its depth is not limited by the
+    interpreter's recursion limit, its binder nesting is.
     """
-    _check_evaluable(p, lfp_mode)
-    evs, svs = free_vars(p)
-    for var in (*evs, *svs):
+    facts = _facts(p)
+    _check_evaluable(p, facts, lfp_mode)
+    variables = (*facts.evars, *facts.svars)
+    for var in variables:
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
-    return _eval(model, rho, p, (), (), lfp_mode, prefix_cap)
+    values = [[_bits_of(model, rho, var)] for var in variables]
+    program = _compile(model, p, facts, lfp_mode, prefix_cap, variables)
+    _, bits = next(program.sweep(values))
+    return CarrierSet(p.sort, model.carrier_size(p.sort), bits)
 
 
-def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
+def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:
+    """The register value of a free variable under ``rho``."""
+    if isinstance(var, ElemVar):
+        return model.singleton(rho.evar(var)).bits
+    value = rho.svar(var)
+    if value.sort is not var.sort or value.width != model.carrier_size(var.sort):
+        raise SortMismatchError(
+            f"{var} is bound to a set that is not a subset of this model's "
+            f"{var.sort} carrier"
+        )
+    return value.bits
+
+
+# --- facts ----------------------------------------------------------------
+
+
+class _Facts(NamedTuple):
+    """What the compiler needs to know about each node of one pattern.
+
+    ``masks`` maps ``id(node)`` to ``(ex, even, odd, free)``: the ex indices
+    the node reads, the mu indices it reads under an even and under an odd
+    number of negations (bit ``i`` for index ``i``, relative to the node),
+    and its free variables, as bits given out by ``bit``.  ``evars`` and
+    ``svars`` are the free variables as :func:`~mulogic.pattern.free_vars`
+    returns them; ``positive`` says whether every mu binder is positive.
+    """
+
+    masks: dict[int, tuple[int, int, int, int]]
+    bit: dict[ElemVar | SetVar, int]
+    evars: frozenset[ElemVar]
+    svars: frozenset[SetVar]
+    positive: bool
+
+
+def _facts(p: Pattern) -> _Facts:
+    """One walk over ``p``: each node's masks, its free variables, and
+    whether every mu binder is positive."""
+    masks: dict[int, tuple[int, int, int, int]] = {}
+    bit: dict[ElemVar | SetVar, int] = {}
+    evars: set[ElemVar] = set()
+    svars: set[SetVar] = set()
+    positive = True
+    for node, kids in walk(p):
+        if kids is None:
+            continue
+        kind = type(node)
+        if kids:
+            ex = even = odd = free = 0
+            for kid in kids:
+                e, v, o, f = masks[id(kid)]
+                ex |= e
+                even |= v
+                odd |= o
+                free |= f
+            if kind is Not:
+                even, odd = odd, even
+            elif kind is Exists:
+                ex >>= 1
+            elif kind is Mu:
+                positive = positive and not odd & 1
+                even >>= 1
+                odd >>= 1
+            masks[id(node)] = (ex, even, odd, free)
+        elif kind is BoundEVar:
+            masks[id(node)] = (1 << node.index, 0, 0, 0)
+        elif kind is BoundSVar:
+            masks[id(node)] = (0, 1 << node.index, 0, 0)
+        elif kind is FreeEVar or kind is FreeSVar:
+            var = node.var
+            if var not in bit:
+                bit[var] = 1 << len(bit)
+                (evars if kind is FreeEVar else svars).add(var)
+            masks[id(node)] = (0, 0, 0, bit[var])
+        else:
+            masks[id(node)] = (0, 0, 0, 0)
+    return _Facts(masks, bit, frozenset(evars), frozenset(svars), positive)
+
+
+def _check_evaluable(p: Pattern, facts: _Facts, lfp_mode: str) -> None:
     """Raise unless ``p`` is closed, ``lfp_mode`` is known and, under
     ``iterate``, every mu binder in ``p`` is positive; under ``prefix`` a
     non-positive binder warns instead."""
@@ -190,7 +304,7 @@ def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
         )
     if lfp_mode not in (LFP_ITERATE, LFP_PREFIX):
         raise ValueError(f"unknown lfp mode {lfp_mode!r}")
-    if check_mu_positivity(p).all_positive:
+    if facts.positive:
         return
     if lfp_mode == LFP_ITERATE:
         raise NonPositiveMuError(
@@ -206,50 +320,324 @@ def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
     )
 
 
-def _eval(
+# --- placement --------------------------------------------------------------
+
+
+class _Scope:
+    """One instruction list: the top level, a free variable's level or a
+    binder's body.  ``var`` is the register of the variable it binds;
+    ``depth`` orders the scopes of one chain, outermost first."""
+
+    __slots__ = ("depth", "var", "code")
+
+    def __init__(self, depth: int, var: int):
+        self.depth = depth
+        self.var = var
+        self.code: list[Callable[[], None]] = []
+
+
+class _Program:
+    """Registers, the top scope and one scope per free variable."""
+
+    def __init__(self, regs: list[int], top: _Scope, levels: list[_Scope], result: int):
+        self.regs = regs
+        self.top = top
+        self.levels = levels
+        self.result = result
+
+    def sweep(self, choices: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
+        """Run once per combination of level values, in
+        ``itertools.product(*choices)`` order, and yield the index of each
+        level's value together with the result register.  After the first
+        run only the levels from the first one whose value changed are run
+        again."""
+        regs, levels = self.regs, self.levels
+        for op in self.top.code:
+            op()
+        last = len(levels) - 1
+        index = [0] * len(levels)
+        start = 0
+        while True:
+            for k in range(start, last + 1):
+                level = levels[k]
+                regs[level.var] = choices[k][index[k]]
+                for op in level.code:
+                    op()
+            yield index, regs[self.result]
+            start = last
+            while start >= 0 and index[start] == len(choices[start]) - 1:
+                index[start] = 0
+                start -= 1
+            if start < 0:
+                return
+            index[start] += 1
+
+
+def _compile(
     model: FiniteModel,
-    rho: Valuation,
     p: Pattern,
-    exs: tuple[CarrierElem, ...],
-    mus: tuple[CarrierSet, ...],
+    facts: _Facts,
     mode: str,
     cap: int,
-) -> CarrierSet:
-    """The denotation of ``p`` with free variables read from ``rho`` and
-    bound ex and mu indices from ``exs`` and ``mus``, which must match
-    ``p``'s contexts.  ``p`` must have passed :func:`_check_evaluable`."""
+    variables: Sequence[ElemVar | SetVar],
+) -> _Program:
+    """Place every node of ``p`` (see the module docstring); free variable
+    ``variables[k]`` gets level ``k``, which ``_Program.sweep`` sets.
 
-    def denote(node: Pattern, kids: Sequence[CarrierSet]) -> CarrierSet:
+    The stack holds ``(node, exs, mus)`` to enter and ``(node, exs, mus,
+    scope, key, inner)`` to leave, where ``exs``/``mus`` are the scopes of
+    the enclosing ex and mu binders, outermost first, so de Bruijn index
+    ``i`` of a node is scope ``exs[-1 - i]``.
+    """
+    masks = facts.masks
+    regs: list[int] = []
+
+    def register(value: int = 0) -> int:
+        regs.append(value)
+        return len(regs) - 1
+
+    top = _Scope(0, -1)
+    levels = [_Scope(k + 1, register()) for k in range(len(variables))]
+    level_of = {facts.bit[var]: levels[k] for k, var in enumerate(variables)}
+    deepest: dict[int, _Scope] = {}  # free-variable mask -> its innermost level
+
+    def free_scope(free: int) -> _Scope:
+        scope = deepest.get(free)
+        if scope is None:
+            scope, rest = top, free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if level_of[low].depth > scope.depth:
+                    scope = level_of[low]
+            deepest[free] = scope
+        return scope
+
+    fulls: dict[Sort, int] = {}
+
+    def full(sort: Sort) -> int:
+        if sort not in fulls:
+            fulls[sort] = (1 << model.carrier_size(sort)) - 1
+        return fulls[sort]
+
+    memos: dict = {}  # symbol -> {argument registers' values: result}
+    base = len(levels)
+    done: dict[tuple[int, _Scope], int] = {}
+    results: list[int] = []  # registers of the children met so far
+    emit = results.append
+    stack: list[tuple] = [(p, (), ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        node, exs, mus = item[0], item[1], item[2]
         kind = type(node)
-        if kind is App:
-            return model.extended_app(node.symbol, kids)
-        if kind is Not:
-            return kids[0].complement()
-        if kind is And:
-            return kids[0] & kids[1]
-        if kind is BoundEVar:
-            return model.singleton(exs[node.index])
-        if kind is BoundSVar:
-            return mus[node.index]
-        if kind is FreeEVar:
-            return model.singleton(rho.evar(node.var))
-        if kind is FreeSVar:
-            return rho.svar(node.var)
-        if kind is Defined:
-            return model.definedness(node.sort, kids[0])
+        if len(item) == 3:  # enter
+            ex, even, odd, free = masks[id(node)]
+            scope = top
+            if ex:
+                scope = exs[len(exs) - (ex & -ex).bit_length()]
+            mu = even | odd
+            if mu:
+                inner = mus[len(mus) - (mu & -mu).bit_length()]
+                if inner.depth > scope.depth:
+                    scope = inner
+            if scope is top and free:
+                scope = free_scope(free)
+            key = (id(node), scope)
+            reg = done.get(key)
+            if reg is not None:
+                emit(reg)
+            elif kind is Exists or kind is Mu:
+                full(node.sort)
+                if kind is Exists:
+                    model.carrier_size(node.binder_sort)
+                elif mode == LFP_PREFIX:
+                    _check_prefix_cap(node.sort, model.carrier_size(node.sort), cap)
+                inner = _Scope(base + len(exs) + len(mus) + 1, register())
+                push((node, exs, mus, scope, key, inner))
+                if kind is Exists:
+                    push((node.body, (*exs, inner), mus))
+                else:
+                    push((node.body, exs, (*mus, inner)))
+            elif node.children:
+                push((node, exs, mus, scope, key, None))
+                stack += [(kid, exs, mus) for kid in reversed(node.children)]
+            else:
+                if kind is BoundEVar:
+                    reg = exs[-1 - node.index].var
+                elif kind is BoundSVar:
+                    reg = mus[-1 - node.index].var
+                elif kind is FreeEVar or kind is FreeSVar:
+                    reg = level_of[free].var
+                else:  # a 0-ary symbol
+                    reg = register(model.mask_table(node.symbol).get((), 0))
+                done[key] = reg
+                emit(reg)
+            continue
+        scope, key, inner = item[3], item[4], item[5]
+        n = len(node.children)
+        args = results[-n:]
+        del results[-n:]
+        if inner is not None:
+            ex, even, odd, _ = masks[id(node.body)]
+            if not (ex if kind is Exists else even | odd) & 1:
+                # a body without the bound variable is its own union and fixpoint
+                done[key] = args[0]
+                emit(args[0])
+                continue
+        dst = register()
         if kind is Exists:
-            out = model.empty_set(node.sort)
-            for m in model.carrier(node.binder_sort):
-                out = out | _eval(model, rho, node.body, (m, *exs), mus, mode, cap)
-            return out
-        if kind is Mu:
+            elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
+            op = _exists_op(regs, dst, inner.var, args[0], inner.code, elems)
+        elif kind is Mu and mode == LFP_ITERATE:
+            op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort, full(node.sort))
+        elif kind is Mu:
+            op = _prefix_op(regs, dst, inner.var, args[0], inner.code, full(node.sort))
+        elif kind is Not:
+            op = _not_op(regs, dst, args[0], full(node.sort))
+        elif kind is Defined:
+            op = _defined_op(regs, dst, args[0], full(node.sort))
+        elif kind is App:
+            memo = memos.setdefault(node.symbol, {})
+            op = _app_op(regs, dst, args, model.mask_table(node.symbol), memo)
+        else:  # And
+            op = _and_op(regs, dst, args[0], args[1])
+        scope.code.append(op)
+        done[key] = dst
+        emit(dst)
+    return _Program(regs, top, levels, results[0])
 
-            def step(a: CarrierSet) -> CarrierSet:
-                return _eval(model, rho, node.body, exs, (a, *mus), mode, cap)
 
-            if mode == LFP_ITERATE:
-                return lfp_iterate(step, model, node.sort)
-            return lfp_prefixpoints(step, model, node.sort, cap)
-        raise TypeError(f"unexpected pattern node {node!r}")
+# --- instructions -----------------------------------------------------------
+#
+# Each maker returns a closure that reads its operands from ``regs`` and
+# writes register ``dst``.
 
-    return fold_pattern(p, denote, stop=(Exists, Mu))
+
+def _not_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
+    def op() -> None:
+        regs[dst] = full ^ regs[a]
+
+    return op
+
+
+def _and_op(regs: list[int], dst: int, a: int, b: int) -> Callable[[], None]:
+    def op() -> None:
+        regs[dst] = regs[a] & regs[b]
+
+    return op
+
+
+def _defined_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
+    def op() -> None:
+        regs[dst] = full if regs[a] else 0
+
+    return op
+
+
+def _app_op(
+    regs: list[int], dst: int, args: Sequence[int], table: Mapping, memo: dict
+) -> Callable[[], None]:
+    """Pointwise application: the OR of the table entries of every
+    combination of one-bit masks drawn from the argument registers,
+    memoised per call on the registers' values."""
+    if len(args) == 1:
+        (a,) = args
+
+        def op() -> None:
+            key = regs[a]
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = _lift(table, (key,))
+            regs[dst] = value
+
+    elif len(args) == 2:
+        a, b = args
+
+        def op() -> None:
+            key = (regs[a], regs[b])
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = _lift(table, key)
+            regs[dst] = value
+
+    else:
+
+        def op() -> None:
+            key = tuple([regs[a] for a in args])
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = _lift(table, key)
+            regs[dst] = value
+
+    return op
+
+
+def _lift(table: Mapping[tuple[int, ...], int], key: Sequence[int]) -> int:
+    choices = []
+    for bits in key:
+        ones = []
+        while bits:
+            low = bits & -bits
+            ones.append(low)
+            bits ^= low
+        choices.append(ones)
+    out = 0
+    for combo in itertools.product(*choices):
+        out |= table.get(combo, 0)
+    return out
+
+
+def _exists_op(
+    regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int]
+) -> Callable[[], None]:
+    def op() -> None:
+        acc = 0
+        for elem in elems:
+            regs[var] = elem
+            for step in body:
+                step()
+            acc |= regs[res]
+        regs[dst] = acc
+
+    return op
+
+
+def _iterate_op(
+    regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, full: int
+) -> Callable[[], None]:
+    """Kleene iteration, as :func:`lfp_iterate`."""
+    rounds = full.bit_length() + 1
+
+    def op() -> None:
+        current = 0
+        for _ in range(rounds):
+            regs[var] = current
+            for step in body:
+                step()
+            nxt = regs[res]
+            if nxt == current:
+                regs[dst] = current
+                return
+            current = nxt
+        raise _diverged(sort)
+
+    return op
+
+
+def _prefix_op(
+    regs: list[int], dst: int, var: int, res: int, body: list, full: int
+) -> Callable[[], None]:
+    """The pre-fixpoint intersection, as :func:`lfp_prefixpoints`."""
+
+    def op() -> None:
+        acc = full
+        for bits in range(full + 1):
+            regs[var] = bits
+            for step in body:
+                step()
+            if not regs[res] & ~bits:
+                acc &= bits
+        regs[dst] = acc
+
+    return op

@@ -11,7 +11,6 @@ failure abort the rest.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,15 +22,19 @@ from .errors import (
     StateSpaceTooLargeError,
 )
 from .model import CarrierSet, FiniteModel
-from .pattern import Pattern, free_vars, mk_defined, mk_free_evar
+from .pattern import Pattern, mk_defined, mk_free_evar
 from .semantics import (
     DEFAULT_PREFIX_CAP,
     LFP_ITERATE,
     Valuation,
     _check_evaluable,
-    _eval,
-    eval_pattern,  # noqa: F401 - unused here; the benchmark's tracer wraps it
+    _compile,
+    _facts,
 )
+
+# Unused here; kept because the benchmark's tracer wraps these names.
+from .pattern import free_vars  # noqa: F401
+from .semantics import eval_pattern  # noqa: F401
 from .signature import ElemVar, Signature, Sort
 
 DEFAULT_STATE_CAP = 10**6
@@ -135,13 +138,21 @@ def check_axiom(
     """Check one axiom against every valuation of its free variables.
 
     Satisfied iff each evaluation yields the full carrier of the axiom's
-    sort; the first failure is returned as a witness together with the set
-    it produced.  Closedness, the lfp mode and mu positivity are checked
-    once, before the first valuation.
+    sort; the first failure, in ``itertools.product`` order over the
+    sorted element variables and then the sorted set variables, is
+    returned as a witness together with the set it produced.  The state
+    cap, closedness, the lfp mode and mu positivity are checked once, in
+    that order, before the first valuation.
+
+    The axiom is compiled once, with its free variables as the outermost
+    levels (the pattern holds for every valuation exactly when its
+    universal closure denotes the full carrier): a subpattern is computed
+    again only when a variable it reads has changed.
     """
-    evars, svars = free_vars(axiom.pattern)
-    evar_list = sorted(evars, key=lambda v: (v.name, v.sort.id))
-    svar_list = sorted(svars, key=lambda v: (v.name, v.sort.id))
+    p = axiom.pattern
+    facts = _facts(p)
+    evar_list = sorted(facts.evars, key=lambda v: (v.name, v.sort.id))
+    svar_list = sorted(facts.svars, key=lambda v: (v.name, v.sort.id))
 
     count = math.prod(model.carrier_size(v.sort) for v in evar_list) * math.prod(
         2 ** model.carrier_size(v.sort) for v in svar_list
@@ -151,23 +162,23 @@ def check_axiom(
             f"axiom {axiom.label!r} needs {count} valuations, more than the "
             f"cap of {state_cap}"
         )
-    _check_evaluable(axiom.pattern, lfp_mode)
+    _check_evaluable(p, facts, lfp_mode)
 
-    expected = model.full_set(axiom.sort)
-    elem_choices = [model.carrier(v.sort) for v in evar_list]
-    set_choices = [
-        [
-            CarrierSet(v.sort, model.carrier_size(v.sort), bits)
-            for bits in range(1 << model.carrier_size(v.sort))
-        ]
-        for v in svar_list
-    ]
-    for elems in itertools.product(*elem_choices):
-        for sets in itertools.product(*set_choices):
-            rho = Valuation(dict(zip(evar_list, elems)), dict(zip(svar_list, sets)))
-            got = _eval(model, rho, axiom.pattern, (), (), lfp_mode, prefix_cap)
-            if got != expected:
-                return AxiomResult(axiom, Verdict.VIOLATED, witness=rho, got=got)
+    width = model.carrier_size(axiom.sort)
+    variables = (*evar_list, *svar_list)
+    program = _compile(model, p, facts, lfp_mode, prefix_cap, variables)
+    split = len(evar_list)
+    sizes = [model.carrier_size(v.sort) for v in variables]
+    # register values: element k is the one-bit mask 1 << k, a set its bits
+    choices = [[1 << k for k in range(n)] for n in sizes[:split]]
+    choices += [range(1 << n) for n in sizes[split:]]
+    for index, bits in program.sweep(choices):
+        if bits != (1 << width) - 1:
+            elems = {v: model.carrier(v.sort)[k] for v, k in zip(evar_list, index)}
+            sets = {v: CarrierSet(v.sort, n, k)
+                    for v, n, k in zip(svar_list, sizes[split:], index[split:])}
+            got = CarrierSet(axiom.sort, width, bits)
+            return AxiomResult(axiom, Verdict.VIOLATED, witness=Valuation(elems, sets), got=got)
     return AxiomResult(axiom, Verdict.SATISFIED)
 
 

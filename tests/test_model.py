@@ -13,7 +13,7 @@ from mulogic.errors import (
     UnknownSortError,
     UnknownSymbolError,
 )
-from conftest import make_std_model
+from conftest import make_std_model, make_std_signature
 
 
 def elems(model, sort_name, *labels):
@@ -89,6 +89,24 @@ def test_unknown_names_rejected(std_sig):
         build_model(
             std_sig, {"Bool": ["t"], "Nat": ["0"]}, {"mystery": {(): []}}
         )
+
+
+def test_foreign_symbol_raises_one_error_type(std_model):
+    # a same-named symbol of a second signature is not this model's
+    twin = make_std_signature().symbol("isZero")
+    for lookup in (std_model.interp, std_model.mask_table):
+        with pytest.raises(UnknownSymbolError):
+            lookup(twin)
+    with pytest.raises(UnknownSymbolError):
+        std_model.extended_app(twin, [std_model.full_set(std_model.signature.sort("Nat"))])
+
+
+def test_mask_tables_key_one_bit_masks(std_sig, std_model):
+    plus = std_model.mask_table(std_sig.symbol("plus"))
+    one, two = (std_model.elem(std_sig.sort("Nat"), label) for label in "12")
+    assert plus[(1 << one.ordinal, 1 << two.ordinal)] == std_model.interpret_symbol(
+        std_sig.symbol("plus"), (one, two)).bits
+    assert (1 << two.ordinal, 1 << two.ordinal) not in plus  # 2 + 2 maps to the empty set
 
 
 def test_interpret_symbol_checks_tuples(std_sig, std_model):
