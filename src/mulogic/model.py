@@ -7,14 +7,15 @@ Interpretation tables map argument tuples to result subsets; tuples absent
 from a table denote the empty set, so partial tables (e.g. a successor
 capped at the largest element) stay small.
 
-Symbol application is one pointwise routine: it ORs the table entries of
-every combination of argument choices, and a plain lookup is its
-one-combination case.  Elements compare by identity, so each belongs to the
-one model that built it; the public methods validate their input once.
-
 Each model also keeps every table in the form the compiled evaluator reads
 (:meth:`FiniteModel.mask_table`): a map from tuples of one-bit masks, one
 per argument, to the result's bits.  They are built once, with the model.
+Symbol application is one pointwise routine over those tables,
+:func:`_lift`, shared with the evaluator: it ORs the entries of every
+combination of argument choices, and a plain lookup is its
+one-combination case.  Elements compare by identity, so each belongs to
+the one model that built it; the public methods validate their input
+once.
 """
 
 from __future__ import annotations
@@ -209,27 +210,24 @@ class FiniteModel:
     ) -> CarrierSet:
         """Look up one tuple in the symbol's table (empty set if unlisted)."""
         args = tuple(args)
-        table = self._table(symbol, len(args))
+        table = self._mask_table(symbol, len(args))
         for k, (elem, param) in enumerate(zip(args, symbol.params)):
             if not _member(self._carriers[param], elem):
                 raise BadTupleError(f"argument {k} of {symbol.name} must be an "
                                     f"element of this model's {param} carrier, got {elem}")
-        return self._apply(symbol.result, table, [(e,) for e in args])
+        return self._result(symbol, _lift(table, [1 << e.ordinal for e in args]))
 
     def extended_app(
         self, symbol: SymbolDecl, arg_sets: Sequence[CarrierSet]
     ) -> CarrierSet:
         """Pointwise lift: union of the table over every combination of
         elements drawn from the argument sets."""
-        table = self._table(symbol, len(arg_sets))
-        choices = []
+        table = self._mask_table(symbol, len(arg_sets))
         for cset, param in zip(arg_sets, symbol.params):
-            carrier = self._carriers[param]
-            if cset.sort is not param or cset.width != len(carrier):
+            if cset.sort is not param or cset.width != len(self._carriers[param]):
                 raise BadTupleError(f"argument set of sort {cset.sort} does not match "
                                     f"parameter sort {param} of {symbol.name}")
-            choices.append([carrier[i] for i in cset.ordinals()])
-        return self._apply(symbol.result, table, choices)
+        return self._result(symbol, _lift(table, [cset.bits for cset in arg_sets]))
 
     def definedness(self, result_sort: Sort, arg_set: CarrierSet) -> CarrierSet:
         """Two-valued lift: empty if the argument set is empty, otherwise
@@ -238,22 +236,31 @@ class FiniteModel:
             return self.empty_set(result_sort)
         return self.full_set(result_sort)
 
-    def _table(self, symbol: SymbolDecl, count: int) -> Mapping:
-        table = self.interp(symbol).table
+    def _mask_table(self, symbol: SymbolDecl, count: int) -> Mapping[tuple[int, ...], int]:
+        table = self.mask_table(symbol)
         _check_arity(symbol, count)
         return table
 
-    def _apply(self, result: Sort, table: Mapping, choices: Sequence) -> CarrierSet:
-        """OR the table entries of every combination of argument choices,
-        which must be this model's elements of the parameter sorts."""
-        hit, bits = None, 0
-        for combo in itertools.product(*choices):
-            stored = table.get(combo)
-            if stored is not None:
-                hit, bits = stored, bits | stored.bits
-        if hit is not None and hit.bits == bits:
-            return hit  # the OR equals one stored set: return it, not a new equal one
-        return CarrierSet(result, len(self._carriers[result]), bits)
+    def _result(self, symbol: SymbolDecl, bits: int) -> CarrierSet:
+        return CarrierSet(symbol.result, len(self._carriers[symbol.result]), bits)
+
+
+def _lift(table: Mapping[tuple[int, ...], int], key: Sequence[int]) -> int:
+    """Pointwise application over a :meth:`FiniteModel.mask_table`: the OR
+    of the entries of every combination of one-bit masks, one drawn from
+    each argument's bits in ``key``."""
+    choices = []
+    for bits in key:
+        ones = []
+        while bits:
+            low = bits & -bits
+            ones.append(low)
+            bits ^= low
+        choices.append(ones)
+    out = 0
+    for combo in itertools.product(*choices):
+        out |= table.get(combo, 0)
+    return out
 
 
 def _lookup(tables: Mapping[SymbolDecl, T], symbol: SymbolDecl) -> T:

@@ -10,6 +10,14 @@ ill-scoped tree cannot be built, not even by constructing the dataclasses
 directly.  The ``mk_*`` helpers below only compute the derived fields (sort
 and contexts) and let the constructor check them.
 
+Each node's facts are fixed at construction too: the last step of every
+``__post_init__`` stores, from its children's, the ex and mu indices the
+node reads, its free variables and whether every mu binder below it is
+positive (see :func:`_fix_facts`, the one place these rules are stated).
+So :func:`free_vars` and :func:`svar_occurs_positively` read the root and
+take no walk, and the evaluator reads the facts off each node.  The facts
+take no part in ``==``, ``hash`` or ``repr``.
+
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
 kind through the constructor.  A binder's body context is its own context
@@ -18,11 +26,11 @@ with one sort prepended (``Exists`` prepends ``binder_sort`` to ``ex``,
 protocol sits the one traversal, :func:`walk`, which expands each distinct
 node once, with :func:`fold_pattern` and :func:`map_pattern` on top of it.
 Every operation here and in :mod:`mulogic.subst` and :mod:`mulogic.printer`
-is a walk, fold or map, as is the evaluator's facts pass; only its
-placement pass, which expands a node once per binder scope, keeps a stack
-of its own.  So pattern depth is not limited by the interpreter's
-recursion limit.  Only the dataclass-generated ``==`` and ``hash`` (and so
-:func:`structural_eq`) still recurse.
+is a walk, fold or map; only the evaluator's placement pass, which expands
+a node once per binder scope, keeps a stack of its own.  So pattern depth
+is not limited by the interpreter's recursion limit.  Only the
+dataclass-generated ``==`` and ``hash`` (and so :func:`structural_eq`)
+still recurse.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -30,7 +38,7 @@ may share subtrees freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -61,6 +69,8 @@ class Pattern:
     sort: Sort
     ex: Context
     mu: Context
+    # (ex, even, odd, free, positive), stored by _fix_facts
+    _facts: tuple = field(init=False, compare=False, repr=False)
 
     # Leaves have no subpatterns; inner node classes override this.
     children = ()
@@ -89,6 +99,7 @@ class FreeEVar(Pattern):
             raise SortMismatchError(
                 f"free element variable {self.var} cannot have sort {self.sort}"
             )
+        _fix_facts(self)
 
     def rebuild(self, ex, mu, children):
         return FreeEVar(self.sort, ex, mu, self.var)
@@ -103,6 +114,7 @@ class FreeSVar(Pattern):
             raise SortMismatchError(
                 f"free set variable {self.var} cannot have sort {self.sort}"
             )
+        _fix_facts(self)
 
     def rebuild(self, ex, mu, children):
         return FreeSVar(self.sort, ex, mu, self.var)
@@ -123,6 +135,7 @@ class BoundEVar(Pattern):
                 f"bound element variable b{self.index} has sort "
                 f"{self.ex[self.index]}, not {self.sort}"
             )
+        _fix_facts(self)
 
     def rebuild(self, ex, mu, children):
         return BoundEVar(self.sort, ex, mu, self.index)
@@ -143,6 +156,7 @@ class BoundSVar(Pattern):
                 f"bound set variable B{self.index} has sort "
                 f"{self.mu[self.index]}, not {self.sort}"
             )
+        _fix_facts(self)
 
     def rebuild(self, ex, mu, children):
         return BoundSVar(self.sort, ex, mu, self.index)
@@ -176,6 +190,7 @@ class App(Pattern):
                 raise ContextMismatchError(
                     f"argument {k} of {symbol.name} lives in a different context"
                 )
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -191,6 +206,7 @@ class Not(Pattern):
 
     def __post_init__(self) -> None:
         _require_same_shape("negation", self, self.body)
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -208,6 +224,7 @@ class And(Pattern):
     def __post_init__(self) -> None:
         _require_same_shape("conjunction", self, self.left)
         _require_same_shape("conjunction", self, self.right)
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -232,6 +249,7 @@ class Exists(Pattern):
             raise ContextMismatchError("exists body has a different mu context")
         if self.body.sort != self.sort:
             raise SortMismatchError("exists inherits the sort of its body")
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -255,6 +273,7 @@ class Mu(Pattern):
             raise ContextMismatchError("mu body has a different ex context")
         if self.body.sort != self.sort:
             raise SortMismatchError("mu inherits the sort of its body")
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -274,6 +293,7 @@ class Defined(Pattern):
     def __post_init__(self) -> None:
         if self.body.ex != self.ex or self.body.mu != self.mu:
             raise ContextMismatchError("definedness body has a different context")
+        _fix_facts(self)
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -290,6 +310,51 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
         )
     if child.ex != node.ex or child.mu != node.mu:
         raise ContextMismatchError(f"{what} child lives in a different context")
+
+
+_NO_VARS: frozenset = frozenset()
+
+
+def _fix_facts(node: Pattern) -> None:
+    """Store ``node._facts = (ex, even, odd, free, positive)``, from its
+    children's in O(children) time.  ``ex`` has bit ``i`` set iff the node
+    reads ex index ``i``; ``even``/``odd`` likewise for the mu indices read
+    under an even/odd number of negations.  ``free`` is the frozenset of
+    its free variables (a child's own set where that is the union).
+    ``positive``: every mu binder below has bit 0 of its body's odd clear.
+    """
+    kind = type(node)
+    kids = node.children
+    if len(kids) == 1:
+        ex, even, odd, free, positive = kids[0]._facts
+    elif kids:
+        ex = even = odd = 0
+        free, positive = _NO_VARS, True
+        for kid in kids:
+            e, v, o, f, pos = kid._facts
+            ex |= e
+            even |= v
+            odd |= o
+            if f is not free and not f <= free:
+                free = f if free <= f else free | f
+            positive = positive and pos
+    elif kind is BoundEVar:
+        ex, even, odd, free, positive = 1 << node.index, 0, 0, _NO_VARS, True
+    elif kind is BoundSVar:
+        ex, even, odd, free, positive = 0, 1 << node.index, 0, _NO_VARS, True
+    elif kind is FreeEVar or kind is FreeSVar:
+        ex, even, odd, free, positive = 0, 0, 0, frozenset((node.var,)), True
+    else:  # a 0-ary symbol
+        ex, even, odd, free, positive = 0, 0, 0, _NO_VARS, True
+    if kind is Not:
+        even, odd = odd, even
+    elif kind is Exists:
+        ex >>= 1
+    elif kind is Mu:
+        positive = positive and not odd & 1
+        even >>= 1
+        odd >>= 1
+    object.__setattr__(node, "_facts", (ex, even, odd, free, positive))
 
 
 # --- the traversal ------------------------------------------------------
@@ -543,14 +608,9 @@ def size(p: Pattern) -> int:
 
 
 def free_vars(p: Pattern) -> tuple[frozenset[ElemVar], frozenset[SetVar]]:
-    evars: set[ElemVar] = set()
-    svars: set[SetVar] = set()
-    for node, _ in walk(p):
-        if type(node) is FreeEVar:
-            evars.add(node.var)
-        elif type(node) is FreeSVar:
-            svars.add(node.var)
-    return frozenset(evars), frozenset(svars)
+    free = p._facts[3]
+    evars = frozenset(v for v in free if isinstance(v, ElemVar))
+    return evars, free - evars
 
 
 def structural_eq(p: Pattern, q: Pattern) -> bool:
@@ -560,14 +620,22 @@ def structural_eq(p: Pattern, q: Pattern) -> bool:
 
 def validate(p: Pattern) -> bool:
     """Rebuild ``p`` through the node constructors, so every node's
-    ``__post_init__`` checks it again; False if any check fails.
+    ``__post_init__`` checks it again and fixes its facts afresh; False if
+    any check fails or any node's stored facts differ from the new ones.
 
     Construction already enforces the invariants, so this can only fail on
     a tree changed behind the constructors (for instance with
     ``object.__setattr__``).  Shared subtrees are checked once.
     """
+
+    def rebuild(node: Pattern, kids: Sequence[Pattern]) -> Pattern:
+        new = node.rebuild(node.ex, node.mu, kids)
+        if new._facts != node._facts:
+            raise MuLogicError(f"stale facts on {type(node).__name__} node")
+        return new
+
     try:
-        fold_pattern(p, lambda node, kids: node.rebuild(node.ex, node.mu, kids))
+        fold_pattern(p, rebuild)
     except MuLogicError:
         return False
     return True
@@ -627,21 +695,6 @@ def check_mu_positivity(p: Pattern) -> PositivityReport:
 
 def svar_occurs_positively(p: Pattern, target: int, negations: int = 0) -> bool:
     """True iff every occurrence of bound set variable ``target`` sits
-    under an even number of negations."""
-    tail = len(p.mu) - target
-    # id(node) -> bit 1: the variable occurs under an even number of
-    # negations below ``node``; bit 2: under an odd number
-    bits: dict[int, int] = {}
-    for node, kids in walk(p):
-        if kids is None:
-            continue
-        if type(node) is BoundSVar:
-            b = 1 if node.index == len(node.mu) - tail else 0
-        else:
-            b = 0
-            for k in kids:
-                b |= bits[id(k)]
-            if type(node) is Not:
-                b = (b & 1) << 1 | b >> 1
-        bits[id(node)] = b
-    return not bits[id(p)] & (2 if negations % 2 == 0 else 1)
+    under an even number of negations, ``negations`` of them above ``p``."""
+    _, even, odd, _, _ = p._facts
+    return not (odd if negations % 2 == 0 else even) >> target & 1

@@ -2,29 +2,27 @@
 
 Only closed patterns are evaluated.  Each :func:`eval_pattern` or
 :func:`mulogic.theory.check_axiom` call compiles its pattern afresh, in
-three stages; nothing compiled is kept between calls.
+two stages; nothing compiled is kept between calls.  There is no facts
+stage: each node fixed its facts at construction (see
+:mod:`mulogic.pattern`), so closedness, the lfp mode, positivity and
+unbound variables are checked first, in that order, from the root alone,
+and a non-positive binder under ``prefix`` warns once per call.
 
-* **Facts.**  One walk gives every node the ex indices it reads and the mu
-  indices it reads under an even and under an odd number of negations, as
-  int bitmasks relative to the node, plus a bitmask of the free variables
-  below it.  Closedness, the lfp mode, positivity (a mu binder is positive
-  iff bit 0 of its body's odd mask is clear) and unbound variables are
-  decided from them, in that order, so a non-positive binder under
-  ``prefix`` warns once per call.
-* **Placement.**  A second walk, on an explicit stack, puts each node into
-  the flat instruction list of the innermost binder whose variable it
-  reads.  A node that reads no variable bound inside a loop is computed
-  once outside it: loop-invariant code motion.  Each (node, placement)
-  pair gets one register, an int bitmask over the carrier of the node's
-  sort, so a subtree shared within one scope is computed once, and one
-  shared by two sibling binders that both read their own variable is
-  computed in each.  A bound variable's node is its binder's register; a
-  0-ary symbol is a constant.  Symbol applications read the model's
-  one-bit-mask tables (:meth:`~mulogic.model.FiniteModel.mask_table`), and
-  a ``CarrierSet`` is built only for what is returned.  The errors that
-  depend only on the pattern and the model (an unknown sort or symbol, a
-  carrier larger than ``prefix_cap``) are raised here, in the order in
-  which a node-by-node evaluation would reach them.
+* **Placement.**  One walk, on an explicit stack, puts each node into the
+  flat instruction list of the innermost binder whose variable it reads
+  (its ex and mu index masks say which).  A node that reads no variable
+  bound inside a loop is computed once outside it: loop-invariant code
+  motion.  Each (node, placement) pair gets one register, an int bitmask
+  over the carrier of the node's sort, so a subtree shared within one
+  scope is computed once, and one shared by two sibling binders that both
+  read their own variable is computed in each.  A bound variable's node is
+  its binder's register; a 0-ary symbol is a constant.  Symbol
+  applications read the model's one-bit-mask tables
+  (:meth:`~mulogic.model.FiniteModel.mask_table`), and a ``CarrierSet`` is
+  built only for what is returned.  The errors that depend only on the
+  pattern and the model (an unknown sort or symbol, a carrier larger than
+  ``prefix_cap``) are raised here, in the order in which a node-by-node
+  evaluation would reach them.
 * **Run.**  Instructions are closures run in list order; an ``Exists`` or
   ``Mu`` instruction loops over its body's list, so Python recursion depth
   is the binder nesting depth, not the pattern depth.  Free variables are
@@ -40,17 +38,18 @@ Least fixpoints come in two engines:
   subset of the carrier.  Exponential, but total even for non-monotone
   bodies, and therefore the oracle the fast engine is checked against.
 
-:func:`lfp_iterate` and :func:`lfp_prefixpoints` state both engines over
-``CarrierSet`` step functions; the compiled ``Mu`` loops run the same
-algorithms on registers.
+Each engine is stated once, as a register loop (:func:`_iterate`,
+:func:`_prefix`) that a compiled ``Mu`` instruction calls once per
+fixpoint; :func:`lfp_iterate` and :func:`lfp_prefixpoints` run the same
+loops over a one-instruction body that calls a ``CarrierSet`` step
+function.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     CarrierTooLargeError,
@@ -60,7 +59,7 @@ from .errors import (
     SortMismatchError,
     UnboundFreeVariableError,
 )
-from .model import CarrierElem, CarrierSet, FiniteModel
+from .model import CarrierElem, CarrierSet, FiniteModel, _lift
 from .pattern import (
     App,
     BoundEVar,
@@ -72,13 +71,13 @@ from .pattern import (
     Mu,
     Not,
     Pattern,
-    walk,
+    free_vars,
 )
 from .signature import ElemVar, SetVar, Sort
 
 # Unused here; kept because the benchmark's tracer wraps these names.
 from .model import singleton_fastpath  # noqa: F401
-from .pattern import free_vars, svar_occurs_positively  # noqa: F401
+from .pattern import svar_occurs_positively  # noqa: F401
 from .subst import bevar_subst, bsvar_subst  # noqa: F401
 
 LFP_ITERATE = "iterate"
@@ -141,13 +140,9 @@ def lfp_iterate(
     Monotone steps converge within carrier-size + 1 applications; a step
     that fails to converge in that budget cannot be monotone.
     """
-    current = model.empty_set(sort)
-    for _ in range(model.carrier_size(sort) + 1):
-        nxt = step(current)
-        if nxt == current:
-            return current
-        current = nxt
-    raise _diverged(sort)
+    n = model.carrier_size(sort)
+    regs, body = _step_body(step, sort, n)
+    return CarrierSet(sort, n, _iterate(regs, 0, 1, body, sort, n))
 
 
 def lfp_prefixpoints(
@@ -164,12 +159,51 @@ def lfp_prefixpoints(
     """
     n = model.carrier_size(sort)
     _check_prefix_cap(sort, n, cap)
+    regs, body = _step_body(step, sort, n)
+    return CarrierSet(sort, n, _prefix(regs, 0, 1, body, n))
+
+
+def _step_body(
+    step: Callable[[CarrierSet], CarrierSet], sort: Sort, n: int
+) -> tuple[list[int], list[Callable[[], None]]]:
+    """Two registers and a one-instruction body that writes ``step`` of
+    register 0 to register 1."""
+    regs = [0, 0]
+
+    def op() -> None:
+        regs[1] = step(CarrierSet(sort, n, regs[0])).bits
+
+    return regs, [op]
+
+
+def _iterate(regs: list[int], var: int, res: int, body: list, sort: Sort, n: int) -> int:
+    """Kleene iteration from the empty set: run ``body`` with register
+    ``var`` set to the current approximation until register ``res`` equals
+    it, within ``n + 1`` rounds for a carrier of ``n`` elements."""
+    current = 0
+    for _ in range(n + 1):
+        regs[var] = current
+        for op in body:
+            op()
+        nxt = regs[res]
+        if nxt == current:
+            return current
+        current = nxt
+    raise _diverged(sort)
+
+
+def _prefix(regs: list[int], var: int, res: int, body: list, n: int) -> int:
+    """The intersection of every subset ``bits`` of an ``n``-element
+    carrier that is a pre-fixpoint: running ``body`` with register ``var``
+    set to ``bits`` leaves in register ``res`` a subset of ``bits``."""
     acc = (1 << n) - 1
     for bits in range(1 << n):
-        candidate = CarrierSet(sort, n, bits)
-        if step(candidate).bits & ~bits == 0:
+        regs[var] = bits
+        for op in body:
+            op()
+        if not regs[res] & ~bits:
             acc &= bits
-    return CarrierSet(sort, n, acc)
+    return acc
 
 
 def _check_prefix_cap(sort: Sort, n: int, cap: int) -> None:
@@ -203,14 +237,14 @@ def eval_pattern(
     compiled for this call and run once; its depth is not limited by the
     interpreter's recursion limit, its binder nesting is.
     """
-    facts = _facts(p)
-    _check_evaluable(p, facts, lfp_mode)
-    variables = (*facts.evars, *facts.svars)
+    _check_evaluable(p, lfp_mode)
+    evars, svars = free_vars(p)
+    variables = (*evars, *svars)
     for var in variables:
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
     values = [[_bits_of(model, rho, var)] for var in variables]
-    program = _compile(model, p, facts, lfp_mode, prefix_cap, variables)
+    program = _compile(model, p, lfp_mode, prefix_cap, variables)
     _, bits = next(program.sweep(values))
     return CarrierSet(p.sort, model.carrier_size(p.sort), bits)
 
@@ -218,7 +252,14 @@ def eval_pattern(
 def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:
     """The register value of a free variable under ``rho``."""
     if isinstance(var, ElemVar):
-        return model.singleton(rho.evar(var)).bits
+        elem = rho.evar(var)
+        carrier = model.carrier(var.sort)
+        if elem.ordinal >= len(carrier) or carrier[elem.ordinal] is not elem:
+            raise SortMismatchError(
+                f"{var} is bound to {elem}, which is not an element of this "
+                f"model's {var.sort} carrier"
+            )
+        return 1 << elem.ordinal
     value = rho.svar(var)
     if value.sort is not var.sort or value.width != model.carrier_size(var.sort):
         raise SortMismatchError(
@@ -228,72 +269,7 @@ def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:
     return value.bits
 
 
-# --- facts ----------------------------------------------------------------
-
-
-class _Facts(NamedTuple):
-    """What the compiler needs to know about each node of one pattern.
-
-    ``masks`` maps ``id(node)`` to ``(ex, even, odd, free)``: the ex indices
-    the node reads, the mu indices it reads under an even and under an odd
-    number of negations (bit ``i`` for index ``i``, relative to the node),
-    and its free variables, as bits given out by ``bit``.  ``evars`` and
-    ``svars`` are the free variables as :func:`~mulogic.pattern.free_vars`
-    returns them; ``positive`` says whether every mu binder is positive.
-    """
-
-    masks: dict[int, tuple[int, int, int, int]]
-    bit: dict[ElemVar | SetVar, int]
-    evars: frozenset[ElemVar]
-    svars: frozenset[SetVar]
-    positive: bool
-
-
-def _facts(p: Pattern) -> _Facts:
-    """One walk over ``p``: each node's masks, its free variables, and
-    whether every mu binder is positive."""
-    masks: dict[int, tuple[int, int, int, int]] = {}
-    bit: dict[ElemVar | SetVar, int] = {}
-    evars: set[ElemVar] = set()
-    svars: set[SetVar] = set()
-    positive = True
-    for node, kids in walk(p):
-        if kids is None:
-            continue
-        kind = type(node)
-        if kids:
-            ex = even = odd = free = 0
-            for kid in kids:
-                e, v, o, f = masks[id(kid)]
-                ex |= e
-                even |= v
-                odd |= o
-                free |= f
-            if kind is Not:
-                even, odd = odd, even
-            elif kind is Exists:
-                ex >>= 1
-            elif kind is Mu:
-                positive = positive and not odd & 1
-                even >>= 1
-                odd >>= 1
-            masks[id(node)] = (ex, even, odd, free)
-        elif kind is BoundEVar:
-            masks[id(node)] = (1 << node.index, 0, 0, 0)
-        elif kind is BoundSVar:
-            masks[id(node)] = (0, 1 << node.index, 0, 0)
-        elif kind is FreeEVar or kind is FreeSVar:
-            var = node.var
-            if var not in bit:
-                bit[var] = 1 << len(bit)
-                (evars if kind is FreeEVar else svars).add(var)
-            masks[id(node)] = (0, 0, 0, bit[var])
-        else:
-            masks[id(node)] = (0, 0, 0, 0)
-    return _Facts(masks, bit, frozenset(evars), frozenset(svars), positive)
-
-
-def _check_evaluable(p: Pattern, facts: _Facts, lfp_mode: str) -> None:
+def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
     """Raise unless ``p`` is closed, ``lfp_mode`` is known and, under
     ``iterate``, every mu binder in ``p`` is positive; under ``prefix`` a
     non-positive binder warns instead."""
@@ -304,7 +280,8 @@ def _check_evaluable(p: Pattern, facts: _Facts, lfp_mode: str) -> None:
         )
     if lfp_mode not in (LFP_ITERATE, LFP_PREFIX):
         raise ValueError(f"unknown lfp mode {lfp_mode!r}")
-    if facts.positive:
+    *_, positive = p._facts
+    if positive:
         return
     if lfp_mode == LFP_ITERATE:
         raise NonPositiveMuError(
@@ -376,7 +353,6 @@ class _Program:
 def _compile(
     model: FiniteModel,
     p: Pattern,
-    facts: _Facts,
     mode: str,
     cap: int,
     variables: Sequence[ElemVar | SetVar],
@@ -389,7 +365,6 @@ def _compile(
     the enclosing ex and mu binders, outermost first, so de Bruijn index
     ``i`` of a node is scope ``exs[-1 - i]``.
     """
-    masks = facts.masks
     regs: list[int] = []
 
     def register(value: int = 0) -> int:
@@ -398,18 +373,16 @@ def _compile(
 
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, register()) for k in range(len(variables))]
-    level_of = {facts.bit[var]: levels[k] for k, var in enumerate(variables)}
-    deepest: dict[int, _Scope] = {}  # free-variable mask -> its innermost level
+    level_of = dict(zip(variables, levels))
+    deepest: dict[frozenset, _Scope] = {}  # free variables -> their innermost level
 
-    def free_scope(free: int) -> _Scope:
+    def free_scope(free: frozenset) -> _Scope:
         scope = deepest.get(free)
         if scope is None:
-            scope, rest = top, free
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if level_of[low].depth > scope.depth:
-                    scope = level_of[low]
+            scope = top
+            for var in free:
+                if level_of[var].depth > scope.depth:
+                    scope = level_of[var]
             deepest[free] = scope
         return scope
 
@@ -432,7 +405,7 @@ def _compile(
         node, exs, mus = item[0], item[1], item[2]
         kind = type(node)
         if len(item) == 3:  # enter
-            ex, even, odd, free = masks[id(node)]
+            ex, even, odd, free, _ = node._facts
             scope = top
             if ex:
                 scope = exs[len(exs) - (ex & -ex).bit_length()]
@@ -468,7 +441,7 @@ def _compile(
                 elif kind is BoundSVar:
                     reg = mus[-1 - node.index].var
                 elif kind is FreeEVar or kind is FreeSVar:
-                    reg = level_of[free].var
+                    reg = level_of[node.var].var
                 else:  # a 0-ary symbol
                     reg = register(model.mask_table(node.symbol).get((), 0))
                 done[key] = reg
@@ -479,7 +452,7 @@ def _compile(
         args = results[-n:]
         del results[-n:]
         if inner is not None:
-            ex, even, odd, _ = masks[id(node.body)]
+            ex, even, odd, _, _ = node.body._facts
             if not (ex if kind is Exists else even | odd) & 1:
                 # a body without the bound variable is its own union and fixpoint
                 done[key] = args[0]
@@ -489,10 +462,12 @@ def _compile(
         if kind is Exists:
             elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
             op = _exists_op(regs, dst, inner.var, args[0], inner.code, elems)
-        elif kind is Mu and mode == LFP_ITERATE:
-            op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort, full(node.sort))
         elif kind is Mu:
-            op = _prefix_op(regs, dst, inner.var, args[0], inner.code, full(node.sort))
+            width = model.carrier_size(node.sort)
+            if mode == LFP_ITERATE:
+                op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort, width)
+            else:
+                op = _prefix_op(regs, dst, inner.var, args[0], inner.code, width)
         elif kind is Not:
             op = _not_op(regs, dst, args[0], full(node.sort))
         elif kind is Defined:
@@ -573,21 +548,6 @@ def _app_op(
     return op
 
 
-def _lift(table: Mapping[tuple[int, ...], int], key: Sequence[int]) -> int:
-    choices = []
-    for bits in key:
-        ones = []
-        while bits:
-            low = bits & -bits
-            ones.append(low)
-            bits ^= low
-        choices.append(ones)
-    out = 0
-    for combo in itertools.product(*choices):
-        out |= table.get(combo, 0)
-    return out
-
-
 def _exists_op(
     regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int]
 ) -> Callable[[], None]:
@@ -604,40 +564,18 @@ def _exists_op(
 
 
 def _iterate_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, full: int
+    regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, n: int
 ) -> Callable[[], None]:
-    """Kleene iteration, as :func:`lfp_iterate`."""
-    rounds = full.bit_length() + 1
-
     def op() -> None:
-        current = 0
-        for _ in range(rounds):
-            regs[var] = current
-            for step in body:
-                step()
-            nxt = regs[res]
-            if nxt == current:
-                regs[dst] = current
-                return
-            current = nxt
-        raise _diverged(sort)
+        regs[dst] = _iterate(regs, var, res, body, sort, n)
 
     return op
 
 
 def _prefix_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, full: int
+    regs: list[int], dst: int, var: int, res: int, body: list, n: int
 ) -> Callable[[], None]:
-    """The pre-fixpoint intersection, as :func:`lfp_prefixpoints`."""
-
     def op() -> None:
-        acc = full
-        for bits in range(full + 1):
-            regs[var] = bits
-            for step in body:
-                step()
-            if not regs[res] & ~bits:
-                acc &= bits
-        regs[dst] = acc
+        regs[dst] = _prefix(regs, var, res, body, n)
 
     return op

@@ -22,18 +22,16 @@ from .errors import (
     StateSpaceTooLargeError,
 )
 from .model import CarrierSet, FiniteModel
-from .pattern import Pattern, mk_defined, mk_free_evar
+from .pattern import Pattern, free_vars, mk_defined, mk_free_evar
 from .semantics import (
     DEFAULT_PREFIX_CAP,
     LFP_ITERATE,
     Valuation,
     _check_evaluable,
     _compile,
-    _facts,
 )
 
-# Unused here; kept because the benchmark's tracer wraps these names.
-from .pattern import free_vars  # noqa: F401
+# Unused here; kept because the benchmark's tracer wraps this name.
 from .semantics import eval_pattern  # noqa: F401
 from .signature import ElemVar, Signature, Sort
 
@@ -150,9 +148,9 @@ def check_axiom(
     again only when a variable it reads has changed.
     """
     p = axiom.pattern
-    facts = _facts(p)
-    evar_list = sorted(facts.evars, key=lambda v: (v.name, v.sort.id))
-    svar_list = sorted(facts.svars, key=lambda v: (v.name, v.sort.id))
+    evars, svars = free_vars(p)
+    evar_list = sorted(evars, key=lambda v: (v.name, v.sort.id))
+    svar_list = sorted(svars, key=lambda v: (v.name, v.sort.id))
 
     count = math.prod(model.carrier_size(v.sort) for v in evar_list) * math.prod(
         2 ** model.carrier_size(v.sort) for v in svar_list
@@ -162,11 +160,11 @@ def check_axiom(
             f"axiom {axiom.label!r} needs {count} valuations, more than the "
             f"cap of {state_cap}"
         )
-    _check_evaluable(p, facts, lfp_mode)
+    _check_evaluable(p, lfp_mode)
 
     width = model.carrier_size(axiom.sort)
     variables = (*evar_list, *svar_list)
-    program = _compile(model, p, facts, lfp_mode, prefix_cap, variables)
+    program = _compile(model, p, lfp_mode, prefix_cap, variables)
     split = len(evar_list)
     sizes = [model.carrier_size(v.sort) for v in variables]
     # register values: element k is the one-bit mask 1 << k, a set its bits

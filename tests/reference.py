@@ -9,6 +9,9 @@ Symbols are applied through ``FiniteModel.extended_app``.  Nothing is
 shared, placed or hoisted, so it recurses once per node and suits only the
 shallow patterns of the tests.  ``ref_check_axiom`` builds a
 ``Valuation`` per valuation in ``itertools.product`` order.
+
+Free variables and positivity come from ``ref_facts``, a walk of its own
+that reads no facts stored on the nodes.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from mulogic import (
     Mu,
     Not,
     Valuation,
+    ElemVar,
     Verdict,
-    check_mu_positivity,
-    free_vars,
     lfp_iterate,
     lfp_prefixpoints,
 )
+from mulogic.pattern import walk
 from mulogic.errors import (
     NonPositiveMuError,
     NonPositiveMuWarning,
@@ -48,7 +51,7 @@ from mulogic.errors import (
 
 def ref_eval_pattern(model, rho, p, lfp_mode="iterate", prefix_cap=20):
     _check(p, lfp_mode)
-    evs, svs = free_vars(p)
+    evs, svs = ref_free_vars(p)
     for var in (*evs, *svs):
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
@@ -56,7 +59,7 @@ def ref_eval_pattern(model, rho, p, lfp_mode="iterate", prefix_cap=20):
 
 
 def ref_check_axiom(model, axiom, lfp_mode="iterate", prefix_cap=20, state_cap=10**6):
-    evars, svars = free_vars(axiom.pattern)
+    evars, svars = ref_free_vars(axiom.pattern)
     evar_list = sorted(evars, key=lambda v: (v.name, v.sort.id))
     svar_list = sorted(svars, key=lambda v: (v.name, v.sort.id))
     count = math.prod(model.carrier_size(v.sort) for v in evar_list) * math.prod(
@@ -92,7 +95,7 @@ def _check(p, lfp_mode):
         )
     if lfp_mode not in ("iterate", "prefix"):
         raise ValueError(f"unknown lfp mode {lfp_mode!r}")
-    if check_mu_positivity(p).all_positive:
+    if ref_facts(p)[id(p)][4]:
         return
     if lfp_mode == "iterate":
         raise NonPositiveMuError(
@@ -101,6 +104,48 @@ def _check(p, lfp_mode):
             "definition regardless)"
         )
     warnings.warn("non-positive mu binder", NonPositiveMuWarning, stacklevel=3)
+
+
+def ref_facts(p):
+    """``id(node) -> (ex, even, odd, free, positive)`` for every node of
+    ``p``, from one walk: the ex indices the node reads and the mu indices
+    it reads under an even and an odd number of negations, as bitmasks
+    relative to the node; its free variables; whether every mu binder below
+    it is positive (bit 0 of its body's odd mask is clear)."""
+    facts = {}
+    for node, kids in walk(p):
+        if kids is None:
+            continue
+        kind = type(node)
+        if kind is BoundEVar:
+            facts[id(node)] = (1 << node.index, 0, 0, frozenset(), True)
+        elif kind is BoundSVar:
+            facts[id(node)] = (0, 1 << node.index, 0, frozenset(), True)
+        elif kind in (FreeEVar, FreeSVar):
+            facts[id(node)] = (0, 0, 0, frozenset({node.var}), True)
+        else:
+            ex = even = odd = 0
+            free, positive = set(), True
+            for kid in kids:
+                e, v, o, f, pos = facts[id(kid)]
+                ex, even, odd = ex | e, even | v, odd | o
+                free |= f
+                positive = positive and pos
+            if kind is Not:
+                even, odd = odd, even
+            elif kind is Exists:
+                ex >>= 1
+            elif kind is Mu:
+                positive = positive and not odd & 1
+                even, odd = even >> 1, odd >> 1
+            facts[id(node)] = (ex, even, odd, frozenset(free), positive)
+    return facts
+
+
+def ref_free_vars(p):
+    free = ref_facts(p)[id(p)][3]
+    evars = frozenset(v for v in free if isinstance(v, ElemVar))
+    return evars, free - evars
 
 
 def _denote(model, rho, p, exs, mus, mode, cap):

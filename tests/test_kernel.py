@@ -50,7 +50,15 @@ from mulogic.errors import (
     IndexOutOfScopeError,
     SortMismatchError,
 )
-from gen import iter_nodes, random_context, random_pattern, random_signature
+from mulogic.pattern import walk
+from gen import (
+    iter_nodes,
+    random_context,
+    random_pattern,
+    random_positive_mu,
+    random_signature,
+)
+from reference import ref_facts
 
 
 @pytest.fixture
@@ -317,6 +325,16 @@ def test_validate_rejects_nodes_changed_behind_the_constructor(std_sig, nat, boo
         assert validate(tampered) is False
 
 
+def test_validate_rejects_stale_facts(nat):
+    # a non-positive mu made to claim positivity behind the constructor;
+    # its other fields are intact, so only the stored facts give it away
+    fix = mk_mu(mk_not(mk_bound_svar((), (nat,), 0)))
+    assert validate(fix) and not check_mu_positivity(fix).all_positive
+    object.__setattr__(fix, "_facts", fix._facts[:4] + (True,))
+    assert validate(fix) is False
+    assert validate(mk_and(fix, fix)) is False
+
+
 DEEP = 10_000  # even, so a mu over a chain this long is positive
 
 
@@ -366,3 +384,27 @@ def test_deep_patterns_need_no_recursion(std_sig, std_model, nat, bool_):
     assert eval_pattern(std_model, empty, _not_chain(mk_app(std_sig, zero, []))) == zero_set
     assert eval_pattern(std_model, empty, grows) == zero_set
     assert sys.getrecursionlimit() == limit
+
+
+def assert_facts_match_reference(p):
+    expected = ref_facts(p)
+    for node, kids in walk(p):
+        if kids is not None:
+            assert node._facts == expected[id(node)], str(node)
+
+
+def test_stored_facts_match_an_independent_walk(std_sig, nat):
+    rng = random.Random(14)
+    for _ in range(300):
+        sig = random_signature(rng)
+        sort = rng.choice(sig.sorts)
+        ex, mu = random_context(rng, sig), random_context(rng, sig)
+        assert_facts_match_reference(
+            random_pattern(rng, sig, sort, ex, mu, budget=rng.randint(2, 20)))
+        assert_facts_match_reference(random_positive_mu(rng, sig, budget=rng.randint(3, 12)))
+    B0 = mk_bound_svar((), (nat,), 0)
+    assert_facts_match_reference(mk_mu(_not_chain(B0)))
+    # a non-positive binder below each kind of node with several children
+    negative = mk_mu(mk_not(B0))
+    assert_facts_match_reference(mk_and(mk_mu(B0), negative))
+    assert_facts_match_reference(mk_app(std_sig, std_sig.symbol("plus"), [mk_mu(B0), negative]))

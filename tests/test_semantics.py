@@ -8,6 +8,7 @@ from mulogic import (
     Valuation,
     bevar_subst,
     bsvar_subst,
+    build_model,
     eval_pattern,
     free_vars,
     lfp_iterate,
@@ -148,6 +149,16 @@ class TestEval:
     def test_unbound_variable_rejected(self, std_model, nat):
         with pytest.raises(UnboundFreeVariableError):
             eval_pattern(std_model, Valuation.empty(), mk_free_evar(ElemVar("x", nat)))
+
+    def test_element_binding_outside_the_carrier_rejected(self, std_sig, std_model, nat, bool_):
+        # a hand-built valuation skips update_evar's sort check; a Bool
+        # element and a Nat element of a second, larger build must be
+        # rejected, not read by their ordinals
+        x = ElemVar("x", nat)
+        larger = build_model(std_sig, {"Bool": ["t", "f"], "Nat": list("012345")}, {})
+        for elem in (std_model.elem(bool_, "f"), larger.elem(nat, "5")):
+            with pytest.raises(SortMismatchError):
+                eval_pattern(std_model, Valuation({x: elem}), mk_free_evar(x))
 
     def test_nonpositive_mu_iterate_rejected(self, std_model, nat):
         p = mk_mu(mk_not(mk_bound_svar((), (nat,), 0)))
