@@ -10,13 +10,14 @@ ill-scoped tree cannot be built, not even by constructing the dataclasses
 directly.  The ``mk_*`` helpers below only compute the derived fields (sort
 and contexts) and let the constructor check them.
 
-Each node's facts are fixed at construction too: the last step of every
-``__post_init__`` stores, from its children's, the ex and mu indices the
-node reads, its free variables and whether every mu binder below it is
-positive (see :func:`_fix_facts`, the one place these rules are stated).
-So :func:`free_vars` and :func:`svar_occurs_positively` read the root and
-take no walk, and the evaluator reads the facts off each node.  The facts
-take no part in ``==``, ``hash`` or ``repr``.
+Each node's facts are fixed at construction too, and are fixed-size: the
+last step of every ``__post_init__`` stores, from its children's, the ex
+and mu indices the node reads, whether it reads a free variable and
+whether every mu binder below it is positive (see :func:`_fix_facts`, the
+one place these rules are stated).  The evaluator and
+:func:`svar_occurs_positively` read them off the nodes; :func:`free_vars`
+walks only a pattern whose root reads a free variable.  The facts take no
+part in ``==``, ``hash`` or ``repr``.
 
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
@@ -312,16 +313,13 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
         raise ContextMismatchError(f"{what} child lives in a different context")
 
 
-_NO_VARS: frozenset = frozenset()
-
-
 def _fix_facts(node: Pattern) -> None:
     """Store ``node._facts = (ex, even, odd, free, positive)``, from its
     children's in O(children) time.  ``ex`` has bit ``i`` set iff the node
     reads ex index ``i``; ``even``/``odd`` likewise for the mu indices read
-    under an even/odd number of negations.  ``free`` is the frozenset of
-    its free variables (a child's own set where that is the union).
-    ``positive``: every mu binder below has bit 0 of its body's odd clear.
+    under an even/odd number of negations.  ``free`` is True iff the node
+    reads a free variable.  ``positive``: every mu binder below has bit 0
+    of its body's odd clear.
     """
     kind = type(node)
     kids = node.children
@@ -329,23 +327,18 @@ def _fix_facts(node: Pattern) -> None:
         ex, even, odd, free, positive = kids[0]._facts
     elif kids:
         ex = even = odd = 0
-        free, positive = _NO_VARS, True
+        free, positive = False, True
         for kid in kids:
             e, v, o, f, pos = kid._facts
             ex |= e
             even |= v
             odd |= o
-            if f is not free and not f <= free:
-                free = f if free <= f else free | f
+            free |= f
             positive = positive and pos
-    elif kind is BoundEVar:
-        ex, even, odd, free, positive = 1 << node.index, 0, 0, _NO_VARS, True
-    elif kind is BoundSVar:
-        ex, even, odd, free, positive = 0, 1 << node.index, 0, _NO_VARS, True
-    elif kind is FreeEVar or kind is FreeSVar:
-        ex, even, odd, free, positive = 0, 0, 0, frozenset((node.var,)), True
-    else:  # a 0-ary symbol
-        ex, even, odd, free, positive = 0, 0, 0, _NO_VARS, True
+    else:
+        ex = 1 << node.index if kind is BoundEVar else 0
+        even = 1 << node.index if kind is BoundSVar else 0
+        odd, free, positive = 0, kind is FreeEVar or kind is FreeSVar, True
     if kind is Not:
         even, odd = odd, even
     elif kind is Exists:
@@ -608,9 +601,11 @@ def size(p: Pattern) -> int:
 
 
 def free_vars(p: Pattern) -> tuple[frozenset[ElemVar], frozenset[SetVar]]:
-    free = p._facts[3]
-    evars = frozenset(v for v in free if isinstance(v, ElemVar))
-    return evars, free - evars
+    """The free element and set variables of ``p``, from one walk, which
+    is skipped when ``p`` reads no free variable."""
+    nodes = [node for node, _ in walk(p)] if p._facts[3] else ()
+    evars = frozenset(node.var for node in nodes if type(node) is FreeEVar)
+    return evars, frozenset(node.var for node in nodes if type(node) is FreeSVar)
 
 
 def structural_eq(p: Pattern, q: Pattern) -> bool:
@@ -670,26 +665,25 @@ def check_mu_positivity(p: Pattern) -> PositivityReport:
     occurs only under an even number of negations.
 
     Binders are listed in preorder.  Binders inside shared (derived-form)
-    subtrees are reported once, at the first path that reaches them.
+    subtrees are reported once, at the first path that reaches them: one
+    preorder pass on an explicit stack enters each distinct node once.
     """
-
-    def binders(node: Pattern, kids: Sequence[dict]) -> dict:
-        # id(binder) -> (binder, path as nested (index, rest) pairs), in
-        # preorder; nested pairs make prefixing a path O(1) per level
-        found = {id(node): (node, ())} if type(node) is Mu else {}
-        for k, below in enumerate(kids):
-            for key, (mu, path) in below.items():
-                if key not in found:
-                    found[key] = (mu, (k, path))
-        return found
-
-    checks = []
-    for mu, path in fold_pattern(p, binders).values():
-        route: list[int] = []
-        while path:
-            k, path = path
-            route.append(k)
-        checks.append(MuCheck(tuple(route), svar_occurs_positively(mu.body, 0)))
+    checks, seen = [], set()
+    # paths as nested (index, rest) pairs, last index outermost, so that
+    # extending one is O(1); a path is unrolled only at a binder
+    stack: list[tuple[Pattern, tuple]] = [(p, ())]
+    while stack:
+        node, path = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) is Mu:
+            route, rest = [], path
+            while rest:
+                k, rest = rest
+                route.append(k)
+            checks.append(MuCheck(tuple(route[::-1]), svar_occurs_positively(node.body, 0)))
+        stack += [(kid, (k, path)) for k, kid in reversed(list(enumerate(node.children)))]
     return PositivityReport(tuple(checks))
 
 

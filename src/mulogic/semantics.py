@@ -4,13 +4,15 @@ Only closed patterns are evaluated.  Each :func:`eval_pattern` or
 :func:`mulogic.theory.check_axiom` call compiles its pattern afresh, in
 two stages; nothing compiled is kept between calls.  There is no facts
 stage: each node fixed its facts at construction (see
-:mod:`mulogic.pattern`), so closedness, the lfp mode, positivity and
-unbound variables are checked first, in that order, from the root alone,
-and a non-positive binder under ``prefix`` warns once per call.
+:mod:`mulogic.pattern`), so closedness, the lfp mode and positivity are
+checked first, in that order, from the root alone (a non-positive binder
+under ``prefix`` warns once per call), then unbound variables.
 
 * **Placement.**  One walk, on an explicit stack, puts each node into the
   flat instruction list of the innermost binder whose variable it reads
-  (its ex and mu index masks say which).  A node that reads no variable
+  (its ex and mu index masks say which), else of the innermost free
+  variable level that its operands' registers read (read only where the
+  node's free flag is set), else the top.  A node that reads no variable
   bound inside a loop is computed once outside it: loop-invariant code
   motion.  Each (node, placement) pair gets one register, an int bitmask
   over the carrier of the node's sort, so a subtree shared within one
@@ -26,9 +28,9 @@ and a non-positive binder under ``prefix`` warns once per call.
 * **Run.**  Instructions are closures run in list order; an ``Exists`` or
   ``Mu`` instruction loops over its body's list, so Python recursion depth
   is the binder nesting depth, not the pattern depth.  Free variables are
-  the outermost levels, each with its own list: ``eval_pattern`` runs each
-  once, ``check_axiom`` re-runs only the levels from the first variable
-  that changed.
+  the outermost levels, in valuation order, each with its own list:
+  ``eval_pattern`` runs each once, ``check_axiom`` re-runs only the levels
+  from the first variable that changed.
 
 Least fixpoints come in two engines:
 
@@ -49,7 +51,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CarrierTooLargeError,
@@ -230,16 +233,16 @@ def eval_pattern(
 ) -> CarrierSet:
     """Interpret a closed pattern as a subset of its sort's carrier.
 
-    ``rho`` must bind every free variable of ``p``.  ``lfp_mode`` selects
-    the fixpoint engine: ``iterate`` requires each mu binder to be
-    positive, ``prefix`` computes the pre-fixpoint intersection regardless
-    (warning once per call if some binder is not positive).  ``p`` is
-    compiled for this call and run once; its depth is not limited by the
-    interpreter's recursion limit, its binder nesting is.
+    ``rho`` must bind every free variable of ``p``; an error names the
+    first unbound one in valuation order.  ``lfp_mode`` selects the
+    fixpoint engine: ``iterate`` requires each mu binder to be positive,
+    ``prefix`` computes the pre-fixpoint intersection regardless (warning
+    once per call if some binder is not positive).  ``p`` is compiled for
+    this call and run once; its depth is not limited by the interpreter's
+    recursion limit, its binder nesting is.
     """
     _check_evaluable(p, lfp_mode)
-    evars, svars = free_vars(p)
-    variables = (*evars, *svars)
+    variables = _valuation_order(*free_vars(p))
     for var in variables:
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
@@ -247,6 +250,14 @@ def eval_pattern(
     program = _compile(model, p, lfp_mode, prefix_cap, variables)
     _, bits = next(program.sweep(values))
     return CarrierSet(p.sort, model.carrier_size(p.sort), bits)
+
+
+def _valuation_order(evars: Iterable[ElemVar], svars: Iterable[SetVar]) -> tuple:
+    """Free variables in valuation order: element variables first, then
+    set variables, each sorted by name and sort id.  Levels, the order of
+    valuations, unbound-variable errors and witnesses all follow it."""
+    key = attrgetter("name", "sort.id")
+    return (*sorted(evars, key=key), *sorted(svars, key=key))
 
 
 def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:
@@ -358,33 +369,24 @@ def _compile(
     variables: Sequence[ElemVar | SetVar],
 ) -> _Program:
     """Place every node of ``p`` (see the module docstring); free variable
-    ``variables[k]`` gets level ``k``, which ``_Program.sweep`` sets.
+    ``variables[k]`` gets level and register ``k``, which ``_Program.sweep``
+    sets.
 
     The stack holds ``(node, exs, mus)`` to enter and ``(node, exs, mus,
     scope, key, inner)`` to leave, where ``exs``/``mus`` are the scopes of
     the enclosing ex and mu binders, outermost first, so de Bruijn index
-    ``i`` of a node is scope ``exs[-1 - i]``.
+    ``i`` of a node is scope ``exs[-1 - i]``.  A node whose ``scope`` is
+    the top goes on leave to the innermost level its operands read.
     """
-    regs: list[int] = []
+    top = _Scope(0, -1)
+    levels = [_Scope(k + 1, k) for k in range(len(variables))]
+    level_of = dict(zip(variables, levels))
+    regs = [0] * len(levels)
+    reads = {k: k + 1 for k in range(len(levels))}  # register -> its innermost level's depth
 
     def register(value: int = 0) -> int:
         regs.append(value)
         return len(regs) - 1
-
-    top = _Scope(0, -1)
-    levels = [_Scope(k + 1, register()) for k in range(len(variables))]
-    level_of = dict(zip(variables, levels))
-    deepest: dict[frozenset, _Scope] = {}  # free variables -> their innermost level
-
-    def free_scope(free: frozenset) -> _Scope:
-        scope = deepest.get(free)
-        if scope is None:
-            scope = top
-            for var in free:
-                if level_of[var].depth > scope.depth:
-                    scope = level_of[var]
-            deepest[free] = scope
-        return scope
 
     fulls: dict[Sort, int] = {}
 
@@ -405,7 +407,7 @@ def _compile(
         node, exs, mus = item[0], item[1], item[2]
         kind = type(node)
         if len(item) == 3:  # enter
-            ex, even, odd, free, _ = node._facts
+            ex, even, odd, _, _ = node._facts
             scope = top
             if ex:
                 scope = exs[len(exs) - (ex & -ex).bit_length()]
@@ -414,8 +416,6 @@ def _compile(
                 inner = mus[len(mus) - (mu & -mu).bit_length()]
                 if inner.depth > scope.depth:
                     scope = inner
-            if scope is top and free:
-                scope = free_scope(free)
             key = (id(node), scope)
             reg = done.get(key)
             if reg is not None:
@@ -451,6 +451,9 @@ def _compile(
         n = len(node.children)
         args = results[-n:]
         del results[-n:]
+        level = max([reads.get(a, 0) for a in args]) if node._facts[3] else 0
+        if level and scope is top:
+            scope = levels[level - 1]
         if inner is not None:
             ex, even, odd, _, _ = node.body._facts
             if not (ex if kind is Exists else even | odd) & 1:
@@ -459,6 +462,8 @@ def _compile(
                 emit(args[0])
                 continue
         dst = register()
+        if level:
+            reads[dst] = level
         if kind is Exists:
             elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
             op = _exists_op(regs, dst, inner.var, args[0], inner.code, elems)

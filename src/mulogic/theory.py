@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
@@ -29,6 +29,7 @@ from .semantics import (
     Valuation,
     _check_evaluable,
     _compile,
+    _valuation_order,
 )
 
 # Unused here; kept because the benchmark's tracer wraps this name.
@@ -43,9 +44,13 @@ DEFINEDNESS_VAR = "x"
 
 @dataclass(frozen=True)
 class Axiom:
+    """A labeled closed pattern of ``sort``.  Its free variables are fixed
+    at construction, in valuation order, outside ``==``, ``hash`` and ``repr``."""
+
     label: str
     sort: Sort
     pattern: Pattern
+    _variables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.pattern.is_closed:
@@ -57,6 +62,7 @@ class Axiom:
                 f"axiom {self.label!r} declares sort {self.sort} but its "
                 f"pattern has sort {self.pattern.sort}"
             )
+        object.__setattr__(self, "_variables", _valuation_order(*free_vars(self.pattern)))
 
 
 @dataclass(frozen=True)
@@ -137,24 +143,21 @@ def check_axiom(
 
     Satisfied iff each evaluation yields the full carrier of the axiom's
     sort; the first failure, in ``itertools.product`` order over the
-    sorted element variables and then the sorted set variables, is
-    returned as a witness together with the set it produced.  The state
-    cap, closedness, the lfp mode and mu positivity are checked once, in
-    that order, before the first valuation.
+    axiom's variables (fixed at its construction in valuation order:
+    element variables, then set variables, each sorted by name and sort
+    id), is returned as a witness together with the set it produced.  The
+    state cap, closedness, the lfp mode and mu positivity are checked
+    once, in that order, before the first valuation.
 
-    The axiom is compiled once, with its free variables as the outermost
-    levels (the pattern holds for every valuation exactly when its
+    The axiom is compiled once, with its variables as the outermost levels
+    in that order (the pattern holds for every valuation exactly when its
     universal closure denotes the full carrier): a subpattern is computed
     again only when a variable it reads has changed.
     """
-    p = axiom.pattern
-    evars, svars = free_vars(p)
-    evar_list = sorted(evars, key=lambda v: (v.name, v.sort.id))
-    svar_list = sorted(svars, key=lambda v: (v.name, v.sort.id))
-
-    count = math.prod(model.carrier_size(v.sort) for v in evar_list) * math.prod(
-        2 ** model.carrier_size(v.sort) for v in svar_list
-    )
+    p, variables = axiom.pattern, axiom._variables
+    split = sum(isinstance(v, ElemVar) for v in variables)
+    sizes = [model.carrier_size(v.sort) for v in variables]
+    count = math.prod(sizes[:split]) * math.prod(2**n for n in sizes[split:])
     if count > state_cap:
         raise StateSpaceTooLargeError(
             f"axiom {axiom.label!r} needs {count} valuations, more than the "
@@ -163,18 +166,15 @@ def check_axiom(
     _check_evaluable(p, lfp_mode)
 
     width = model.carrier_size(axiom.sort)
-    variables = (*evar_list, *svar_list)
     program = _compile(model, p, lfp_mode, prefix_cap, variables)
-    split = len(evar_list)
-    sizes = [model.carrier_size(v.sort) for v in variables]
     # register values: element k is the one-bit mask 1 << k, a set its bits
     choices = [[1 << k for k in range(n)] for n in sizes[:split]]
     choices += [range(1 << n) for n in sizes[split:]]
     for index, bits in program.sweep(choices):
         if bits != (1 << width) - 1:
-            elems = {v: model.carrier(v.sort)[k] for v, k in zip(evar_list, index)}
+            elems = {v: model.carrier(v.sort)[k] for v, k in zip(variables[:split], index)}
             sets = {v: CarrierSet(v.sort, n, k)
-                    for v, n, k in zip(svar_list, sizes[split:], index[split:])}
+                    for v, n, k in zip(variables[split:], sizes[split:], index[split:])}
             got = CarrierSet(axiom.sort, width, bits)
             return AxiomResult(axiom, Verdict.VIOLATED, witness=Valuation(elems, sets), got=got)
     return AxiomResult(axiom, Verdict.SATISFIED)
@@ -218,13 +218,12 @@ def satisfies(
 
 
 def witness_bindings(model: FiniteModel, rho: Valuation) -> dict[str, object]:
-    """Flatten a witness valuation to labels, deterministically ordered."""
-    out: dict[str, object] = {}
-    for var in sorted(rho.evars, key=lambda v: (v.name, v.sort.id)):
-        out[str(var)] = rho.evars[var].label
-    for var in sorted(rho.svars, key=lambda v: (v.name, v.sort.id)):
-        out[str(var)] = [e.label for e in model.elems(rho.svars[var])]
-    return out
+    """Flatten a witness valuation to labels, in valuation order."""
+    return {
+        str(var): rho.evars[var].label if isinstance(var, ElemVar)
+        else [e.label for e in model.elems(rho.svars[var])]
+        for var in _valuation_order(rho.evars, rho.svars)
+    }
 
 
 def report_records(model: FiniteModel, report: SatisfactionReport) -> list[dict]:

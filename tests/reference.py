@@ -10,8 +10,11 @@ shared, placed or hoisted, so it recurses once per node and suits only the
 shallow patterns of the tests.  ``ref_check_axiom`` builds a
 ``Valuation`` per valuation in ``itertools.product`` order.
 
-Free variables and positivity come from ``ref_facts``, a walk of its own
-that reads no facts stored on the nodes.
+Positivity comes from ``ref_facts`` and free variables from
+``ref_free_var_sets``, walks of their own that read no facts stored on
+the nodes.  Bindings are checked, and valuations enumerated, with the
+element variables first and then the set variables, each sorted by name
+and sort id.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from mulogic import (
     Mu,
     Not,
     Valuation,
-    ElemVar,
     Verdict,
     lfp_iterate,
     lfp_prefixpoints,
@@ -51,7 +53,7 @@ from mulogic.errors import (
 
 def ref_eval_pattern(model, rho, p, lfp_mode="iterate", prefix_cap=20):
     _check(p, lfp_mode)
-    evs, svs = ref_free_vars(p)
+    evs, svs = _ordered_free_vars(p)
     for var in (*evs, *svs):
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
@@ -59,9 +61,7 @@ def ref_eval_pattern(model, rho, p, lfp_mode="iterate", prefix_cap=20):
 
 
 def ref_check_axiom(model, axiom, lfp_mode="iterate", prefix_cap=20, state_cap=10**6):
-    evars, svars = ref_free_vars(axiom.pattern)
-    evar_list = sorted(evars, key=lambda v: (v.name, v.sort.id))
-    svar_list = sorted(svars, key=lambda v: (v.name, v.sort.id))
+    evar_list, svar_list = _ordered_free_vars(axiom.pattern)
     count = math.prod(model.carrier_size(v.sort) for v in evar_list) * math.prod(
         2 ** model.carrier_size(v.sort) for v in svar_list
     )
@@ -87,6 +87,13 @@ def ref_check_axiom(model, axiom, lfp_mode="iterate", prefix_cap=20, state_cap=1
     return AxiomResult(axiom, Verdict.SATISFIED)
 
 
+def _ordered_free_vars(p):
+    evars, svars = ref_free_vars(p)
+    def key(v):
+        return v.name, v.sort.id
+    return sorted(evars, key=key), sorted(svars, key=key)
+
+
 def _check(p, lfp_mode):
     if not p.is_closed:
         raise NotClosedError(
@@ -108,28 +115,29 @@ def _check(p, lfp_mode):
 
 def ref_facts(p):
     """``id(node) -> (ex, even, odd, free, positive)`` for every node of
-    ``p``, from one walk: the ex indices the node reads and the mu indices
-    it reads under an even and an odd number of negations, as bitmasks
-    relative to the node; its free variables; whether every mu binder below
-    it is positive (bit 0 of its body's odd mask is clear)."""
+    ``p``, from one walk, in the layout the nodes store: the ex indices the
+    node reads and the mu indices it reads under an even and an odd number
+    of negations, as bitmasks relative to the node; whether it reads a free
+    variable; whether every mu binder below it is positive (bit 0 of its
+    body's odd mask is clear)."""
     facts = {}
     for node, kids in walk(p):
         if kids is None:
             continue
         kind = type(node)
         if kind is BoundEVar:
-            facts[id(node)] = (1 << node.index, 0, 0, frozenset(), True)
+            facts[id(node)] = (1 << node.index, 0, 0, False, True)
         elif kind is BoundSVar:
-            facts[id(node)] = (0, 1 << node.index, 0, frozenset(), True)
+            facts[id(node)] = (0, 1 << node.index, 0, False, True)
         elif kind in (FreeEVar, FreeSVar):
-            facts[id(node)] = (0, 0, 0, frozenset({node.var}), True)
+            facts[id(node)] = (0, 0, 0, True, True)
         else:
             ex = even = odd = 0
-            free, positive = set(), True
+            free, positive = False, True
             for kid in kids:
                 e, v, o, f, pos = facts[id(kid)]
                 ex, even, odd = ex | e, even | v, odd | o
-                free |= f
+                free = free or f
                 positive = positive and pos
             if kind is Not:
                 even, odd = odd, even
@@ -138,14 +146,32 @@ def ref_facts(p):
             elif kind is Mu:
                 positive = positive and not odd & 1
                 even, odd = even >> 1, odd >> 1
-            facts[id(node)] = (ex, even, odd, frozenset(free), positive)
+            facts[id(node)] = (ex, even, odd, free, positive)
     return facts
 
 
+def ref_free_var_sets(p):
+    """``id(node) -> (evars, svars)``, the free element and set variables
+    of every node of ``p``, from one walk."""
+    sets = {}
+    for node, kids in walk(p):
+        if kids is None:
+            continue
+        evars, svars = set(), set()
+        if type(node) is FreeEVar:
+            evars.add(node.var)
+        elif type(node) is FreeSVar:
+            svars.add(node.var)
+        for kid in kids:
+            e, s = sets[id(kid)]
+            evars |= e
+            svars |= s
+        sets[id(node)] = (frozenset(evars), frozenset(svars))
+    return sets
+
+
 def ref_free_vars(p):
-    free = ref_facts(p)[id(p)][3]
-    evars = frozenset(v for v in free if isinstance(v, ElemVar))
-    return evars, free - evars
+    return ref_free_var_sets(p)[id(p)]
 
 
 def _denote(model, rho, p, exs, mus, mode, cap):

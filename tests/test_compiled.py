@@ -8,6 +8,7 @@ import pytest
 from mulogic import (
     Axiom,
     ElemVar,
+    SetVar,
     Valuation,
     build_model,
     check_axiom,
@@ -20,6 +21,7 @@ from mulogic import (
     mk_exists,
     mk_forall,
     mk_free_evar,
+    mk_free_svar,
     mk_mu,
     mk_not,
     mk_or,
@@ -150,6 +152,24 @@ def test_forall_mu_runs_its_closed_mu_once(std_sig, std_model, mu_runs):
             assert got == ref_eval_pattern(model, empty, p, lfp_mode=mode)
     assert eval_pattern(std_model, empty, p).is_full
     assert eval_pattern(cycle, empty, p).is_empty
+
+
+def test_mu_reading_one_variable_runs_once_per_value_of_it(std_sig, std_model, nat, mu_runs):
+    # a \mu that reads only x sits at x's level, the outermost in valuation
+    # order, so it runs once per element of x's carrier (4), not once per
+    # valuation (16 with y, 64 with #X)
+    x = ElemVar("x", nat)
+    step = mk_app(std_sig, std_sig.symbol("S"), [mk_bound_svar((), (nat,), 0)])
+    reach = mk_mu(mk_or(mk_free_evar(x, mu=(nat,)), step))
+    for other in (mk_free_evar(ElemVar("y", nat)), mk_free_svar(SetVar("X", nat))):
+        reached = mk_defined(nat, mk_and(reach, other))
+        axiom = Axiom("tautology", nat, mk_or(reached, mk_not(reached)))
+        for mode in ("iterate", "prefix"):
+            mu_runs.clear()
+            result = check_axiom(std_model, axiom, lfp_mode=mode)
+            assert mu_runs == [1] * 4
+            assert result.verdict.value == "satisfied"
+            assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom, lfp_mode=mode))
 
 
 def test_check_axiom_reruns_only_what_a_changed_variable_reads(std_sig, std_model, nat, mu_runs):

@@ -58,7 +58,7 @@ from gen import (
     random_positive_mu,
     random_signature,
 )
-from reference import ref_facts
+from reference import ref_facts, ref_free_var_sets
 
 
 @pytest.fixture
@@ -335,6 +335,42 @@ def test_validate_rejects_stale_facts(nat):
     assert validate(mk_and(fix, fix)) is False
 
 
+def test_positivity_report_over_nested_binders(nat):
+    # 1,500 nested \mu, each the only child of the node above it or the
+    # left child of an \and; every third binder reads its own variable
+    # under a negation, the next one reads it plainly, the third not at all
+    depth, checks, nodes_above = 1_500, [], 0
+    for j in range(depth):
+        checks.append(MuCheck((0,) * nodes_above, j % 3 != 0))
+        nodes_above += 2 if j % 3 < 2 else 1
+    ctx = (nat,) * depth
+    p = mk_bound_svar((), ctx, 0)
+    for j in reversed(range(depth)):
+        own = mk_bound_svar((), ctx[: j + 1], 0)
+        if j % 3 == 0:
+            p = mk_and(p, mk_not(own))
+        elif j % 3 == 1:
+            p = mk_and(p, own)
+        p = mk_mu(p)
+    report = check_mu_positivity(p)
+    assert report.checks == tuple(checks)
+    assert report.negative_paths() == tuple(c.path for c in checks[::3])
+
+
+def test_long_conjunction_of_distinct_variables(std_model, nat):
+    xs = [ElemVar(f"x{k}", nat) for k in range(4_000)]
+    p = mk_free_evar(xs[0])
+    for x in xs[1:]:
+        p = mk_and(p, mk_free_evar(x))
+    assert free_vars(p) == (frozenset(xs), frozenset())
+    assert validate(p)
+    one, two = std_model.elem(nat, "1"), std_model.elem(nat, "2")
+    rho = Valuation({x: one for x in xs}, {})
+    assert eval_pattern(std_model, rho, p) == std_model.set_of(nat, (one,))
+    rho = Valuation({**rho.evars, xs[-1]: two}, {})
+    assert eval_pattern(std_model, rho, p).is_empty
+
+
 DEEP = 10_000  # even, so a mu over a chain this long is positive
 
 
@@ -387,10 +423,14 @@ def test_deep_patterns_need_no_recursion(std_sig, std_model, nat, bool_):
 
 
 def assert_facts_match_reference(p):
-    expected = ref_facts(p)
+    # ref_free_var_sets(p)[id(node)] is ref_free_vars(node), for every node
+    # from one walk
+    expected, free = ref_facts(p), ref_free_var_sets(p)
     for node, kids in walk(p):
         if kids is not None:
             assert node._facts == expected[id(node)], str(node)
+            assert type(node._facts[3]) is bool
+            assert free_vars(node) == free[id(node)], str(node)
 
 
 def test_stored_facts_match_an_independent_walk(std_sig, nat):

@@ -41,6 +41,7 @@ from gen import (
     random_signature,
     random_valuation,
 )
+from reference import ref_eval_pattern
 
 
 @pytest.fixture
@@ -149,6 +150,33 @@ class TestEval:
     def test_unbound_variable_rejected(self, std_model, nat):
         with pytest.raises(UnboundFreeVariableError):
             eval_pattern(std_model, Valuation.empty(), mk_free_evar(ElemVar("x", nat)))
+
+    def test_unbound_variable_error_names_the_first_in_valuation_order(
+        self, std_model, nat, bool_
+    ):
+        # element variables first, then set variables, each by name and
+        # then sort id (Bool is declared before Nat); never hash order
+        pairs = [
+            (ElemVar("x", nat), ElemVar("y", nat)),
+            (ElemVar("b", nat), ElemVar("a", nat)),
+            (ElemVar("q", nat), ElemVar("p1", nat)),
+            (ElemVar("z", nat), SetVar("A", nat)),
+            (SetVar("X", nat), ElemVar("x", nat)),
+            (SetVar("Y", nat), SetVar("X", nat)),
+            (SetVar("x", nat), SetVar("x", bool_)),
+            (ElemVar("v", nat), ElemVar("v", bool_)),
+        ]
+        for first, second in pairs:
+            expected = min((first, second), key=lambda v: (
+                isinstance(v, SetVar), v.name, v.sort.id))
+            for a, b in ((first, second), (second, first)):
+                p = mk_and(*(mk_defined(bool_, mk_free_evar(v) if isinstance(v, ElemVar)
+                                        else mk_free_svar(v)) for v in (a, b)))
+                for evaluate in (eval_pattern, ref_eval_pattern):
+                    with pytest.raises(UnboundFreeVariableError) as err:
+                        evaluate(std_model, Valuation.empty(), p)
+                    assert err.value.variable == expected
+                    assert str(err.value) == f"{expected} is not bound"
 
     def test_element_binding_outside_the_carrier_rejected(self, std_sig, std_model, nat, bool_):
         # a hand-built valuation skips update_evar's sort check; a Bool
