@@ -116,6 +116,11 @@ class StateSpaceTooLargeError(MuLogicError):
     """Axiom checking refused: the valuation count exceeds the cap."""
 
 
+class NestingTooDeepError(MuLogicError):
+    """Evaluation refused: binder loops nest deeper at run time than the
+    interpreter's recursion limit leaves room for."""
+
+
 class NonPositiveMuWarning(UserWarning):
     """Pre-fixpoint intersection computed for a non-positive binder; the
     result need not be a fixpoint."""

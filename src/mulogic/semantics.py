@@ -23,14 +23,20 @@ under ``prefix`` warns once per call), then unbound variables.
   (:meth:`~mulogic.model.FiniteModel.mask_table`), and a ``CarrierSet`` is
   built only for what is returned.  The errors that depend only on the
   pattern and the model (an unknown sort or symbol, a carrier larger than
-  ``prefix_cap``) are raised here, in the order in which a node-by-node
+  ``prefix_cap``, binder loops nested deeper than the recursion limit
+  leaves room for) are raised here, in the order in which a node-by-node
   evaluation would reach them.
-* **Run.**  Instructions are closures run in list order; an ``Exists`` or
-  ``Mu`` instruction loops over its body's list, so Python recursion depth
-  is the binder nesting depth, not the pattern depth.  Free variables are
-  the outermost levels, in valuation order, each with its own list:
-  ``eval_pattern`` runs each once, ``check_axiom`` re-runs only the levels
-  from the first variable that changed.
+* **Run.**  An instruction placed at the top runs once, as soon as it is
+  placed; a top-level binder runs once its body is placed.  Nothing that
+  runs can raise once positivity has been checked, so errors keep their
+  placement order.  Every other instruction is a closure run in list
+  order; an ``Exists`` or ``Mu`` instruction loops over its body's list,
+  so Python recursion depth is the run-time nesting of binder loops, not
+  the pattern depth, and placement refuses a nesting the recursion limit
+  has no room for (:class:`~mulogic.errors.NestingTooDeepError`).  Free
+  variables are the outermost levels, in valuation order, each with its
+  own list: ``eval_pattern`` runs each once, ``check_axiom`` re-runs only
+  the levels from the first variable that changed.
 
 Least fixpoints come in two engines:
 
@@ -45,10 +51,33 @@ Each engine is stated once, as a register loop (:func:`_iterate`,
 fixpoint; :func:`lfp_iterate` and :func:`lfp_prefixpoints` run the same
 loops over a one-instruction body that calls a ``CarrierSet`` step
 function.
+
+Under ``iterate``, two shortcuts exploit that the variable of a μ body
+only grows while its loop runs (Emerson & Lei, LICS 1986; Bancilhon,
+1986), both decided at placement:
+
+* **Warm starts.**  A ``Mu`` instruction placed in the body of an
+  enclosing ``iterate`` μ resumes from its own last fixpoint instead of
+  the empty set when that binder's variable occurs only positively in the
+  inner μ node (one bit of its facts).  Between two of its runs only that
+  variable has changed, and it has grown, so the inner fixpoint can only
+  have grown.  A ``\\nu`` in between flips the parity, and an inner μ
+  that reads the variable of an ``Exists`` in between is placed in that
+  binder's loop, whose ticks do not ascend: either starts cold.  The
+  enclosing loop resets the saved value to the empty set each time it
+  starts afresh.
+* **Delta application.**  A unary application placed in an ``iterate``
+  μ body ORs its last image with the image of only the bits its argument
+  gained, whenever its last argument is a subset of the new one, since
+  pointwise application distributes over union.
+
+``prefix`` takes neither: its candidate sets are every subset in turn,
+not an ascending chain, so no earlier value bounds a later one.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -56,6 +85,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CarrierTooLargeError,
+    NestingTooDeepError,
     NonPositiveMuError,
     NonPositiveMuWarning,
     NotClosedError,
@@ -75,12 +105,12 @@ from .pattern import (
     Not,
     Pattern,
     free_vars,
+    svar_occurs_positively,
 )
 from .signature import ElemVar, SetVar, Sort
 
 # Unused here; kept because the benchmark's tracer wraps these names.
 from .model import singleton_fastpath  # noqa: F401
-from .pattern import svar_occurs_positively  # noqa: F401
 from .subst import bevar_subst, bsvar_subst  # noqa: F401
 
 LFP_ITERATE = "iterate"
@@ -179,11 +209,19 @@ def _step_body(
     return regs, [op]
 
 
-def _iterate(regs: list[int], var: int, res: int, body: list, sort: Sort, n: int) -> int:
-    """Kleene iteration from the empty set: run ``body`` with register
-    ``var`` set to the current approximation until register ``res`` equals
-    it, within ``n + 1`` rounds for a carrier of ``n`` elements."""
-    current = 0
+def _iterate(
+    regs: list[int], var: int, res: int, body: list, sort: Sort, n: int, start: int = 0
+) -> int:
+    """Kleene iteration: run ``body`` with register ``var`` set to the
+    current approximation until register ``res`` equals it, within ``n + 1``
+    rounds for a carrier of ``n`` elements.
+
+    The first approximation is ``start``, the empty set unless a warm μ
+    instruction resumes from its last fixpoint.  Any ``start`` below the
+    least fixpoint that the body maps to a superset of itself gives the
+    same result: the approximations still ascend to that fixpoint.
+    """
+    current = start
     for _ in range(n + 1):
         regs[var] = current
         for op in body:
@@ -239,7 +277,9 @@ def eval_pattern(
     ``prefix`` computes the pre-fixpoint intersection regardless (warning
     once per call if some binder is not positive).  ``p`` is compiled for
     this call and run once; its depth is not limited by the interpreter's
-    recursion limit, its binder nesting is.
+    recursion limit, the run-time nesting of its binder loops is, and
+    binder loops nested deeper than it leaves room for raise
+    ``NestingTooDeepError`` before they run.
     """
     _check_evaluable(p, lfp_mode)
     variables = _valuation_order(*free_vars(p))
@@ -312,24 +352,30 @@ def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
 
 
 class _Scope:
-    """One instruction list: the top level, a free variable's level or a
-    binder's body.  ``var`` is the register of the variable it binds;
-    ``depth`` orders the scopes of one chain, outermost first."""
+    """One instruction list: a free variable's level or a binder's body
+    (the top level runs each instruction as it is placed and keeps none).
+    ``var`` is the register of the variable it binds; ``depth`` orders the
+    scopes of one chain, outermost first; ``loops`` counts the binder loops
+    its code runs inside.  ``ascending`` is set for the body of an
+    ``iterate`` μ, whose variable only grows while its loop runs;
+    ``resumed`` lists the registers of the warm μ instructions in it."""
 
-    __slots__ = ("depth", "var", "code")
+    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed")
 
-    def __init__(self, depth: int, var: int):
+    def __init__(self, depth: int, var: int, loops: int = 0, ascending: bool = False):
         self.depth = depth
         self.var = var
+        self.loops = loops
+        self.ascending = ascending
         self.code: list[Callable[[], None]] = []
+        self.resumed: list[int] = []
 
 
 class _Program:
-    """Registers, the top scope and one scope per free variable."""
+    """Registers and one scope per free variable."""
 
-    def __init__(self, regs: list[int], top: _Scope, levels: list[_Scope], result: int):
+    def __init__(self, regs: list[int], levels: list[_Scope], result: int):
         self.regs = regs
-        self.top = top
         self.levels = levels
         self.result = result
 
@@ -340,8 +386,6 @@ class _Program:
         run only the levels from the first one whose value changed are run
         again."""
         regs, levels = self.regs, self.levels
-        for op in self.top.code:
-            op()
         last = len(levels) - 1
         index = [0] * len(levels)
         start = 0
@@ -361,6 +405,22 @@ class _Program:
             index[start] += 1
 
 
+# Python frames that one binder loop costs at run time (an instruction and
+# the engine's loop), and frames kept back for the innermost instructions.
+_FRAMES_PER_LOOP = 2
+_SPARE_FRAMES = 30
+
+
+def _loop_room() -> int:
+    """How many binder loops may nest below the caller's frame before the
+    interpreter's recursion limit is reached."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return (sys.getrecursionlimit() - depth - _SPARE_FRAMES) // _FRAMES_PER_LOOP
+
+
 def _compile(
     model: FiniteModel,
     p: Pattern,
@@ -370,7 +430,7 @@ def _compile(
 ) -> _Program:
     """Place every node of ``p`` (see the module docstring); free variable
     ``variables[k]`` gets level and register ``k``, which ``_Program.sweep``
-    sets.
+    sets.  An instruction placed at the top runs at once.
 
     The stack holds ``(node, exs, mus)`` to enter and ``(node, exs, mus,
     scope, key, inner)`` to leave, where ``exs``/``mus`` are the scopes of
@@ -383,6 +443,7 @@ def _compile(
     level_of = dict(zip(variables, levels))
     regs = [0] * len(levels)
     reads = {k: k + 1 for k in range(len(levels))}  # register -> its innermost level's depth
+    room = None  # how deep binder loops may nest, found at the first binder
 
     def register(value: int = 0) -> int:
         regs.append(value)
@@ -426,7 +487,17 @@ def _compile(
                     model.carrier_size(node.binder_sort)
                 elif mode == LFP_PREFIX:
                     _check_prefix_cap(node.sort, model.carrier_size(node.sort), cap)
-                inner = _Scope(base + len(exs) + len(mus) + 1, register())
+                loops = scope.loops + 1
+                if room is None:
+                    room = _loop_room()
+                if loops > room:
+                    raise NestingTooDeepError(
+                        f"binder loops nest more than {max(room, 0)} deep at run "
+                        f"time, the most that the recursion limit of "
+                        f"{sys.getrecursionlimit()} leaves room for"
+                    )
+                ascending = kind is Mu and mode == LFP_ITERATE
+                inner = _Scope(base + len(exs) + len(mus) + 1, register(), loops, ascending)
                 push((node, exs, mus, scope, key, inner))
                 if kind is Exists:
                     push((node.body, (*exs, inner), mus))
@@ -470,7 +541,16 @@ def _compile(
         elif kind is Mu:
             width = model.carrier_size(node.sort)
             if mode == LFP_ITERATE:
-                op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort, width)
+                # a warm start (module docstring); the enclosing binder's
+                # variable is the lowest mu index the node reads
+                _, even, odd, _, _ = node._facts
+                mu = even | odd
+                rel = (mu & -mu).bit_length() - 1
+                warm = scope.ascending and svar_occurs_positively(node, rel)
+                if warm:
+                    scope.resumed.append(dst)
+                op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort,
+                                 width, inner.resumed, warm)
             else:
                 op = _prefix_op(regs, dst, inner.var, args[0], inner.code, width)
         elif kind is Not:
@@ -479,13 +559,20 @@ def _compile(
             op = _defined_op(regs, dst, args[0], full(node.sort))
         elif kind is App:
             memo = memos.setdefault(node.symbol, {})
-            op = _app_op(regs, dst, args, model.mask_table(node.symbol), memo)
+            table = model.mask_table(node.symbol)
+            if scope.ascending and n == 1:
+                op = _delta_app_op(regs, dst, args[0], table, memo)
+            else:
+                op = _app_op(regs, dst, args, table, memo)
         else:  # And
             op = _and_op(regs, dst, args[0], args[1])
-        scope.code.append(op)
+        if scope is top:
+            op()
+        else:
+            scope.code.append(op)
         done[key] = dst
         emit(dst)
-    return _Program(regs, top, levels, results[0])
+    return _Program(regs, levels, results[0])
 
 
 # --- instructions -----------------------------------------------------------
@@ -553,6 +640,31 @@ def _app_op(
     return op
 
 
+def _delta_app_op(
+    regs: list[int], dst: int, a: int, table: Mapping, memo: dict
+) -> Callable[[], None]:
+    """Unary application whose argument register mostly grows, as in an
+    ``iterate`` μ body: on a memo miss, when the last argument is a subset
+    of this one, the image is the last image ORed with the image of the
+    added bits alone, since pointwise application distributes over union."""
+    last = image = 0
+
+    def op() -> None:
+        nonlocal last, image
+        key = regs[a]
+        value = memo.get(key)
+        if value is None:
+            if last & ~key:
+                value = _lift(table, (key,))
+            else:
+                value = image | _lift(table, (key ^ last,))
+            memo[key] = value
+        last, image = key, value
+        regs[dst] = value
+
+    return op
+
+
 def _exists_op(
     regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int]
 ) -> Callable[[], None]:
@@ -569,10 +681,17 @@ def _exists_op(
 
 
 def _iterate_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, n: int
+    regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, n: int,
+    resumed: Sequence[int], warm: bool,
 ) -> Callable[[], None]:
+    """Each run starts the warm μ instructions of ``body`` (registers
+    ``resumed``) afresh from the empty set, then iterates from the empty
+    set, or from ``dst``'s last value when ``warm``."""
+
     def op() -> None:
-        regs[dst] = _iterate(regs, var, res, body, sort, n)
+        for reg in resumed:
+            regs[reg] = 0
+        regs[dst] = _iterate(regs, var, res, body, sort, n, regs[dst] if warm else 0)
 
     return op
 

@@ -35,6 +35,8 @@ from mulogic import (
     mk_free_svar,
     mk_mu,
     mk_not,
+    mk_nu,
+    mk_or,
     mk_top,
 )
 
@@ -202,6 +204,76 @@ def random_positive_mu(rng: random.Random, sig: Signature, budget: int = 10) -> 
         allow_free=False, positive_only=True, parities=(0,), mu_depth=1,
     )
     return mk_mu(body)
+
+
+def random_nested_fixpoint(rng: random.Random, sig: Signature, depth: int = 3) -> Pattern:
+    """A closed pattern of ``depth`` nested binders, each a ``mk_mu``, a
+    ``mk_nu`` or a ``mk_exists``, in which every mu binder is positive.
+
+    Each binder's body joins a small random pattern, a read of its own
+    variable, a read of an enclosing binder's variable and the next
+    binder, which may sit under a negation, a symbol or a definedness.  A
+    set variable occurs under an even number of negations relative to its
+    own binder, but at either parity relative to an inner fixpoint (a
+    ``mk_nu`` adds one), so inner fixpoints come out monotone or antitone
+    in the outer ones."""
+    return _binder_chain(rng, sig, rng.choice(sig.sorts), (), (), (), depth)
+
+
+def _binder_chain(rng, sig, sort, ex, mu, parities, depth) -> Pattern:
+    kind = rng.choice(("mu", "nu", "mu", "nu", "exists"))
+    if kind == "exists":
+        ex = (rng.choice(sig.sorts),) + ex
+        own = [mk_bound_evar(ex, mu, 0)]
+    else:
+        mu, parities = (sort,) + mu, (0,) + parities
+        own = [mk_bound_svar(ex, mu, 0)]
+    outer = [mk_bound_evar(ex, mu, i) for i in range(kind == "exists", len(ex))]
+    outer += [mk_bound_svar(ex, mu, i) for i, p in enumerate(parities)
+              if p % 2 == 0 and (i or kind == "exists")]
+    body = random_pattern(
+        rng, sig, sort, ex, mu, rng.randint(2, 3),
+        allow_free=False, positive_only=True, parities=parities, mu_depth=0,
+    )
+    for leaves in (own, outer):
+        if leaves:
+            read = _read_as(rng, sig, sort, rng.choice(leaves))
+            body = mk_or(body, read) if rng.random() < 0.6 else mk_and(body, read)
+    if depth > 1:
+        unary = [sym for sym in sig.symbols if sym.result == sort and len(sym.params) == 1]
+        join = rng.choice(("and", "or", "app", "defined") if unary else ("and", "or", "defined"))
+        inner_sort = sort
+        if join == "app":
+            symbol = rng.choice(unary)
+            inner_sort = symbol.params[0]
+        elif join == "defined":
+            inner_sort = rng.choice(sig.sorts)
+        negated = rng.random() < 0.5
+        inner = _binder_chain(
+            rng, sig, inner_sort, ex, mu,
+            tuple(p + negated for p in parities), depth - 1,
+        )
+        if negated:
+            inner = mk_not(inner)
+        if join == "app":
+            inner = mk_app(sig, symbol, [inner])
+        elif join == "defined":
+            inner = mk_defined(sort, inner)
+        body = mk_or(body, inner) if join == "or" else mk_and(body, inner)
+    if kind == "exists":
+        return mk_exists(ex[0], body)
+    return mk_mu(body) if kind == "mu" else mk_nu(body)
+
+
+def _read_as(rng, sig, sort, leaf) -> Pattern:
+    """``leaf`` as a pattern of ``sort``: through a symbol when one leads
+    from its sort to ``sort``, else as itself or through a definedness."""
+    unary = [sym for sym in sig.symbols if sym.params == (leaf.sort,) and sym.result == sort]
+    if unary and rng.random() < 0.4:
+        return mk_app(sig, rng.choice(unary), [leaf])
+    if leaf.sort == sort:
+        return leaf
+    return mk_defined(sort, leaf)
 
 
 def random_valuation(rng: random.Random, model, pattern: Pattern) -> Valuation:

@@ -9,6 +9,8 @@ from mulogic import (
     Axiom,
     ElemVar,
     SetVar,
+    Signature,
+    Theory,
     Valuation,
     build_model,
     check_axiom,
@@ -25,11 +27,14 @@ from mulogic import (
     mk_mu,
     mk_not,
     mk_or,
+    parse_pattern,
+    satisfies,
 )
 from mulogic import semantics
-from mulogic.errors import MuLogicError
+from mulogic.errors import MuLogicError, NestingTooDeepError
 from gen import (
     random_model,
+    random_nested_fixpoint,
     random_pattern,
     random_positive_mu,
     random_signature,
@@ -185,3 +190,126 @@ def test_check_axiom_reruns_only_what_a_changed_variable_reads(std_sig, std_mode
     assert result.verdict.value == "violated"
     assert {str(v): e.label for v, e in result.witness.evars.items()} == {"x:Nat": "1", "y:Nat": "3"}
     assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom))
+
+
+def test_nested_fixpoints_match_reference_and_prefix_oracle():
+    # inner fixpoints that resume from their last value must agree with
+    # the reference, which always starts from the empty set; a wrong
+    # resumption shows only on some tables, so many cases run under
+    # iterate, and every fifth below depth 4 also under the prefix oracle
+    rng = random.Random(90)
+    empty = Valuation.empty()
+    for case in range(1000):
+        sig = random_signature(rng)
+        model = random_model(rng, sig, max_carrier=3)
+        depth = rng.randint(2, 4)
+        p = random_nested_fixpoint(rng, sig, depth)
+        fast = outcome(eval_pattern, model, empty, p)
+        assert fast == outcome(ref_eval_pattern, model, empty, p), (case, str(p))
+        if case % 5 == 0 and depth < 4:
+            for arm in EVAL_ARMS[1:]:
+                mine = outcome(eval_pattern, model, empty, p, **arm)
+                assert mine == outcome(ref_eval_pattern, model, empty, p, **arm), (case, arm, str(p))
+            assert fast == outcome(eval_pattern, model, empty, p, lfp_mode="prefix"), (case, str(p))
+
+
+@pytest.mark.parametrize("text, succ", [
+    # the outer variable reaches the inner mu under one negation (a nu in
+    # between), so the inner fixpoint shrinks as the outer one grows
+    (r"\mu{Nat} \or(O(), S(\not(\mu{Nat} \not(\and(B1, \not(B0))))))",
+     {"0": "1", "1": "2", "2": "3"}),
+    # the inner mu reads the exists variable, whose values do not ascend
+    (r"\exists{Nat} \not(\mu{Nat} \or(S(b0), S(B0)))",
+     {"0": "1", "1": "0", "2": "3", "3": "2"}),
+    # the inner mu may resume while the middle one ascends, but not from
+    # where it stopped for the previous value of the exists variable
+    (r"\exists{Nat} \not(\mu{Nat} \or(b0, \mu{Nat} \or(B1, S(B0))))",
+     {"0": "1", "1": "0", "2": "3", "3": "2"}),
+], ids=["nu-between", "exists-tick", "restart"])
+def test_no_warm_start_where_the_inner_fixpoint_may_shrink(std_sig, text, succ):
+    model = build_model(std_sig, {"Bool": ["t", "f"], "Nat": ["0", "1", "2", "3"]},
+                        {"O": {(): ["0"]}, "S": {(a,): [b] for a, b in succ.items()}})
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for mode in ("iterate", "prefix"):
+        got = eval_pattern(model, empty, p, lfp_mode=mode)
+        assert got.is_full
+        assert got == ref_eval_pattern(model, empty, p, lfp_mode=mode)
+
+
+@pytest.fixture
+def kleene_rounds(monkeypatch):
+    """Rounds of every Kleene iteration, counted as runs of its body."""
+    rounds = []
+    iterate = semantics._iterate
+
+    def counted(regs, var, res, body, *rest):
+        return iterate(regs, var, res, [lambda: rounds.append(1), *body], *rest)
+
+    monkeypatch.setattr(semantics, "_iterate", counted)
+    return rounds
+
+
+def chain_model(n):
+    """``S`` walks 0, 1, ..., n - 2; n - 1 points back to 0, unreachable."""
+    sig = Signature()
+    nat = sig.declare_sort("Nat")
+    sig.declare_symbol("O", [], nat)
+    sig.declare_symbol("S", [nat], nat)
+    labels = [str(k) for k in range(n)]
+    succ = {(str(k),): [str(k + 1)] for k in range(n - 2)}
+    succ[(str(n - 1),)] = ["0"]
+    return sig, build_model(sig, {"Nat": labels}, {"O": {(): ["0"]}, "S": succ})
+
+
+@pytest.mark.parametrize("text, n, rounds", [
+    (r"\mu{Nat} \mu{Nat} \or(O(), S(\and(B0, B1)))", 24, 71),
+    (r"\mu{Nat} \mu{Nat} \mu{Nat} \or(O(), S(\and(B0, \and(B1, B2))))", 12, 135),
+    (r"\forall{Nat} \ceil{Nat}(\and(b0, \mu{Nat} \or(O(), S(B0))))", 24, 24),
+])
+def test_kleene_rounds_of_nested_fixpoints(kleene_rounds, text, n, rounds):
+    # an inner mu resumes from its last fixpoint while its enclosing mu
+    # ascends: 71 and 135 rounds where restarting from the empty set takes
+    # 347 and 619; the closed mu under the forall takes one round per
+    # reachable element and one more either way
+    sig, model = chain_model(n)
+    p, empty = parse_pattern(text, sig), Valuation.empty()
+    got = eval_pattern(model, empty, p)
+    assert len(kleene_rounds) == rounds
+    assert got == ref_eval_pattern(model, empty, p)
+
+
+def nested_binders(sig, depth, binder):
+    """``depth`` nested binders over Nat, each reading its parent's
+    variable: below the second, each body conjoins that variable with the
+    next binder."""
+    nat = sig.sort("Nat")
+
+    def var(d, index):  # in a context of d binders
+        if binder is mk_exists:
+            return mk_bound_evar((nat,) * d, (), index)
+        return mk_bound_svar((), (nat,) * d, index)
+
+    def wrap(body):
+        return mk_exists(nat, body) if binder is mk_exists else mk_mu(body)
+
+    p = mk_and(var(depth, 0), var(depth, 1))
+    for d in range(depth - 1, 1, -1):
+        p = mk_and(var(d, 1), wrap(p))
+    return wrap(wrap(p))
+
+
+@pytest.mark.parametrize("binder", [mk_exists, mk_mu], ids=["exists", "mu"])
+def test_binders_nested_too_deep_for_the_recursion_limit(binder):
+    sig = Signature()
+    nat = sig.declare_sort("Nat")
+    model = build_model(sig, {"Nat": ["0"]}, {})
+    empty = Valuation.empty()
+    shallow = eval_pattern(model, empty, nested_binders(sig, 300, binder))
+    assert shallow.is_full if binder is mk_exists else shallow.is_empty
+    deep = nested_binders(sig, 1000, binder)
+    with pytest.raises(NestingTooDeepError, match="recursion limit"):
+        eval_pattern(model, empty, deep)
+    report = satisfies(model, Theory(sig, (Axiom("deep", nat, deep),)))
+    (result,) = report.results
+    assert result.verdict.value == "error"
+    assert result.message.startswith("NestingTooDeepError: ")
