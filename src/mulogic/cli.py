@@ -1,7 +1,7 @@
 """Command-line driver: ``check``, ``eval``, and ``satisfies``.
 
 Exit codes: 0 clean, 1 for diagnostics/violations/evaluation errors, 2 for
-I/O failures.
+I/O failures (a file that cannot be read, or is not UTF-8).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .semantics import (
 from .signature import ElemVar, SetVar
 from .theory import (
     DEFAULT_STATE_CAP,
-    Theory,
     report_records,
     report_text,
     satisfies,
@@ -131,23 +130,15 @@ class _Exit(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise _Exit(2) from None
 
 
-def _load_theory(path: str) -> Theory:
+def _load(path: str, parse):
+    """``parse`` of the text at ``path``; exit 1 with its diagnostics."""
     try:
-        return parse_theory(_read(path))
-    except ParseError as err:
-        _print_diagnostics(path, err.diagnostics)
-        raise _Exit(1) from None
-
-
-def _load_model(path: str, theory: Theory) -> FiniteModel:
-    try:
-        model, _warnings = parse_model(_read(path), theory)
-        return model
+        return parse(_read(path))
     except ParseError as err:
         _print_diagnostics(path, err.diagnostics)
         raise _Exit(1) from None
@@ -160,7 +151,7 @@ def _print_diagnostics(path: str, diagnostics) -> None:
 
 def _cmd_check(args) -> int:
     path = args.theory
-    theory = _load_theory(path)
+    theory = _load(path, parse_theory)
     warned = False
     for axiom in theory.axioms:
         if not validate(axiom.pattern):
@@ -208,8 +199,8 @@ def _binding(model: FiniteModel, text: str, flag: str, want: str):
 
 
 def _cmd_eval(args) -> int:
-    theory = _load_theory(args.theory)
-    model = _load_model(args.model, theory)
+    theory = _load(args.theory, parse_theory)
+    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
     try:
         pattern = parse_pattern(args.pattern, theory.signature)
     except ParseError as err:
@@ -228,8 +219,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_satisfies(args) -> int:
-    theory = _load_theory(args.theory)
-    model = _load_model(args.model, theory)
+    theory = _load(args.theory, parse_theory)
+    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
     if args.axiom:
         known = {axiom.label for axiom in theory.axioms}
         missing = [label for label in args.axiom if label not in known]

@@ -171,13 +171,9 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Derived forms expand to several core levels each (\equals is the worst
-# at ~8).  What still recurses on a parsed tree is ``_parse_node`` and
-# ``_Elaborator._elab``/``infer`` (once per surface level) and the
-# dataclass-generated ``==``/``hash`` of pattern nodes, which
-# ``structural_eq`` uses (once per core level), so the surface cap keeps
-# them well inside the interpreter's limit.  Raising it waits for interned
-# nodes, whose ``==`` and ``hash`` do not recurse.
+# Only the parser's own recursion needs this cap: ``_parse_node`` and
+# ``_Elaborator._elab``/``infer`` recurse once per surface level, while the
+# kernel's traversals (``==``, ``hash`` and ``repr`` included) are folds.
 MAX_NESTING = 64
 
 

@@ -21,17 +21,18 @@ part in ``==``, ``hash`` or ``repr``.
 
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
-kind through the constructor.  A binder's body context is its own context
-with one sort prepended (``Exists`` prepends ``binder_sort`` to ``ex``,
-``Mu`` its own sort to ``mu``), which the constructors check.  On that
-protocol sits the one traversal, :func:`walk`, which expands each distinct
-node once, with :func:`fold_pattern` and :func:`map_pattern` on top of it.
-Every operation here and in :mod:`mulogic.subst` and :mod:`mulogic.printer`
-is a walk, fold or map; only the evaluator's placement pass, which expands
-a node once per binder scope, keeps a stack of its own.  So pattern depth
-is not limited by the interpreter's recursion limit.  Only the
-dataclass-generated ``==`` and ``hash`` (and so :func:`structural_eq`)
-still recurse.
+kind through the constructor from the node's ``_payload`` fields (those
+between ``mu`` and the children).  A binder's body context is its own
+context with one sort prepended (``Exists`` prepends ``binder_sort`` to
+``ex``, ``Mu`` its own sort to ``mu``), which the constructors check.  On
+that protocol sits the one traversal, :func:`walk`, which expands each
+distinct node once, with :func:`fold_pattern` and :func:`map_pattern` on
+top of it.  Every operation here and in :mod:`mulogic.subst` and
+:mod:`mulogic.printer` is a walk, fold or map, ``==``, ``hash`` and
+``repr`` included: the node classes generate none of them, and ``Pattern``
+states each once as a fold.  Only the evaluator's placement pass, which
+expands a node once per binder scope, keeps a stack of its own.  So
+pattern depth is not limited by the interpreter's recursion limit.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -65,7 +66,12 @@ def _ctx(sorts: Iterable[Sort]) -> Context:
     return tuple(sorts)
 
 
-@dataclass(frozen=True)
+# Nodes compare, hash and print through the folds on Pattern, so nothing
+# the decorator would generate recurses.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Pattern:
     sort: Sort
     ex: Context
@@ -75,15 +81,43 @@ class Pattern:
 
     # Leaves have no subpatterns; inner node classes override this.
     children = ()
+    # The names of the fields between ``mu`` and the children.
+    _payload = ()
 
     @property
     def is_closed(self) -> bool:
         return not self.ex and not self.mu
 
+    def _head(self) -> tuple:
+        """The node's kind and every field but its children."""
+        return (type(self), self.sort, self.ex, self.mu, *[getattr(self, f) for f in self._payload])
+
     def rebuild(self, ex: Context, mu: Context, children: Sequence[Pattern]) -> Pattern:
         """A node of the same kind and fields, with new contexts and
         children, made (and so checked) by the constructor."""
-        raise NotImplementedError
+        kind, sort, _, _, *payload = self._head()
+        return kind(sort, ex, mu, *payload, *children)
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality in time linear in both DAGs: one table numbers each
+        distinct node by its head and its children's numbers."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self is other:
+            return True
+        numbers: dict[tuple, int] = {}
+
+        def number(node: Pattern, kids: Sequence[int]) -> int:
+            return numbers.setdefault((*node._head(), *kids), len(numbers))
+
+        return fold_pattern(self, number) == fold_pattern(other, number)
+
+    def __hash__(self) -> int:
+        return fold_pattern(self, lambda node, kids: hash((*node._head(), *kids)))
+
+    def __repr__(self) -> str:
+        """The dataclass format, ``Kind(sort=..., ex=..., ...)``."""
+        return _flatten(fold_pattern(self, _repr_rope))
 
     def __str__(self) -> str:
         from .printer import print_pattern
@@ -91,8 +125,9 @@ class Pattern:
         return print_pattern(self)
 
 
-@dataclass(frozen=True)
+@_node
 class FreeEVar(Pattern):
+    _payload = ("var",)
     var: ElemVar
 
     def __post_init__(self) -> None:
@@ -102,12 +137,10 @@ class FreeEVar(Pattern):
             )
         _fix_facts(self)
 
-    def rebuild(self, ex, mu, children):
-        return FreeEVar(self.sort, ex, mu, self.var)
 
-
-@dataclass(frozen=True)
+@_node
 class FreeSVar(Pattern):
+    _payload = ("var",)
     var: SetVar
 
     def __post_init__(self) -> None:
@@ -117,54 +150,30 @@ class FreeSVar(Pattern):
             )
         _fix_facts(self)
 
-    def rebuild(self, ex, mu, children):
-        return FreeSVar(self.sort, ex, mu, self.var)
 
-
-@dataclass(frozen=True)
+@_node
 class BoundEVar(Pattern):
+    _payload = ("index",)
     index: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < len(self.ex):
-            raise IndexOutOfScopeError(
-                f"bound element variable b{self.index} out of scope "
-                f"(context has {len(self.ex)} entries)"
-            )
-        if self.ex[self.index] != self.sort:
-            raise SortMismatchError(
-                f"bound element variable b{self.index} has sort "
-                f"{self.ex[self.index]}, not {self.sort}"
-            )
+        _require_in_scope(f"element variable b{self.index}", self, self.ex)
         _fix_facts(self)
 
-    def rebuild(self, ex, mu, children):
-        return BoundEVar(self.sort, ex, mu, self.index)
 
-
-@dataclass(frozen=True)
+@_node
 class BoundSVar(Pattern):
+    _payload = ("index",)
     index: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < len(self.mu):
-            raise IndexOutOfScopeError(
-                f"bound set variable B{self.index} out of scope "
-                f"(context has {len(self.mu)} entries)"
-            )
-        if self.mu[self.index] != self.sort:
-            raise SortMismatchError(
-                f"bound set variable B{self.index} has sort "
-                f"{self.mu[self.index]}, not {self.sort}"
-            )
+        _require_in_scope(f"set variable B{self.index}", self, self.mu)
         _fix_facts(self)
 
-    def rebuild(self, ex, mu, children):
-        return BoundSVar(self.sort, ex, mu, self.index)
 
-
-@dataclass(frozen=True)
+@_node
 class App(Pattern):
+    _payload = ("symbol",)
     symbol: SymbolDecl
     args: tuple[Pattern, ...]
 
@@ -201,7 +210,7 @@ class App(Pattern):
         return App(self.sort, ex, mu, self.symbol, tuple(children))
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Pattern):
     body: Pattern
 
@@ -213,11 +222,8 @@ class Not(Pattern):
     def children(self) -> tuple[Pattern, ...]:
         return (self.body,)
 
-    def rebuild(self, ex, mu, children):
-        return Not(self.sort, ex, mu, children[0])
 
-
-@dataclass(frozen=True)
+@_node
 class And(Pattern):
     left: Pattern
     right: Pattern
@@ -231,12 +237,10 @@ class And(Pattern):
     def children(self) -> tuple[Pattern, ...]:
         return (self.left, self.right)
 
-    def rebuild(self, ex, mu, children):
-        return And(self.sort, ex, mu, children[0], children[1])
 
-
-@dataclass(frozen=True)
+@_node
 class Exists(Pattern):
+    _payload = ("binder_sort",)
     binder_sort: Sort
     body: Pattern
 
@@ -256,11 +260,8 @@ class Exists(Pattern):
     def children(self) -> tuple[Pattern, ...]:
         return (self.body,)
 
-    def rebuild(self, ex, mu, children):
-        return Exists(self.sort, ex, mu, self.binder_sort, children[0])
 
-
-@dataclass(frozen=True)
+@_node
 class Mu(Pattern):
     body: Pattern
 
@@ -280,11 +281,8 @@ class Mu(Pattern):
     def children(self) -> tuple[Pattern, ...]:
         return (self.body,)
 
-    def rebuild(self, ex, mu, children):
-        return Mu(self.sort, ex, mu, children[0])
 
-
-@dataclass(frozen=True)
+@_node
 class Defined(Pattern):
     """Definedness: full carrier of ``sort`` iff the body denotes a
     non-empty set.  The node sort is independent of the body sort."""
@@ -300,8 +298,12 @@ class Defined(Pattern):
     def children(self) -> tuple[Pattern, ...]:
         return (self.body,)
 
-    def rebuild(self, ex, mu, children):
-        return Defined(self.sort, ex, mu, children[0])
+
+def _require_in_scope(what: str, node: Pattern, ctx: Context) -> None:
+    if not 0 <= node.index < len(ctx):
+        raise IndexOutOfScopeError(f"bound {what} out of scope (context has {len(ctx)} entries)")
+    if ctx[node.index] != node.sort:
+        raise SortMismatchError(f"bound {what} has sort {ctx[node.index]}, not {node.sort}")
 
 
 def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
@@ -311,6 +313,36 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
         )
     if child.ex != node.ex or child.mu != node.mu:
         raise ContextMismatchError(f"{what} child lives in a different context")
+
+
+def _repr_rope(node: Pattern, kids: Sequence[list]) -> list:
+    """``repr(node)`` as a rope over its children's ropes."""
+    names = node.__match_args__
+    split = 3 + len(node._payload)
+    if type(node) is App:
+        kids = [["(", *_joined(kids, ", "), ",)" if len(kids) == 1 else ")"]]
+    fields = [f"{name}={getattr(node, name)!r}" for name in names[:split]]
+    fields += [[f"{name}=", kid] for name, kid in zip(names[split:], kids)]
+    return [f"{type(node).__qualname__}(", *_joined(fields, ", "), ")"]
+
+
+def _joined(parts: Sequence, sep: str) -> list:
+    """``parts`` with ``sep`` between each two."""
+    return [piece for part in parts for piece in (sep, part)][1:]
+
+
+def _flatten(rope: list) -> str:
+    """The text of a rope: strings and nested ropes, which may be shared,
+    unrolled on an explicit stack."""
+    out: list[str] = []
+    todo = [rope]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
 
 
 def _fix_facts(node: Pattern) -> None:
@@ -459,23 +491,13 @@ def mk_free_svar(var: SetVar, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) 
 def mk_bound_evar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
     """Bound element variable ``index``; its sort is read off the context."""
     ex = _ctx(ex)
-    if not 0 <= index < len(ex):
-        raise IndexOutOfScopeError(
-            f"bound element variable b{index} out of scope "
-            f"(context has {len(ex)} entries)"
-        )
-    return BoundEVar(ex[index], ex, _ctx(mu), index)
+    return BoundEVar(ex[index] if 0 <= index < len(ex) else None, ex, _ctx(mu), index)
 
 
 def mk_bound_svar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
     """Bound set variable ``index``; its sort is read off the mu context."""
     mu = _ctx(mu)
-    if not 0 <= index < len(mu):
-        raise IndexOutOfScopeError(
-            f"bound set variable B{index} out of scope "
-            f"(context has {len(mu)} entries)"
-        )
-    return BoundSVar(mu[index], _ctx(ex), mu, index)
+    return BoundSVar(mu[index] if 0 <= index < len(mu) else None, _ctx(ex), mu, index)
 
 
 def mk_app(

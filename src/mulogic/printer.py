@@ -22,6 +22,8 @@ from .pattern import (
     Mu,
     Not,
     Pattern,
+    _flatten,
+    _joined,
     fold_pattern,
 )
 
@@ -43,20 +45,8 @@ _SYNTAX = {
 def _layout(node: Pattern, kids: Sequence[list]) -> list:
     # A rope: strings and the children's ropes, shared, not copied.
     before, between, after = _SYNTAX[type(node)](node)
-    rope = [before]
-    for k, kid in enumerate(kids):
-        rope += (between, kid) if k else (kid,)
-    rope.append(after)
-    return rope
+    return [before, *_joined(kids, between), after]
 
 
 def print_pattern(p: Pattern) -> str:
-    out: list[str] = []
-    todo = [fold_pattern(p, _layout)]
-    while todo:
-        piece = todo.pop()
-        if type(piece) is str:
-            out.append(piece)
-        else:
-            todo += reversed(piece)
-    return "".join(out)
+    return _flatten(fold_pattern(p, _layout))

@@ -95,17 +95,16 @@ class Theory:
 def instantiate_definedness(theory: Theory) -> Theory:
     """Append the definedness axiom for every ordered sort pair: the
     pattern asserting that any single element is defined, stated at every
-    result sort."""
-    out = theory
-    for arg_sort in theory.signature.sorts:
+    result sort.  The theory is built once, so adding n axioms costs
+    O(n)."""
+    sorts = theory.signature.sorts
+    added = []
+    for arg_sort in sorts:
         var = mk_free_evar(ElemVar(DEFINEDNESS_VAR, arg_sort))
-        for result_sort in theory.signature.sorts:
-            out = out.add_axiom(
-                f"definedness/{arg_sort.name}/{result_sort.name}",
-                result_sort,
-                mk_defined(result_sort, var),
-            )
-    return out
+        for result_sort in sorts:
+            label = f"definedness/{arg_sort.name}/{result_sort.name}"
+            added.append(Axiom(label, result_sort, mk_defined(result_sort, var)))
+    return Theory(theory.signature, theory.axioms + tuple(added), theory.options)
 
 
 class Verdict(enum.Enum):

@@ -12,7 +12,9 @@ shallow patterns of the tests.  ``ref_check_axiom`` builds a
 
 Positivity comes from ``ref_facts`` and free variables from
 ``ref_free_var_sets``, walks of their own that read no facts stored on
-the nodes.  Bindings are checked, and valuations enumerated, with the
+the nodes.  ``ref_equal`` and ``ref_repr`` are plain recursions over each
+node kind's fields, the reading of ``==`` and ``repr`` that a dataclass
+would generate.  Bindings are checked, and valuations enumerated, with the
 element variables first and then the set variables, each sorted by name
 and sort id.
 """
@@ -36,6 +38,7 @@ from mulogic import (
     FreeSVar,
     Mu,
     Not,
+    Pattern,
     Valuation,
     Verdict,
     lfp_iterate,
@@ -148,6 +151,48 @@ def ref_facts(p):
                 even, odd = even >> 1, odd >> 1
             facts[id(node)] = (ex, even, odd, free, positive)
     return facts
+
+
+# the fields after (sort, ex, mu) of each node kind, in declaration order
+_FIELDS = {
+    FreeEVar: ("var",), FreeSVar: ("var",), BoundEVar: ("index",), BoundSVar: ("index",),
+    App: ("symbol", "args"), Not: ("body",), And: ("left", "right"),
+    Exists: ("binder_sort", "body"), Mu: ("body",), Defined: ("body",),
+}
+
+
+def _fields(p):
+    return [(name, getattr(p, name)) for name in ("sort", "ex", "mu", *_FIELDS[type(p)])]
+
+
+def ref_equal(p, q):
+    """Same kind and equal fields, subpatterns compared recursively."""
+    if type(p) is not type(q):
+        return False
+    for (name, a), (_, b) in zip(_fields(p), _fields(q)):
+        if name == "args":
+            if len(a) != len(b) or not all(map(ref_equal, a, b)):
+                return False
+        elif isinstance(a, Pattern):
+            if not ref_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+def ref_repr(p):
+    """``Kind(field=value, ...)``, subpatterns written recursively."""
+    parts = []
+    for name, value in _fields(p):
+        if name == "args":
+            text = "(" + ", ".join(map(ref_repr, value)) + ("," if len(value) == 1 else "") + ")"
+        elif isinstance(value, Pattern):
+            text = ref_repr(value)
+        else:
+            text = repr(value)
+        parts.append(f"{name}={text}")
+    return f"{type(p).__name__}({', '.join(parts)})"
 
 
 def ref_free_var_sets(p):

@@ -217,3 +217,34 @@ class TestSubprocess:
         proc = self._run()
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+    @pytest.mark.parametrize(
+        "case", ["deep", "wide", "huge-carrier", "state-cap", "unknown-sort", "not-utf8"]
+    )
+    def test_hostile_input_exits_cleanly(self, tmp_path, case):
+        big_mlt, big_mlm = tmp_path / "big.mlt", tmp_path / "big.mlm"
+        big_mlt.write_text("sort S\nsymbol f : S -> S\n")
+        elems = ", ".join(f"e{i}" for i in range(40))
+        big_mlm.write_text(f"model big\ncarrier S = {{ {elems} }}\n")
+        latin = tmp_path / "latin.mlt"
+        latin.write_bytes(b"sort Bool\n# caf\xe9\n")
+        natbool = [NATBOOL_MLT, NATBOOL_MLM]
+        # (arguments, exit code, text the output must contain)
+        args, code, expected = {
+            "deep": (["eval", *natbool, "\\not(" * 300 + "O()" + ")" * 300], 1, "error[nesting]"),
+            "wide": (["eval", *natbool, "S(" + ", ".join(["O()"] * 3000) + ")"], 1, "error[arity]"),
+            "huge-carrier": (
+                ["eval", str(big_mlt), str(big_mlm), "\\mu{S} f(B0)", "--lfp", "prefix"],
+                1,
+                "2^40 subsets exceeds the cap of 20",
+            ),
+            "state-cap": (["satisfies", *natbool, "--cap", "1"], 1, "StateSpaceTooLargeError"),
+            "unknown-sort": (
+                ["eval", *natbool, "isZero(O())", "-v", "x:Zed=9"], 1, "sort 'Zed' is not declared"
+            ),
+            "not-utf8": (["check", str(latin)], 2, f"error: cannot read {latin}: 'utf-8' codec"),
+        }[case]
+        proc = self._run(*args)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert expected in proc.stdout + proc.stderr

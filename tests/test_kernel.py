@@ -8,6 +8,7 @@ from mulogic import (
     ElemVar,
     MuCheck,
     SetVar,
+    Sort,
     Valuation,
     bevar_subst,
     bsvar_subst,
@@ -50,7 +51,7 @@ from mulogic.errors import (
     IndexOutOfScopeError,
     SortMismatchError,
 )
-from mulogic.pattern import walk
+from mulogic.pattern import fold_pattern, walk
 from gen import (
     iter_nodes,
     random_context,
@@ -58,7 +59,7 @@ from gen import (
     random_positive_mu,
     random_signature,
 )
-from reference import ref_facts, ref_free_var_sets
+from reference import ref_equal, ref_facts, ref_free_var_sets, ref_repr
 
 
 @pytest.fixture
@@ -386,7 +387,7 @@ def _chain_text(leaf):
 
 def test_deep_patterns_need_no_recursion(std_sig, std_model, nat, bool_):
     # every traversal runs on an explicit stack; results are compared by
-    # size and printed text, since == and hash still recurse
+    # size and printed text
     limit = sys.getrecursionlimit()
     x, X = ElemVar("x", nat), SetVar("X", nat)
     b0 = mk_bound_evar((nat,), (), 0)
@@ -448,3 +449,126 @@ def test_stored_facts_match_an_independent_walk(std_sig, nat):
     negative = mk_mu(mk_not(B0))
     assert_facts_match_reference(mk_and(mk_mu(B0), negative))
     assert_facts_match_reference(mk_app(std_sig, std_sig.symbol("plus"), [mk_mu(B0), negative]))
+
+
+def _copy(p):
+    # a new node for every distinct node of p, shared as p shares them
+    return fold_pattern(p, lambda node, kids: node.rebuild(node.ex, node.mu, kids))
+
+
+def _unshared(p):
+    # a new node for every path through p (the patterns here are small)
+    return p.rebuild(p.ex, p.mu, [_unshared(kid) for kid in p.children])
+
+
+def _deepest_leaf(p):
+    stack, best = [(p, 0)], (-1, None)
+    while stack:
+        node, depth = stack.pop()
+        if not node.children and depth > best[0]:
+            best = (depth, node)
+        stack += [(kid, depth + 1) for kid in node.children]
+    return best[1]
+
+
+def _perturbed(p, field):
+    # a copy of p with one field of its deepest leaf changed behind the
+    # constructor: the sort (to a twin with the same name and id), the
+    # variable's name or the index; None if the leaf has no such field
+    copy = _copy(p)
+    leaf = _deepest_leaf(copy)
+    if field == "sort":
+        value = Sort(leaf.sort.name, leaf.sort.id)
+    elif field == "var" and hasattr(leaf, "var"):
+        value = type(leaf.var)(leaf.var.name + "'", leaf.var.sort)
+    elif field == "index" and hasattr(leaf, "index"):
+        value = leaf.index + 1
+    else:
+        return None
+    object.__setattr__(leaf, field, value)
+    return copy
+
+
+def test_eq_hash_and_repr_match_recursive_references():
+    rng = random.Random(10)
+    perturbed = 0
+    for k in range(300):
+        sig = random_signature(rng)
+        if k % 2:
+            p = random_positive_mu(rng, sig, budget=rng.randint(3, 12))
+        else:
+            sort = rng.choice(sig.sorts)
+            ex, mu = random_context(rng, sig), random_context(rng, sig)
+            p = random_pattern(rng, sig, sort, ex, mu, budget=rng.randint(2, 20))
+        assert repr(p) == ref_repr(p)
+        for copy in (_copy(p), _unshared(p)):
+            assert copy is not p
+            assert p == copy and copy == p and ref_equal(p, copy)
+            assert hash(p) == hash(copy) and repr(copy) == repr(p)
+        for field in ("sort", "var", "index"):
+            other = _perturbed(p, field)
+            if other is not None:
+                perturbed += 1
+                assert not ref_equal(p, other)
+                assert p != other and other != p and not p == other
+                assert repr(other) == ref_repr(other)
+    assert perturbed > 450
+
+
+def test_eq_hash_and_repr_of_deep_and_shared_patterns(nat):
+    x = mk_free_evar(ElemVar("x", nat))
+    deep, again = _not_chain(x), _not_chain(mk_free_evar(ElemVar("x", nat)))
+    assert deep == again and hash(deep) == hash(again)
+    assert repr(deep) == repr(again)
+    assert repr(deep).startswith("Not(sort=Sort(name='Nat', id=1), ex=(), mu=(), body=Not(")
+    assert repr(deep).count("Not(") == DEEP
+    assert deep != _not_chain(mk_free_evar(ElemVar("y", nat)))
+
+    def iff_nest(depth, right):
+        # tree size above 2 ** depth, in O(depth) shared nodes
+        p, q = x, mk_free_evar(ElemVar(right, nat))
+        for _ in range(depth):
+            p, q = mk_iff(p, q), mk_iff(q, p)
+        return p
+
+    nest = iff_nest(30, "y")
+    assert nest == iff_nest(30, "y") and hash(nest) == hash(iff_nest(30, "y"))
+    assert nest != iff_nest(30, "z")
+
+
+def test_repr_of_each_node_kind(std_sig, nat, bool_):
+    N, B = "Sort(name='Nat', id=1)", "Sort(name='Bool', id=0)"
+    closed = f"sort={N}, ex=(), mu=()"
+    zero = std_sig.symbol("O")
+    O = mk_app(std_sig, zero, [])
+    O_text = f"App({closed}, symbol={zero!r}, args=())"
+    x = mk_free_evar(ElemVar("x", nat))
+    x_text = f"FreeEVar({closed}, var=ElemVar(name='x', sort={N}))"
+    b0 = mk_bound_evar((nat,), (), 0)
+    b0_text = f"BoundEVar(sort={N}, ex=({N},), mu=(), index=0)"
+    B0 = mk_bound_svar((), (nat,), 0)
+    B0_text = f"BoundSVar(sort={N}, ex=(), mu=({N},), index=0)"
+    S, plus = std_sig.symbol("S"), std_sig.symbol("plus")
+    cases = [
+        (x, x_text),
+        (mk_free_svar(SetVar("X", bool_)),
+         f"FreeSVar(sort={B}, ex=(), mu=(), var=SetVar(name='X', sort={B}))"),
+        (b0, b0_text),
+        (B0, B0_text),
+        (O, O_text),
+        (mk_app(std_sig, S, [O]), f"App({closed}, symbol={S!r}, args=({O_text},))"),
+        (mk_app(std_sig, plus, [O, x]),
+         f"App({closed}, symbol={plus!r}, args=({O_text}, {x_text}))"),
+        (mk_not(x), f"Not({closed}, body={x_text})"),
+        (mk_and(O, x), f"And({closed}, left={O_text}, right={x_text})"),
+        (mk_exists(nat, b0), f"Exists({closed}, binder_sort={N}, body={b0_text})"),
+        (mk_mu(B0), f"Mu({closed}, body={B0_text})"),
+        (mk_defined(bool_, x), f"Defined(sort={B}, ex=(), mu=(), body={x_text})"),
+    ]
+    assert {type(p).__name__ for p, _ in cases} == {
+        "FreeEVar", "FreeSVar", "BoundEVar", "BoundSVar", "App",
+        "Not", "And", "Exists", "Mu", "Defined",
+    }
+    for p, text in cases:
+        assert repr(p) == text == ref_repr(p)
+    assert repr(zero) == f"SymbolDecl(name='O', params=(), result={N}, id=4)"

@@ -100,6 +100,23 @@ def test_instantiate_definedness_counts():
         instantiate_definedness(four)
 
 
+
+def test_instantiate_definedness_order_and_clash():
+    sig = Signature()
+    sorts = [sig.declare_sort(name) for name in ("A", "B", "C")]
+    top = mk_top(sorts[0])
+    theory = Theory(sig).add_axiom("domain", sorts[0], top)
+    out = instantiate_definedness(theory)
+    assert [a.label for a in out.axioms] == ["domain"] + [
+        f"definedness/{arg}/{result}" for arg in "ABC" for result in "ABC"
+    ]
+    assert [a.sort for a in out.axioms[1:]] == sorts * 3
+    assert out.axioms[0] is theory.axioms[0]
+    # a clash with a label the theory already has
+    taken = Theory(sig).add_axiom("definedness/B/A", sorts[0], top)
+    with pytest.raises(DuplicateLabelError, match="'definedness/B/A' declared twice"):
+        instantiate_definedness(taken)
+
 def test_check_axiom_satisfied(std_sig, std_model, bool_, bool_domain):
     theory = Theory(std_sig).add_axiom("bool-domain", bool_, bool_domain)
     result = check_axiom(std_model, theory.axiom("bool-domain"))
