@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import MuLogicError
 from .model import FiniteModel, build_model
@@ -74,7 +74,6 @@ from .signature import ElemVar, SetVar, Signature, Sort
 from .theory import DEFINEDNESS_OPTION, Axiom, Theory, instantiate_definedness
 
 Span = tuple[int, int, int]  # (line, column, length), 1-based positions
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -171,18 +170,11 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Only the parser's own recursion needs this cap: ``_parse_node`` and
-# ``_Elaborator._elab``/``infer`` recurse once per surface level, while the
-# kernel's traversals (``==``, ``hash`` and ``repr`` included) are folds.
-MAX_NESTING = 64
-
-
 class _TokenStream:
     def __init__(self, tokens: Sequence[Token], end_span: Span):
         self._tokens = list(tokens)
         self._pos = 0
         self._end_span = end_span
-        self.depth = 0
 
     def peek(self) -> Token | None:
         return self._tokens[self._pos] if self._pos < len(self._tokens) else None
@@ -207,19 +199,36 @@ class _TokenStream:
         return tok
 
 
-def _delimited(ts: _TokenStream, open_: str, close: str,
-               item: Callable[[_TokenStream], T]) -> list[T]:
-    """Parse ``open_ item, ... close`` (possibly empty)."""
+def _run(routine: Generator) -> Any:
+    """Run a parser routine to its result.  A routine yields the generator
+    of each call it makes and is sent back that call's result; pending calls
+    wait on a list, so nesting depth is bounded by memory, not recursion."""
+    stack, value = [routine], None
+    while True:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+
+
+def _delimited(ts: _TokenStream, open_: str, close: str) -> Iterator[None]:
+    """Step through ``open_ item, ... close`` (possibly empty): each step
+    leaves the stream at an item, which the caller parses."""
     ts.expect("punct", open_)
-    items: list[T] = []
     if ts.at(close):
         ts.next(close)
-        return items
+        return
     while True:
-        items.append(item(ts))
+        yield
         sep = ts.next(f"',' or '{close}'")
         if sep.kind == "punct" and sep.text == close:
-            return items
+            return
         if not (sep.kind == "punct" and sep.text == ","):
             raise _err(sep.span, "syntax", f"expected ',' or '{close}', found {sep.text!r}")
 
@@ -298,21 +307,10 @@ class _SNode:
     children: tuple["_SNode", ...] = ()
 
 
-def _parse_node(ts: _TokenStream) -> _SNode:
+def _parse_node(ts: _TokenStream) -> Generator:
     tok = ts.next("a pattern")
-    ts.depth += 1
-    try:
-        return _parse_node_inner(ts, tok)
-    finally:
-        ts.depth -= 1
-
-
-def _parse_node_inner(ts: _TokenStream, tok: Token) -> _SNode:
-    if ts.depth > MAX_NESTING:
-        raise _err(tok.span, "nesting",
-                   f"pattern nesting exceeds {MAX_NESTING} levels")
     if tok.kind == "keyword":
-        return _parse_keyword(ts, tok)
+        return (yield _parse_keyword(ts, tok))
     if tok.kind in ("bevar", "bsvar"):
         index = int(tok.text[1:])
         return _SNode(tok.kind, tok.span, name=f"{tok.text[0]}{index}", index=index)
@@ -323,7 +321,9 @@ def _parse_node_inner(ts: _TokenStream, tok: Token) -> _SNode:
         return _SNode("svar", tok.span, name=name.text, sort_name=sort.text)
     if tok.kind == "name":
         if ts.at("("):
-            args = _delimited(ts, "(", ")", _parse_node)
+            args = []
+            for _ in _delimited(ts, "(", ")"):
+                args.append((yield _parse_node(ts)))
             return _SNode("app", tok.span, name=tok.text, children=tuple(args))
         ts.expect("punct", ":", what="':' (free variables are written name:Sort)")
         sort = ts.expect("name", what="a sort name")
@@ -331,7 +331,7 @@ def _parse_node_inner(ts: _TokenStream, tok: Token) -> _SNode:
     raise _err(tok.span, "syntax", f"expected a pattern, found {tok.text!r}")
 
 
-def _parse_keyword(ts: _TokenStream, tok: Token) -> _SNode:
+def _parse_keyword(ts: _TokenStream, tok: Token) -> Generator:
     conn = _CONNECTIVES.get(tok.text[1:])
     if conn is None:
         raise _err(tok.span, "syntax", f"unknown connective {tok.text!r}")
@@ -346,7 +346,7 @@ def _parse_keyword(ts: _TokenStream, tok: Token) -> _SNode:
     for i in range(conn.arity):
         if conn.parens and i:
             ts.expect("punct", ",")
-        operands.append(_parse_node(ts))
+        operands.append((yield _parse_node(ts)))
     if conn.parens:
         ts.expect("punct", ")")
     return _SNode(conn.kind, tok.span, sort_name=sort, children=tuple(operands))
@@ -377,11 +377,11 @@ class _Elaborator:
 
     def elab(self, node: _SNode, expect: Sort | None, ex: Context, mu: Context) -> Pattern:
         if expect is None:
-            expect = self.infer(node, ex, mu)
+            expect = _run(self.infer((node,), ex, mu))
             if expect is None:
                 raise _err(node.span, "cannot-infer-sort", _CANNOT_INFER)
         try:
-            return self._elab(node, expect, ex, mu)
+            return _run(self._elab(node, expect, ex, mu))
         except _Bail:
             raise
         except MuLogicError as kernel_error:
@@ -392,10 +392,10 @@ class _Elaborator:
             raise _err(span, "sort-mismatch",
                        f"{what} has sort {got}, expected {expect}")
 
-    def _elab(self, node: _SNode, expect: Sort, ex: Context, mu: Context) -> Pattern:
+    def _elab(self, node: _SNode, expect: Sort, ex: Context, mu: Context) -> Generator:
         conn = _CONNECTIVES.get(node.kind)
         if conn is not None:
-            return self._elab_connective(conn, node, expect, ex, mu)
+            return (yield self._elab_connective(conn, node, expect, ex, mu))
         if node.kind in ("bevar", "bsvar"):
             self._check(_bound_sort(node, ex, mu), expect, node.span, node.name)
             build = mk_bound_evar if node.kind == "bevar" else mk_bound_svar
@@ -411,10 +411,9 @@ class _Elaborator:
                            f"argument(s), got {len(node.children)}")
             self._check(symbol.result, expect, node.span,
                         f"application of {symbol.name}")
-            args = [
-                self._elab(child, param, ex, mu)
-                for child, param in zip(node.children, symbol.params)
-            ]
+            args = []
+            for child, param in zip(node.children, symbol.params):
+                args.append((yield self._elab(child, param, ex, mu)))
             return mk_app(self.sig, symbol, args, ex, mu)
         sort = _declared_sort(self.sig, node.sort_name, node.span)
         if node.kind == "evar":
@@ -424,7 +423,7 @@ class _Elaborator:
         return mk_free_svar(SetVar(node.name, sort), ex, mu)
 
     def _elab_connective(self, conn: _Connective, node: _SNode, expect: Sort,
-                         ex: Context, mu: Context) -> Pattern:
+                         ex: Context, mu: Context) -> Generator:
         annotation = None
         if node.sort_name is not None:
             annotation = _declared_sort(self.sig, node.sort_name, node.span)
@@ -437,39 +436,38 @@ class _Elaborator:
             mu = (expect,) + mu
         operand = expect
         if conn.infers_operands and node.children:
-            operand = self._first_sort(node.children, ex, mu)
+            operand = yield self.infer(node.children, ex, mu)
             if operand is None:
                 raise _err(node.children[0].span, "cannot-infer-sort",
                            _CANNOT_INFER if len(node.children) == 1 else
                            "cannot infer the operand sort; add a sort annotation")
-        operands = [self._elab(child, operand, ex, mu) for child in node.children]
+        operands = []
+        for child in node.children:
+            operands.append((yield self._elab(child, operand, ex, mu)))
         leading = [annotation] if conn.annotation == _REQUIRED else []
         return conn.build(*leading, *(operands or (ex, mu)))
 
-    def infer(self, node: _SNode, ex: Context,
-              mu: tuple[Sort | None, ...]) -> Sort | None:
-        conn = _CONNECTIVES.get(node.kind)
-        if conn is None:
-            if node.kind in ("bevar", "bsvar"):
-                return _bound_sort(node, ex, mu)
-            if node.kind == "app":
-                if not self.sig.has_symbol(node.name):
-                    return None
-                return self.sig.symbol(node.name).result
-            return _declared_sort(self.sig, node.sort_name, node.span)
-        if conn.binds == "ex":
-            binder = _declared_sort(self.sig, node.sort_name, node.span)
-            return self._first_sort(node.children, (binder,) + ex, mu)
-        if node.sort_name is not None:
-            return _declared_sort(self.sig, node.sort_name, node.span)
-        if conn.binds == "mu":
-            mu = (None,) + mu
-        return self._first_sort(node.children, ex, mu)
-
-    def _first_sort(self, nodes: Sequence[_SNode], ex: Context,
-                    mu: tuple[Sort | None, ...]) -> Sort | None:
+    def infer(self, nodes: Sequence[_SNode], ex: Context,
+              mu: tuple[Sort | None, ...]) -> Generator:
+        """The inferred sort of the first of ``nodes`` that has one, else None."""
         for node in nodes:
-            sort = self.infer(node, ex, mu)
+            conn = _CONNECTIVES.get(node.kind)
+            if conn is None:
+                if node.kind in ("bevar", "bsvar"):
+                    sort = _bound_sort(node, ex, mu)
+                elif node.kind == "app":
+                    has = self.sig.has_symbol(node.name)
+                    sort = self.sig.symbol(node.name).result if has else None
+                else:
+                    sort = _declared_sort(self.sig, node.sort_name, node.span)
+            elif conn.binds == "ex":
+                binder = _declared_sort(self.sig, node.sort_name, node.span)
+                sort = yield self.infer(node.children, (binder,) + ex, mu)
+            elif node.sort_name is not None:
+                sort = _declared_sort(self.sig, node.sort_name, node.span)
+            else:
+                inner = (None,) + mu if conn.binds == "mu" else mu
+                sort = yield self.infer(node.children, ex, inner)
             if sort is not None:
                 return sort
         return None
@@ -493,7 +491,7 @@ def parse_pattern(
     """
     ts = _TokenStream(tokenize(text), _end_span(text))
     try:
-        node = _parse_node(ts)
+        node = _run(_parse_node(ts))
         _expect_end(ts)
         return _Elaborator(sig).elab(node, expect_sort, tuple(ex), tuple(mu))
     except _Bail as bail:
@@ -616,7 +614,7 @@ def _parse_axiom_line(elab: _Elaborator, ts: _TokenStream) -> Axiom:
     sort_tok = ts.expect("name", what="a sort name")
     ts.expect("punct", "]")
     sort = _declared_sort(elab.sig, sort_tok.text, sort_tok.span)
-    node = _parse_node(ts)
+    node = _run(_parse_node(ts))
     _expect_end(ts)
     return Axiom(label.text, sort, elab.elab(node, sort, (), ()))
 
@@ -702,7 +700,7 @@ def _parse_carrier_line(
                    f"carrier of {sort_tok.text} already declared")
     carrier_lines.add(sort_tok.text)
     ts.expect("eq", what="'='")
-    labels = _delimited(ts, "{", "}", _parse_label)
+    labels = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
     _expect_end(ts)
     if not labels:
         raise _err(sort_tok.span, "empty-carrier",
@@ -728,9 +726,9 @@ def _parse_interp_line(
         raise _err(sym_tok.span, "unknown-symbol",
                    f"symbol {sym_tok.text!r} is not declared")
     symbol = sig.symbol(sym_tok.text)
-    args = _delimited(ts, "(", ")", _parse_label)
+    args = [_parse_label(ts) for _ in _delimited(ts, "(", ")")]
     ts.expect("eq", what="'='")
-    values = _delimited(ts, "{", "}", _parse_label)
+    values = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
     _expect_end(ts)
 
     if len(args) != len(symbol.params):
@@ -773,7 +771,8 @@ def parse_binding(text: str, braced: bool) -> tuple[str, str, list[str]]:
         ts.expect("punct", ":")
         sort = ts.expect("name", what="a sort name")
         ts.expect("eq", what="'='")
-        labels = _delimited(ts, "{", "}", _parse_label) if braced else [_parse_label(ts)]
+        items = _delimited(ts, "{", "}") if braced else [None]
+        labels = [_parse_label(ts) for _ in items]
         _expect_end(ts)
     except _Bail as bail:
         raise ParseError([bail.diagnostic]) from None

@@ -231,7 +231,7 @@ class TestSubprocess:
         natbool = [NATBOOL_MLT, NATBOOL_MLM]
         # (arguments, exit code, text the output must contain)
         args, code, expected = {
-            "deep": (["eval", *natbool, "\\not(" * 300 + "O()" + ")" * 300], 1, "error[nesting]"),
+            "deep": (["eval", *natbool, "\\not(" * 20_000 + "O()" + ")" * 20_000], 0, "{ 0 }"),
             "wide": (["eval", *natbool, "S(" + ", ".join(["O()"] * 3000) + ")"], 1, "error[arity]"),
             "huge-carrier": (
                 ["eval", str(big_mlt), str(big_mlm), "\\mu{S} f(B0)", "--lfp", "prefix"],

@@ -8,6 +8,7 @@ from mulogic import (
     mk_defined,
     mk_exists,
     mk_free_evar,
+    mk_not,
     mk_top,
     parse_model,
     parse_pattern,
@@ -213,11 +214,13 @@ class TestParsePattern:
             parse_pattern(text, std_sig)
         assert (err.value.diagnostics[0].code, err.value.diagnostics[0].span) == (code, span)
 
-    def test_deep_nesting_is_a_diagnostic_not_a_crash(self, std_sig):
-        text = "\\not(" * 300 + "\\top{Bool}" + ")" * 300
-        with pytest.raises(ParseError) as err:
-            parse_pattern(text, std_sig)
-        assert err.value.diagnostics[0].code == "nesting"
+    def test_deep_nesting_parses_without_recursion(self, std_sig):
+        depth = 10_000
+        text = "\\not(" * depth + "\\top{Bool}" + ")" * depth
+        expected = mk_top(std_sig.sort("Bool"))
+        for _ in range(depth):
+            expected = mk_not(expected)
+        assert parse_pattern(text, std_sig) == expected
 
 
 class TestParseModel:
