@@ -35,6 +35,9 @@ inference all read that row.  One delimited-list parser reads application
 arguments, ``interp`` arguments and label sets, and one line driver runs
 both file formats.  :func:`parse_binding` reads the CLI's ``-v``/``-V``
 bindings with the same tokenizer and label grammar as model files.
+
+The frontend has no nesting limit: its pattern routines are generators
+that one driver, ``_run``, runs on an explicit stack.
 """
 
 from __future__ import annotations
@@ -204,17 +207,14 @@ def _run(routine: Generator) -> Any:
     of each call it makes and is sent back that call's result; pending calls
     wait on a list, so nesting depth is bounded by memory, not recursion."""
     stack, value = [routine], None
-    while True:
+    while stack:
         try:
-            call = stack[-1].send(value)
+            stack.append(stack[-1].send(value))
+            value = None
         except StopIteration as done:
             stack.pop()
-            if not stack:
-                return done.value
             value = done.value
-        else:
-            stack.append(call)
-            value = None
+    return value
 
 
 def _delimited(ts: _TokenStream, open_: str, close: str) -> Iterator[None]:
@@ -382,8 +382,6 @@ class _Elaborator:
                 raise _err(node.span, "cannot-infer-sort", _CANNOT_INFER)
         try:
             return _run(self._elab(node, expect, ex, mu))
-        except _Bail:
-            raise
         except MuLogicError as kernel_error:
             raise _err(node.span, "kernel", str(kernel_error)) from None
 
@@ -595,7 +593,7 @@ def _parse_symbol_line(sig: Signature, ts: _TokenStream) -> None:
         params.append(_declared_sort(sig, tok.text, tok.span))
         tok = ts.next("',' or '->'")
         if tok.kind == "punct" and tok.text == ",":
-            tok = ts.next("a sort name")
+            tok = ts.expect("name", what="a sort name")
         elif tok.kind != "arrow":
             raise _err(tok.span, "syntax",
                        f"expected ',' or '->', found {tok.text!r}")
@@ -771,8 +769,8 @@ def parse_binding(text: str, braced: bool) -> tuple[str, str, list[str]]:
         ts.expect("punct", ":")
         sort = ts.expect("name", what="a sort name")
         ts.expect("eq", what="'='")
-        items = _delimited(ts, "{", "}") if braced else [None]
-        labels = [_parse_label(ts) for _ in items]
+        labels = ([_parse_label(ts) for _ in _delimited(ts, "{", "}")] if braced
+                  else [_parse_label(ts)])
         _expect_end(ts)
     except _Bail as bail:
         raise ParseError([bail.diagnostic]) from None

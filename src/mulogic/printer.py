@@ -2,8 +2,8 @@
 
 Printing is core-syntax only: derived connectives were expanded at
 construction time and print as their expansions.  Mu binders are printed
-with their sort annotation so that any constructible pattern can be parsed
-back without an expected sort, giving ``parse(print(p)) == p``.
+with their sort annotation so that any constructible pattern, of any depth,
+parses back without an expected sort: ``parse(print(p)) == p``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .errors import (
     DuplicateLabelError,
+    MuLogicError,
     NotClosedError,
     SortMismatchError,
     StateSpaceTooLargeError,
@@ -189,7 +190,8 @@ def satisfies(
 ) -> SatisfactionReport:
     """Check every axiom (or the ``labels`` subset) in declaration order.
 
-    Per-axiom errors become ``error`` verdicts; the run always completes.
+    A :class:`MuLogicError` from an axiom becomes its ``error`` verdict and
+    the run goes on; any other exception is a fault and propagates.
     """
     wanted = None if labels is None else set(labels)
     results = []
@@ -206,7 +208,7 @@ def satisfies(
                     state_cap=state_cap,
                 )
             )
-        except Exception as err:  # noqa: BLE001 - aggregated per axiom
+        except MuLogicError as err:
             results.append(
                 AxiomResult(axiom, Verdict.ERROR, message=f"{type(err).__name__}: {err}")
             )

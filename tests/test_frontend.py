@@ -5,9 +5,12 @@ import pytest
 
 from mulogic import (
     ParseError,
+    mk_bound_svar,
     mk_defined,
+    mk_equals,
     mk_exists,
     mk_free_evar,
+    mk_mu,
     mk_not,
     mk_top,
     parse_model,
@@ -58,6 +61,11 @@ class TestParseTheory:
         g = theory.signature.symbol("g")
         assert [s.name for s in g.params] == ["A", "B", "A"]
         assert g.result.name == "B"
+
+    def test_symbol_line_rejects_a_trailing_comma(self):
+        (diag,) = diag_of(lambda: parse_theory("sort Nat\nsymbol f : Nat, -> Nat"))
+        assert (diag.code, diag.span) == ("syntax", (2, 17, 2))
+        assert diag.message == "expected a sort name, found '->'"
 
     def test_dangling_bound_variable_diagnostic(self):
         (diag,) = diag_of(lambda: parse_theory("sort Bool\naxiom a [Bool] b0"))
@@ -308,6 +316,25 @@ class TestPrinter:
             p = random_pattern(rng, sig, sort, ex, mu, budget=rng.randint(2, 14))
             reparsed = parse_pattern(print_pattern(p), sig, ex, mu, expect_sort=sort)
             assert structural_eq(reparsed, p)
+
+    def test_round_trip_of_derived_forms_deeper_in_core_syntax(self, std_sig):
+        # each level is two surface levels but prints as several core ones
+        nat = std_sig.sort("Nat")
+        zero = parse_pattern("O()", std_sig)
+        p = zero
+        for _ in range(8):
+            p = mk_defined(nat, mk_equals(nat, p, zero))
+        text = "\\ceil{Nat}(\\equals{Nat}(" * 8 + "O()" + ", O()))" * 8
+        assert parse_pattern(text, std_sig) == p
+        assert parse_pattern(print_pattern(p), std_sig) == p
+
+    def test_round_trip_of_a_deep_fixpoint(self, std_sig):
+        nat = std_sig.sort("Nat")
+        body = mk_bound_svar((), (nat,), 0)
+        for _ in range(10_000):
+            body = mk_not(body)
+        p = mk_mu(body)
+        assert parse_pattern(print_pattern(p), std_sig) == p
 
 
 class TestCorpus:

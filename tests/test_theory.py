@@ -193,6 +193,12 @@ def test_satisfies_aggregates_errors_and_continues(std_sig, std_model, bool_, na
     assert not report.satisfied
 
 
+def test_satisfies_lets_faults_propagate(std_sig, std_model, bool_, bool_domain):
+    theory = Theory(std_sig).add_axiom("bool-domain", bool_, bool_domain)
+    with pytest.raises(ValueError, match="unknown lfp mode 'bogus'"):
+        satisfies(std_model, theory, lfp_mode="bogus")
+
+
 def test_monotone_reporting(std_sig, std_model, bool_, bool_domain):
     theory = Theory(std_sig).add_axiom("bool-domain", bool_, bool_domain)
     before = satisfies(std_model, theory)
