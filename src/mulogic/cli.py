@@ -1,7 +1,8 @@
 """Command-line driver: ``check``, ``eval``, and ``satisfies``.
 
 Exit codes: 0 clean, 1 for diagnostics/violations/evaluation errors, 2 for
-I/O failures (a file that cannot be read, or is not UTF-8).
+I/O failures (a file, or for ``eval -`` the pattern on stdin, that cannot
+be read or is not UTF-8).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     evalp = sub.add_parser("eval", help="evaluate a pattern over a model")
     evalp.add_argument("theory", help="path to a .mlt theory file")
     evalp.add_argument("model", help="path to a .mlm model file")
-    evalp.add_argument("pattern", help="pattern text (closed)")
+    evalp.add_argument("pattern", help="pattern text (closed), or - to read it from stdin")
     evalp.add_argument(
         "-v",
         dest="evar_bindings",
@@ -127,11 +128,15 @@ class _Exit(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _read(path: str | None) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin when ``path`` is
+    None; exit 2 if it cannot be read."""
     try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
+        print(f"error: cannot read {'stdin' if path is None else path}: {err}", file=sys.stderr)
         raise _Exit(2) from None
 
 
@@ -201,8 +206,10 @@ def _binding(model: FiniteModel, text: str, flag: str, want: str):
 def _cmd_eval(args) -> int:
     theory = _load(args.theory, parse_theory)
     model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
+    # "-" is not pattern syntax, so it can stand for stdin
+    text = _read(None) if args.pattern == "-" else args.pattern
     try:
-        pattern = parse_pattern(args.pattern, theory.signature)
+        pattern = parse_pattern(text, theory.signature)
     except ParseError as err:
         _print_diagnostics("<pattern>", err.diagnostics)
         return 1

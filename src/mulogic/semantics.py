@@ -26,6 +26,20 @@ under ``prefix`` warns once per call), then unbound variables.
   ``prefix_cap``, binder loops nested deeper than the recursion limit
   leaves room for) are raised here, in the order in which a node-by-node
   evaluation would reach them.
+* **Signed registers.**  A ``Not`` places no register and no instruction
+  (the complement edges of BDD packages: Brace, Rudell & Bryant, DAC
+  1990).  Each placed result is a signed register, ``r`` or its complement
+  ``~r``; a ``Not`` flips the sign of its operand's, so a chain of them
+  costs one stack step each.  Consumers take the sign into their
+  instruction: ``And`` is ``a & b``, ``a & ~b``, or for two complements
+  ``a | b`` with a complemented result (De Morgan); ``Defined`` of a
+  complement tests its operand against the full carrier; an ``Exists``
+  over a complement intersects its operand over the loop and complements
+  the result, so ``\\forall`` is one intersection loop; a complemented
+  root is XORed with the full carrier once per valuation.  Only an
+  application argument and a ``Mu`` body's result need a plain register:
+  there the complement is one instruction per register, placed in the
+  scope that writes its operand, so it is hoisted as far as the operand.
 * **Run.**  An instruction placed at the top runs once, as soon as it is
   placed; a top-level binder runs once its body is placed.  Nothing that
   runs can raise once positivity has been checked, so errors keep their
@@ -372,20 +386,23 @@ class _Scope:
 
 
 class _Program:
-    """Registers and one scope per free variable."""
+    """Registers and one scope per free variable.  The result is register
+    ``result`` XORed with ``flip``: 0, or the full carrier of the root's
+    sort when the root is a complement."""
 
-    def __init__(self, regs: list[int], levels: list[_Scope], result: int):
+    def __init__(self, regs: list[int], levels: list[_Scope], result: int, flip: int):
         self.regs = regs
         self.levels = levels
         self.result = result
+        self.flip = flip
 
     def sweep(self, choices: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
         """Run once per combination of level values, in
         ``itertools.product(*choices)`` order, and yield the index of each
-        level's value together with the result register.  After the first
+        level's value together with the result's bits.  After the first
         run only the levels from the first one whose value changed are run
         again."""
-        regs, levels = self.regs, self.levels
+        regs, levels, result, flip = self.regs, self.levels, self.result, self.flip
         last = len(levels) - 1
         index = [0] * len(levels)
         start = 0
@@ -395,7 +412,7 @@ class _Program:
                 regs[level.var] = choices[k][index[k]]
                 for op in level.code:
                     op()
-            yield index, regs[self.result]
+            yield index, regs[result] ^ flip
             start = last
             while start >= 0 and index[start] == len(choices[start]) - 1:
                 index[start] = 0
@@ -409,6 +426,9 @@ class _Program:
 # the engine's loop), and frames kept back for the innermost instructions.
 _FRAMES_PER_LOOP = 2
 _SPARE_FRAMES = 30
+
+# The stack item that complements the last placed result: a ``Not``.
+_FLIP = ("flip",)
 
 
 def _loop_room() -> int:
@@ -432,21 +452,25 @@ def _compile(
     ``variables[k]`` gets level and register ``k``, which ``_Program.sweep``
     sets.  An instruction placed at the top runs at once.
 
-    The stack holds ``(node, exs, mus)`` to enter and ``(node, exs, mus,
-    scope, key, inner)`` to leave, where ``exs``/``mus`` are the scopes of
-    the enclosing ex and mu binders, outermost first, so de Bruijn index
-    ``i`` of a node is scope ``exs[-1 - i]``.  A node whose ``scope`` is
-    the top goes on leave to the innermost level its operands read.
+    The stack holds ``(node, exs, mus)`` to enter, ``(node, exs, mus,
+    scope, key, inner)`` to leave and ``_FLIP`` to complement the last
+    result, where ``exs``/``mus`` are the scopes of the enclosing ex and mu
+    binders, outermost first, so de Bruijn index ``i`` of a node is scope
+    ``exs[-1 - i]``.  A node whose ``scope`` is the top goes on leave to the
+    innermost level its operands read.  Results are signed registers: ``r``
+    or its complement ``~r``.
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     level_of = dict(zip(variables, levels))
     regs = [0] * len(levels)
+    homes: list[_Scope] = list(levels)  # register -> the scope that writes it
     reads = {k: k + 1 for k in range(len(levels))}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
 
-    def register(value: int = 0) -> int:
+    def register(home: _Scope, value: int = 0) -> int:
         regs.append(value)
+        homes.append(home)
         return len(regs) - 1
 
     fulls: dict[Sort, int] = {}
@@ -456,18 +480,46 @@ def _compile(
             fulls[sort] = (1 << model.carrier_size(sort)) - 1
         return fulls[sort]
 
+    negated: dict[int, int] = {}  # register r -> the register holding ~r
+
+    def positive(a: int, sort: Sort) -> int:
+        """An unsigned register for signed register ``a``: a complement is
+        computed once, next to the instruction that writes its operand."""
+        if a >= 0:
+            return a
+        a = ~a
+        dst = negated.get(a)
+        if dst is None:
+            home = homes[a]
+            dst = negated[a] = register(home)
+            if a in reads:
+                reads[dst] = reads[a]
+            op = _not_op(regs, dst, a, full(sort))
+            if home is top:
+                op()
+            else:
+                home.code.append(op)
+        return dst
+
     memos: dict = {}  # symbol -> {argument registers' values: result}
     base = len(levels)
     done: dict[tuple[int, _Scope], int] = {}
-    results: list[int] = []  # registers of the children met so far
+    results: list[int] = []  # signed registers of the children met so far
     emit = results.append
     stack: list[tuple] = [(p, (), ())]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
+        if item is _FLIP:
+            results[-1] = ~results[-1]
+            continue
         node, exs, mus = item[0], item[1], item[2]
         kind = type(node)
         if len(item) == 3:  # enter
+            if kind is Not:
+                push(_FLIP)
+                push((node.body, exs, mus))
+                continue
             ex, even, odd, _, _ = node._facts
             scope = top
             if ex:
@@ -497,7 +549,10 @@ def _compile(
                         f"{sys.getrecursionlimit()} leaves room for"
                     )
                 ascending = kind is Mu and mode == LFP_ITERATE
-                inner = _Scope(base + len(exs) + len(mus) + 1, register(), loops, ascending)
+                # the binder's variable is the next register; its loop sets it
+                # before each run of the body, so a complement of it goes there
+                inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
+                register(inner)
                 push((node, exs, mus, scope, key, inner))
                 if kind is Exists:
                     push((node.body, (*exs, inner), mus))
@@ -514,7 +569,7 @@ def _compile(
                 elif kind is FreeEVar or kind is FreeSVar:
                     reg = level_of[node.var].var
                 else:  # a 0-ary symbol
-                    reg = register(model.mask_table(node.symbol).get((), 0))
+                    reg = register(top, model.mask_table(node.symbol).get((), 0))
                 done[key] = reg
                 emit(reg)
             continue
@@ -522,7 +577,7 @@ def _compile(
         n = len(node.children)
         args = results[-n:]
         del results[-n:]
-        level = max([reads.get(a, 0) for a in args]) if node._facts[3] else 0
+        level = max([reads.get(a if a >= 0 else ~a, 0) for a in args]) if node._facts[3] else 0
         if level and scope is top:
             scope = levels[level - 1]
         if inner is not None:
@@ -532,13 +587,21 @@ def _compile(
                 done[key] = args[0]
                 emit(args[0])
                 continue
-        dst = register()
+        dst = register(scope)
         if level:
             reads[dst] = level
+        out = dst
         if kind is Exists:
+            # the union of a complement is the complement of an intersection
+            res = args[0]
+            meet = res < 0
             elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
-            op = _exists_op(regs, dst, inner.var, args[0], inner.code, elems)
+            op = _exists_op(regs, dst, inner.var, ~res if meet else res, inner.code, elems,
+                            meet, full(node.sort))
+            if meet:
+                out = ~dst
         elif kind is Mu:
+            res = positive(args[0], node.sort)
             width = model.carrier_size(node.sort)
             if mode == LFP_ITERATE:
                 # a warm start (module docstring); the enclosing binder's
@@ -549,15 +612,18 @@ def _compile(
                 warm = scope.ascending and svar_occurs_positively(node, rel)
                 if warm:
                     scope.resumed.append(dst)
-                op = _iterate_op(regs, dst, inner.var, args[0], inner.code, node.sort,
+                op = _iterate_op(regs, dst, inner.var, res, inner.code, node.sort,
                                  width, inner.resumed, warm)
             else:
-                op = _prefix_op(regs, dst, inner.var, args[0], inner.code, width)
-        elif kind is Not:
-            op = _not_op(regs, dst, args[0], full(node.sort))
+                op = _prefix_op(regs, dst, inner.var, res, inner.code, width)
         elif kind is Defined:
-            op = _defined_op(regs, dst, args[0], full(node.sort))
+            a = args[0]
+            # the complement of a is empty where a is full
+            empty = 0 if a >= 0 else full(node.body.sort)
+            op = _defined_op(regs, dst, a if a >= 0 else ~a, full(node.sort), empty)
         elif kind is App:
+            if min(args) < 0:
+                args = [positive(a, kid.sort) for a, kid in zip(args, node.children)]
             memo = memos.setdefault(node.symbol, {})
             table = model.mask_table(node.symbol)
             if scope.ascending and n == 1:
@@ -565,20 +631,25 @@ def _compile(
             else:
                 op = _app_op(regs, dst, args, table, memo)
         else:  # And
-            op = _and_op(regs, dst, args[0], args[1])
+            a, b = args
+            op = _and_op(regs, dst, a, b)
+            if a < 0 and b < 0:
+                out = ~dst  # De Morgan: the complement of a union
         if scope is top:
             op()
         else:
             scope.code.append(op)
-        done[key] = dst
-        emit(dst)
-    return _Program(regs, levels, results[0])
+        done[key] = out
+        emit(out)
+    root = results[0]
+    return _Program(regs, levels, root if root >= 0 else ~root,
+                    full(p.sort) if root < 0 else 0)
 
 
 # --- instructions -----------------------------------------------------------
 #
 # Each maker returns a closure that reads its operands from ``regs`` and
-# writes register ``dst``.
+# writes register ``dst``.  Only ``_and_op`` takes signed registers.
 
 
 def _not_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
@@ -589,15 +660,38 @@ def _not_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
 
 
 def _and_op(regs: list[int], dst: int, a: int, b: int) -> Callable[[], None]:
-    def op() -> None:
-        regs[dst] = regs[a] & regs[b]
+    """The meet of signed registers ``a`` and ``b``: ``a & b``, ``a & ~b``,
+    or, when both are complements, ``a | b``, whose complement is the meet
+    (De Morgan)."""
+    if a < 0 and b < 0:
+        a, b = ~a, ~b
+
+        def op() -> None:
+            regs[dst] = regs[a] | regs[b]
+
+    elif a < 0 or b < 0:
+        a, b = (b, ~a) if a < 0 else (a, ~b)
+
+        def op() -> None:
+            regs[dst] = regs[a] & ~regs[b]
+
+    else:
+
+        def op() -> None:
+            regs[dst] = regs[a] & regs[b]
 
     return op
 
 
-def _defined_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
+def _defined_op(
+    regs: list[int], dst: int, a: int, full: int, empty: int
+) -> Callable[[], None]:
+    """``full`` unless register ``a`` holds ``empty``, the value at which
+    the operand denotes the empty set: 0, or for a complement the full
+    carrier of its sort."""
+
     def op() -> None:
-        regs[dst] = full if regs[a] else 0
+        regs[dst] = full if regs[a] != empty else 0
 
     return op
 
@@ -666,15 +760,22 @@ def _delta_app_op(
 
 
 def _exists_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int]
+    regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int],
+    meet: bool, full: int,
 ) -> Callable[[], None]:
+    """The union, or when ``meet`` the intersection, of register ``res``
+    over ``body`` run once per element mask in ``elems``."""
+
     def op() -> None:
-        acc = 0
+        acc = full if meet else 0
         for elem in elems:
             regs[var] = elem
             for step in body:
                 step()
-            acc |= regs[res]
+            if meet:
+                acc &= regs[res]
+            else:
+                acc |= regs[res]
         regs[dst] = acc
 
     return op

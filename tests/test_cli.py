@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -143,6 +144,14 @@ class TestEval:
         assert capsys.readouterr().err.strip() == (
             f"error: malformed {flag} binding {binding!r} (want {want})")
 
+    def test_pattern_from_stdin(self, monkeypatch, capsys):
+        for data, code, out in ((b"\\not(S(O()))\n", 0, "{ 0, 2, 3 }\n"), (b"S(\xe9)", 2, "")):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "-"]) == code
+            captured = capsys.readouterr()
+            assert captured.out == out
+        assert captured.err.startswith("error: cannot read stdin: 'utf-8' codec")
+
     def test_pattern_diagnostics(self, capsys):
         assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "isZero(true())"]) == 1
         assert "sort-mismatch" in capsys.readouterr().err
@@ -191,13 +200,14 @@ class TestSatisfies:
 
 
 class TestSubprocess:
-    def _run(self, *args):
+    def _run(self, *args, stdin=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "mulogic", *args],
             capture_output=True,
+            input=stdin,
             text=True,
             env=env,
             timeout=60,
@@ -207,6 +217,14 @@ class TestSubprocess:
         proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, "isZero(S(O()))")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "{ f }"
+
+    def test_pattern_from_stdin(self):
+        # 150 KB, more than one argument may hold on Linux (128 KiB)
+        deep = "\\not(" * 25_001 + "O()" + ")" * 25_001
+        proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, "-", stdin=deep + "\n")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.strip() == "{ 1, 2, 3 }"
 
     def test_satisfies_process(self):
         proc = self._run("satisfies", NATBOOL_MLT, NATBOOL_MLM)

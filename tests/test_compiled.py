@@ -313,3 +313,138 @@ def test_binders_nested_too_deep_for_the_recursion_limit(binder):
     (result,) = report.results
     assert result.verdict.value == "error"
     assert result.message.startswith("NestingTooDeepError: ")
+
+
+# --- signed registers ---------------------------------------------------------
+
+SIGN_CASES = [
+    # the union of a complement: an intersection loop, complemented
+    r"\exists{Nat} \not(S(b0))",
+    r"\not(\exists{Nat} \not(\and(b0, S(b0))))",
+    r"\forall{Nat} \forall{Nat} \forall{Nat} \or(plus(b0, \and(b1, b2)), \not(S(b2)))",
+    r"\forall{Nat} \exists{Nat} \forall{Nat} \implies(\and(b0, b2), \not(plus(b1, b1)))",
+    # the meet of two complements is the complement of a union; of one, a difference
+    r"\and(\not(S(O())), \not(plus(O(), S(O()))))",
+    r"\and(S(O()), \not(O()))",
+    r"\and(\not(O()), \mu{Nat} \or(O(), S(B0)))",
+    r"\exists{Nat} \and(\not(b0), \not(S(b0)))",
+    # definedness of a complement, into another sort
+    r"\ceil{Bool}(\not(S(O())))",
+    r"\ceil{Bool}(\not(\top{Nat}))",
+    r"\exists{Nat} \and(\ceil{Bool}(\not(S(b0))), isZero(b0))",
+    r"\floor{Bool}(\not(\and(S(O()), O())))",
+    # an application of a complement that no binder variable reaches
+    r"\forall{Nat} \or(b0, S(\not(S(O()))))",
+    r"\forall{Nat} \implies(\ceil{Nat}(b0), plus(\not(O()), b0))",
+    # a greatest fixpoint, and a mu body that complements its own variable
+    r"\nu{Nat} \or(\not(O()), S(B0))",
+    r"\nu{Nat} \and(S(B0), \not(O()))",
+    r"\mu{Nat} \or(O(), S(\not(\nu{Nat} \and(\not(B0), S(B1)))))",
+    r"\mu{Nat} \or(O(), S(\not(B0)))",
+    # complemented roots
+    r"\not(\not(\not(O())))",
+    r"\not(\mu{Nat} \or(O(), S(B0)))",
+]
+
+
+def cycle_model(sig):
+    """``S`` swaps 0 and 1 and swaps 2 and 3."""
+    return build_model(
+        sig, {"Bool": ["t", "f"], "Nat": ["0", "1", "2", "3"]},
+        {"O": {(): ["0"]}, "isZero": {("0",): ["t"], ("1",): ["f"]},
+         "S": {("0",): ["1"], ("1",): ["0"], ("2",): ["3"], ("3",): ["2"]},
+         "plus": {("0", "0"): ["0"], ("1", "1"): ["2", "3"], ("2", "0"): ["1"]}},
+    )
+
+
+@pytest.mark.parametrize("text", SIGN_CASES)
+def test_each_sign_rule_matches_the_reference(std_sig, std_model, text):
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for model in (std_model, cycle_model(std_sig)):
+        for arm in EVAL_ARMS:
+            mine = outcome(eval_pattern, model, empty, p, **arm)
+            assert mine == outcome(ref_eval_pattern, model, empty, p, **arm), arm
+
+
+def test_complemented_root_through_check_axiom(std_sig, std_model, nat):
+    # x = S(y) first at x = 1, y = 0, where the axiom denotes all but 1
+    x, y = ElemVar("x", nat), ElemVar("y", nat)
+    S = std_sig.symbol("S")
+    for p in (mk_not(mk_and(mk_free_evar(x), mk_app(std_sig, S, [mk_free_evar(y)]))),
+              mk_not(mk_not(mk_not(mk_and(mk_free_evar(x), mk_free_evar(y)))))):
+        axiom = Axiom("apart", nat, p)
+        for model in (std_model, cycle_model(std_sig)):
+            for arm in EVAL_ARMS:
+                mine = outcome(check_axiom, model, axiom, **arm)
+                ref = outcome(ref_check_axiom, model, axiom, **arm)
+                assert (axiom_view(mine[0]), mine[1]) == (axiom_view(ref[0]), ref[1]), arm
+    result = check_axiom(std_model, Axiom("apart", nat, mk_not(
+        mk_and(mk_free_evar(x), mk_app(std_sig, S, [mk_free_evar(y)])))))
+    assert result.verdict.value == "violated"
+    assert {str(v): e.label for v, e in result.witness.evars.items()} == {"x:Nat": "1", "y:Nat": "0"}
+    assert std_model.format_set(result.got) == "{ 0, 2, 3 }"
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """The instructions placed, one maker name per instruction."""
+    names = []
+    for name in [n for n in dir(semantics) if n.startswith("_") and n.endswith("_op")]:
+        make = getattr(semantics, name)
+
+        def counted(*args, make=make, name=name):
+            names.append(name)
+            return make(*args)
+
+        monkeypatch.setattr(semantics, name, counted)
+    return names
+
+
+@pytest.mark.parametrize("text, same", [
+    (r"\not(\exists{Nat} \and(b0, S(b0)))",
+     r"\not(\not(\not(\exists{Nat} \and(b0, S(b0)))))"),
+    (r"\exists{Nat} \and(b0, \mu{Nat} \or(O(), S(\and(b0, B0))))",
+     r"\forall{Nat} \and(b0, \mu{Nat} \or(O(), S(\and(b0, B0))))"),
+])
+def test_negation_places_no_register_and_no_instruction(std_sig, std_model, placed, text, same):
+    def placement(text):
+        placed.clear()
+        program = semantics._compile(std_model, parse_pattern(text, std_sig), "iterate", 20, ())
+        return len(program.regs), sorted(placed)
+
+    assert placement(text) == placement(same)
+
+
+@pytest.fixture
+def not_runs(monkeypatch):
+    """Runs of materialised complements."""
+    runs = []
+    make = semantics._not_op
+
+    def counted(*args):
+        op = make(*args)
+        return lambda: (runs.append(1), op())
+
+    monkeypatch.setattr(semantics, "_not_op", counted)
+    return runs
+
+
+def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, not_runs):
+    # the complement of the closed S(O()) runs once, not once per element
+    # of the forall; that of x once per value of x, not per valuation
+    empty = Valuation.empty()
+    for text in (r"\forall{Nat} \or(b0, S(\not(S(O()))))",
+                 r"\forall{Nat} \forall{Nat} plus(\not(S(O())), \or(b0, b1))"):
+        p = parse_pattern(text, std_sig)
+        not_runs.clear()
+        assert eval_pattern(std_model, empty, p) == ref_eval_pattern(std_model, empty, p)
+        assert not_runs == [1]
+    x, y = ElemVar("x", nat), ElemVar("y", nat)
+    S = std_sig.symbol("S")
+    either = mk_and(mk_app(std_sig, S, [mk_not(mk_free_evar(x))]), mk_free_evar(y))
+    axiom = Axiom("tautology", nat, mk_or(either, mk_not(either)))
+    not_runs.clear()
+    result = check_axiom(std_model, axiom)
+    assert not_runs == [1] * 4
+    assert result.verdict.value == "satisfied"
+    assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom))
