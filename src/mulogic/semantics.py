@@ -36,10 +36,10 @@ under ``prefix`` warns once per call), then unbound variables.
   complement tests its operand against the full carrier; an ``Exists``
   over a complement intersects its operand over the loop and complements
   the result, so ``\\forall`` is one intersection loop; a complemented
-  root is XORed with the full carrier once per valuation.  Only an
-  application argument and a ``Mu`` body's result need a plain register:
-  there the complement is one instruction per register, placed in the
-  scope that writes its operand, so it is hoisted as far as the operand.
+  root is XORed with the full carrier once per valuation; an application
+  reads a complemented argument, and a ``Mu`` loop a complemented body
+  result, by XOR with the full carrier of its sort.  Nothing writes a
+  complement into a register.
 * **Run.**  An instruction placed at the top runs once, as soon as it is
   placed; a top-level binder runs once its body is placed.  Nothing that
   runs can raise once positivity has been checked, so errors keep their
@@ -80,10 +80,10 @@ only grows while its loop runs (Emerson & Lei, LICS 1986; Bancilhon,
   binder's loop, whose ticks do not ascend: either starts cold.  The
   enclosing loop resets the saved value to the empty set each time it
   starts afresh.
-* **Delta application.**  A unary application placed in an ``iterate``
-  μ body ORs its last image with the image of only the bits its argument
-  gained, whenever its last argument is a subset of the new one, since
-  pointwise application distributes over union.
+* **Delta application.**  A unary application of a plain argument placed
+  in an ``iterate`` μ body ORs its last image with the image of only the
+  bits its argument gained, whenever its last argument is a subset of the
+  new one, since pointwise application distributes over union.
 
 ``prefix`` takes neither: its candidate sets are every subset in turn,
 not an ascending chain, so no earlier value bounds a later one.
@@ -224,10 +224,12 @@ def _step_body(
 
 
 def _iterate(
-    regs: list[int], var: int, res: int, body: list, sort: Sort, n: int, start: int = 0
+    regs: list[int], var: int, res: int, body: list, sort: Sort, n: int, start: int = 0,
+    flip: int = 0,
 ) -> int:
     """Kleene iteration: run ``body`` with register ``var`` set to the
-    current approximation until register ``res`` equals it, within ``n + 1``
+    current approximation until register ``res`` XORed with ``flip`` (0, or
+    the full carrier for a complemented body) equals it, within ``n + 1``
     rounds for a carrier of ``n`` elements.
 
     The first approximation is ``start``, the empty set unless a warm μ
@@ -240,23 +242,24 @@ def _iterate(
         regs[var] = current
         for op in body:
             op()
-        nxt = regs[res]
+        nxt = regs[res] ^ flip
         if nxt == current:
             return current
         current = nxt
     raise _diverged(sort)
 
 
-def _prefix(regs: list[int], var: int, res: int, body: list, n: int) -> int:
+def _prefix(regs: list[int], var: int, res: int, body: list, n: int, flip: int = 0) -> int:
     """The intersection of every subset ``bits`` of an ``n``-element
     carrier that is a pre-fixpoint: running ``body`` with register ``var``
-    set to ``bits`` leaves in register ``res`` a subset of ``bits``."""
+    set to ``bits`` leaves in register ``res``, XORed with ``flip``, a
+    subset of ``bits``."""
     acc = (1 << n) - 1
     for bits in range(1 << n):
         regs[var] = bits
         for op in body:
             op()
-        if not regs[res] & ~bits:
+        if not (regs[res] ^ flip) & ~bits:
             acc &= bits
     return acc
 
@@ -464,13 +467,11 @@ def _compile(
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     level_of = dict(zip(variables, levels))
     regs = [0] * len(levels)
-    homes: list[_Scope] = list(levels)  # register -> the scope that writes it
     reads = {k: k + 1 for k in range(len(levels))}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
 
-    def register(home: _Scope, value: int = 0) -> int:
+    def register(value: int = 0) -> int:
         regs.append(value)
-        homes.append(home)
         return len(regs) - 1
 
     fulls: dict[Sort, int] = {}
@@ -479,27 +480,6 @@ def _compile(
         if sort not in fulls:
             fulls[sort] = (1 << model.carrier_size(sort)) - 1
         return fulls[sort]
-
-    negated: dict[int, int] = {}  # register r -> the register holding ~r
-
-    def positive(a: int, sort: Sort) -> int:
-        """An unsigned register for signed register ``a``: a complement is
-        computed once, next to the instruction that writes its operand."""
-        if a >= 0:
-            return a
-        a = ~a
-        dst = negated.get(a)
-        if dst is None:
-            home = homes[a]
-            dst = negated[a] = register(home)
-            if a in reads:
-                reads[dst] = reads[a]
-            op = _not_op(regs, dst, a, full(sort))
-            if home is top:
-                op()
-            else:
-                home.code.append(op)
-        return dst
 
     memos: dict = {}  # symbol -> {argument registers' values: result}
     base = len(levels)
@@ -550,9 +530,9 @@ def _compile(
                     )
                 ascending = kind is Mu and mode == LFP_ITERATE
                 # the binder's variable is the next register; its loop sets it
-                # before each run of the body, so a complement of it goes there
+                # before each run of the body
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
-                register(inner)
+                register()
                 push((node, exs, mus, scope, key, inner))
                 if kind is Exists:
                     push((node.body, (*exs, inner), mus))
@@ -569,7 +549,7 @@ def _compile(
                 elif kind is FreeEVar or kind is FreeSVar:
                     reg = level_of[node.var].var
                 else:  # a 0-ary symbol
-                    reg = register(top, model.mask_table(node.symbol).get((), 0))
+                    reg = register(model.mask_table(node.symbol).get((), 0))
                 done[key] = reg
                 emit(reg)
             continue
@@ -587,7 +567,7 @@ def _compile(
                 done[key] = args[0]
                 emit(args[0])
                 continue
-        dst = register(scope)
+        dst = register()
         if level:
             reads[dst] = level
         out = dst
@@ -601,7 +581,9 @@ def _compile(
             if meet:
                 out = ~dst
         elif kind is Mu:
-            res = positive(args[0], node.sort)
+            res = args[0]
+            flip = 0 if res >= 0 else full(node.sort)
+            res = res if res >= 0 else ~res
             width = model.carrier_size(node.sort)
             if mode == LFP_ITERATE:
                 # a warm start (module docstring); the enclosing binder's
@@ -613,23 +595,25 @@ def _compile(
                 if warm:
                     scope.resumed.append(dst)
                 op = _iterate_op(regs, dst, inner.var, res, inner.code, node.sort,
-                                 width, inner.resumed, warm)
+                                 width, inner.resumed, warm, flip)
             else:
-                op = _prefix_op(regs, dst, inner.var, res, inner.code, width)
+                op = _prefix_op(regs, dst, inner.var, res, inner.code, width, flip)
         elif kind is Defined:
             a = args[0]
             # the complement of a is empty where a is full
             empty = 0 if a >= 0 else full(node.body.sort)
             op = _defined_op(regs, dst, a if a >= 0 else ~a, full(node.sort), empty)
         elif kind is App:
-            if min(args) < 0:
-                args = [positive(a, kid.sort) for a, kid in zip(args, node.children)]
             memo = memos.setdefault(node.symbol, {})
             table = model.mask_table(node.symbol)
-            if scope.ascending and n == 1:
+            flips = [0] * n
+            if min(args) < 0:
+                flips = [0 if a >= 0 else full(kid.sort) for a, kid in zip(args, node.children)]
+                args = [a if a >= 0 else ~a for a in args]
+            if scope.ascending and flips == [0]:  # one plain argument
                 op = _delta_app_op(regs, dst, args[0], table, memo)
             else:
-                op = _app_op(regs, dst, args, table, memo)
+                op = _app_op(regs, dst, args, table, memo, flips)
         else:  # And
             a, b = args
             op = _and_op(regs, dst, a, b)
@@ -649,14 +633,8 @@ def _compile(
 # --- instructions -----------------------------------------------------------
 #
 # Each maker returns a closure that reads its operands from ``regs`` and
-# writes register ``dst``.  Only ``_and_op`` takes signed registers.
-
-
-def _not_op(regs: list[int], dst: int, a: int, full: int) -> Callable[[], None]:
-    def op() -> None:
-        regs[dst] = full ^ regs[a]
-
-    return op
+# writes register ``dst``.  Only ``_and_op`` takes signed registers; the
+# others take a complement as a full carrier to XOR the operand with.
 
 
 def _and_op(regs: list[int], dst: int, a: int, b: int) -> Callable[[], None]:
@@ -697,12 +675,17 @@ def _defined_op(
 
 
 def _app_op(
-    regs: list[int], dst: int, args: Sequence[int], table: Mapping, memo: dict
+    regs: list[int], dst: int, args: Sequence[int], table: Mapping, memo: dict,
+    flips: Sequence[int],
 ) -> Callable[[], None]:
     """Pointwise application: the OR of the table entries of every
-    combination of one-bit masks drawn from the argument registers,
-    memoised per call on the registers' values."""
-    if len(args) == 1:
+    combination of one-bit masks drawn from the arguments, memoised per
+    call on their values.  Argument ``k`` is register ``args[k]`` XORed
+    with ``flips[k]``: 0, or the full carrier of its sort for a complement.
+    The unary and binary forms serve plain arguments; any complemented
+    argument takes the n-ary form."""
+    plain = not any(flips)
+    if plain and len(args) == 1:
         (a,) = args
 
         def op() -> None:
@@ -712,7 +695,7 @@ def _app_op(
                 value = memo[key] = _lift(table, (key,))
             regs[dst] = value
 
-    elif len(args) == 2:
+    elif plain and len(args) == 2:
         a, b = args
 
         def op() -> None:
@@ -723,9 +706,10 @@ def _app_op(
             regs[dst] = value
 
     else:
+        signed = list(zip(args, flips))
 
         def op() -> None:
-            key = tuple([regs[a] for a in args])
+            key = tuple([regs[a] ^ f for a, f in signed])
             value = memo.get(key)
             if value is None:
                 value = memo[key] = _lift(table, key)
@@ -783,7 +767,7 @@ def _exists_op(
 
 def _iterate_op(
     regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, n: int,
-    resumed: Sequence[int], warm: bool,
+    resumed: Sequence[int], warm: bool, flip: int,
 ) -> Callable[[], None]:
     """Each run starts the warm μ instructions of ``body`` (registers
     ``resumed``) afresh from the empty set, then iterates from the empty
@@ -792,15 +776,15 @@ def _iterate_op(
     def op() -> None:
         for reg in resumed:
             regs[reg] = 0
-        regs[dst] = _iterate(regs, var, res, body, sort, n, regs[dst] if warm else 0)
+        regs[dst] = _iterate(regs, var, res, body, sort, n, regs[dst] if warm else 0, flip)
 
     return op
 
 
 def _prefix_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, n: int
+    regs: list[int], dst: int, var: int, res: int, body: list, n: int, flip: int
 ) -> Callable[[], None]:
     def op() -> None:
-        regs[dst] = _prefix(regs, var, res, body, n)
+        regs[dst] = _prefix(regs, var, res, body, n, flip)
 
     return op

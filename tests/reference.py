@@ -4,8 +4,11 @@ A plain recursive reading of the semantics over de Bruijn environments:
 each node is denoted from its children's denotations, an ``Exists`` is the
 union of its body over the carrier with the element pushed at index 0, and
 a ``Mu`` hands its body, with the set pushed at index 0, to
-``lfp_iterate`` or ``lfp_prefixpoints`` as a ``CarrierSet`` step function.
-Symbols are applied through ``FiniteModel.extended_app``.  Nothing is
+``ref_lfp_iterate`` or ``ref_lfp_prefixpoints`` as a ``CarrierSet`` step
+function.  Those are loops of their own over ``CarrierSet``s, and a symbol
+is applied by ``ref_apply``, a lift of its own over the element-keyed
+table of ``FiniteModel.interp``, so the reference shares neither the
+register loops nor the mask tables of the compiled evaluator.  Nothing is
 shared, placed or hoisted, so it recurses once per node and suits only the
 shallow patterns of the tests.  ``ref_check_axiom`` builds a
 ``Valuation`` per valuation in ``itertools.product`` order.
@@ -41,11 +44,10 @@ from mulogic import (
     Pattern,
     Valuation,
     Verdict,
-    lfp_iterate,
-    lfp_prefixpoints,
 )
 from mulogic.pattern import walk
 from mulogic.errors import (
+    CarrierTooLargeError,
     NonPositiveMuError,
     NonPositiveMuWarning,
     NotClosedError,
@@ -225,7 +227,7 @@ def _denote(model, rho, p, exs, mus, mode, cap):
 
     kind = type(p)
     if kind is App:
-        return model.extended_app(p.symbol, [sub(a) for a in p.args])
+        return ref_apply(model, p.symbol, [sub(a) for a in p.args])
     if kind is Not:
         return sub(p.body).complement()
     if kind is And:
@@ -250,6 +252,52 @@ def _denote(model, rho, p, exs, mus, mode, cap):
             return sub(p.body, mus=(a, *mus))
 
         if mode == "iterate":
-            return lfp_iterate(step, model, p.sort)
-        return lfp_prefixpoints(step, model, p.sort, cap)
+            return ref_lfp_iterate(step, model, p.sort)
+        return ref_lfp_prefixpoints(step, model, p.sort, cap)
     raise TypeError(f"unexpected pattern node {p!r}")
+
+
+def ref_apply(model, symbol, arg_sets):
+    """The union of the symbol's table entries over every tuple of
+    elements drawn from the argument sets, one element each."""
+    table = model.interp(symbol).table
+    out = model.empty_set(symbol.result)
+    members = [[m for m in model.carrier(a.sort) if a.contains(m)] for a in arg_sets]
+    for elems in itertools.product(*members):
+        if elems in table:
+            out = out | table[elems]
+    return out
+
+
+def ref_lfp_iterate(step, model, sort):
+    """Kleene iteration from the empty set, for at most one more step
+    than the carrier has elements."""
+    current = model.empty_set(sort)
+    for _ in range(model.carrier_size(sort) + 1):
+        following = step(current)
+        if following == current:
+            return current
+        current = following
+    raise NonPositiveMuError(
+        f"fixpoint iteration over {sort} did not converge; "
+        "the step function is not monotone"
+    )
+
+
+def ref_lfp_prefixpoints(step, model, sort, cap=20):
+    """The intersection of every subset ``A`` of the carrier with
+    ``step(A)`` a subset of ``A``."""
+    carrier = model.carrier(sort)
+    n = len(carrier)
+    if n > cap:
+        raise CarrierTooLargeError(
+            f"carrier of {sort} has {n} elements; enumerating 2^{n} subsets "
+            f"exceeds the cap of {cap}"
+        )
+    out = model.full_set(sort)
+    for size in range(n + 1):
+        for elems in itertools.combinations(carrier, size):
+            a = model.set_of(sort, elems)
+            if step(a).issubset(a):
+                out = out & a
+    return out

@@ -344,6 +344,14 @@ SIGN_CASES = [
     # complemented roots
     r"\not(\not(\not(O())))",
     r"\not(\mu{Nat} \or(O(), S(B0)))",
+    # complemented arguments into another sort and into both places of a
+    # binary symbol; a double complement and a complemented argument in a
+    # mu body, where a plain unary argument takes the delta application
+    r"isZero(\not(O()))",
+    r"plus(\not(O()), \not(S(O())))",
+    r"\mu{Nat} \or(O(), S(\not(\not(B0))))",
+    r"\mu{Nat} \or(O(), S(\or(B0, O())))",
+    r"\mu{Nat} \not(\and(\not(B0), S(O())))",
 ]
 
 
@@ -385,6 +393,47 @@ def test_complemented_root_through_check_axiom(std_sig, std_model, nat):
     assert std_model.format_set(result.got) == "{ 0, 2, 3 }"
 
 
+def ternary_model():
+    """A local signature with a ternary symbol ``pick`` and a model whose
+    ``pick`` table is sparse and many-valued."""
+    sig = Signature()
+    nat = sig.declare_sort("Nat")
+    sig.declare_symbol("O", [], nat)
+    sig.declare_symbol("S", [nat], nat)
+    sig.declare_symbol("pick", [nat, nat, nat], nat)
+    labels = ["0", "1", "2", "3"]
+    pick = {}
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                if (a + b + c) % 3:
+                    pick[(str(a), str(b), str(c))] = sorted({str((a + 2 * b) % 4), str(c)})
+    succ = {(str(k),): [str((k + 1) % 3)] for k in range(4)}
+    return sig, build_model(sig, {"Nat": labels}, {"O": {(): ["0"]}, "S": succ, "pick": pick})
+
+
+@pytest.mark.parametrize("text", [
+    # no complemented argument
+    r"pick(O(), S(O()), S(S(O())))",
+    r"\forall{Nat} \or(b0, pick(b0, S(b0), O()))",
+    r"\mu{Nat} \or(O(), pick(B0, S(B0), O()))",
+    # one
+    r"pick(\not(O()), S(O()), O())",
+    r"\exists{Nat} pick(b0, \not(S(b0)), O())",
+    r"\mu{Nat} \or(O(), pick(S(B0), B0, \or(B0, O())))",
+    # three
+    r"pick(\not(O()), \not(S(O())), \not(\top{Nat}))",
+    r"\forall{Nat} pick(\not(b0), \not(S(O())), \not(S(b0)))",
+    r"\mu{Nat} \or(O(), pick(\or(B0, O()), \not(S(O())), \or(S(B0), B0)))",
+])
+def test_ternary_application_of_complements_matches_the_reference(text):
+    sig, model = ternary_model()
+    p, empty = parse_pattern(text, sig), Valuation.empty()
+    for arm in EVAL_ARMS:
+        mine = outcome(eval_pattern, model, empty, p, **arm)
+        assert mine == outcome(ref_eval_pattern, model, empty, p, **arm), arm
+
+
 @pytest.fixture
 def placed(monkeypatch):
     """The instructions placed, one maker name per instruction."""
@@ -405,6 +454,11 @@ def placed(monkeypatch):
      r"\not(\not(\not(\exists{Nat} \and(b0, S(b0)))))"),
     (r"\exists{Nat} \and(b0, \mu{Nat} \or(O(), S(\and(b0, B0))))",
      r"\forall{Nat} \and(b0, \mu{Nat} \or(O(), S(\and(b0, B0))))"),
+    # a complemented argument or mu body result is read, not computed
+    (r"isZero(\not(O()))", r"isZero(O())"),
+    (r"plus(\not(O()), \not(S(O())))", r"plus(O(), S(O()))"),
+    (r"\mu{Nat} \or(O(), S(\not(\not(B0))))", r"\mu{Nat} \or(O(), S(B0))"),
+    (r"\mu{Nat} \not(\and(\not(B0), O()))", r"\mu{Nat} \and(B0, \not(O()))"),
 ])
 def test_negation_places_no_register_and_no_instruction(std_sig, std_model, placed, text, same):
     def placement(text):
@@ -416,35 +470,43 @@ def test_negation_places_no_register_and_no_instruction(std_sig, std_model, plac
 
 
 @pytest.fixture
-def not_runs(monkeypatch):
-    """Runs of materialised complements."""
+def app_runs(monkeypatch):
+    """Runs of each placed application instruction, in placement order."""
     runs = []
-    make = semantics._not_op
+    make = semantics._app_op
 
     def counted(*args):
         op = make(*args)
-        return lambda: (runs.append(1), op())
+        k = len(runs)
+        runs.append(0)
 
-    monkeypatch.setattr(semantics, "_not_op", counted)
+        def run():
+            runs[k] += 1
+            op()
+
+        return run
+
+    monkeypatch.setattr(semantics, "_app_op", counted)
     return runs
 
 
-def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, not_runs):
-    # the complement of the closed S(O()) runs once, not once per element
-    # of the forall; that of x once per value of x, not per valuation
+def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, app_runs):
+    # the closed S(O()) runs once, not once per element of the forall, and
+    # so does the application that reads its complement; an application
+    # of the complement of x runs once per value of x, not per valuation
     empty = Valuation.empty()
-    for text in (r"\forall{Nat} \or(b0, S(\not(S(O()))))",
-                 r"\forall{Nat} \forall{Nat} plus(\not(S(O())), \or(b0, b1))"):
+    for text, runs in ((r"\forall{Nat} \or(b0, S(\not(S(O()))))", [1, 1]),
+                       (r"\forall{Nat} \forall{Nat} plus(\not(S(O())), \or(b0, b1))", [1, 16])):
         p = parse_pattern(text, std_sig)
-        not_runs.clear()
+        app_runs.clear()
         assert eval_pattern(std_model, empty, p) == ref_eval_pattern(std_model, empty, p)
-        assert not_runs == [1]
+        assert app_runs == runs
     x, y = ElemVar("x", nat), ElemVar("y", nat)
     S = std_sig.symbol("S")
     either = mk_and(mk_app(std_sig, S, [mk_not(mk_free_evar(x))]), mk_free_evar(y))
     axiom = Axiom("tautology", nat, mk_or(either, mk_not(either)))
-    not_runs.clear()
+    app_runs.clear()
     result = check_axiom(std_model, axiom)
-    assert not_runs == [1] * 4
+    assert app_runs == [4]
     assert result.verdict.value == "satisfied"
     assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom))

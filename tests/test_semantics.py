@@ -3,8 +3,10 @@ import random
 import pytest
 
 from mulogic import (
+    CarrierSet,
     ElemVar,
     SetVar,
+    Signature,
     Valuation,
     bevar_subst,
     bsvar_subst,
@@ -28,6 +30,7 @@ from mulogic import (
 )
 from mulogic.errors import (
     CarrierTooLargeError,
+    MuLogicError,
     NonPositiveMuError,
     NonPositiveMuWarning,
     NotClosedError,
@@ -41,7 +44,7 @@ from gen import (
     random_signature,
     random_valuation,
 )
-from reference import ref_eval_pattern
+from reference import ref_eval_pattern, ref_lfp_iterate, ref_lfp_prefixpoints
 
 
 @pytest.fixture
@@ -201,24 +204,25 @@ class TestEval:
         # own complement; only the full carrier qualifies
         assert out == std_model.full_set(nat)
 
-    def test_fresh_state_does_not_leak_into_results(self, std_sig, std_model, nat, bool_):
-        # the same binder subterm is opened with differently-numbered fresh
-        # variables depending on how much of the pattern was evaluated
-        # before it; the resulting sets must not depend on that
+    def test_shared_binder_denotes_the_same_set_wherever_it_occurs(
+        self, std_sig, std_model, nat, bool_
+    ):
+        # one \exists object evaluated alone, twice, and as both operands of
+        # a conjunction, where the evaluator places it once and reads its
+        # register twice; the set must not depend on where it occurs
         body = mk_app(std_sig, std_sig.symbol("isZero"), [mk_bound_evar((nat,), (), 0)])
         some = mk_exists(nat, body)
         alone = eval_pattern(std_model, Valuation.empty(), some)
         assert alone == eval_pattern(std_model, Valuation.empty(), some)
-        # in the conjunction the right copy is opened with a later fresh
-        # counter than the left copy; the result must be unaffected
+        # next to its own complement, too, it denotes the set it denotes alone
         assert eval_pattern(std_model, Valuation.empty(), mk_and(some, some)) == alone
         assert eval_pattern(
             std_model, Valuation.empty(), mk_and(mk_not(some), some)
         ) == alone & alone.complement()
 
-    def test_fresh_names_avoid_pattern_variables(self, std_model, nat):
-        # a free variable squatting on the reserved namespace must not
-        # collide with generated binder names
+    def test_free_variable_with_a_primed_name_is_read_under_a_binder(self, std_model, nat):
+        # a free variable named x'1 is read from the valuation inside an
+        # \exists, next to the bound variable, like any other free variable
         squatter = ElemVar("x'1", nat)
         body = mk_and(
             mk_bound_evar((nat,), (), 0),
@@ -262,6 +266,44 @@ class TestLfpEngines:
     def test_prefix_cap(self, std_model, nat):
         with pytest.raises(CarrierTooLargeError):
             lfp_prefixpoints(lambda a: a, std_model, nat, cap=3)
+
+    def test_engines_match_the_reference_loops_on_seeded_steps(self):
+        # every other step is monotone (a constant joined with the image of
+        # a relation); the rest are any function of the subset, so the
+        # iteration may diverge and the prefix cap may be exceeded
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except MuLogicError as err:
+                return type(err), str(err)
+
+        rng = random.Random(47)
+        for case in range(300):
+            n = rng.randint(1, 5)
+            sig = Signature()
+            sort = sig.declare_sort("Elem")
+            model = build_model(sig, {"Elem": [f"e{k}" for k in range(n)]}, {})
+            if case % 2:
+                base = rng.randrange(1 << n)
+                image = [rng.randrange(1 << n) for _ in range(n)]
+
+                def step(a, base=base, image=image):
+                    bits = base
+                    for k in a.ordinals():
+                        bits |= image[k]
+                    return CarrierSet(sort, n, bits)
+
+            else:
+                table = [rng.randrange(1 << n) for _ in range(1 << n)]
+
+                def step(a, table=table):
+                    return CarrierSet(sort, n, table[a.bits])
+
+            cap = rng.choice((n - 1, 20))
+            assert outcome(lfp_iterate, step, model, sort) == outcome(
+                ref_lfp_iterate, step, model, sort), case
+            assert outcome(lfp_prefixpoints, step, model, sort, cap) == outcome(
+                ref_lfp_prefixpoints, step, model, sort, cap), case
 
     def test_engine_agreement_on_random_positive_mu(self):
         rng = random.Random(41)
