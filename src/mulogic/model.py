@@ -12,10 +12,12 @@ Each model also keeps every table in the form the compiled evaluator reads
 per argument, to the result's bits.  They are built once, with the model.
 Symbol application is one pointwise routine over those tables,
 :func:`_lift`, shared with the evaluator: it ORs the entries of every
-combination of argument choices, and a plain lookup is its
-one-combination case.  Elements compare by identity, so each belongs to
-the one model that built it; the public methods validate their input
-once.
+combination of argument choices.  A key of singletons has one
+combination, so a plain lookup (:meth:`FiniteModel.interpret_symbol`, and
+the evaluator's application of arguments of at most one element each)
+reads the table straight instead.  Elements compare by identity, so each
+belongs to the one model that built it; the public methods validate their
+input once.
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ class FiniteModel:
 
     def mask_table(self, symbol: SymbolDecl) -> Mapping[tuple[int, ...], int]:
         """The symbol's table keyed by argument one-bit masks (``1 <<
-        ordinal``), valued by result bits; nonempty entries only."""
+        ordinal``), valued by result bits; nonempty entries only.  The
+        evaluator reads a key of singleton arguments straight from it; a
+        key with an empty argument is absent, so it reads 0."""
         return _lookup(self._masks, symbol)
 
     # --- carrier subsets -------------------------------------------------
@@ -215,7 +219,7 @@ class FiniteModel:
             if not _member(self._carriers[param], elem):
                 raise BadTupleError(f"argument {k} of {symbol.name} must be an "
                                     f"element of this model's {param} carrier, got {elem}")
-        return self._result(symbol, _lift(table, [1 << e.ordinal for e in args]))
+        return self._result(symbol, table.get(tuple([1 << e.ordinal for e in args]), 0))
 
     def extended_app(
         self, symbol: SymbolDecl, arg_sets: Sequence[CarrierSet]

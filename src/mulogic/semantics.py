@@ -40,6 +40,18 @@ under ``prefix`` warns once per call), then unbound variables.
   reads a complemented argument, and a ``Mu`` loop a complemented body
   result, by XOR with the full carrier of its sort.  Nothing writes a
   complement into a register.
+* **Fused instructions.**  ``\\equals{s}(A, B)`` is stored as the fourteen
+  core nodes of the floor of an iff (:func:`~mulogic.pattern.mk_equals`).
+  Placement recognises that exact shape, with the same ``A`` and ``B``
+  objects in both implications (:func:`_equality`), places only ``A`` and
+  ``B``, and emits one comparison: the full carrier of ``s`` if ``A``'s
+  register, XORed with the full carrier of their sort when exactly one of
+  them is a complement, equals ``B``'s, else 0 (a superoperator:
+  Proebsting, POPL 1995).  Its scope, register and free-variable level
+  are the outer ``Not``'s, as for any node; every other shape compiles
+  node by node.  An application whose arguments each hold at most one bit
+  reads its table entry straight; only wider arguments take the per-call
+  memo and the pointwise lift.
 * **Run.**  An instruction placed at the top runs once, as soon as it is
   placed; a top-level binder runs once its body is placed.  Nothing that
   runs can raise once positivity has been checked, so errors keep their
@@ -108,6 +120,7 @@ from .errors import (
 )
 from .model import CarrierElem, CarrierSet, FiniteModel, _lift
 from .pattern import (
+    And,
     App,
     BoundEVar,
     BoundSVar,
@@ -497,9 +510,11 @@ def _compile(
         kind = type(node)
         if len(item) == 3:  # enter
             if kind is Not:
-                push(_FLIP)
-                push((node.body, exs, mus))
-                continue
+                operands = _equality(node)
+                if operands is None:
+                    push(_FLIP)
+                    push((node.body, exs, mus))
+                    continue
             ex, even, odd, _, _ = node._facts
             scope = top
             if ex:
@@ -513,6 +528,9 @@ def _compile(
             reg = done.get(key)
             if reg is not None:
                 emit(reg)
+            elif kind is Not:  # an equality: only its two operands are placed
+                push((node, exs, mus, scope, key, None))
+                stack += [(kid, exs, mus) for kid in reversed(operands)]
             elif kind is Exists or kind is Mu:
                 full(node.sort)
                 if kind is Exists:
@@ -554,7 +572,7 @@ def _compile(
                 emit(reg)
             continue
         scope, key, inner = item[3], item[4], item[5]
-        n = len(node.children)
+        n = 2 if kind is Not else len(node.children)
         args = results[-n:]
         del results[-n:]
         level = max([reads.get(a if a >= 0 else ~a, 0) for a in args]) if node._facts[3] else 0
@@ -603,6 +621,12 @@ def _compile(
             # the complement of a is empty where a is full
             empty = 0 if a >= 0 else full(node.body.sort)
             op = _defined_op(regs, dst, a if a >= 0 else ~a, full(node.sort), empty)
+        elif kind is Not:  # an equality
+            a, b = args
+            result = full(node.sort)
+            # the operands' sort is that of the iff under the floor
+            flip = full(node.body.body.sort) if (a < 0) != (b < 0) else 0
+            op = _equals_op(regs, dst, a if a >= 0 else ~a, b if b >= 0 else ~b, flip, result)
         elif kind is App:
             memo = memos.setdefault(node.symbol, {})
             table = model.mask_table(node.symbol)
@@ -628,6 +652,34 @@ def _compile(
     root = results[0]
     return _Program(regs, levels, root if root >= 0 else ~root,
                     full(p.sort) if root < 0 else 0)
+
+
+def _equality(node: Not) -> tuple[Pattern, Pattern] | None:
+    """The operands ``(A, B)`` when ``node`` has the exact core shape that
+    :func:`~mulogic.pattern.mk_equals` builds, the floor of an iff,
+    ``Not(Defined(Not(And(Not(And(Not(Not(A)), Not(B))), Not(And(Not(Not(B)),
+    Not(A)))))))``, with the same ``A`` and ``B`` objects in both
+    implications; else None."""
+    defined = node.body
+    if type(defined) is not Defined:
+        return None
+    both = _operand(defined.body)
+    if type(both) is not And:
+        return None
+    there, back = _operand(both.left), _operand(both.right)
+    if type(there) is not And or type(back) is not And:
+        return None
+    a, b = _operand(_operand(there.left)), _operand(there.right)
+    if a is None or b is None:
+        return None
+    if _operand(_operand(back.left)) is not b or _operand(back.right) is not a:
+        return None
+    return a, b
+
+
+def _operand(p: Pattern | None) -> Pattern | None:
+    """The body of a ``Not``, else None."""
+    return p.body if type(p) is Not else None
 
 
 # --- instructions -----------------------------------------------------------
@@ -674,6 +726,19 @@ def _defined_op(
     return op
 
 
+def _equals_op(
+    regs: list[int], dst: int, a: int, b: int, flip: int, full: int
+) -> Callable[[], None]:
+    """``full`` if register ``a`` XORed with ``flip`` equals register
+    ``b``, else 0: the floor of an iff.  ``flip`` is the full carrier of
+    the operands' sort when exactly one operand is a complement, else 0."""
+
+    def op() -> None:
+        regs[dst] = full if regs[a] ^ flip == regs[b] else 0
+
+    return op
+
+
 def _app_op(
     regs: list[int], dst: int, args: Sequence[int], table: Mapping, memo: dict,
     flips: Sequence[int],
@@ -683,26 +748,35 @@ def _app_op(
     call on their values.  Argument ``k`` is register ``args[k]`` XORed
     with ``flips[k]``: 0, or the full carrier of its sort for a complement.
     The unary and binary forms serve plain arguments; any complemented
-    argument takes the n-ary form."""
+    argument takes the n-ary form.  Each reads the table straight, with no
+    memo, when every argument holds at most one bit (a key with an empty
+    argument is absent from it)."""
     plain = not any(flips)
     if plain and len(args) == 1:
         (a,) = args
 
         def op() -> None:
             key = regs[a]
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = _lift(table, (key,))
+            if key & (key - 1):
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = _lift(table, (key,))
+            else:
+                value = table.get((key,), 0)
             regs[dst] = value
 
     elif plain and len(args) == 2:
         a, b = args
 
         def op() -> None:
-            key = (regs[a], regs[b])
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = _lift(table, key)
+            x, y = regs[a], regs[b]
+            if x & (x - 1) or y & (y - 1):
+                key = (x, y)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = _lift(table, key)
+            else:
+                value = table.get((x, y), 0)
             regs[dst] = value
 
     else:
@@ -710,9 +784,12 @@ def _app_op(
 
         def op() -> None:
             key = tuple([regs[a] ^ f for a, f in signed])
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = _lift(table, key)
+            if any([bits & (bits - 1) for bits in key]):
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = _lift(table, key)
+            else:
+                value = table.get(key, 0)
             regs[dst] = value
 
     return op
@@ -724,7 +801,8 @@ def _delta_app_op(
     """Unary application whose argument register mostly grows, as in an
     ``iterate`` μ body: on a memo miss, when the last argument is a subset
     of this one, the image is the last image ORed with the image of the
-    added bits alone, since pointwise application distributes over union."""
+    added bits alone, since pointwise application distributes over union.
+    A miss on an argument of at most one bit reads the table straight."""
     last = image = 0
 
     def op() -> None:
@@ -732,7 +810,9 @@ def _delta_app_op(
         key = regs[a]
         value = memo.get(key)
         if value is None:
-            if last & ~key:
+            if not key & (key - 1):
+                value = table.get((key,), 0)
+            elif last & ~key:
                 value = _lift(table, (key,))
             else:
                 value = image | _lift(table, (key ^ last,))

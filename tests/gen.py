@@ -30,13 +30,19 @@ from mulogic import (
     mk_bound_evar,
     mk_bound_svar,
     mk_defined,
+    mk_equals,
     mk_exists,
+    mk_floor,
+    mk_forall,
     mk_free_evar,
     mk_free_svar,
+    mk_iff,
+    mk_implies,
     mk_mu,
     mk_not,
     mk_nu,
     mk_or,
+    mk_subseteq,
     mk_top,
 )
 
@@ -274,6 +280,71 @@ def _read_as(rng, sig, sort, leaf) -> Pattern:
     if leaf.sort == sort:
         return leaf
     return mk_defined(sort, leaf)
+
+
+# What ``random_equality`` builds around its operands A and B: the derived
+# equality, drawn three times as often as each near miss of its core shape.
+EQUALITY_SHAPES = ("equals", "equals", "equals", "subseteq", "iff", "ceil-not-iff",
+                   "floor-chain", "shared-iff")
+
+
+def random_equality(rng: random.Random, sig: Signature, budget: int = 6) -> tuple[str, Pattern]:
+    """A pattern with no dangling bound variable that holds one derived
+    ``\\equals`` or one near miss of its core shape, with the shape's name.
+
+    Operands are ``random_pattern`` outputs, their complements, free
+    variables, or the same object on both sides; their sort may differ
+    from the result sort.  The shape stands alone, under an ``\\exists``
+    or ``\\forall`` whose variable its operands may read, or in a ``\\mu``
+    body that also reads the binder's variable positively (operands that
+    read it make the binder non-positive).  Near misses: ``\\subseteq``, a
+    bare ``\\iff``, ``\\ceil(\\not(\\iff(A, B)))``, conjoined with ``\\top``
+    so that no ``\\not`` a wrapper puts above it completes it into a
+    floor, a floor over ``\\and(\\implies(A, B), \\implies(B, C))``, and a
+    floor over an iff object that a ``\\ceil`` reads too."""
+    shape = rng.choice(EQUALITY_SHAPES)
+    sort, operand_sort = rng.choice(sig.sorts), rng.choice(sig.sorts)
+    own_sort = operand_sort if shape == "iff" else sort
+    wrapper = rng.choice(("none", "exists", "forall", "mu"))
+    ex, mu = (), ()
+    if wrapper in ("exists", "forall"):
+        ex = (operand_sort if rng.random() < 0.7 else rng.choice(sig.sorts),)
+    elif wrapper == "mu":
+        mu = (own_sort,)
+
+    def operand() -> Pattern:
+        kind = rng.choice(("pattern", "pattern", "not", "free"))
+        if kind == "free":
+            name = rng.choice(VAR_NAMES)
+            if rng.random() < 0.5:
+                return mk_free_evar(ElemVar(name, operand_sort), ex, mu)
+            return mk_free_svar(SetVar(name.upper(), operand_sort), ex, mu)
+        p = random_pattern(rng, sig, operand_sort, ex, mu, rng.randint(2, budget), mu_depth=1)
+        return mk_not(p) if kind == "not" else p
+
+    a = operand()
+    b = rng.choice((a, mk_not(a), operand(), operand(), operand()))
+    if shape == "equals":
+        core = mk_equals(sort, a, b)
+    elif shape == "subseteq":
+        core = mk_subseteq(sort, a, b)
+    elif shape == "iff":
+        core = mk_iff(a, b)
+    elif shape == "ceil-not-iff":
+        # a \not that a wrapper puts straight above it would make it a floor
+        core = mk_and(mk_defined(sort, mk_not(mk_iff(a, b))), mk_top(sort, ex, mu))
+    elif shape == "floor-chain":
+        core = mk_floor(sort, mk_and(mk_implies(a, b), mk_implies(b, operand())))
+    else:
+        iff = mk_iff(a, b)
+        core = mk_and(mk_floor(sort, iff), mk_defined(sort, iff))
+    if wrapper == "exists":
+        return shape, mk_exists(ex[0], core)
+    if wrapper == "forall":
+        return shape, mk_forall(ex[0], core)
+    if wrapper == "mu":
+        return shape, mk_mu(mk_or(core, mk_bound_svar(ex, mu, 0)))
+    return shape, core
 
 
 def random_valuation(rng: random.Random, model, pattern: Pattern) -> Valuation:

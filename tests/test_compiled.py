@@ -30,9 +30,11 @@ from mulogic import (
     parse_pattern,
     satisfies,
 )
-from mulogic import semantics
+from mulogic import model as models, semantics
 from mulogic.errors import MuLogicError, NestingTooDeepError
 from gen import (
+    EQUALITY_SHAPES,
+    random_equality,
     random_model,
     random_nested_fixpoint,
     random_pattern,
@@ -96,6 +98,29 @@ def test_compiled_matches_reference_and_prefix_oracle():
             mine, warned = outcome(check_axiom, model, axiom, **arm)
             ref, ref_warned = outcome(ref_check_axiom, model, axiom, **arm)
             assert (axiom_view(mine), warned) == (axiom_view(ref), ref_warned), (case, arm, str(p))
+
+
+def test_equalities_and_near_misses_match_reference():
+    # the compiled equality instruction, and the near misses that compile
+    # node by node, against the reference under every engine and through
+    # check_axiom: values, errors, warnings, verdicts, witnesses and got
+    rng = random.Random(140)
+    shapes = set()
+    for case in range(500):
+        sig = random_signature(rng)
+        model = random_model(rng, sig, max_carrier=3)
+        shape, p = random_equality(rng, sig)
+        shapes.add(shape)
+        rho = random_valuation(rng, model, p)
+        for arm in EVAL_ARMS:
+            mine = outcome(eval_pattern, model, rho, p, **arm)
+            assert mine == outcome(ref_eval_pattern, model, rho, p, **arm), (case, arm, str(p))
+        axiom = Axiom("a", p.sort, p)
+        for arm in CHECK_ARMS:
+            mine, warned = outcome(check_axiom, model, axiom, **arm)
+            ref, ref_warned = outcome(ref_check_axiom, model, axiom, **arm)
+            assert (axiom_view(mine), warned) == (axiom_view(ref), ref_warned), (case, arm, str(p))
+    assert shapes == set(EQUALITY_SHAPES)
 
 
 @pytest.fixture
@@ -510,3 +535,71 @@ def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, 
     assert app_runs == [4]
     assert result.verdict.value == "satisfied"
     assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom))
+
+
+# --- fused instructions -------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, names", [
+    (r"\equals{Bool}(S(O()), plus(O(), S(O())))",
+     ["_app_op", "_app_op", "_app_op", "_equals_op"]),
+    (r"\forall{Nat} \equals{Nat}(S(b0), \not(plus(b0, S(O()))))",
+     ["_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op"]),
+    # a near miss compiles node by node
+    (r"\subseteq{Bool}(S(O()), plus(O(), S(O())))",
+     ["_and_op", "_app_op", "_app_op", "_app_op", "_defined_op"]),
+], ids=["top", "forall", "subseteq"])
+def test_equality_places_one_instruction(std_sig, std_model, placed, text, names):
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for model in (std_model, cycle_model(std_sig)):
+        placed.clear()
+        assert eval_pattern(model, empty, p) == ref_eval_pattern(model, empty, p)
+        assert sorted(placed) == names
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The keys of every pointwise lift, in the evaluator and the model."""
+    keys = []
+    lift = semantics._lift
+
+    def counted(table, key):
+        keys.append(tuple(key))
+        return lift(table, key)
+
+    for module in (semantics, models):
+        monkeypatch.setattr(module, "_lift", counted)
+    return keys
+
+
+@pytest.mark.parametrize("text, lifted", [
+    # singleton or empty arguments read the table straight, complemented
+    # ones (the n-ary form) too
+    (r"S(O())", 0),
+    (r"plus(S(O()), O())", 0),
+    (r"S(\bottom{Nat})", 0),
+    (r"plus(\bottom{Nat}, S(O()))", 0),
+    (r"\exists{Nat} \exists{Nat} \and(plus(b0, b1), S(\and(b0, b1)))", 0),
+    (r"isZero(\not(\top{Nat}))", 0),
+    (r"plus(\not(\or(S(O()), \not(O()))), \not(\top{Nat}))", 0),
+    # an argument of two or more elements is lifted, once per value
+    (r"S(\or(O(), S(O())))", 1),
+    (r"plus(O(), \or(O(), S(O())))", 1),
+    (r"plus(\not(O()), O())", 1),
+    (r"\exists{Nat} plus(b0, \or(b0, O()))", 3),
+])
+def test_application_of_singletons_reads_the_table(std_sig, std_model, lifts, text, lifted):
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for model in (std_model, cycle_model(std_sig)):
+        lifts.clear()
+        assert eval_pattern(model, empty, p) == ref_eval_pattern(model, empty, p)
+        assert len(lifts) == lifted
+        assert all(max(bits.bit_count() for bits in key) > 1 for key in lifts)
+
+
+def test_interpret_symbol_reads_the_table(std_sig, std_model, lifts):
+    plus = std_sig.symbol("plus")
+    one, two = std_model.elem(std_sig.sort("Nat"), "1"), std_model.elem(std_sig.sort("Nat"), "2")
+    assert std_model.format_set(std_model.interpret_symbol(plus, (one, two))) == "{ 3 }"
+    assert std_model.interpret_symbol(plus, (two, two)).is_empty
+    assert lifts == []
