@@ -2,11 +2,11 @@
 
 Only closed patterns are evaluated.  Each :func:`eval_pattern` or
 :func:`mulogic.theory.check_axiom` call compiles its pattern afresh, in
-two stages; nothing compiled is kept between calls.  There is no facts
-stage: each node fixed its facts at construction (see
-:mod:`mulogic.pattern`), so closedness, the lfp mode and positivity are
-checked first, in that order, from the root alone (a non-positive binder
-under ``prefix`` warns once per call), then unbound variables.
+two stages; nothing compiled is kept between calls.  Each node fixes its
+facts at construction (see :mod:`mulogic.pattern`), so closedness, the
+lfp mode and positivity are checked first, in that order, from the root
+alone (a non-positive binder under ``prefix`` warns once per call), then
+unbound variables.
 
 * **Placement.**  One walk, on an explicit stack, puts each node into the
   flat instruction list of the innermost binder whose variable it reads
@@ -49,9 +49,15 @@ under ``prefix`` warns once per call), then unbound variables.
   them is a complement, equals ``B``'s, else 0 (a superoperator:
   Proebsting, POPL 1995).  Its scope, register and free-variable level
   are the outer ``Not``'s, as for any node; every other shape compiles
-  node by node.  An application whose arguments each hold at most one bit
-  reads its table entry straight; only wider arguments take the per-call
-  memo and the pointwise lift.
+  node by node.
+* **Applications.**  An application whose arguments each hold at most one
+  bit reads its table entry straight; only wider arguments take the
+  per-call memo and the pointwise lift.  A unary application of a plain
+  argument, in any scope, ORs its last image with the image of only the
+  bits its argument gained whenever its last argument is a subset of the
+  new one, since pointwise application distributes over union.  A μ
+  body's variable grows under ``iterate``, and half of the subsets that
+  ``prefix`` takes in counting order are supersets of the one before.
 * **Run.**  An instruction placed at the top runs once, as soon as it is
   placed; a top-level binder runs once its body is placed.  Nothing that
   runs can raise once positivity has been checked, so errors keep their
@@ -78,27 +84,19 @@ fixpoint; :func:`lfp_iterate` and :func:`lfp_prefixpoints` run the same
 loops over a one-instruction body that calls a ``CarrierSet`` step
 function.
 
-Under ``iterate``, two shortcuts exploit that the variable of a μ body
-only grows while its loop runs (Emerson & Lei, LICS 1986; Bancilhon,
-1986), both decided at placement:
-
-* **Warm starts.**  A ``Mu`` instruction placed in the body of an
-  enclosing ``iterate`` μ resumes from its own last fixpoint instead of
-  the empty set when that binder's variable occurs only positively in the
-  inner μ node (one bit of its facts).  Between two of its runs only that
-  variable has changed, and it has grown, so the inner fixpoint can only
-  have grown.  A ``\\nu`` in between flips the parity, and an inner μ
-  that reads the variable of an ``Exists`` in between is placed in that
-  binder's loop, whose ticks do not ascend: either starts cold.  The
-  enclosing loop resets the saved value to the empty set each time it
-  starts afresh.
-* **Delta application.**  A unary application of a plain argument placed
-  in an ``iterate`` μ body ORs its last image with the image of only the
-  bits its argument gained, whenever its last argument is a subset of the
-  new one, since pointwise application distributes over union.
-
-``prefix`` takes neither: its candidate sets are every subset in turn,
-not an ascending chain, so no earlier value bounds a later one.
+Under ``iterate``, the variable of a μ body only grows while its loop
+runs (Emerson & Lei, LICS 1986), so placement gives a ``Mu`` instruction
+in the body of an enclosing ``iterate`` μ a warm start: it resumes from
+its own last fixpoint instead of the empty set when that binder's
+variable occurs only positively in the inner μ node (one bit of its
+facts).  Between two of its runs only that variable has changed, and it
+has grown, so the inner fixpoint can only have grown.  A ``\\nu`` in
+between flips the parity, and an inner μ that reads the variable of an
+``Exists`` in between is placed in that binder's loop, whose ticks do not
+ascend: either starts cold.  The enclosing loop resets the saved value to
+the empty set each time it starts afresh.  ``prefix`` takes no warm
+start: its candidate sets are every subset in turn, not an ascending
+chain, so no earlier value bounds a later one.
 """
 
 from __future__ import annotations
@@ -634,10 +632,7 @@ def _compile(
             if min(args) < 0:
                 flips = [0 if a >= 0 else full(kid.sort) for a, kid in zip(args, node.children)]
                 args = [a if a >= 0 else ~a for a in args]
-            if scope.ascending and flips == [0]:  # one plain argument
-                op = _delta_app_op(regs, dst, args[0], table, memo)
-            else:
-                op = _app_op(regs, dst, args, table, memo, flips)
+            op = _app_op(regs, dst, args, table, memo, flips)
         else:  # And
             a, b = args
             op = _and_op(regs, dst, a, b)
@@ -750,19 +745,35 @@ def _app_op(
     The unary and binary forms serve plain arguments; any complemented
     argument takes the n-ary form.  Each reads the table straight, with no
     memo, when every argument holds at most one bit (a key with an empty
-    argument is absent from it)."""
+    argument is absent from it).
+
+    The unary form keeps its last argument and image: on a memo miss, when
+    the last argument is a subset of this one, the image is the last image
+    ORed with the image of the added bits alone, since pointwise
+    application distributes over union (semi-naive evaluation: Bancilhon,
+    1986).  Any other argument is lifted whole."""
     plain = not any(flips)
     if plain and len(args) == 1:
         (a,) = args
+        last = image = 0
 
         def op() -> None:
+            nonlocal last, image
             key = regs[a]
-            if key & (key - 1):
+            if not key & (key - 1):
+                value = table.get((key,), 0)
+            else:
                 value = memo.get(key)
                 if value is None:
-                    value = memo[key] = _lift(table, (key,))
-            else:
-                value = table.get((key,), 0)
+                    added = key ^ last
+                    if last & ~key:
+                        value = _lift(table, (key,))
+                    elif added & (added - 1):
+                        value = image | _lift(table, (added,))
+                    else:
+                        value = image | table.get((added,), 0)
+                    memo[key] = value
+            last, image = key, value
             regs[dst] = value
 
     elif plain and len(args) == 2:
@@ -791,34 +802,6 @@ def _app_op(
             else:
                 value = table.get(key, 0)
             regs[dst] = value
-
-    return op
-
-
-def _delta_app_op(
-    regs: list[int], dst: int, a: int, table: Mapping, memo: dict
-) -> Callable[[], None]:
-    """Unary application whose argument register mostly grows, as in an
-    ``iterate`` μ body: on a memo miss, when the last argument is a subset
-    of this one, the image is the last image ORed with the image of the
-    added bits alone, since pointwise application distributes over union.
-    A miss on an argument of at most one bit reads the table straight."""
-    last = image = 0
-
-    def op() -> None:
-        nonlocal last, image
-        key = regs[a]
-        value = memo.get(key)
-        if value is None:
-            if not key & (key - 1):
-                value = table.get((key,), 0)
-            elif last & ~key:
-                value = _lift(table, (key,))
-            else:
-                value = image | _lift(table, (key ^ last,))
-            memo[key] = value
-        last, image = key, value
-        regs[dst] = value
 
     return op
 

@@ -371,7 +371,7 @@ SIGN_CASES = [
     r"\not(\mu{Nat} \or(O(), S(B0)))",
     # complemented arguments into another sort and into both places of a
     # binary symbol; a double complement and a complemented argument in a
-    # mu body, where a plain unary argument takes the delta application
+    # mu body, where a plain unary argument lifts only the bits it gained
     r"isZero(\not(O()))",
     r"plus(\not(O()), \not(S(O())))",
     r"\mu{Nat} \or(O(), S(\not(\not(B0))))",
@@ -572,29 +572,60 @@ def lifts(monkeypatch):
     return keys
 
 
-@pytest.mark.parametrize("text, lifted", [
+LIFTED = [
     # singleton or empty arguments read the table straight, complemented
     # ones (the n-ary form) too
-    (r"S(O())", 0),
-    (r"plus(S(O()), O())", 0),
-    (r"S(\bottom{Nat})", 0),
-    (r"plus(\bottom{Nat}, S(O()))", 0),
-    (r"\exists{Nat} \exists{Nat} \and(plus(b0, b1), S(\and(b0, b1)))", 0),
-    (r"isZero(\not(\top{Nat}))", 0),
-    (r"plus(\not(\or(S(O()), \not(O()))), \not(\top{Nat}))", 0),
+    (r"S(O())", "iterate", []),
+    (r"plus(S(O()), O())", "iterate", []),
+    (r"S(\bottom{Nat})", "iterate", []),
+    (r"plus(\bottom{Nat}, S(O()))", "iterate", []),
+    (r"\exists{Nat} \exists{Nat} \and(plus(b0, b1), S(\and(b0, b1)))", "iterate", []),
+    (r"isZero(\not(\top{Nat}))", "iterate", []),
+    (r"plus(\not(\or(S(O()), \not(O()))), \not(\top{Nat}))", "iterate", []),
     # an argument of two or more elements is lifted, once per value
-    (r"S(\or(O(), S(O())))", 1),
-    (r"plus(O(), \or(O(), S(O())))", 1),
-    (r"plus(\not(O()), O())", 1),
-    (r"\exists{Nat} plus(b0, \or(b0, O()))", 3),
-])
-def test_application_of_singletons_reads_the_table(std_sig, std_model, lifts, text, lifted):
+    (r"S(\or(O(), S(O())))", "iterate", [(3,)]),
+    (r"plus(O(), \or(O(), S(O())))", "iterate", [(1, 3)]),
+    (r"plus(\not(O()), O())", "iterate", [(14, 1)]),
+    (r"\exists{Nat} plus(b0, \or(b0, O()))", "iterate", [(2, 3), (4, 5), (8, 9)]),
+    # a unary argument that grew by one bit reads only that bit's entry
+    (r"\mu{Nat} \or(O(), S(B0))", "iterate", []),
+    # the prefix engine counts upwards: a subset that lost bits is lifted whole
+    (r"\mu{Nat} \or(O(), S(B0))", "prefix", [(6,), (10,), (12,), (14,)]),
+    # a lift from empty, a memo hit, a single added bit, then lost bits
+    (r"\exists{Nat} S(\or(b0, \or(O(), S(O()))))", "iterate", [(3,), (11,)]),
+]
+
+
+# ids name the engine only where it is not the default
+@pytest.mark.parametrize("text, mode, lifted", LIFTED, ids=[
+    f"{text}-{len(lifted)}" if mode == "iterate" else f"{text}-{mode}-{len(lifted)}"
+    for text, mode, lifted in LIFTED])
+def test_application_of_singletons_reads_the_table(std_sig, std_model, lifts, text, mode, lifted):
     p, empty = parse_pattern(text, std_sig), Valuation.empty()
     for model in (std_model, cycle_model(std_sig)):
         lifts.clear()
-        assert eval_pattern(model, empty, p) == ref_eval_pattern(model, empty, p)
-        assert len(lifts) == lifted
+        assert (eval_pattern(model, empty, p, lfp_mode=mode)
+                == ref_eval_pattern(model, empty, p, lfp_mode=mode))
+        assert lifts == lifted
         assert all(max(bits.bit_count() for bits in key) > 1 for key in lifts)
+
+
+def test_only_arguments_of_two_or_more_bits_are_lifted(lifts):
+    """Over random fixpoints under both engines, every lift has an argument
+    of two or more bits, and every result is the reference's."""
+    rng = random.Random(61)
+    empty = Valuation.empty()
+    for case in range(300):
+        sig = random_signature(rng)
+        model = random_model(rng, sig, max_carrier=4)
+        p = random_positive_mu(rng, sig) if case % 2 else random_nested_fixpoint(rng, sig)
+        for mode in ("iterate", "prefix"):
+            lifts.clear()
+            got = outcome(eval_pattern, model, empty, p, lfp_mode=mode)
+            assert all(max(bits.bit_count() for bits in key) > 1 for key in lifts), (
+                case, mode, str(p), lifts)
+            assert got == outcome(ref_eval_pattern, model, empty, p, lfp_mode=mode), (
+                case, mode, str(p))
 
 
 def test_interpret_symbol_reads_the_table(std_sig, std_model, lifts):
