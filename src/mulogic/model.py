@@ -199,6 +199,9 @@ class FiniteModel:
 
     def elems(self, cset: CarrierSet) -> tuple[CarrierElem, ...]:
         carrier = self.carrier(cset.sort)
+        if cset.width != len(carrier):
+            raise SortMismatchError(f"a set of width {cset.width} is not a subset of this "
+                                    f"model's {cset.sort} carrier of {len(carrier)} elements")
         return tuple(carrier[i] for i in cset.ordinals())
 
     def format_set(self, cset: CarrierSet) -> str:
@@ -307,7 +310,7 @@ def singleton_fastpath(
     for cset in arg_sets:
         if len(cset) != 1:
             return None
-        out.append(model.carrier(cset.sort)[next(cset.ordinals())])
+        out += model.elems(cset)
     return tuple(out)
 
 

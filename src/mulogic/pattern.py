@@ -30,9 +30,11 @@ distinct node once, with :func:`fold_pattern` and :func:`map_pattern` on
 top of it.  Every operation here and in :mod:`mulogic.subst` and
 :mod:`mulogic.printer` is a walk, fold or map, ``==``, ``hash`` and
 ``repr`` included: the node classes generate none of them, and ``Pattern``
-states each once as a fold.  Only the evaluator's placement pass, which
-expands a node once per binder scope, keeps a stack of its own.  So
-pattern depth is not limited by the interpreter's recursion limit.
+states each once as a fold.  Two passes keep a stack of their own: the
+evaluator's placement pass, which expands a node once per binder scope,
+and :func:`check_mu_positivity`, a preorder that carries the path by
+which it first reaches each node.  So pattern depth is not limited by the
+interpreter's recursion limit.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.

@@ -38,8 +38,10 @@ unbound variables.
   the result, so ``\\forall`` is one intersection loop; a complemented
   root is XORed with the full carrier once per valuation; an application
   reads a complemented argument, and a ``Mu`` loop a complemented body
-  result, by XOR with the full carrier of its sort.  Nothing writes a
-  complement into a register.
+  result, by XOR with the full carrier of its sort.  Every consumer but
+  ``And`` and ``Exists`` decodes a signed register in one way, into a
+  register and that XOR value (0 for ``r``).  Nothing writes a complement
+  into a register.
 * **Fused instructions.**  ``\\equals{s}(A, B)`` is stored as the fourteen
   core nodes of the floor of an iff (:func:`~mulogic.pattern.mk_equals`).
   Placement recognises that exact shape, with the same ``A`` and ``B``
@@ -52,23 +54,23 @@ unbound variables.
   node by node.
 * **Applications.**  An application whose arguments each hold at most one
   bit reads its table entry straight; only wider arguments take the
-  per-call memo and the pointwise lift.  A unary application of a plain
-  argument, in any scope, ORs its last image with the image of only the
-  bits its argument gained whenever its last argument is a subset of the
-  new one, since pointwise application distributes over union.  A μ
-  body's variable grows under ``iterate``, and half of the subsets that
-  ``prefix`` takes in counting order are supersets of the one before.
-* **Run.**  An instruction placed at the top runs once, as soon as it is
-  placed; a top-level binder runs once its body is placed.  Nothing that
-  runs can raise once positivity has been checked, so errors keep their
-  placement order.  Every other instruction is a closure run in list
-  order; an ``Exists`` or ``Mu`` instruction loops over its body's list,
-  so Python recursion depth is the run-time nesting of binder loops, not
-  the pattern depth, and placement refuses a nesting the recursion limit
-  has no room for (:class:`~mulogic.errors.NestingTooDeepError`).  Free
-  variables are the outermost levels, in valuation order, each with its
-  own list: ``eval_pattern`` runs each once, ``check_axiom`` re-runs only
-  the levels from the first variable that changed.
+  pointwise lift, memoised by each application instruction on its own
+  argument values.  A unary application of a plain argument, in any
+  scope, ORs its last image with the image of only the bits its argument
+  gained whenever its last argument is a subset of the new one, since
+  pointwise application distributes over union.  A μ body's variable
+  grows under ``iterate``, and half of the subsets that ``prefix`` takes
+  in counting order are supersets of the one before.
+* **Run.**  Placement runs nothing, so its errors come before any
+  instruction runs.  Every instruction is a closure in its scope's list,
+  run in list order: the top list once, first, then the free variables'
+  levels, outermost, in valuation order (``eval_pattern`` runs each once,
+  ``check_axiom`` re-runs only the levels from the first variable that
+  changed).  An ``Exists`` or ``Mu`` instruction loops over its body's
+  list, so Python recursion depth is the run-time nesting of binder
+  loops, not the pattern depth, and placement refuses a nesting the
+  recursion limit has no room for
+  (:class:`~mulogic.errors.NestingTooDeepError`).
 
 Least fixpoints come in two engines:
 
@@ -380,12 +382,11 @@ def _check_evaluable(p: Pattern, lfp_mode: str) -> None:
 
 
 class _Scope:
-    """One instruction list: a free variable's level or a binder's body
-    (the top level runs each instruction as it is placed and keeps none).
-    ``var`` is the register of the variable it binds; ``depth`` orders the
-    scopes of one chain, outermost first; ``loops`` counts the binder loops
-    its code runs inside.  ``ascending`` is set for the body of an
-    ``iterate`` μ, whose variable only grows while its loop runs;
+    """One instruction list: the top, a free variable's level or a binder's
+    body.  ``var`` is the register of the variable it binds; ``depth``
+    orders the scopes of one chain, outermost first; ``loops`` counts the
+    binder loops its code runs inside.  ``ascending`` is set for the body
+    of an ``iterate`` μ, whose variable only grows while its loop runs;
     ``resumed`` lists the registers of the warm μ instructions in it."""
 
     __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed")
@@ -400,23 +401,27 @@ class _Scope:
 
 
 class _Program:
-    """Registers and one scope per free variable.  The result is register
-    ``result`` XORed with ``flip``: 0, or the full carrier of the root's
-    sort when the root is a complement."""
+    """Registers, the top scope's instructions and one scope per free
+    variable.  The result is register ``result`` XORed with ``flip``: 0, or
+    the full carrier of the root's sort when the root is a complement."""
 
-    def __init__(self, regs: list[int], levels: list[_Scope], result: int, flip: int):
+    def __init__(self, regs: list[int], top: list[Callable[[], None]], levels: list[_Scope],
+                 result: int, flip: int):
         self.regs = regs
+        self.top = top
         self.levels = levels
         self.result = result
         self.flip = flip
 
     def sweep(self, choices: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
-        """Run once per combination of level values, in
-        ``itertools.product(*choices)`` order, and yield the index of each
-        level's value together with the result's bits.  After the first
-        run only the levels from the first one whose value changed are run
-        again."""
+        """Run the top instructions once, then the levels once per
+        combination of their values, in ``itertools.product(*choices)``
+        order, and yield the index of each level's value together with the
+        result's bits.  After the first run only the levels from the first
+        one whose value changed are run again."""
         regs, levels, result, flip = self.regs, self.levels, self.result, self.flip
+        for op in self.top:
+            op()
         last = len(levels) - 1
         index = [0] * len(levels)
         start = 0
@@ -464,7 +469,7 @@ def _compile(
 ) -> _Program:
     """Place every node of ``p`` (see the module docstring); free variable
     ``variables[k]`` gets level and register ``k``, which ``_Program.sweep``
-    sets.  An instruction placed at the top runs at once.
+    sets.  Nothing runs here.
 
     The stack holds ``(node, exs, mus)`` to enter, ``(node, exs, mus,
     scope, key, inner)`` to leave and ``_FLIP`` to complement the last
@@ -492,7 +497,10 @@ def _compile(
             fulls[sort] = (1 << model.carrier_size(sort)) - 1
         return fulls[sort]
 
-    memos: dict = {}  # symbol -> {argument registers' values: result}
+    def decode(reg: int, sort: Sort) -> tuple[int, int]:
+        """A signed register of ``sort`` as (register, value to XOR it with)."""
+        return (~reg, full(sort)) if reg < 0 else (reg, 0)
+
     base = len(levels)
     done: dict[tuple[int, _Scope], int] = {}
     results: list[int] = []  # signed registers of the children met so far
@@ -597,9 +605,7 @@ def _compile(
             if meet:
                 out = ~dst
         elif kind is Mu:
-            res = args[0]
-            flip = 0 if res >= 0 else full(node.sort)
-            res = res if res >= 0 else ~res
+            res, flip = decode(args[0], node.sort)
             width = model.carrier_size(node.sort)
             if mode == LFP_ITERATE:
                 # a warm start (module docstring); the enclosing binder's
@@ -615,38 +621,29 @@ def _compile(
             else:
                 op = _prefix_op(regs, dst, inner.var, res, inner.code, width, flip)
         elif kind is Defined:
-            a = args[0]
             # the complement of a is empty where a is full
-            empty = 0 if a >= 0 else full(node.body.sort)
-            op = _defined_op(regs, dst, a if a >= 0 else ~a, full(node.sort), empty)
+            a, empty = decode(args[0], node.body.sort)
+            op = _defined_op(regs, dst, a, full(node.sort), empty)
         elif kind is Not:  # an equality
-            a, b = args
-            result = full(node.sort)
             # the operands' sort is that of the iff under the floor
-            flip = full(node.body.body.sort) if (a < 0) != (b < 0) else 0
-            op = _equals_op(regs, dst, a if a >= 0 else ~a, b if b >= 0 else ~b, flip, result)
+            sort = node.body.body.sort
+            (a, fa), (b, fb) = decode(args[0], sort), decode(args[1], sort)
+            op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
         elif kind is App:
-            memo = memos.setdefault(node.symbol, {})
             table = model.mask_table(node.symbol)
-            flips = [0] * n
-            if min(args) < 0:
-                flips = [0 if a >= 0 else full(kid.sort) for a, kid in zip(args, node.children)]
-                args = [a if a >= 0 else ~a for a in args]
-            op = _app_op(regs, dst, args, table, memo, flips)
+            flips = (0,) * n
+            if min(args) < 0:  # most applications have none to decode; skip the list
+                args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.children)])
+            op = _app_op(regs, dst, args, table, flips)
         else:  # And
             a, b = args
             op = _and_op(regs, dst, a, b)
             if a < 0 and b < 0:
                 out = ~dst  # De Morgan: the complement of a union
-        if scope is top:
-            op()
-        else:
-            scope.code.append(op)
+        scope.code.append(op)
         done[key] = out
         emit(out)
-    root = results[0]
-    return _Program(regs, levels, root if root >= 0 else ~root,
-                    full(p.sort) if root < 0 else 0)
+    return _Program(regs, top.code, levels, *decode(results[0], p.sort))
 
 
 def _equality(node: Not) -> tuple[Pattern, Pattern] | None:
@@ -735,23 +732,23 @@ def _equals_op(
 
 
 def _app_op(
-    regs: list[int], dst: int, args: Sequence[int], table: Mapping, memo: dict,
-    flips: Sequence[int],
+    regs: list[int], dst: int, args: Sequence[int], table: Mapping, flips: Sequence[int]
 ) -> Callable[[], None]:
     """Pointwise application: the OR of the table entries of every
-    combination of one-bit masks drawn from the arguments, memoised per
-    call on their values.  Argument ``k`` is register ``args[k]`` XORed
-    with ``flips[k]``: 0, or the full carrier of its sort for a complement.
-    The unary and binary forms serve plain arguments; any complemented
-    argument takes the n-ary form.  Each reads the table straight, with no
-    memo, when every argument holds at most one bit (a key with an empty
-    argument is absent from it).
+    combination of one-bit masks drawn from the arguments.  Argument ``k``
+    is register ``args[k]`` XORed with ``flips[k]``: 0, or the full carrier
+    of its sort for a complement.  The unary and binary forms serve plain
+    arguments; any complemented argument takes the n-ary form.  Each reads
+    the table straight when every argument holds at most one bit (a key
+    with an empty argument is absent from it), else looks the arguments'
+    values up in this instruction's own memo before it lifts them.
 
-    The unary form keeps its last argument and image: on a memo miss, when
-    the last argument is a subset of this one, the image is the last image
-    ORed with the image of the added bits alone, since pointwise
-    application distributes over union (semi-naive evaluation: Bancilhon,
-    1986).  Any other argument is lifted whole."""
+    The unary form keeps its last argument and image beside its memo: on a
+    memo miss, when the last argument is a subset of this one, the image is
+    the last image ORed with the image of the added bits alone, since
+    pointwise application distributes over union (semi-naive evaluation:
+    Bancilhon, 1986).  Any other argument is lifted whole."""
+    memo: dict = {}
     plain = not any(flips)
     if plain and len(args) == 1:
         (a,) = args

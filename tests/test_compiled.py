@@ -31,7 +31,7 @@ from mulogic import (
     satisfies,
 )
 from mulogic import model as models, semantics
-from mulogic.errors import MuLogicError, NestingTooDeepError
+from mulogic.errors import CarrierTooLargeError, MuLogicError, NestingTooDeepError
 from gen import (
     EQUALITY_SHAPES,
     random_equality,
@@ -494,11 +494,11 @@ def test_negation_places_no_register_and_no_instruction(std_sig, std_model, plac
     assert placement(text) == placement(same)
 
 
-@pytest.fixture
-def app_runs(monkeypatch):
-    """Runs of each placed application instruction, in placement order."""
+def _runs(monkeypatch, name):
+    """Runs of each instruction that maker ``name`` places, in placement
+    order."""
     runs = []
-    make = semantics._app_op
+    make = getattr(semantics, name)
 
     def counted(*args):
         op = make(*args)
@@ -511,8 +511,33 @@ def app_runs(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(semantics, "_app_op", counted)
+    monkeypatch.setattr(semantics, name, counted)
     return runs
+
+
+@pytest.fixture
+def app_runs(monkeypatch):
+    """Runs of each placed application instruction, in placement order."""
+    return _runs(monkeypatch, "_app_op")
+
+
+@pytest.fixture
+def exists_runs(monkeypatch):
+    """Runs of each placed ``Exists`` instruction, in placement order."""
+    return _runs(monkeypatch, "_exists_op")
+
+
+def test_placement_runs_nothing(std_sig, std_model, exists_runs):
+    # the forall is placed before the mu's carrier is refused, and runs
+    # neither before nor after the refusal
+    p = parse_pattern(r"\and(\forall{Nat} \exists{Nat} plus(b0, b1), \mu{Nat} \or(O(), S(B0)))",
+                      std_sig)
+    empty = Valuation.empty()
+    with pytest.raises(CarrierTooLargeError):
+        eval_pattern(std_model, empty, p, lfp_mode="prefix", prefix_cap=2)
+    assert exists_runs == [0, 0]
+    assert (eval_pattern(std_model, empty, p, lfp_mode="prefix")
+            == ref_eval_pattern(std_model, empty, p, lfp_mode="prefix"))
 
 
 def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, app_runs):
@@ -593,6 +618,11 @@ LIFTED = [
     (r"\mu{Nat} \or(O(), S(B0))", "prefix", [(6,), (10,), (12,), (14,)]),
     # a lift from empty, a memo hit, a single added bit, then lost bits
     (r"\exists{Nat} S(\or(b0, \or(O(), S(O()))))", "iterate", [(3,), (11,)]),
+    # an application's memo outlives the runs of an outer loop, so it
+    # lifts each key once, not once per outer element
+    (r"\forall{Nat} \exists{Nat} \or(\not(b1), S(\or(b0, O())))", "iterate", [(5,), (9,)]),
+    (r"\forall{Nat} \or(\not(b0), \mu{Nat} \or(b0, S(B0)))", "prefix",
+     [(6,), (10,), (12,), (14,)]),
 ]
 
 

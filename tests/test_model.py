@@ -171,6 +171,15 @@ def test_singleton_fastpath(std_model):
     assert singleton_fastpath(std_model, []) == ()
 
 
+def test_sets_over_another_carrier_are_refused(std_model):
+    # a set over a 10-element Nat carrier, on this model's 4-element one
+    wide = CarrierSet(std_model.signature.sort("Nat"), 10, 1 << 9)
+    for read in (std_model.elems, std_model.format_set,
+                 lambda cset: singleton_fastpath(std_model, [cset])):
+        with pytest.raises(SortMismatchError):
+            read(wide)
+
+
 def test_carrier_set_algebra_laws(std_model):
     rng = random.Random(31)
     nat = std_model.signature.sort("Nat")
