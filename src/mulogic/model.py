@@ -238,10 +238,9 @@ class FiniteModel:
 
     def definedness(self, result_sort: Sort, arg_set: CarrierSet) -> CarrierSet:
         """Two-valued lift: empty if the argument set is empty, otherwise
-        the full carrier of ``result_sort``."""
-        if arg_set.is_empty:
-            return self.empty_set(result_sort)
-        return self.full_set(result_sort)
+        the full carrier of ``result_sort``.  Like :meth:`elems`, it refuses
+        a set that is not over this model's carrier."""
+        return self.full_set(result_sort) if self.elems(arg_set) else self.empty_set(result_sort)
 
     def _mask_table(self, symbol: SymbolDecl, count: int) -> Mapping[tuple[int, ...], int]:
         table = self.mask_table(symbol)

@@ -64,13 +64,14 @@ unbound variables.
 * **Run.**  Placement runs nothing, so its errors come before any
   instruction runs.  Every instruction is a closure in its scope's list,
   run in list order: the top list once, first, then the free variables'
-  levels, outermost, in valuation order (``eval_pattern`` runs each once,
-  ``check_axiom`` re-runs only the levels from the first variable that
-  changed).  An ``Exists`` or ``Mu`` instruction loops over its body's
-  list, so Python recursion depth is the run-time nesting of binder
-  loops, not the pattern depth, and placement refuses a nesting the
-  recursion limit has no room for
-  (:class:`~mulogic.errors.NestingTooDeepError`).
+  levels, outermost first, in the one search that ``eval_pattern`` and
+  ``check_axiom`` share (:meth:`_Program.search`): in product order, it
+  re-runs only the levels from the first variable that changed and stops
+  at the first valuation whose result is not the one wanted.  An
+  ``Exists`` or ``Mu`` instruction loops over its body's list, so Python
+  recursion depth is the run-time nesting of binder loops, not the
+  pattern depth, and placement refuses a nesting the recursion limit has
+  no room for (:class:`~mulogic.errors.NestingTooDeepError`).
 
 Least fixpoints come in two engines:
 
@@ -107,7 +108,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     CarrierTooLargeError,
@@ -317,8 +318,8 @@ def eval_pattern(
         if not rho.binds(var):
             raise UnboundFreeVariableError(var, f"{var} is not bound")
     values = [[_bits_of(model, rho, var)] for var in variables]
-    program = _compile(model, p, lfp_mode, prefix_cap, variables)
-    _, bits = next(program.sweep(values))
+    # no result's bits are -1, so the search stops at the one valuation
+    _, bits = _compile(model, p, lfp_mode, prefix_cap, variables).search(values, -1)
     return CarrierSet(p.sort, model.carrier_size(p.sort), bits)
 
 
@@ -392,10 +393,7 @@ class _Scope:
     __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed")
 
     def __init__(self, depth: int, var: int, loops: int = 0, ascending: bool = False):
-        self.depth = depth
-        self.var = var
-        self.loops = loops
-        self.ascending = ascending
+        self.depth, self.var, self.loops, self.ascending = depth, var, loops, ascending
         self.code: list[Callable[[], None]] = []
         self.resumed: list[int] = []
 
@@ -407,37 +405,43 @@ class _Program:
 
     def __init__(self, regs: list[int], top: list[Callable[[], None]], levels: list[_Scope],
                  result: int, flip: int):
-        self.regs = regs
-        self.top = top
-        self.levels = levels
-        self.result = result
-        self.flip = flip
+        self.regs, self.top, self.levels, self.result, self.flip = regs, top, levels, result, flip
 
-    def sweep(self, choices: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
-        """Run the top instructions once, then the levels once per
-        combination of their values, in ``itertools.product(*choices)``
-        order, and yield the index of each level's value together with the
-        result's bits.  After the first run only the levels from the first
-        one whose value changed are run again."""
+    def search(self, choices: Sequence[Sequence[int]], want: int) -> tuple[list[int], int] | None:
+        """The index of each level's value and the result's bits at the
+        first combination of the levels' values, in
+        ``itertools.product(*choices)`` order, whose result is not ``want``,
+        else None.  The top runs once, then only the levels from the first
+        one whose value changed.  The innermost level's plain loop runs once
+        per valuation: a per-valuation hook (a counter, a work budget) goes
+        there."""
         regs, levels, result, flip = self.regs, self.levels, self.result, self.flip
+        hit = want ^ flip  # the result register's value when the result is want
         for op in self.top:
             op()
+        if not levels:
+            return None if regs[result] == hit else ([], regs[result] ^ flip)
         last = len(levels) - 1
-        index = [0] * len(levels)
-        start = 0
+        var, code, values = levels[last].var, levels[last].code, choices[last]
+        index, start = [0] * len(levels), 0
         while True:
-            for k in range(start, last + 1):
-                level = levels[k]
-                regs[level.var] = choices[k][index[k]]
-                for op in level.code:
+            for k in range(start, last):
+                regs[levels[k].var] = choices[k][index[k]]
+                for op in levels[k].code:
                     op()
-            yield index, regs[result] ^ flip
-            start = last
+            for value in values:
+                regs[var] = value
+                for op in code:
+                    op()
+                if regs[result] != hit:
+                    index[last] = values.index(value)
+                    return index, regs[result] ^ flip
+            start = last - 1
             while start >= 0 and index[start] == len(choices[start]) - 1:
                 index[start] = 0
                 start -= 1
             if start < 0:
-                return
+                return None
             index[start] += 1
 
 
@@ -468,7 +472,7 @@ def _compile(
     variables: Sequence[ElemVar | SetVar],
 ) -> _Program:
     """Place every node of ``p`` (see the module docstring); free variable
-    ``variables[k]`` gets level and register ``k``, which ``_Program.sweep``
+    ``variables[k]`` gets level and register ``k``, which ``_Program.search``
     sets.  Nothing runs here.
 
     The stack holds ``(node, exs, mus)`` to enter, ``(node, exs, mus,
@@ -481,21 +485,16 @@ def _compile(
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
-    level_of = dict(zip(variables, levels))
     regs = [0] * len(levels)
-    reads = {k: k + 1 for k in range(len(levels))}  # register -> its innermost level's depth
+    reads: dict[int, int] = {}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
 
     def register(value: int = 0) -> int:
         regs.append(value)
         return len(regs) - 1
 
-    fulls: dict[Sort, int] = {}
-
     def full(sort: Sort) -> int:
-        if sort not in fulls:
-            fulls[sort] = (1 << model.carrier_size(sort)) - 1
-        return fulls[sort]
+        return (1 << model.carrier_size(sort)) - 1
 
     def decode(reg: int, sort: Sort) -> tuple[int, int]:
         """A signed register of ``sort`` as (register, value to XOR it with)."""
@@ -571,7 +570,8 @@ def _compile(
                 elif kind is BoundSVar:
                     reg = mus[-1 - node.index].var
                 elif kind is FreeEVar or kind is FreeSVar:
-                    reg = level_of[node.var].var
+                    reg = variables.index(node.var)
+                    reads[reg] = reg + 1
                 else:  # a 0-ary symbol
                     reg = register(model.mask_table(node.symbol).get((), 0))
                 done[key] = reg

@@ -11,7 +11,6 @@ failure abort the rest.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -155,9 +154,13 @@ def check_axiom(
     again only when a variable it reads has changed.
     """
     p, variables = axiom.pattern, axiom._variables
-    split = sum(isinstance(v, ElemVar) for v in variables)
-    sizes = [model.carrier_size(v.sort) for v in variables]
-    count = math.prod(sizes[:split]) * math.prod(2**n for n in sizes[split:])
+    # register values: element k is the one-bit mask 1 << k, a set its bits
+    choices, count = [], 1
+    for v in variables:
+        n = model.carrier_size(v.sort)
+        elem = isinstance(v, ElemVar)
+        choices.append([1 << k for k in range(n)] if elem else range(1 << n))
+        count *= n if elem else 1 << n
     if count > state_cap:
         raise StateSpaceTooLargeError(
             f"axiom {axiom.label!r} needs {count} valuations, more than the "
@@ -166,18 +169,16 @@ def check_axiom(
     _check_evaluable(p, lfp_mode)
 
     width = model.carrier_size(axiom.sort)
-    program = _compile(model, p, lfp_mode, prefix_cap, variables)
-    # register values: element k is the one-bit mask 1 << k, a set its bits
-    choices = [[1 << k for k in range(n)] for n in sizes[:split]]
-    choices += [range(1 << n) for n in sizes[split:]]
-    for index, bits in program.sweep(choices):
-        if bits != (1 << width) - 1:
-            elems = {v: model.carrier(v.sort)[k] for v, k in zip(variables[:split], index)}
-            sets = {v: CarrierSet(v.sort, n, k)
-                    for v, n, k in zip(variables[split:], sizes[split:], index[split:])}
-            got = CarrierSet(axiom.sort, width, bits)
-            return AxiomResult(axiom, Verdict.VIOLATED, witness=Valuation(elems, sets), got=got)
-    return AxiomResult(axiom, Verdict.SATISFIED)
+    found = _compile(model, p, lfp_mode, prefix_cap, variables).search(choices, (1 << width) - 1)
+    if found is None:
+        return AxiomResult(axiom, Verdict.SATISFIED)
+    index, bits = found
+    bound = list(zip(variables, index))
+    elems = {v: model.carrier(v.sort)[k] for v, k in bound if isinstance(v, ElemVar)}
+    sets = {v: CarrierSet(v.sort, model.carrier_size(v.sort), k)
+            for v, k in bound if not isinstance(v, ElemVar)}
+    got = CarrierSet(axiom.sort, width, bits)
+    return AxiomResult(axiom, Verdict.VIOLATED, witness=Valuation(elems, sets), got=got)
 
 
 def satisfies(

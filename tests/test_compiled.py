@@ -1,5 +1,6 @@
 """The compiled evaluator against the reference fold and the prefix oracle."""
 
+import itertools
 import random
 import warnings
 
@@ -664,3 +665,75 @@ def test_interpret_symbol_reads_the_table(std_sig, std_model, lifts):
     assert std_model.format_set(std_model.interpret_symbol(plus, (one, two))) == "{ 3 }"
     assert std_model.interpret_symbol(plus, (two, two)).is_empty
     assert lifts == []
+
+
+# --- the valuation search -----------------------------------------------------
+
+
+def literal(sort, k, is_set):
+    """A closed pattern of the std model denoting element ``k`` of ``sort``,
+    or for a set variable the subset with bits ``k``."""
+    names = ["true()", "false()"] if sort == "Bool" else [
+        "S(" * i + "O()" + ")" * i for i in range(4)]
+    if not is_set:
+        return names[k]
+    text = rf"\bottom{{{sort}}}"
+    for i, name in enumerate(names):
+        if k >> i & 1:
+            text = rf"\or({name}, {text})"
+    return text
+
+
+@pytest.mark.parametrize("names", [
+    (), ("x:Nat",), ("x:Nat", "y:Nat"), ("#X:Nat",), ("x:Nat", "#X:Nat"),
+    ("x:Nat", "y:Nat", "#X:Bool"),
+])
+def test_search_stops_at_a_violation_planted_at_each_valuation(std_sig, std_model, names):
+    # \not of the conjunction of var = value fails at exactly the planted
+    # valuation; with an equality that never holds conjoined, nowhere
+    variables = [(name, name.split(":")[1], name.startswith("#")) for name in names]
+    sizes = [std_model.carrier_size(std_sig.sort(sort)) for _, sort, _ in variables]
+    never = r"\equals{Bool}(O(), S(O()))"
+    for planted in [*itertools.product(*[range(1 << n if is_set else n)
+                                         for n, (_, _, is_set) in zip(sizes, variables)]), None]:
+        conj = never if planted is None else r"\top{Bool}"
+        for (name, sort, is_set), k in zip(variables, planted or [0] * len(variables)):
+            conj = rf"\and(\equals{{Bool}}({name}, {literal(sort, k, is_set)}), {conj})"
+        axiom = Axiom("planted", std_sig.sort("Bool"), parse_pattern(rf"\not({conj})", std_sig))
+        for arm in CHECK_ARMS:
+            mine = outcome(check_axiom, std_model, axiom, **arm)
+            ref = outcome(ref_check_axiom, std_model, axiom, **arm)
+            assert (axiom_view(mine[0]), mine[1]) == (axiom_view(ref[0]), ref[1]), (planted, arm)
+        result = check_axiom(std_model, axiom)
+        if planted is None:
+            assert result.verdict.value == "satisfied"
+            continue
+        assert result.verdict.value == "violated" and result.got.is_empty
+        witness = {str(v): e.ordinal for v, e in result.witness.evars.items()}
+        witness.update({str(v): s.bits for v, s in result.witness.svars.items()})
+        assert witness == dict(zip(names, planted))
+
+
+def test_search_with_no_instruction_at_the_outer_level(std_sig):
+    # every instruction reads y, so x's level places none; plus(x, y) is
+    # 1 only at the planted pair, so the first violation is there
+    labels = ["0", "1", "2", "3"]
+    laws = [r"\not(\equals{Bool}(plus(x:Nat, y:Nat), S(O())))",
+            r"\equals{Nat}(plus(x:Nat, S(y:Nat)), S(plus(x:Nat, y:Nat)))"]
+    for a, b in itertools.product(range(4), repeat=2):
+        model = build_model(
+            std_sig, {"Bool": ["t", "f"], "Nat": labels},
+            {"O": {(): ["0"]}, "S": {("0",): ["1"], ("1",): ["2"], ("2",): ["3"]},
+             "plus": {(i, j): ["1" if (i, j) == (labels[a], labels[b]) else "0"]
+                      for i in labels for j in labels}},
+        )
+        results = []
+        for text in laws:
+            axiom = Axiom("law", std_sig.sort("Bool" if "Bool" in text else "Nat"),
+                          parse_pattern(text, std_sig))
+            program = semantics._compile(model, axiom.pattern, "iterate", 20, axiom._variables)
+            assert program.levels[0].code == [] and program.levels[1].code
+            results.append(check_axiom(model, axiom))
+            assert axiom_view(results[-1]) == axiom_view(ref_check_axiom(model, axiom)), (a, b, text)
+        witness = {str(v): e.label for v, e in results[0].witness.evars.items()}
+        assert witness == {"x:Nat": labels[a], "y:Nat": labels[b]}

@@ -180,6 +180,16 @@ def test_sets_over_another_carrier_are_refused(std_model):
             read(wide)
 
 
+def test_definedness_refuses_a_set_over_another_carrier(std_model):
+    nat = std_model.signature.sort("Nat")
+    bool_ = std_model.signature.sort("Bool")
+    for width in (10, 3):
+        with pytest.raises(SortMismatchError):
+            std_model.definedness(bool_, CarrierSet(nat, width, 1 << (width - 1)))
+        with pytest.raises(SortMismatchError):
+            std_model.definedness(bool_, CarrierSet(nat, width, 0))
+
+
 def test_carrier_set_algebra_laws(std_model):
     rng = random.Random(31)
     nat = std_model.signature.sort("Nat")
