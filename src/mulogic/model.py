@@ -186,7 +186,7 @@ class FiniteModel:
         return CarrierSet(sort, n, (1 << n) - 1)
 
     def singleton(self, elem: CarrierElem) -> CarrierSet:
-        return CarrierSet(elem.sort, self.carrier_size(elem.sort), 1 << elem.ordinal)
+        return self.set_of(elem.sort, (elem,))
 
     def set_of(self, sort: Sort, elems: Iterable[CarrierElem]) -> CarrierSet:
         carrier = self.carrier(sort)

@@ -54,13 +54,14 @@ unbound variables.
   node by node.
 * **Applications.**  An application whose arguments each hold at most one
   bit reads its table entry straight; only wider arguments take the
-  pointwise lift, memoised by each application instruction on its own
-  argument values.  A unary application of a plain argument, in any
-  scope, ORs its last image with the image of only the bits its argument
-  gained whenever its last argument is a subset of the new one, since
-  pointwise application distributes over union.  A μ body's variable
-  grows under ``iterate``, and half of the subsets that ``prefix`` takes
-  in counting order are supersets of the one before.
+  pointwise lift.  Each instruction keeps at most its last argument and
+  image, as a ``prefix`` μ or a free set variable runs it on every subset
+  of a carrier: a unary application of a plain argument, in any scope,
+  ORs its last image with the image of only the bits its argument gained
+  whenever its last argument is a subset of the new one, since pointwise
+  application distributes over union.  A μ body's variable grows under
+  ``iterate``, and half of the subsets that ``prefix`` takes in counting
+  order are supersets of the one before.
 * **Run.**  Placement runs nothing, so its errors come before any
   instruction runs.  Every instruction is a closure in its scope's list,
   run in list order: the top list once, first, then the free variables'
@@ -228,11 +229,15 @@ def _step_body(
     step: Callable[[CarrierSet], CarrierSet], sort: Sort, n: int
 ) -> tuple[list[int], list[Callable[[], None]]]:
     """Two registers and a one-instruction body that writes ``step`` of
-    register 0 to register 1."""
+    register 0 to register 1, or raises unless that is a subset of the same
+    ``n``-element carrier of ``sort``."""
     regs = [0, 0]
 
     def op() -> None:
-        regs[1] = step(CarrierSet(sort, n, regs[0])).bits
+        image = step(CarrierSet(sort, n, regs[0]))
+        if image.sort is not sort or image.width != n:
+            raise SortMismatchError(f"the step's result is not a subset of the {sort} carrier")
+        regs[1] = image.bits
 
     return regs, [op]
 
@@ -740,15 +745,15 @@ def _app_op(
     of its sort for a complement.  The unary and binary forms serve plain
     arguments; any complemented argument takes the n-ary form.  Each reads
     the table straight when every argument holds at most one bit (a key
-    with an empty argument is absent from it), else looks the arguments'
-    values up in this instruction's own memo before it lifts them.
+    with an empty argument is absent from it), else lifts the arguments.
 
-    The unary form keeps its last argument and image beside its memo: on a
-    memo miss, when the last argument is a subset of this one, the image is
-    the last image ORed with the image of the added bits alone, since
-    pointwise application distributes over union (semi-naive evaluation:
-    Bancilhon, 1986).  Any other argument is lifted whole."""
-    memo: dict = {}
+    The unary form keeps its last argument and image, and no form keeps
+    more, since a ``prefix`` μ or a free set variable runs an application
+    on every subset of a carrier.  When the last argument is a subset of
+    this one, the image is the last image ORed with the image of the added
+    bits alone, since pointwise application distributes over union
+    (semi-naive evaluation: Bancilhon, 1986).  Any other argument is
+    lifted whole."""
     plain = not any(flips)
     if plain and len(args) == 1:
         (a,) = args
@@ -759,17 +764,12 @@ def _app_op(
             key = regs[a]
             if not key & (key - 1):
                 value = table.get((key,), 0)
+            elif last & ~key:
+                value = _lift(table, (key,))
+            elif (added := key ^ last) & (added - 1):
+                value = image | _lift(table, (added,))
             else:
-                value = memo.get(key)
-                if value is None:
-                    added = key ^ last
-                    if last & ~key:
-                        value = _lift(table, (key,))
-                    elif added & (added - 1):
-                        value = image | _lift(table, (added,))
-                    else:
-                        value = image | table.get((added,), 0)
-                    memo[key] = value
+                value = image | table.get((added,), 0)
             last, image = key, value
             regs[dst] = value
 
@@ -779,13 +779,9 @@ def _app_op(
         def op() -> None:
             x, y = regs[a], regs[b]
             if x & (x - 1) or y & (y - 1):
-                key = (x, y)
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = _lift(table, key)
+                regs[dst] = _lift(table, (x, y))
             else:
-                value = table.get((x, y), 0)
-            regs[dst] = value
+                regs[dst] = table.get((x, y), 0)
 
     else:
         signed = list(zip(args, flips))
@@ -793,12 +789,9 @@ def _app_op(
         def op() -> None:
             key = tuple([regs[a] ^ f for a, f in signed])
             if any([bits & (bits - 1) for bits in key]):
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = _lift(table, key)
+                regs[dst] = _lift(table, key)
             else:
-                value = table.get(key, 0)
-            regs[dst] = value
+                regs[dst] = table.get(key, 0)
 
     return op
 

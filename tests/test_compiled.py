@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -617,13 +618,16 @@ LIFTED = [
     (r"\mu{Nat} \or(O(), S(B0))", "iterate", []),
     # the prefix engine counts upwards: a subset that lost bits is lifted whole
     (r"\mu{Nat} \or(O(), S(B0))", "prefix", [(6,), (10,), (12,), (14,)]),
-    # a lift from empty, a memo hit, a single added bit, then lost bits
+    # a lift from empty, the same argument again (its last image, no
+    # lift), a single added bit, then lost bits
     (r"\exists{Nat} S(\or(b0, \or(O(), S(O()))))", "iterate", [(3,), (11,)]),
-    # an application's memo outlives the runs of an outer loop, so it
-    # lifts each key once, not once per outer element
-    (r"\forall{Nat} \exists{Nat} \or(\not(b1), S(\or(b0, O())))", "iterate", [(5,), (9,)]),
+    # an application keeps no store of the arguments it has seen, only its
+    # last one: in an inner loop it lifts its keys again on each run that
+    # an outer loop makes, once per outer element
+    (r"\forall{Nat} \exists{Nat} \or(\not(b1), S(\or(b0, O())))", "iterate",
+     [(5,), (9,)] * 4),
     (r"\forall{Nat} \or(\not(b0), \mu{Nat} \or(b0, S(B0)))", "prefix",
-     [(6,), (10,), (12,), (14,)]),
+     [(6,), (10,), (12,), (14,)] * 4),
 ]
 
 
@@ -665,6 +669,32 @@ def test_interpret_symbol_reads_the_table(std_sig, std_model, lifts):
     assert std_model.format_set(std_model.interpret_symbol(plus, (one, two))) == "{ 3 }"
     assert std_model.interpret_symbol(plus, (two, two)).is_empty
     assert lifts == []
+
+
+def traced_peak(run):
+    """What ``run()`` returns, and the most memory that Python allocated at
+    once while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_memory_stays_bounded_over_every_subset(n):
+    # a prefix mu and a free set variable each run their applications on
+    # all 2^n subsets of the carrier; an application that kept one entry
+    # per argument it has seen would grow with them
+    sig, model = chain_model(n)
+    nat, empty = sig.sort("Nat"), Valuation.empty()
+    fix = parse_pattern(r"\mu{Nat} \or(O(), S(B0))", sig)
+    theory = Theory(sig, (Axiom("excluded-middle", nat, parse_pattern(
+        r"\or(\not(S(#X:Nat)), S(#X:Nat))", sig)),))
+    value, eval_peak = traced_peak(lambda: eval_pattern(model, empty, fix, lfp_mode="prefix"))
+    report, check_peak = traced_peak(lambda: satisfies(model, theory))
+    assert value == ref_eval_pattern(model, empty, fix) and report.satisfied
+    assert max(eval_peak, check_peak) < 32 * 1024, (eval_peak, check_peak)
 
 
 # --- the valuation search -----------------------------------------------------

@@ -180,6 +180,16 @@ def test_sets_over_another_carrier_are_refused(std_model):
             read(wide)
 
 
+def test_singleton_refuses_an_element_of_another_model(std_sig, std_model):
+    small = build_model(std_sig, {"Bool": ["t", "f"], "Nat": ["0", "1"]}, {})
+    # one element past the small carrier, one whose ordinal fits in it
+    for label in ("3", "0"):
+        with pytest.raises(SortMismatchError):
+            small.singleton(elems(std_model, "Nat", label)[0])
+    (zero,) = elems(small, "Nat", "0")
+    assert small.elems(small.singleton(zero)) == (zero,)
+
+
 def test_definedness_refuses_a_set_over_another_carrier(std_model):
     nat = std_model.signature.sort("Nat")
     bool_ = std_model.signature.sort("Bool")

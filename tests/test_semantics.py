@@ -263,6 +263,13 @@ class TestLfpEngines:
         with pytest.raises(NonPositiveMuError):
             lfp_iterate(alternate, std_model, nat)
 
+    def test_step_over_another_carrier_is_refused(self, std_model, nat, bool_):
+        # a Bool set, and a Nat set one element wider than this carrier
+        for image in (std_model.full_set(bool_), CarrierSet(nat, 5, 0)):
+            for engine in (lfp_iterate, lfp_prefixpoints):
+                with pytest.raises(SortMismatchError):
+                    engine(lambda a, image=image: image, std_model, nat)
+
     def test_prefix_cap(self, std_model, nat):
         with pytest.raises(CarrierTooLargeError):
             lfp_prefixpoints(lambda a: a, std_model, nat, cap=3)
