@@ -711,8 +711,8 @@ def check_mu_positivity(p: Pattern) -> PositivityReport:
     return PositivityReport(tuple(checks))
 
 
-def svar_occurs_positively(p: Pattern, target: int, negations: int = 0) -> bool:
-    """True iff every occurrence of bound set variable ``target`` sits
-    under an even number of negations, ``negations`` of them above ``p``."""
-    _, even, odd, _, _ = p._facts
-    return not (odd if negations % 2 == 0 else even) >> target & 1
+def svar_occurs_positively(p: Pattern, target: int) -> bool:
+    """True iff every occurrence of bound set variable ``target`` in ``p``
+    sits under an even number of negations."""
+    _, _, odd, _, _ = p._facts
+    return not odd >> target & 1

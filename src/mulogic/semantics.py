@@ -33,15 +33,14 @@ unbound variables.
   costs one stack step each.  Consumers take the sign into their
   instruction: ``And`` is ``a & b``, ``a & ~b``, or for two complements
   ``a | b`` with a complemented result (De Morgan); ``Defined`` of a
-  complement tests its operand against the full carrier; an ``Exists``
-  over a complement intersects its operand over the loop and complements
-  the result, so ``\\forall`` is one intersection loop; a complemented
+  complement tests its operand against the full carrier; a complemented
   root is XORed with the full carrier once per valuation; an application
-  reads a complemented argument, and a ``Mu`` loop a complemented body
-  result, by XOR with the full carrier of its sort.  Every consumer but
-  ``And`` and ``Exists`` decodes a signed register in one way, into a
-  register and that XOR value (0 for ``r``).  Nothing writes a complement
-  into a register.
+  reads a complemented argument, and an ``Exists`` or ``Mu`` loop a
+  complemented body result, by XOR with the full carrier of its sort, so
+  ``\\forall``, which is ``\\not \\exists \\not``, is one union loop
+  whose result is a complement.  Every consumer but ``And`` decodes a
+  signed register in one way, into a register and that XOR value (0 for
+  ``r``).  Nothing writes a complement into a register.
 * **Fused instructions.**  ``\\equals{s}(A, B)`` is stored as the fourteen
   core nodes of the floor of an iff (:func:`~mulogic.pattern.mk_equals`).
   Placement recognises that exact shape, with the same ``A`` and ``B``
@@ -601,14 +600,9 @@ def _compile(
             reads[dst] = level
         out = dst
         if kind is Exists:
-            # the union of a complement is the complement of an intersection
-            res = args[0]
-            meet = res < 0
+            res, flip = decode(args[0], node.sort)
             elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
-            op = _exists_op(regs, dst, inner.var, ~res if meet else res, inner.code, elems,
-                            meet, full(node.sort))
-            if meet:
-                out = ~dst
+            op = _exists_op(regs, dst, inner.var, res, inner.code, elems, flip)
         elif kind is Mu:
             res, flip = decode(args[0], node.sort)
             width = model.carrier_size(node.sort)
@@ -797,22 +791,19 @@ def _app_op(
 
 
 def _exists_op(
-    regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int],
-    meet: bool, full: int,
+    regs: list[int], dst: int, var: int, res: int, body: list, elems: list[int], flip: int
 ) -> Callable[[], None]:
-    """The union, or when ``meet`` the intersection, of register ``res``
-    over ``body`` run once per element mask in ``elems``."""
+    """The union of register ``res`` XORed with ``flip`` (0, or the full
+    carrier for a complemented body) over ``body`` run once per element
+    mask in ``elems``."""
 
     def op() -> None:
-        acc = full if meet else 0
+        acc = 0
         for elem in elems:
             regs[var] = elem
             for step in body:
                 step()
-            if meet:
-                acc &= regs[res]
-            else:
-                acc |= regs[res]
+            acc |= regs[res] ^ flip
         regs[dst] = acc
 
     return op

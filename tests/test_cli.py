@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mulogic.errors import NonPositiveMuWarning
 from mulogic.cli import main
 from mulogic.corpus import corpus_path
 
@@ -194,6 +195,31 @@ class TestSatisfies:
         assert verdicts == {"bool-domain": "satisfied", "never": "violated"}
         never = next(a for a in payload["axioms"] if a["label"] == "never")
         assert never["got"] == [] and never["expected"] == ["t", "f"]
+
+    def test_error_verdict(self, tmp_path, capsys):
+        theory = tmp_path / "neg.mlt"
+        theory.write_text(
+            "sort Nat\nsymbol O : -> Nat\n"
+            "axiom neg [Nat] \\mu{Nat} \\not(B0)\n"
+            "axiom zero [Nat] \\or(O(), \\not(O()))\n"
+        )
+        model = tmp_path / "one.mlm"
+        model.write_text("model one\ncarrier Nat = { 0 }\ninterp O() = { 0 }\n")
+        args = ["satisfies", str(theory), str(model)]
+        assert main(args) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            "neg: error (NonPositiveMuError: mu binder body is not positive; "
+        )
+        assert lines[1:] == ["zero: satisfied", "theory NOT satisfied: 2 axiom(s) checked"]
+        assert main([*args, "--report", "json"]) == 1
+        neg, zero = json.loads(capsys.readouterr().out)["axioms"]
+        assert neg["verdict"] == "error" and "got" not in neg and "witness" not in neg
+        assert neg["message"].startswith("NonPositiveMuError: ")
+        assert zero["verdict"] == "satisfied"
+        with pytest.warns(NonPositiveMuWarning):
+            assert main([*args, "--lfp", "prefix"]) == 0
+        assert "neg: satisfied" in capsys.readouterr().out
 
     def test_io_failure(self, capsys):
         assert main(["satisfies", NATBOOL_MLT, "/nonexistent.mlm"]) == 2

@@ -345,7 +345,7 @@ def test_binders_nested_too_deep_for_the_recursion_limit(binder):
 # --- signed registers ---------------------------------------------------------
 
 SIGN_CASES = [
-    # the union of a complement: an intersection loop, complemented
+    # the union of a complement: a union loop that reads its body by XOR
     r"\exists{Nat} \not(S(b0))",
     r"\not(\exists{Nat} \not(\and(b0, S(b0))))",
     r"\forall{Nat} \forall{Nat} \forall{Nat} \or(plus(b0, \and(b1, b2)), \not(S(b2)))",

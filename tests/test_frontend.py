@@ -98,6 +98,11 @@ class TestParseTheory:
         (diag,) = diag_of(lambda: parse_theory("sort Bool\noption frobnicate"))
         assert diag.code == "unknown-option"
 
+    def test_duplicate_symbol(self):
+        text = "sort Nat\nsymbol O : -> Nat\nsymbol O : -> Nat"
+        (diag,) = diag_of(lambda: parse_theory(text))
+        assert (diag.code, diag.span) == ("duplicate-symbol", (3, 8, 1))
+
     def test_duplicate_axiom_label(self):
         text = "sort Bool\naxiom a [Bool] \\top{Bool}\naxiom a [Bool] \\top{Bool}"
         (diag,) = diag_of(lambda: parse_theory(text))
@@ -216,6 +221,7 @@ class TestParsePattern:
         ("\\not(true()", "syntax", (1, 12, 1)),
         ("\\foo(O())", "syntax", (1, 1, 4)),
         ("\\ceil{Bool}(x:Zed)", "unknown-sort", (1, 13, 1)),
+        ("\\mu B0", "cannot-infer-sort", (1, 1, 3)),
     ])
     def test_malformed_connective_diagnostics(self, std_sig, text, code, span):
         with pytest.raises(ParseError) as err:
@@ -283,6 +289,16 @@ class TestParseModel:
             "carrier Bool = { t }\ncarrier Nat = { 0, 1 }\n", theory
         )
         assert warnings == []
+
+    @pytest.mark.parametrize("text, code, span", [
+        ("model a\nmodel b\ncarrier Bool = { t }\ncarrier Nat = { 0 }", "syntax", (2, 1, 5)),
+        ("carrier Nat = { 0 }\ncarrier Nat = { 1 }\ncarrier Bool = { t }",
+         "duplicate-carrier", (2, 9, 3)),
+        ("carrier Nat = { 0, 0 }\ncarrier Bool = { t }", "duplicate-label", (1, 20, 1)),
+    ])
+    def test_repeated_declaration_diagnostics(self, theory, text, code, span):
+        (diag,) = diag_of(lambda: parse_model(text, theory))
+        assert (diag.code, diag.span) == (code, span)
 
     def test_interp_before_carrier(self, theory):
         text = "interp isZero(0) = { t }\ncarrier Bool = { t }\ncarrier Nat = { 0 }"

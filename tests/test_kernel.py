@@ -12,6 +12,7 @@ from mulogic import (
     Valuation,
     bevar_subst,
     bsvar_subst,
+    build_model,
     check_mu_positivity,
     eval_pattern,
     extend_env,
@@ -49,9 +50,10 @@ from mulogic.errors import (
     BinderSortMismatchError,
     ContextMismatchError,
     IndexOutOfScopeError,
+    SlotNotFoundError,
     SortMismatchError,
 )
-from mulogic.pattern import fold_pattern, walk
+from mulogic.pattern import Defined, Exists, FreeSVar, Mu, fold_pattern, walk
 from gen import (
     iter_nodes,
     random_context,
@@ -167,6 +169,43 @@ def test_direct_node_construction_is_checked(std_sig, nat, bool_):
     z = mk_app(std_sig, std_sig.symbol("O"), [])
     with pytest.raises(SortMismatchError):
         And(bool_, (), (), t, z)
+
+
+def _set_over_a_larger_carrier(sig, nat, bool_):
+    x = SetVar("X", nat)
+    small = build_model(sig, {"Nat": ["0", "1"], "Bool": ["t"]}, {})
+    large = build_model(sig, {"Nat": ["0", "1", "2"], "Bool": ["t"]}, {})
+    return eval_pattern(small, Valuation({}, {x: large.full_set(nat)}), mk_free_svar(x))
+
+
+@pytest.mark.parametrize("attempt, error", [
+    pytest.param(lambda sig, nat, bool_: Exists(
+        nat, (), (), nat, mk_bound_evar((nat,), (nat,), 0)),
+        ContextMismatchError, id="exists-body-mu-context"),
+    pytest.param(lambda sig, nat, bool_: Exists(
+        bool_, (), (), nat, mk_bound_evar((nat,), (), 0)),
+        SortMismatchError, id="exists-body-sort"),
+    pytest.param(lambda sig, nat, bool_: Mu(
+        nat, (), (), mk_bound_svar((nat,), (nat,), 0)),
+        ContextMismatchError, id="mu-body-ex-context"),
+    pytest.param(lambda sig, nat, bool_: Mu(
+        bool_, (), (), mk_app(sig, sig.symbol("O"), [], mu=(bool_,))),
+        SortMismatchError, id="mu-body-sort"),
+    pytest.param(lambda sig, nat, bool_: Defined(
+        bool_, (), (), mk_bound_evar((nat,), (), 0)),
+        ContextMismatchError, id="defined-body-context"),
+    pytest.param(lambda sig, nat, bool_: FreeSVar(
+        bool_, (), (), SetVar("X", nat)),
+        SortMismatchError, id="free-svar-sort"),
+    pytest.param(_set_over_a_larger_carrier, SortMismatchError,
+                 id="eval-set-over-another-carrier"),
+    pytest.param(lambda sig, nat, bool_: fevar_subst(
+        mk_bound_evar((nat,), (), 0), ElemVar("x", nat), mk_free_evar(ElemVar("x", nat))),
+        SlotNotFoundError, id="fevar-subst-open-replacement"),
+])
+def test_ill_formed_construction_is_refused(std_sig, nat, bool_, attempt, error):
+    with pytest.raises(error):
+        attempt(std_sig, nat, bool_)
 
 
 def test_free_evar_identity_includes_sort(nat, bool_):
