@@ -36,14 +36,17 @@ arguments, ``interp`` arguments and label sets, and one line driver runs
 both file formats.  :func:`parse_binding` reads the CLI's ``-v``/``-V``
 bindings with the same tokenizer and label grammar as model files.
 
-The frontend has no nesting limit: its pattern routines are generators
-that one driver, ``_run``, runs on an explicit stack.
+The tokenizer makes one pass of a single regex over the text, takes each
+column as the offset from its line's start, and emits plain ``__slots__``
+token records.  The frontend has no nesting limit: its pattern routines
+are generators that one driver, ``_run``, runs on an explicit stack.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
@@ -110,10 +113,14 @@ def _err(span: Span, code: str, message: str) -> _Bail:
 
 # --- tokens ---------------------------------------------------------------
 
+# The first four alternatives start with characters no other one starts
+# with, so trying them first changes no match; the rest keep their order.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
+    (?P<punct>[(){}\[\],:#])
+  | (?P<ws>[ \t\r]+)
   | (?P<newline>\n)
+  | (?P<eq>=)
   | (?P<comment>//[^\n]*)
   | (?P<keyword>\\[A-Za-z]+)
   | (?P<arrow>->)
@@ -121,8 +128,6 @@ _TOKEN_RE = re.compile(
   | (?P<bsvar>B\d+(?![A-Za-z0-9_']))
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*(?:-(?!>)[A-Za-z0-9_']+)*)
   | (?P<number>\d[A-Za-z0-9_]*)
-  | (?P<eq>=)
-  | (?P<punct>[(){}\[\],:#])
     """,
     re.VERBOSE,
 )
@@ -130,12 +135,17 @@ _TOKEN_RE = re.compile(
 _RESERVED_NAME_RE = re.compile(r"'\d+$")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    """One token: its ``_TOKEN_RE`` group, its text and its 1-based
+    position.  Compares by identity."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
     @property
     def span(self) -> Span:
@@ -143,56 +153,65 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Produce the token stream; raises :class:`ParseError` on lex errors."""
+    """Produce the token stream; raises :class:`ParseError` on lex errors.
+
+    One pass of ``_TOKEN_RE.finditer``: a token's column is its offset
+    from the start of its line, and the first gap between two matches is
+    the unexpected character."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                [Diagnostic("error", (line, col, 1), "lex",
-                            f"unexpected character {text[pos]!r}")]
-            )
-        kind = m.lastgroup or ""
-        value = m.group()
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
         if kind == "newline":
             line += 1
-            col = 1
-        else:
+            line_start = pos
+        elif kind != "ws" and kind != "comment":
+            value = m.group()
             if kind == "name" and _RESERVED_NAME_RE.search(value):
                 raise ParseError(
-                    [Diagnostic("error", (line, col, len(value)), "reserved-name",
+                    [Diagnostic("error", (line, start - line_start + 1, len(value)),
+                                "reserved-name",
                                 f"identifier {value!r} is reserved: no name may "
                                 "end in a quote followed by digits")]
                 )
-            if kind not in ("ws", "comment"):
-                tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
+            append(Token(kind, value, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(
+            [Diagnostic("error", (line, pos - line_start + 1, 1), "lex",
+                        f"unexpected character {text[pos]!r}")]
+        )
     return tokens
 
 
 class _TokenStream:
-    def __init__(self, tokens: Sequence[Token], end_span: Span):
-        self._tokens = list(tokens)
+    def __init__(self, tokens: list[Token], end_span: Span):
+        self._tokens = tokens
         self._pos = 0
         self._end_span = end_span
 
     def peek(self) -> Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+        pos = self._pos
+        return self._tokens[pos] if pos < len(self._tokens) else None
 
     def at(self, punct: str) -> bool:
         """Whether the next token is the punctuation ``punct``."""
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == punct
+        pos = self._pos
+        if pos >= len(self._tokens):
+            return False
+        tok = self._tokens[pos]
+        return tok.kind == "punct" and tok.text == punct
 
     def next(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
+        pos = self._pos
+        if pos >= len(self._tokens):
             raise _err(self._end_span, "syntax", f"expected {what}, found end of input")
-        self._pos += 1
-        return tok
+        self._pos = pos + 1
+        return self._tokens[pos]
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
         label = what or (text if text is not None else kind)
@@ -224,13 +243,14 @@ def _delimited(ts: _TokenStream, open_: str, close: str) -> Iterator[None]:
     if ts.at(close):
         ts.next(close)
         return
+    what = f"',' or '{close}'"
     while True:
         yield
-        sep = ts.next(f"',' or '{close}'")
+        sep = ts.next(what)
         if sep.kind == "punct" and sep.text == close:
             return
         if not (sep.kind == "punct" and sep.text == ","):
-            raise _err(sep.span, "syntax", f"expected ',' or '{close}', found {sep.text!r}")
+            raise _err(sep.span, "syntax", f"expected {what}, found {sep.text!r}")
 
 
 def _expect_end(ts: _TokenStream) -> None:
@@ -251,7 +271,6 @@ def _declared_sort(sig: Signature, name: str, span: Span) -> Sort:
 _REQUIRED, _OPTIONAL, _ABSENT = "required", "optional", "absent"
 
 
-@dataclass(frozen=True)
 class _Connective:
     """How a connective ``\\kind`` is written, sort-checked and built.
 
@@ -261,21 +280,23 @@ class _Connective:
     context the operand's scope extends: ``"ex"`` by the annotation,
     ``"mu"`` by the pattern's own sort.  The builder takes the required
     annotation first, then the operands, or the contexts when there are
-    none.
+    none.  ``infers_operands``: a required annotation on a non-binder
+    fixes the pattern's sort and not its operands'; they share a sort
+    inferred from them.
     """
 
-    kind: str
-    annotation: str
-    arity: int
-    parens: bool
-    build: Callable[..., Pattern]
-    binds: str = ""
+    __slots__ = ("kind", "annotation", "arity", "parens", "build", "binds",
+                 "infers_operands")
 
-    @property
-    def infers_operands(self) -> bool:
-        """A required annotation on a non-binder fixes the pattern's sort
-        and not its operands': they share a sort inferred from them."""
-        return self.annotation == _REQUIRED and not self.binds
+    def __init__(self, kind: str, annotation: str, arity: int, parens: bool,
+                 build: Callable[..., Pattern], binds: str = ""):
+        self.kind = kind
+        self.annotation = annotation
+        self.arity = arity
+        self.parens = parens
+        self.build = build
+        self.binds = binds
+        self.infers_operands = annotation == _REQUIRED and not binds
 
 
 _CONNECTIVES = {conn.kind: conn for conn in (
@@ -297,14 +318,20 @@ _CONNECTIVES = {conn.kind: conn for conn in (
 )}
 
 
-@dataclass(frozen=True)
 class _SNode:
-    kind: str
-    span: Span
-    name: str = ""
-    sort_name: str | None = None
-    index: int = 0
-    children: tuple["_SNode", ...] = ()
+    """A parsed surface pattern, before elaboration."""
+
+    __slots__ = ("kind", "span", "name", "sort_name", "index", "children")
+
+    def __init__(self, kind: str, span: Span, name: str = "",
+                 sort_name: str | None = None, index: int = 0,
+                 children: tuple[_SNode, ...] = ()):
+        self.kind = kind
+        self.span = span
+        self.name = name
+        self.sort_name = sort_name
+        self.index = index
+        self.children = children
 
 
 def _parse_node(ts: _TokenStream) -> Generator:
@@ -512,7 +539,7 @@ def _parse_lines(
     words = [f"'{word}'" for word in handlers]
     expected = f"{', '.join(words[:-1])} or {words[-1]}"
     diagnostics: list[Diagnostic] = []
-    for line, group in itertools.groupby(tokenize(text), key=lambda tok: tok.line):
+    for line, group in itertools.groupby(tokenize(text), key=attrgetter("line")):
         head, *rest = group
         last = rest[-1] if rest else head
         ts = _TokenStream(rest, (line, last.col + len(last.text), 1))
@@ -629,7 +656,7 @@ def parse_model(
     interpretation tuples left to the default empty set).
     """
     sig = theory.signature
-    carriers: dict[str, list[str]] = {}
+    carriers: dict[str, dict[str, None]] = {}  # labels in declaration order
     carrier_lines: set[str] = set()
     interps: dict[str, dict[tuple[str, ...], list[str]]] = {}
     interp_lines: dict[str, Span] = {}
@@ -688,7 +715,7 @@ def _parse_label(ts: _TokenStream) -> Token:
 def _parse_carrier_line(
     sig: Signature,
     ts: _TokenStream,
-    carriers: dict[str, list[str]],
+    carriers: dict[str, dict[str, None]],
     carrier_lines: set[str],
 ) -> None:
     sort_tok = ts.expect("name", what="a sort name")
@@ -703,19 +730,19 @@ def _parse_carrier_line(
     if not labels:
         raise _err(sort_tok.span, "empty-carrier",
                    f"sort {sort_tok.text} must have a non-empty carrier")
-    seen: set[str] = set()
+    domain: dict[str, None] = {}
     for tok in labels:
-        if tok.text in seen:
+        if tok.text in domain:
             raise _err(tok.span, "duplicate-label",
                        f"carrier element {tok.text!r} listed twice")
-        seen.add(tok.text)
-    carriers[sort_tok.text] = [tok.text for tok in labels]
+        domain[tok.text] = None
+    carriers[sort_tok.text] = domain
 
 
 def _parse_interp_line(
     sig: Signature,
     ts: _TokenStream,
-    carriers: dict[str, list[str]],
+    carriers: dict[str, dict[str, None]],
     interps: dict[str, dict[tuple[str, ...], list[str]]],
     interp_lines: dict[str, Span],
 ) -> None:
@@ -745,7 +772,7 @@ def _parse_interp_line(
     interp_lines.setdefault(symbol.name, sym_tok.span)
 
 
-def _check_elements(carriers: dict[str, list[str]], labels: Iterable[Token],
+def _check_elements(carriers: dict[str, dict[str, None]], labels: Iterable[Token],
                     sorts: Iterable[Sort], code: str) -> None:
     for tok, sort in zip(labels, sorts):
         domain = carriers.get(sort.name)

@@ -20,12 +20,17 @@ node kind's fields, the reading of ``==`` and ``repr`` that a dataclass
 would generate.  Bindings are checked, and valuations enumerated, with the
 element variables first and then the set variables, each sorted by name
 and sort id.
+
+``ref_tokenize`` is the text frontend's earlier tokenizer, kept as the
+oracle for ``parser.tokenize``: a ``match`` loop from a running position
+with its own copy of the token regex, counting columns as it goes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 
 from mulogic import (
@@ -301,3 +306,48 @@ def ref_lfp_prefixpoints(step, model, sort, cap=20):
             if step(a).issubset(a):
                 out = out & a
     return out
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<keyword>\\[A-Za-z]+)
+  | (?P<arrow>->)
+  | (?P<bevar>b\d+(?![A-Za-z0-9_']))
+  | (?P<bsvar>B\d+(?![A-Za-z0-9_']))
+  | (?P<name>[A-Za-z_][A-Za-z0-9_']*(?:-(?!>)[A-Za-z0-9_']+)*)
+  | (?P<number>\d[A-Za-z0-9_]*)
+  | (?P<eq>=)
+  | (?P<punct>[(){}\[\],:#])
+    """,
+    re.VERBOSE,
+)
+
+
+def ref_tokenize(text):
+    """``(kind, text, line, col)`` per token, or the ``(code, span,
+    message)`` of the first lex or reserved-name diagnostic."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            return ("lex", (line, col, 1), f"unexpected character {text[pos]!r}")
+        kind = m.lastgroup or ""
+        value = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        else:
+            if kind == "name" and re.search(r"'\d+$", value):
+                return ("reserved-name", (line, col, len(value)),
+                        f"identifier {value!r} is reserved: no name may "
+                        "end in a quote followed by digits")
+            if kind not in ("ws", "comment"):
+                tokens.append((kind, value, line, col))
+            col += len(value)
+        pos = m.end()
+    return tokens

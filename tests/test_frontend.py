@@ -21,8 +21,11 @@ from mulogic import (
     validate,
 )
 from mulogic.corpus import FILES, corpus_path
+from mulogic.parser import tokenize
 from mulogic.signature import ElemVar
 from gen import random_context, random_pattern, random_signature
+from reference import ref_tokenize
+from test_fuzz import mutants
 
 
 def diag_of(callable_):
@@ -116,6 +119,59 @@ class TestParseTheory:
         with pytest.raises(ParseError) as err:
             parse_theory("sort Bool\naxiom a [Bool] x'1:Bool")
         assert err.value.diagnostics[0].code == "reserved-name"
+
+
+class TestTokenizer:
+    """``tokenize`` against ``reference.ref_tokenize``, the earlier
+    character-counting loop: the same tokens, positions and diagnostics."""
+
+    PIECES = (["é", "\t", "\r", "\n", " ", "'1", "->", "-", "//", "b0x", "B12"]
+              + list(string.digits) + list(string.ascii_letters)
+              + list(string.punctuation))
+
+    def check(self, text):
+        try:
+            got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        except ParseError as err:
+            (d,) = err.diagnostics
+            got = (d.code, d.span, d.message)
+        assert got == ref_tokenize(text), text
+
+    def test_corpus_files(self):
+        for name in FILES:
+            self.check(corpus_path(name).read_text(encoding="utf-8"))
+
+    def test_corpus_mutants(self):
+        for _, text in mutants(seed=31, count=500):
+            self.check(text)
+
+    def test_random_strings(self):
+        rng = random.Random(32)
+        for _ in range(500):
+            self.check("".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 40))))
+
+    def test_lex_error_after_tokens_on_line_3(self):
+        theory = parse_theory("sort Nat\nsymbol O : -> Nat\n")
+        text = "model m\ncarrier Nat = { 0 }\ninterp O() = { 0 } @\n"
+        (diag,) = diag_of(lambda: parse_model(text, theory))
+        assert (diag.code, diag.span) == ("lex", (3, 20, 1))
+
+    @pytest.mark.parametrize("text, code, span", [
+        # a reserved name raises before a later bad character, and not after one
+        ("sort Nat\naxiom a [Nat] x'1:Nat @", "reserved-name", (2, 15, 3)),
+        ("sort Nat\naxiom a [Nat] @ x'1:Nat", "lex", (2, 15, 1)),
+    ])
+    def test_first_of_reserved_name_and_lex_error(self, text, code, span):
+        (diag,) = diag_of(lambda: parse_theory(text))
+        assert (diag.code, diag.span) == (code, span)
+
+    def test_columns_after_tab_and_carriage_return(self):
+        tokens = tokenize("sort\tNat\r\nsymbol\r O\t:\r-> Nat\r")
+        assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
+            ("name", "sort", 1, 1), ("name", "Nat", 1, 6),
+            ("name", "symbol", 2, 1), ("name", "O", 2, 9), ("punct", ":", 2, 11),
+            ("arrow", "->", 2, 13), ("name", "Nat", 2, 16),
+        ]
 
 
 class TestParsePattern:

@@ -1,19 +1,34 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from mulogic import CarrierSet, Signature, build_model, singleton_fastpath
+from mulogic import (
+    CarrierSet,
+    Signature,
+    Valuation,
+    build_model,
+    eval_pattern,
+    parse_model,
+    parse_theory,
+    satisfies,
+    singleton_fastpath,
+)
+from mulogic.corpus import corpus_path
 from mulogic.errors import (
     BadTupleError,
     BadValueSortError,
     DuplicateLabelError,
     EmptyCarrierError,
+    MuLogicError,
     SortMismatchError,
     UnknownSortError,
     UnknownSymbolError,
 )
+from mulogic.pattern import free_vars
 from conftest import make_std_model, make_std_signature
+from gen import random_nested_fixpoint, random_pattern, random_positive_mu
 
 
 def elems(model, sort_name, *labels):
@@ -256,3 +271,63 @@ def test_extended_app_matches_bruteforce(std_model):
             )
         got = {e.label for e in std_model.elems(std_model.extended_app(plus, [a, b]))}
         assert got == expected
+
+
+_CARRIER_LINE_RE = re.compile(r"^(carrier \w+ = \{ )(.*)( \})$", re.M)
+
+
+def relabelled(text, rng):
+    """``text`` with the labels of each carrier line in a seeded order."""
+    def shuffle(m):
+        labels = m.group(2).split(", ")
+        rng.shuffle(labels)
+        return m.group(1) + ", ".join(labels) + m.group(3)
+    return _CARRIER_LINE_RE.sub(shuffle, text)
+
+
+def label_outcomes(model, p, mode):
+    """The labels ``p`` denotes in ``model`` under ``mode``, once per
+    valuation of its free element variables by label, or the error."""
+    evars = sorted(free_vars(p)[0], key=lambda v: (v.name, v.sort.id))
+    choices = [sorted(e.label for e in model.carrier(v.sort)) for v in evars]
+    out = []
+    for labels in itertools.product(*choices):
+        rho = Valuation.empty()
+        for var, label in zip(evars, labels):
+            rho = rho.update_evar(var, model.elem(var.sort, label))
+        try:
+            got = eval_pattern(model, rho, p, lfp_mode=mode)
+            out.append(sorted(e.label for e in model.elems(got)))
+        except MuLogicError as err:
+            out.append(f"{type(err).__name__}: {err}")
+    return out
+
+
+def test_carrier_relabelling_permutes_every_denotation():
+    theory = parse_theory(corpus_path("natbool.mlt").read_text(encoding="utf-8"))
+    text = corpus_path("natbool.mlm").read_text(encoding="utf-8")
+    permuted = relabelled(text, random.Random(42))
+    models = [parse_model(t, theory)[0] for t in (text, permuted)]
+    sig = theory.signature
+    for sort in sig.sorts:
+        a, b = ([e.label for e in m.carrier(sort)] for m in models)
+        assert a != b and sorted(a) == sorted(b)
+
+    rng = random.Random(43)
+    patterns = [a.pattern for a in theory.axioms]
+    makers = (
+        lambda: random_pattern(rng, sig, rng.choice(sig.sorts), budget=rng.randint(2, 14),
+                               allow_free=False, positive_only=True),
+        lambda: random_positive_mu(rng, sig, budget=rng.randint(2, 12)),
+        lambda: random_nested_fixpoint(rng, sig, depth=rng.randint(1, 3)),
+    )
+    patterns += [makers[i % 3]() for i in range(200)]
+    for p in patterns:
+        for mode in ("iterate", "prefix"):
+            a, b = (label_outcomes(m, p, mode) for m in models)
+            assert a == b, (p, mode)
+
+    for mode in ("iterate", "prefix"):
+        a, b = ([(r.axiom.label, r.verdict) for r in satisfies(m, theory, lfp_mode=mode).results]
+                for m in models)
+        assert a == b
