@@ -3,41 +3,45 @@ pointwise-lifted (extended) application.
 
 Carrier subsets are bit vectors over the carrier's declaration order, which
 keeps the set algebra cheap and every iteration order deterministic.
-Interpretation tables map argument tuples to result subsets; tuples absent
-from a table denote the empty set, so partial tables (e.g. a successor
-capped at the largest element) stay small.
 
-Each model also keeps every table in the form the compiled evaluator reads
-(:meth:`FiniteModel.mask_table`): a map from tuples of one-bit masks, one
-per argument, to the result's bits.  They are built once, with the model.
+A model stores each symbol's interpretation in one form, the mask table
+(:meth:`FiniteModel.mask_table`): a map from tuples of one-bit masks
+(``1 << ordinal``), one per argument, to the result's bits.
+:func:`build_model` writes those tables straight from the label data, and
+:meth:`FiniteModel.interp` is a view of one, keyed by element tuples and
+built on each call.  Tuples absent from a table denote the empty set, so
+partial tables (e.g. a successor capped at the largest element) stay
+small, and a tuple listed with an empty value is stored like an unlisted
+one: not at all.
+
 Symbol application is one pointwise routine over those tables,
 :func:`_lift`, shared with the evaluator: it ORs the entries of every
 combination of argument choices.  A key of singletons has one
 combination, so a plain lookup (:meth:`FiniteModel.interpret_symbol`, and
 the evaluator's application of arguments of at most one element each)
 reads the table straight instead.  Elements compare by identity, so each
-belongs to the one model that built it; the public methods validate their
-input once.
+belongs to the one model that built it; :meth:`FiniteModel._elem_mask`
+and :meth:`FiniteModel._set_bits` alone decide carrier membership, for
+the public methods and the evaluator alike.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadTupleError,
     BadValueSortError,
     DuplicateLabelError,
     EmptyCarrierError,
+    MuLogicError,
     SortMismatchError,
     UnknownSortError,
     UnknownSymbolError,
 )
 from .signature import Signature, Sort, SymbolDecl
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +127,8 @@ class CarrierSet:
 
 @dataclass(frozen=True)
 class SymbolInterp:
-    """Interpretation table of one symbol; unlisted tuples mean the empty set."""
+    """Interpretation table of one symbol, keyed by element tuples; unlisted
+    tuples mean the empty set.  A view of :meth:`FiniteModel.mask_table`."""
 
     symbol: SymbolDecl
     table: Mapping[tuple[CarrierElem, ...], CarrierSet]
@@ -132,27 +137,21 @@ class SymbolInterp:
 class FiniteModel:
     """Nonempty finite carrier per sort plus one interpretation per symbol.
 
+    ``carriers`` maps each sort to {label: element} in declaration order,
+    ``masks`` each symbol to its mask table (everywhere empty if absent).
     Immutable after construction; build through :func:`build_model`.
     """
 
     def __init__(
         self,
         signature: Signature,
-        carriers: Mapping[Sort, tuple[CarrierElem, ...]],
-        interps: Mapping[SymbolDecl, SymbolInterp],
+        carriers: Mapping[Sort, Mapping[str, CarrierElem]],
+        masks: Mapping[SymbolDecl, Mapping[tuple[int, ...], int]],
     ):
         self.signature = signature
-        self._carriers = dict(carriers)
-        self._interps = {s: interps.get(s) or SymbolInterp(s, {})
-                         for s in signature.symbols}
-        self._by_label = {
-            sort: {e.label: e for e in elems} for sort, elems in self._carriers.items()
-        }
-        self._masks = {
-            s: {tuple(1 << e.ordinal for e in args): value.bits
-                for args, value in interp.table.items() if value.bits}
-            for s, interp in self._interps.items()
-        }
+        self._by_label = carriers
+        self._carriers = {sort: tuple(index.values()) for sort, index in carriers.items()}
+        self._masks = {s: masks.get(s) or {} for s in signature.symbols}
 
     def carrier(self, sort: Sort) -> tuple[CarrierElem, ...]:
         try:
@@ -167,14 +166,46 @@ class FiniteModel:
         return _find(self._by_label, sort, label)
 
     def interp(self, symbol: SymbolDecl) -> SymbolInterp:
-        return _lookup(self._interps, symbol)
+        """The symbol's mask table keyed by element tuples, valued by
+        ``CarrierSet``s: a view built on each call, nonempty entries only."""
+        table = self.mask_table(symbol)
+        params = [self._carriers[param] for param in symbol.params]
+        return SymbolInterp(symbol, {
+            tuple([carrier[m.bit_length() - 1] for carrier, m in zip(params, key)]):
+                self._result(symbol, bits)
+            for key, bits in table.items()
+        })
 
     def mask_table(self, symbol: SymbolDecl) -> Mapping[tuple[int, ...], int]:
-        """The symbol's table keyed by argument one-bit masks (``1 <<
-        ordinal``), valued by result bits; nonempty entries only.  The
+        """The symbol's stored table, keyed by argument one-bit masks (``1
+        << ordinal``), valued by result bits; nonempty entries only.  The
         evaluator reads a key of singleton arguments straight from it; a
         key with an empty argument is absent, so it reads 0."""
-        return _lookup(self._masks, symbol)
+        table = self._masks.get(symbol)
+        if table is None:
+            raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
+        return table
+
+    # --- carrier membership ----------------------------------------------
+
+    def _elem_mask(self, sort: Sort, elem: CarrierElem,
+                   error: type[MuLogicError] = SortMismatchError) -> int:
+        """``elem``'s one-bit mask; raises ``error`` unless ``elem`` is this
+        model's element of ``sort``."""
+        carrier = self.carrier(sort)
+        if elem.ordinal < len(carrier) and carrier[elem.ordinal] is elem:
+            return 1 << elem.ordinal
+        raise error(f"{elem} is not an element of this model's {sort} carrier")
+
+    def _set_bits(self, sort: Sort, cset: CarrierSet,
+                  error: type[MuLogicError] = SortMismatchError) -> int:
+        """``cset``'s bits; raises ``error`` unless ``cset`` is a subset of
+        this model's carrier of ``sort``."""
+        n = self.carrier_size(sort)
+        if cset.sort is sort and cset.width == n:
+            return cset.bits
+        raise error(f"a set of sort {cset.sort} and width {cset.width} is not a subset "
+                    f"of this model's {sort} carrier of {n} elements")
 
     # --- carrier subsets -------------------------------------------------
 
@@ -189,19 +220,14 @@ class FiniteModel:
         return self.set_of(elem.sort, (elem,))
 
     def set_of(self, sort: Sort, elems: Iterable[CarrierElem]) -> CarrierSet:
-        carrier = self.carrier(sort)
         bits = 0
         for e in elems:
-            if not _member(carrier, e):
-                raise SortMismatchError(f"element {e} is not in this model's {sort} carrier")
-            bits |= 1 << e.ordinal
-        return CarrierSet(sort, len(carrier), bits)
+            bits |= self._elem_mask(sort, e)
+        return CarrierSet(sort, self.carrier_size(sort), bits)
 
     def elems(self, cset: CarrierSet) -> tuple[CarrierElem, ...]:
-        carrier = self.carrier(cset.sort)
-        if cset.width != len(carrier):
-            raise SortMismatchError(f"a set of width {cset.width} is not a subset of this "
-                                    f"model's {cset.sort} carrier of {len(carrier)} elements")
+        self._set_bits(cset.sort, cset)
+        carrier = self._carriers[cset.sort]
         return tuple(carrier[i] for i in cset.ordinals())
 
     def format_set(self, cset: CarrierSet) -> str:
@@ -218,11 +244,9 @@ class FiniteModel:
         """Look up one tuple in the symbol's table (empty set if unlisted)."""
         args = tuple(args)
         table = self._mask_table(symbol, len(args))
-        for k, (elem, param) in enumerate(zip(args, symbol.params)):
-            if not _member(self._carriers[param], elem):
-                raise BadTupleError(f"argument {k} of {symbol.name} must be an "
-                                    f"element of this model's {param} carrier, got {elem}")
-        return self._result(symbol, table.get(tuple([1 << e.ordinal for e in args]), 0))
+        key = tuple([self._elem_mask(param, elem, BadTupleError)
+                     for elem, param in zip(args, symbol.params)])
+        return self._result(symbol, table.get(key, 0))
 
     def extended_app(
         self, symbol: SymbolDecl, arg_sets: Sequence[CarrierSet]
@@ -230,11 +254,9 @@ class FiniteModel:
         """Pointwise lift: union of the table over every combination of
         elements drawn from the argument sets."""
         table = self._mask_table(symbol, len(arg_sets))
-        for cset, param in zip(arg_sets, symbol.params):
-            if cset.sort is not param or cset.width != len(self._carriers[param]):
-                raise BadTupleError(f"argument set of sort {cset.sort} does not match "
-                                    f"parameter sort {param} of {symbol.name}")
-        return self._result(symbol, _lift(table, [cset.bits for cset in arg_sets]))
+        key = [self._set_bits(param, cset, BadTupleError)
+               for cset, param in zip(arg_sets, symbol.params)]
+        return self._result(symbol, _lift(table, key))
 
     def definedness(self, result_sort: Sort, arg_set: CarrierSet) -> CarrierSet:
         """Two-valued lift: empty if the argument set is empty, otherwise
@@ -267,17 +289,6 @@ def _lift(table: Mapping[tuple[int, ...], int], key: Sequence[int]) -> int:
     for combo in itertools.product(*choices):
         out |= table.get(combo, 0)
     return out
-
-
-def _lookup(tables: Mapping[SymbolDecl, T], symbol: SymbolDecl) -> T:
-    found = tables.get(symbol)
-    if found is None:
-        raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
-    return found
-
-
-def _member(carrier: tuple[CarrierElem, ...], elem: CarrierElem) -> bool:
-    return elem.ordinal < len(carrier) and carrier[elem.ordinal] is elem
 
 
 def _check_arity(symbol: SymbolDecl, count: int) -> None:
@@ -339,25 +350,22 @@ def build_model(
         if not by_label.get(sort):
             raise EmptyCarrierError(f"sort {sort} has an empty carrier")
 
-    interp_map: dict[SymbolDecl, SymbolInterp] = {}
+    masks: dict[SymbolDecl, dict[tuple[int, ...], int]] = {}
     for name, table in interps.items():
         symbol = sig.symbol(name)
         result = symbol.result
-        built: dict[tuple[CarrierElem, ...], CarrierSet] = {}
+        built: dict[tuple[int, ...], int] = {}
         for arg_labels, value_labels in table.items():
             _check_arity(symbol, len(arg_labels))
-            args = tuple(
-                _find(by_label, param, label)
-                for param, label in zip(symbol.params, arg_labels)
-            )
+            key = tuple([1 << _find(by_label, param, label).ordinal
+                         for param, label in zip(symbol.params, arg_labels)])
             bits = 0
             try:
                 for label in value_labels:
                     bits |= 1 << _find(by_label, result, label).ordinal
             except BadTupleError as err:
                 raise BadValueSortError(f"value of {symbol.name}{arg_labels}: {err}") from None
-            built[args] = CarrierSet(result, len(by_label[result]), bits)
-        interp_map[symbol] = SymbolInterp(symbol, built)
-
-    carrier_map = {sort: tuple(index.values()) for sort, index in by_label.items()}
-    return FiniteModel(sig, carrier_map, interp_map)
+            if bits:
+                built[key] = bits
+        masks[symbol] = built
+    return FiniteModel(sig, by_label, masks)

@@ -202,7 +202,7 @@ def lfp_iterate(
     that fails to converge in that budget cannot be monotone.
     """
     n = model.carrier_size(sort)
-    regs, body = _step_body(step, sort, n)
+    regs, body = _step_body(step, model, sort, n)
     return CarrierSet(sort, n, _iterate(regs, 0, 1, body, sort, n))
 
 
@@ -220,23 +220,20 @@ def lfp_prefixpoints(
     """
     n = model.carrier_size(sort)
     _check_prefix_cap(sort, n, cap)
-    regs, body = _step_body(step, sort, n)
+    regs, body = _step_body(step, model, sort, n)
     return CarrierSet(sort, n, _prefix(regs, 0, 1, body, n))
 
 
 def _step_body(
-    step: Callable[[CarrierSet], CarrierSet], sort: Sort, n: int
+    step: Callable[[CarrierSet], CarrierSet], model: FiniteModel, sort: Sort, n: int
 ) -> tuple[list[int], list[Callable[[], None]]]:
     """Two registers and a one-instruction body that writes ``step`` of
-    register 0 to register 1, or raises unless that is a subset of the same
-    ``n``-element carrier of ``sort``."""
+    register 0 to register 1, or raises unless that is a subset of
+    ``model``'s ``n``-element carrier of ``sort``."""
     regs = [0, 0]
 
     def op() -> None:
-        image = step(CarrierSet(sort, n, regs[0]))
-        if image.sort is not sort or image.width != n:
-            raise SortMismatchError(f"the step's result is not a subset of the {sort} carrier")
-        regs[1] = image.bits
+        regs[1] = model._set_bits(sort, step(CarrierSet(sort, n, regs[0])))
 
     return regs, [op]
 
@@ -338,21 +335,8 @@ def _valuation_order(evars: Iterable[ElemVar], svars: Iterable[SetVar]) -> tuple
 def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:
     """The register value of a free variable under ``rho``."""
     if isinstance(var, ElemVar):
-        elem = rho.evar(var)
-        carrier = model.carrier(var.sort)
-        if elem.ordinal >= len(carrier) or carrier[elem.ordinal] is not elem:
-            raise SortMismatchError(
-                f"{var} is bound to {elem}, which is not an element of this "
-                f"model's {var.sort} carrier"
-            )
-        return 1 << elem.ordinal
-    value = rho.svar(var)
-    if value.sort is not var.sort or value.width != model.carrier_size(var.sort):
-        raise SortMismatchError(
-            f"{var} is bound to a set that is not a subset of this model's "
-            f"{var.sort} carrier"
-        )
-    return value.bits
+        return model._elem_mask(var.sort, rho.evar(var))
+    return model._set_bits(var.sort, rho.svar(var))
 
 
 def _check_evaluable(p: Pattern, lfp_mode: str) -> None:

@@ -59,6 +59,13 @@ def random_signature(rng: random.Random, max_sorts: int = 3, max_symbols: int = 
 
 
 def random_model(rng: random.Random, sig: Signature, max_carrier: int = 4, density: float = 0.85):
+    return build_model(sig, *random_model_data(rng, sig, max_carrier, density))
+
+
+def random_model_data(rng: random.Random, sig: Signature, max_carrier: int = 4,
+                      density: float = 0.85):
+    """The label data of a ``random_model``: carriers and interpretation
+    tables, by name, as ``build_model`` takes them."""
     carriers = {
         s.name: [f"e{i}" for i in range(rng.randint(1, max_carrier))]
         for s in sig.sorts
@@ -73,7 +80,7 @@ def random_model(rng: random.Random, sig: Signature, max_carrier: int = 4, densi
                     label for label in carriers[sym.result.name] if rng.random() < 0.5
                 ]
         interps[sym.name] = table
-    return build_model(sig, carriers, interps)
+    return carriers, interps
 
 
 def random_context(rng: random.Random, sig: Signature, max_len: int = 3, min_len: int = 0):

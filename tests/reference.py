@@ -7,8 +7,10 @@ a ``Mu`` hands its body, with the set pushed at index 0, to
 ``ref_lfp_iterate`` or ``ref_lfp_prefixpoints`` as a ``CarrierSet`` step
 function.  Those are loops of their own over ``CarrierSet``s, and a symbol
 is applied by ``ref_apply``, a lift of its own over the element-keyed
-table of ``FiniteModel.interp``, so the reference shares neither the
-register loops nor the mask tables of the compiled evaluator.  Nothing is
+view ``FiniteModel.interp``, so the reference shares the model's stored
+tables with the compiled evaluator, but neither its register loops nor
+its lift.  ``ref_tables`` builds those element-keyed tables again from
+the label data of ``build_model``, to check the stored ones.  Nothing is
 shared, placed or hoisted, so it recurses once per node and suits only the
 shallow patterns of the tests.  ``ref_check_axiom`` builds a
 ``Valuation`` per valuation in ``itertools.product`` order.
@@ -271,6 +273,25 @@ def ref_apply(model, symbol, arg_sets):
     for elems in itertools.product(*members):
         if elems in table:
             out = out | table[elems]
+    return out
+
+
+def ref_tables(model, carriers, interps):
+    """Each symbol's element-keyed table, built from the label data that
+    ``model`` was built from: a result's bits come from each label's
+    position in its carrier list, and an argument element is found by
+    label with ``model.elem``.  A tuple listed with an empty value is left
+    out, as an unlisted one is."""
+    out = {}
+    for symbol in model.signature.symbols:
+        result = carriers[symbol.result.name]
+        table = {}
+        for args, values in interps.get(symbol.name, {}).items():
+            bits = sum({1 << result.index(label) for label in values})
+            if bits:
+                elems = tuple(model.elem(p, label) for p, label in zip(symbol.params, args))
+                table[elems] = CarrierSet(symbol.result, len(result), bits)
+        out[symbol] = table
     return out
 
 

@@ -28,7 +28,14 @@ from mulogic.errors import (
 )
 from mulogic.pattern import free_vars
 from conftest import make_std_model, make_std_signature
-from gen import random_nested_fixpoint, random_pattern, random_positive_mu
+from gen import (
+    random_model_data,
+    random_nested_fixpoint,
+    random_pattern,
+    random_positive_mu,
+    random_signature,
+)
+from reference import ref_tables
 
 
 def elems(model, sort_name, *labels):
@@ -106,6 +113,29 @@ def test_unknown_names_rejected(std_sig):
         )
 
 
+@pytest.mark.parametrize("carriers, interps, error, message", [
+    # each input carries two faults; the one checked first is raised
+    ({"Bool": ["t"], "Undeclared": ["a", "a"]}, {},
+     UnknownSortError, "sort 'Undeclared' is not declared"),
+    ({"Bool": ["t", "t"]}, {},
+     DuplicateLabelError, "carrier of Bool lists element 't' twice"),
+    ({"Bool": ["t"]}, {"mystery": {(): []}},
+     EmptyCarrierError, "sort Nat has an empty carrier"),
+    ({"Bool": ["t"], "Nat": ["0"]}, {"mystery": {("0", "0", "0"): ["t"]}},
+     UnknownSymbolError, "symbol 'mystery' is not declared"),
+    ({"Bool": ["t"], "Nat": ["0"]}, {"isZero": {("t", "0"): ["t"]}},
+     BadTupleError, "isZero expects 1 argument(s), got 2"),
+    ({"Bool": ["t"], "Nat": ["0"]}, {"isZero": {("t",): ["0"]}},
+     BadTupleError, "'t' is not an element of the Nat carrier"),
+    ({"Bool": ["t"], "Nat": ["0"]}, {"plus": {("0", "0"): ["0", "t"]}, "isZero": {("0",): ["0"]}},
+     BadValueSortError, "value of plus('0', '0'): 't' is not an element of the Nat carrier"),
+])
+def test_build_model_error_precedence(std_sig, carriers, interps, error, message):
+    with pytest.raises(error) as caught:
+        build_model(std_sig, carriers, interps)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_foreign_symbol_raises_one_error_type(std_model):
     # a same-named symbol of a second signature is not this model's
     twin = make_std_signature().symbol("isZero")
@@ -122,6 +152,22 @@ def test_mask_tables_key_one_bit_masks(std_sig, std_model):
     assert plus[(1 << one.ordinal, 1 << two.ordinal)] == std_model.interpret_symbol(
         std_sig.symbol("plus"), (one, two)).bits
     assert (1 << two.ordinal, 1 << two.ordinal) not in plus  # 2 + 2 maps to the empty set
+    # listed with an empty value, 2 + 2 is stored as an unlisted tuple is: not at all
+    assert (two, two) not in std_model.interp(std_sig.symbol("plus")).table
+
+
+def test_stored_tables_match_reference_builder():
+    rng = random.Random(34)
+    for _ in range(200):
+        sig = random_signature(rng)
+        carriers, interps = random_model_data(rng, sig)
+        model = build_model(sig, carriers, interps)
+        for sort in sig.sorts:
+            assert [e.label for e in model.carrier(sort)] == carriers[sort.name]
+        for symbol, table in ref_tables(model, carriers, interps).items():
+            assert model.interp(symbol).table == table
+            assert model.mask_table(symbol) == {
+                tuple(1 << e.ordinal for e in args): value.bits for args, value in table.items()}
 
 
 def test_interpret_symbol_checks_tuples(std_sig, std_model):
@@ -166,6 +212,9 @@ def test_extended_app_checks_sorts(std_model):
     bool_ = std_model.signature.sort("Bool")
     with pytest.raises(BadTupleError):
         std_model.extended_app(is_zero, [std_model.full_set(bool_)])
+    # a Nat set over a 10-element carrier, on this model's 4-element one
+    with pytest.raises(BadTupleError):
+        std_model.extended_app(is_zero, [CarrierSet(std_model.signature.sort("Nat"), 10, 1 << 9)])
 
 
 def test_definedness_is_two_valued(std_model):
@@ -303,6 +352,18 @@ def label_outcomes(model, p, mode):
     return out
 
 
+def closed_patterns(rng, sig, count):
+    """``count`` seeded closed ``gen.py`` patterns over ``sig``, every mu
+    binder positive."""
+    makers = (
+        lambda: random_pattern(rng, sig, rng.choice(sig.sorts), budget=rng.randint(2, 14),
+                               allow_free=False, positive_only=True),
+        lambda: random_positive_mu(rng, sig, budget=rng.randint(2, 12)),
+        lambda: random_nested_fixpoint(rng, sig, depth=rng.randint(1, 3)),
+    )
+    return [makers[i % 3]() for i in range(count)]
+
+
 def test_carrier_relabelling_permutes_every_denotation():
     theory = parse_theory(corpus_path("natbool.mlt").read_text(encoding="utf-8"))
     text = corpus_path("natbool.mlm").read_text(encoding="utf-8")
@@ -314,18 +375,19 @@ def test_carrier_relabelling_permutes_every_denotation():
         assert a != b and sorted(a) == sorted(b)
 
     rng = random.Random(43)
-    patterns = [a.pattern for a in theory.axioms]
-    makers = (
-        lambda: random_pattern(rng, sig, rng.choice(sig.sorts), budget=rng.randint(2, 14),
-                               allow_free=False, positive_only=True),
-        lambda: random_positive_mu(rng, sig, budget=rng.randint(2, 12)),
-        lambda: random_nested_fixpoint(rng, sig, depth=rng.randint(1, 3)),
-    )
-    patterns += [makers[i % 3]() for i in range(200)]
-    for p in patterns:
-        for mode in ("iterate", "prefix"):
-            a, b = (label_outcomes(m, p, mode) for m in models)
-            assert a == b, (p, mode)
+    cases = [(models, [a.pattern for a in theory.axioms] + closed_patterns(rng, sig, 200))]
+    # seeded random models, built again with each carrier list shuffled
+    for _ in range(40):
+        rsig = random_signature(rng)
+        carriers, interps = random_model_data(rng, rsig)
+        shuffled = {name: rng.sample(labels, len(labels)) for name, labels in carriers.items()}
+        pair = [build_model(rsig, c, interps) for c in (carriers, shuffled)]
+        cases.append((pair, closed_patterns(rng, rsig, 20)))
+    for pair, patterns in cases:
+        for p in patterns:
+            for mode in ("iterate", "prefix"):
+                a, b = (label_outcomes(m, p, mode) for m in pair)
+                assert a == b, (p, mode)
 
     for mode in ("iterate", "prefix"):
         a, b = ([(r.axiom.label, r.verdict) for r in satisfies(m, theory, lfp_mode=mode).results]
