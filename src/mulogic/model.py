@@ -152,12 +152,16 @@ class FiniteModel:
         self._by_label = carriers
         self._carriers = {sort: tuple(index.values()) for sort, index in carriers.items()}
         self._masks = {s: masks.get(s) or {} for s in signature.symbols}
+        # per sort, the carrier's full mask and its elements' one-bit masks
+        self._fulls = {sort: (1 << len(c)) - 1 for sort, c in self._carriers.items()}
+        self._ones = {sort: tuple([1 << k for k in range(len(c))])
+                      for sort, c in self._carriers.items()}
 
     def carrier(self, sort: Sort) -> tuple[CarrierElem, ...]:
         try:
             return self._carriers[sort]
         except KeyError:
-            raise UnknownSortError(f"model has no carrier for sort {sort}") from None
+            raise _no_carrier(sort) from None
 
     def carrier_size(self, sort: Sort) -> int:
         return len(self.carrier(sort))
@@ -185,6 +189,20 @@ class FiniteModel:
         if table is None:
             raise UnknownSymbolError(f"symbol {symbol.name!r} is not declared here")
         return table
+
+    def _full_mask(self, sort: Sort) -> int:
+        """The bits of the whole carrier of ``sort``."""
+        try:
+            return self._fulls[sort]
+        except KeyError:
+            raise _no_carrier(sort) from None
+
+    def _elem_masks(self, sort: Sort) -> tuple[int, ...]:
+        """The one-bit mask of each element of ``sort``, in carrier order."""
+        try:
+            return self._ones[sort]
+        except KeyError:
+            raise _no_carrier(sort) from None
 
     # --- carrier membership ----------------------------------------------
 
@@ -298,10 +316,14 @@ def _check_arity(symbol: SymbolDecl, count: int) -> None:
         )
 
 
+def _no_carrier(sort: Sort) -> UnknownSortError:
+    return UnknownSortError(f"model has no carrier for sort {sort}")
+
+
 def _find(by_label: Mapping[Sort, Mapping], sort: Sort, label: str) -> CarrierElem:
     elems = by_label.get(sort)
     if elems is None:
-        raise UnknownSortError(f"model has no carrier for sort {sort}")
+        raise _no_carrier(sort)
     if label not in elems:
         raise BadTupleError(f"{label!r} is not an element of the {sort} carrier")
     return elems[label]

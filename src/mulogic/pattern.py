@@ -14,10 +14,15 @@ Each node's facts are fixed at construction too, and are fixed-size: the
 last step of every ``__post_init__`` stores, from its children's, the ex
 and mu indices the node reads, whether it reads a free variable and
 whether every mu binder below it is positive (see :func:`_fix_facts`, the
-one place these rules are stated).  The evaluator and
-:func:`svar_occurs_positively` read them off the nodes; :func:`free_vars`
-walks only a pattern whose root reads a free variable.  The facts take no
-part in ``==``, ``hash`` or ``repr``.
+one place these rules are stated).  A ``Not`` also has ``_operands``:
+the pair ``(A, B)`` when it is the root of the fourteen-node
+``\\equals`` shape that :func:`mk_equals` builds, with the same ``A`` and
+``B`` objects in both implications, else None (see :func:`_equality`);
+a rebuild through the constructors keeps the pair, as :func:`map_pattern`
+maps a shared operand to one image.  The evaluator and
+:func:`svar_occurs_positively` read these facts off the nodes;
+:func:`free_vars` walks only a pattern whose root reads a free variable.
+The facts take no part in ``==``, ``hash`` or ``repr``.
 
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
@@ -216,9 +221,14 @@ class App(Pattern):
 class Not(Pattern):
     body: Pattern
 
+    # (A, B) for an \equals, else None; set on the instance only at a floor
+    _operands = None
+
     def __post_init__(self) -> None:
         _require_same_shape("negation", self, self.body)
         _fix_facts(self)
+        if type(self.body) is Defined:
+            object.__setattr__(self, "_operands", _equality(self))
 
     @property
     def children(self) -> tuple[Pattern, ...]:
@@ -596,6 +606,34 @@ def mk_subseteq(result_sort: Sort, left: Pattern, right: Pattern) -> Pattern:
     return mk_floor(result_sort, mk_implies(left, right))
 
 
+def _equality(node: Not) -> tuple[Pattern, Pattern] | None:
+    """The operands ``(A, B)`` when ``node`` has the exact core shape that
+    :func:`mk_equals` builds, the floor of an iff,
+    ``Not(Defined(Not(And(Not(And(Not(Not(A)), Not(B))), Not(And(Not(Not(B)),
+    Not(A)))))))``, with the same ``A`` and ``B`` objects in both
+    implications; else None."""
+    defined = node.body
+    if type(defined) is not Defined:
+        return None
+    both = _operand(defined.body)
+    if type(both) is not And:
+        return None
+    there, back = _operand(both.left), _operand(both.right)
+    if type(there) is not And or type(back) is not And:
+        return None
+    a, b = _operand(_operand(there.left)), _operand(there.right)
+    if a is None or b is None:
+        return None
+    if _operand(_operand(back.left)) is not b or _operand(back.right) is not a:
+        return None
+    return a, b
+
+
+def _operand(p: Pattern | None) -> Pattern | None:
+    """The body of a ``Not``, else None."""
+    return p.body if type(p) is Not else None
+
+
 def _negate_bound_svar(p: Pattern, target: int) -> Pattern:
     """Replace every occurrence of bound set variable ``target`` by its
     negation; under nested mu binders the target index grows with the
@@ -649,7 +687,8 @@ def validate(p: Pattern) -> bool:
 
     def rebuild(node: Pattern, kids: Sequence[Pattern]) -> Pattern:
         new = node.rebuild(node.ex, node.mu, kids)
-        if new._facts != node._facts:
+        stale = type(node) is Not and node._operands != _equality(node)
+        if stale or new._facts != node._facts:
             raise MuLogicError(f"stale facts on {type(node).__name__} node")
         return new
 

@@ -14,11 +14,13 @@ unbound variables.
   variable level that its operands' registers read (read only where the
   node's free flag is set), else the top.  A node that reads no variable
   bound inside a loop is computed once outside it: loop-invariant code
-  motion.  Each (node, placement) pair gets one register, an int bitmask
-  over the carrier of the node's sort, so a subtree shared within one
-  scope is computed once, and one shared by two sibling binders that both
-  read their own variable is computed in each.  A bound variable's node is
-  its binder's register; a 0-ary symbol is a constant.  Symbol
+  motion.  Each scope keeps a memo, keyed by node identity, of the nodes
+  entered in it; each node entered in a scope gets one register there, an
+  int bitmask over the carrier of the node's sort, so a subtree shared
+  within one scope is computed once, and one shared by two sibling binders
+  that both read their own variable is computed in each.  A bound
+  variable's node is its binder's register and a free variable's its
+  level's, with no memo entry; a 0-ary symbol is a constant.  Symbol
   applications read the model's one-bit-mask tables
   (:meth:`~mulogic.model.FiniteModel.mask_table`), and a ``CarrierSet`` is
   built only for what is returned.  The errors that depend only on the
@@ -30,7 +32,7 @@ unbound variables.
   (the complement edges of BDD packages: Brace, Rudell & Bryant, DAC
   1990).  Each placed result is a signed register, ``r`` or its complement
   ``~r``; a ``Not`` flips the sign of its operand's, so a chain of them
-  costs one stack step each.  Consumers take the sign into their
+  costs no stack step.  Consumers take the sign into their
   instruction: ``And`` is ``a & b``, ``a & ~b``, or for two complements
   ``a | b`` with a complemented result (De Morgan); ``Defined`` of a
   complement tests its operand against the full carrier; a complemented
@@ -43,14 +45,15 @@ unbound variables.
   ``r``).  Nothing writes a complement into a register.
 * **Fused instructions.**  ``\\equals{s}(A, B)`` is stored as the fourteen
   core nodes of the floor of an iff (:func:`~mulogic.pattern.mk_equals`).
-  Placement recognises that exact shape, with the same ``A`` and ``B``
-  objects in both implications (:func:`_equality`), places only ``A`` and
-  ``B``, and emits one comparison: the full carrier of ``s`` if ``A``'s
-  register, XORed with the full carrier of their sort when exactly one of
-  them is a complement, equals ``B``'s, else 0 (a superoperator:
-  Proebsting, POPL 1995).  Its scope, register and free-variable level
-  are the outer ``Not``'s, as for any node; every other shape compiles
-  node by node.
+  Its root ``Not`` recognises that exact shape, with the same ``A`` and
+  ``B`` objects in both implications, when it is built, and keeps
+  ``(A, B)`` as a node fact (see :mod:`mulogic.pattern`).  Placement reads
+  that fact, places only ``A`` and ``B``, and emits one comparison: the
+  full carrier of ``s`` if ``A``'s register, XORed with the full carrier
+  of their sort when exactly one of them is a complement, equals ``B``'s,
+  else 0 (a superoperator: Proebsting, POPL 1995).  Its scope, memo
+  entry, register and free-variable level are the outer ``Not``'s, as
+  for any node; every other shape compiles node by node.
 * **Applications.**  An application whose arguments each hold at most one
   bit reads its table entry straight; only wider arguments take the
   pointwise lift.  Each instruction keeps at most its last argument and
@@ -378,12 +381,13 @@ class _Scope:
     of an ``iterate`` μ, whose variable only grows while its loop runs;
     ``resumed`` lists the registers of the warm μ instructions in it."""
 
-    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed")
+    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo")
 
     def __init__(self, depth: int, var: int, loops: int = 0, ascending: bool = False):
         self.depth, self.var, self.loops, self.ascending = depth, var, loops, ascending
         self.code: list[Callable[[], None]] = []
         self.resumed: list[int] = []
+        self.memo: dict[int, int] = {}  # id(node) -> result, for each node entered here
 
 
 class _Program:
@@ -438,9 +442,6 @@ class _Program:
 _FRAMES_PER_LOOP = 2
 _SPARE_FRAMES = 30
 
-# The stack item that complements the last placed result: a ``Not``.
-_FLIP = ("flip",)
-
 
 def _loop_room() -> int:
     """How many binder loops may nest below the caller's frame before the
@@ -463,51 +464,59 @@ def _compile(
     ``variables[k]`` gets level and register ``k``, which ``_Program.search``
     sets.  Nothing runs here.
 
-    The stack holds ``(node, exs, mus)`` to enter, ``(node, exs, mus,
-    scope, key, inner)`` to leave and ``_FLIP`` to complement the last
-    result, where ``exs``/``mus`` are the scopes of the enclosing ex and mu
-    binders, outermost first, so de Bruijn index ``i`` of a node is scope
-    ``exs[-1 - i]``.  A node whose ``scope`` is the top goes on leave to the
-    innermost level its operands read.  Results are signed registers: ``r``
-    or its complement ``~r``.
+    Results are signed registers: ``r`` or its complement ``~r``, which is
+    ``r ^ -1``.  The stack holds ``(node, exs, mus, sign)`` to enter and
+    ``(node, scope, inner, n, sign)`` to leave a node with ``n`` placed
+    operands; the node's result goes out XORed with ``sign``, 0 or -1.
+    ``exs``/``mus`` are the scopes of the enclosing ex and mu binders,
+    outermost first, so de Bruijn index ``i`` of a node is scope
+    ``exs[-1 - i]``; ``inner`` is a binder's body scope.  Entering a chain
+    of ``Not`` nodes flips ``sign`` once per node and goes on to the first
+    node below it that is not one, in the same step; a ``Not`` whose
+    ``_operands`` fact is set, the root of an ``\\equals``, is not part of
+    a chain and enters only its two operands.  A variable is its register
+    at once and pushes no leave item.  Every other node is looked up in
+    the memo of ``scope``, the scope in which it is entered, keyed by its
+    identity, which keeps its result before ``sign`` is applied; a node
+    whose ``scope`` is the top goes on leave to the innermost level its
+    operands read, but stays in the top's memo.
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     regs = [0] * len(levels)
     reads: dict[int, int] = {}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
-
-    def register(value: int = 0) -> int:
-        regs.append(value)
-        return len(regs) - 1
-
-    def full(sort: Sort) -> int:
-        return (1 << model.carrier_size(sort)) - 1
+    full = model._full_mask
 
     def decode(reg: int, sort: Sort) -> tuple[int, int]:
         """A signed register of ``sort`` as (register, value to XOR it with)."""
         return (~reg, full(sort)) if reg < 0 else (reg, 0)
 
     base = len(levels)
-    done: dict[tuple[int, _Scope], int] = {}
     results: list[int] = []  # signed registers of the children met so far
     emit = results.append
-    stack: list[tuple] = [(p, (), ())]
+    stack: list[tuple] = [(p, (), (), 0)]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
-        if item is _FLIP:
-            results[-1] = ~results[-1]
-            continue
-        node, exs, mus = item[0], item[1], item[2]
-        kind = type(node)
-        if len(item) == 3:  # enter
-            if kind is Not:
-                operands = _equality(node)
-                if operands is None:
-                    push(_FLIP)
-                    push((node.body, exs, mus))
-                    continue
+        if len(item) == 4:  # enter
+            node, exs, mus, sign = item
+            kind = type(node)
+            while kind is Not and node._operands is None:
+                node = node.body
+                kind = type(node)
+                sign = ~sign
+            if kind is BoundEVar:
+                emit(exs[-1 - node.index].var ^ sign)
+                continue
+            if kind is BoundSVar:
+                emit(mus[-1 - node.index].var ^ sign)
+                continue
+            if kind is FreeEVar or kind is FreeSVar:
+                reg = variables.index(node.var)
+                reads[reg] = reg + 1
+                emit(reg ^ sign)
+                continue
             ex, even, odd, _, _ = node._facts
             scope = top
             if ex:
@@ -517,19 +526,37 @@ def _compile(
                 inner = mus[len(mus) - (mu & -mu).bit_length()]
                 if inner.depth > scope.depth:
                     scope = inner
-            key = (id(node), scope)
-            reg = done.get(key)
+            reg = scope.memo.get(id(node))
             if reg is not None:
-                emit(reg)
+                emit(reg ^ sign)
+            elif kind is App:
+                args = node.args
+                if args:
+                    push((node, scope, None, len(args), sign))
+                    stack += [(kid, exs, mus, 0) for kid in reversed(args)]
+                else:  # a constant
+                    value = model.mask_table(node.symbol).get((), 0)
+                    reg = scope.memo[id(node)] = len(regs)
+                    regs.append(value)
+                    emit(reg ^ sign)
+            elif kind is And:
+                push((node, scope, None, 2, sign))
+                push((node.right, exs, mus, 0))
+                push((node.left, exs, mus, 0))
             elif kind is Not:  # an equality: only its two operands are placed
-                push((node, exs, mus, scope, key, None))
-                stack += [(kid, exs, mus) for kid in reversed(operands)]
-            elif kind is Exists or kind is Mu:
+                a, b = node._operands
+                push((node, scope, None, 2, sign))
+                push((b, exs, mus, 0))
+                push((a, exs, mus, 0))
+            elif kind is Defined:
+                push((node, scope, None, 1, sign))
+                push((node.body, exs, mus, 0))
+            else:  # Exists or Mu
                 full(node.sort)
                 if kind is Exists:
-                    model.carrier_size(node.binder_sort)
+                    model._elem_masks(node.binder_sort)
                 elif mode == LFP_PREFIX:
-                    _check_prefix_cap(node.sort, model.carrier_size(node.sort), cap)
+                    _check_prefix_cap(node.sort, full(node.sort).bit_length(), cap)
                 loops = scope.loops + 1
                 if room is None:
                     room = _loop_room()
@@ -543,53 +570,64 @@ def _compile(
                 # the binder's variable is the next register; its loop sets it
                 # before each run of the body
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
-                register()
-                push((node, exs, mus, scope, key, inner))
+                regs.append(0)
+                push((node, scope, inner, 1, sign))
                 if kind is Exists:
-                    push((node.body, (*exs, inner), mus))
+                    push((node.body, (*exs, inner), mus, 0))
                 else:
-                    push((node.body, exs, (*mus, inner)))
-            elif node.children:
-                push((node, exs, mus, scope, key, None))
-                stack += [(kid, exs, mus) for kid in reversed(node.children)]
-            else:
-                if kind is BoundEVar:
-                    reg = exs[-1 - node.index].var
-                elif kind is BoundSVar:
-                    reg = mus[-1 - node.index].var
-                elif kind is FreeEVar or kind is FreeSVar:
-                    reg = variables.index(node.var)
-                    reads[reg] = reg + 1
-                else:  # a 0-ary symbol
-                    reg = register(model.mask_table(node.symbol).get((), 0))
-                done[key] = reg
-                emit(reg)
+                    push((node.body, exs, (*mus, inner), 0))
             continue
-        scope, key, inner = item[3], item[4], item[5]
-        n = 2 if kind is Not else len(node.children)
+        node, scope, inner, n, sign = item
+        kind = type(node)
         args = results[-n:]
         del results[-n:]
-        level = max([reads.get(a if a >= 0 else ~a, 0) for a in args]) if node._facts[3] else 0
-        if level and scope is top:
-            scope = levels[level - 1]
+        memo = scope.memo
+        level = 0
+        if node._facts[3]:
+            for a in args:
+                depth = reads.get(a if a >= 0 else ~a, 0)
+                if depth > level:
+                    level = depth
+            if level and scope is top:
+                scope = levels[level - 1]
         if inner is not None:
             ex, even, odd, _, _ = node.body._facts
             if not (ex if kind is Exists else even | odd) & 1:
                 # a body without the bound variable is its own union and fixpoint
-                done[key] = args[0]
-                emit(args[0])
+                memo[id(node)] = args[0]
+                emit(args[0] ^ sign)
                 continue
-        dst = register()
+        dst = out = len(regs)
+        regs.append(0)
         if level:
             reads[dst] = level
-        out = dst
-        if kind is Exists:
+        if kind is App:
+            table = model.mask_table(node.symbol)
+            flips = (0,) * n
+            if min(args) < 0:  # most applications have none to decode; skip the list
+                args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.args)])
+            op = _app_op(regs, dst, args, table, flips)
+        elif kind is And:
+            a, b = args
+            op = _and_op(regs, dst, a, b)
+            if a < 0 and b < 0:
+                out = ~dst  # De Morgan: the complement of a union
+        elif kind is Not:  # an equality
+            # the operands' sort is that of the iff under the floor
+            sort = node.body.body.sort
+            (a, fa), (b, fb) = decode(args[0], sort), decode(args[1], sort)
+            op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
+        elif kind is Defined:
+            # the complement of a is empty where a is full
+            a, empty = decode(args[0], node.body.sort)
+            op = _defined_op(regs, dst, a, full(node.sort), empty)
+        elif kind is Exists:
             res, flip = decode(args[0], node.sort)
-            elems = [1 << k for k in range(model.carrier_size(node.binder_sort))]
+            elems = model._elem_masks(node.binder_sort)
             op = _exists_op(regs, dst, inner.var, res, inner.code, elems, flip)
-        elif kind is Mu:
+        else:  # Mu
             res, flip = decode(args[0], node.sort)
-            width = model.carrier_size(node.sort)
+            width = full(node.sort).bit_length()
             if mode == LFP_ITERATE:
                 # a warm start (module docstring); the enclosing binder's
                 # variable is the lowest mu index the node reads
@@ -603,58 +641,10 @@ def _compile(
                                  width, inner.resumed, warm, flip)
             else:
                 op = _prefix_op(regs, dst, inner.var, res, inner.code, width, flip)
-        elif kind is Defined:
-            # the complement of a is empty where a is full
-            a, empty = decode(args[0], node.body.sort)
-            op = _defined_op(regs, dst, a, full(node.sort), empty)
-        elif kind is Not:  # an equality
-            # the operands' sort is that of the iff under the floor
-            sort = node.body.body.sort
-            (a, fa), (b, fb) = decode(args[0], sort), decode(args[1], sort)
-            op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
-        elif kind is App:
-            table = model.mask_table(node.symbol)
-            flips = (0,) * n
-            if min(args) < 0:  # most applications have none to decode; skip the list
-                args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.children)])
-            op = _app_op(regs, dst, args, table, flips)
-        else:  # And
-            a, b = args
-            op = _and_op(regs, dst, a, b)
-            if a < 0 and b < 0:
-                out = ~dst  # De Morgan: the complement of a union
         scope.code.append(op)
-        done[key] = out
-        emit(out)
+        memo[id(node)] = out
+        emit(out ^ sign)
     return _Program(regs, top.code, levels, *decode(results[0], p.sort))
-
-
-def _equality(node: Not) -> tuple[Pattern, Pattern] | None:
-    """The operands ``(A, B)`` when ``node`` has the exact core shape that
-    :func:`~mulogic.pattern.mk_equals` builds, the floor of an iff,
-    ``Not(Defined(Not(And(Not(And(Not(Not(A)), Not(B))), Not(And(Not(Not(B)),
-    Not(A)))))))``, with the same ``A`` and ``B`` objects in both
-    implications; else None."""
-    defined = node.body
-    if type(defined) is not Defined:
-        return None
-    both = _operand(defined.body)
-    if type(both) is not And:
-        return None
-    there, back = _operand(both.left), _operand(both.right)
-    if type(there) is not And or type(back) is not And:
-        return None
-    a, b = _operand(_operand(there.left)), _operand(there.right)
-    if a is None or b is None:
-        return None
-    if _operand(_operand(back.left)) is not b or _operand(back.right) is not a:
-        return None
-    return a, b
-
-
-def _operand(p: Pattern | None) -> Pattern | None:
-    """The body of a ``Not``, else None."""
-    return p.body if type(p) is Not else None
 
 
 # --- instructions -----------------------------------------------------------

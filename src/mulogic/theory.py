@@ -157,10 +157,13 @@ def check_axiom(
     # register values: element k is the one-bit mask 1 << k, a set its bits
     choices, count = [], 1
     for v in variables:
-        n = model.carrier_size(v.sort)
-        elem = isinstance(v, ElemVar)
-        choices.append([1 << k for k in range(n)] if elem else range(1 << n))
-        count *= n if elem else 1 << n
+        if isinstance(v, ElemVar):
+            values = model._elem_masks(v.sort)
+            count *= len(values)
+        else:  # len() refuses a range of 2**63 or more values
+            values = range(model._full_mask(v.sort) + 1)
+            count *= values.stop
+        choices.append(values)
     if count > state_cap:
         raise StateSpaceTooLargeError(
             f"axiom {axiom.label!r} needs {count} valuations, more than the "
@@ -168,8 +171,8 @@ def check_axiom(
         )
     _check_evaluable(p, lfp_mode)
 
-    width = model.carrier_size(axiom.sort)
-    found = _compile(model, p, lfp_mode, prefix_cap, variables).search(choices, (1 << width) - 1)
+    full = model._full_mask(axiom.sort)
+    found = _compile(model, p, lfp_mode, prefix_cap, variables).search(choices, full)
     if found is None:
         return AxiomResult(axiom, Verdict.SATISFIED)
     index, bits = found
@@ -177,7 +180,7 @@ def check_axiom(
     elems = {v: model.carrier(v.sort)[k] for v, k in bound if isinstance(v, ElemVar)}
     sets = {v: CarrierSet(v.sort, model.carrier_size(v.sort), k)
             for v, k in bound if not isinstance(v, ElemVar)}
-    got = CarrierSet(axiom.sort, width, bits)
+    got = CarrierSet(axiom.sort, full.bit_length(), bits)
     return AxiomResult(axiom, Verdict.VIOLATED, witness=Valuation(elems, sets), got=got)
 
 

@@ -158,6 +158,49 @@ class TestEval:
         assert "sort-mismatch" in capsys.readouterr().err
 
 
+# Closed patterns over the natbool corpus model and their denotations,
+# the same under both fixpoint engines.
+DENOTATIONS = [
+    pytest.param(r"\mu{Nat} \or(O(), S(\not(\mu{Nat} \not(\and(B1, \not(B0))))))",
+                 "{ 0, 1, 2, 3 }", id="nu-between-mu"),
+    # complemented symbol arguments and fixpoint bodies
+    pytest.param(r"plus(\not(O()), \not(S(O())))", "{ 1, 2, 3 }", id="complemented-args"),
+    pytest.param(r"\nu{Nat} \or(\not(O()), S(B0))", "{ 1, 2, 3 }", id="complemented-body"),
+    pytest.param(r"isZero(\not(O()))", "{ f }", id="complemented-arg"),
+    # equalities of plain and complemented operands
+    pytest.param(r"\equals{Nat}(O(), \not(O()))", "{ }", id="equals-complement"),
+    pytest.param(r"\equals{Bool}(\not(\not(O())), O())", "{ t, f }", id="equals-double-not"),
+    pytest.param(r"\exists{Nat} \and(b0, \equals{Nat}(S(b0), \not(\top{Nat})))", "{ 3 }",
+                 id="equals-in-exists"),
+    pytest.param(r"\forall{Nat} \equals{Bool}(plus(b0, O()), b0)", "{ t, f }",
+                 id="equals-in-forall"),
+    # unary applications whose arguments grow, shrink and recur
+    pytest.param(r"\exists{Nat} \and(b0, \mu{Nat} \or(b0, S(B0)))", "{ 0, 1, 2, 3 }",
+                 id="mu-in-exists"),
+    pytest.param(r"\mu{Nat} \or(O(), S(S(B0)))", "{ 0, 2 }", id="mu-step-two"),
+    pytest.param(r"\exists{Nat} S(\or(b0, \or(O(), S(O()))))", "{ 1, 2, 3 }",
+                 id="app-of-union"),
+    # applications in an inner loop, run again on each element of an outer one
+    pytest.param(r"\forall{Nat} \or(\not(b0), \mu{Nat} \or(b0, S(B0)))", "{ 0, 1, 2, 3 }",
+                 id="mu-in-forall"),
+    pytest.param(r"\forall{Nat} \exists{Nat} \or(\not(b1), S(\or(b0, O())))", "{ 1, 2, 3 }",
+                 id="exists-in-forall"),
+    # forall as one union loop over a complemented body
+    pytest.param(r"\forall{Nat} \not(S(b0))", "{ 0 }", id="forall-not"),
+    pytest.param(r"\exists{Nat} \and(b0, \forall{Nat} \or(\not(S(b0)), \not(b1)))", "{ 0 }",
+                 id="forall-in-exists"),
+    pytest.param(r"\ceil{Bool}(\forall{Nat} \or(b0, S(O())))", "{ t, f }", id="ceil-forall"),
+]
+
+
+@pytest.mark.parametrize("lfp", ["iterate", "prefix"])
+@pytest.mark.parametrize("pattern, expected", DENOTATIONS)
+def test_denotation_under_both_engines(capsys, recwarn, pattern, expected, lfp):
+    assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, pattern, "--lfp", lfp]) == 0
+    assert capsys.readouterr() == (expected + "\n", "")
+    assert not recwarn.list
+
+
 class TestSatisfies:
     def test_bundled_theory_satisfied(self, capsys):
         assert main(["satisfies", NATBOOL_MLT, NATBOOL_MLM]) == 0
@@ -224,6 +267,23 @@ class TestSatisfies:
     def test_io_failure(self, capsys):
         assert main(["satisfies", NATBOOL_MLT, "/nonexistent.mlm"]) == 2
 
+    @pytest.mark.parametrize("lfp", ["iterate", "prefix"])
+    def test_planted_violations_at_their_valuations(self, tmp_path, capsys, lfp):
+        planted = tmp_path / "planted.mlt"
+        planted.write_text(Path(NATBOOL_MLT).read_text() + (
+            "axiom planted-pair [Bool] \\not(\\and(\\equals{Bool}(x:Nat, S(O())), "
+            "\\equals{Bool}(y:Nat, S(S(O())))))\n"
+            "axiom planted-set [Bool] \\not(\\and(\\equals{Bool}(x:Nat, S(O())), "
+            "\\equals{Bool}(#X:Nat, \\or(O(), S(S(O()))))))\n"
+        ))
+        code = main(["satisfies", str(planted), NATBOOL_MLM, "--report", "json", "--lfp", lfp])
+        out, err = capsys.readouterr()
+        assert code == 1 and not err
+        records = json.loads(out)["axioms"]
+        got = {r["label"]: r.get("witness") for r in records if r["verdict"] != "satisfied"}
+        assert got == {"planted-pair": {"x:Nat": "1", "y:Nat": "2"},
+                       "planted-set": {"x:Nat": "1", "#X:Nat": ["0", "2"]}}
+
     def test_64_element_model(self, tmp_path, capsys):
         # a capped natbool model with 4,096 plus lines, written without
         # mulogic: S and plus map results past 63 to the empty set
@@ -256,10 +316,12 @@ class TestSatisfies:
 
 
 class TestSubprocess:
-    def _run(self, *args, stdin=None):
+    def _run(self, *args, stdin=None, hashseed=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        if hashseed is not None:
+            env["PYTHONHASHSEED"] = hashseed
         return subprocess.run(
             [sys.executable, "-m", "mulogic", *args],
             capture_output=True,
@@ -286,6 +348,13 @@ class TestSubprocess:
         proc = self._run("satisfies", NATBOOL_MLT, NATBOOL_MLM)
         assert proc.returncode == 0
         assert "theory satisfied" in proc.stdout
+
+    @pytest.mark.parametrize("hashseed", ["0", "1", "2"])
+    def test_unbound_variable_error_ignores_hash_seed(self, hashseed):
+        pattern = "\\and(\\ceil{Bool}(x:Nat), \\ceil{Bool}(y:Nat))"
+        proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, pattern, hashseed=hashseed)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: x:Nat is not bound\n"
 
     def test_usage_error(self):
         proc = self._run()

@@ -14,6 +14,7 @@ from mulogic import (
     Signature,
     Theory,
     Valuation,
+    bevar_subst,
     build_model,
     check_axiom,
     eval_pattern,
@@ -26,6 +27,8 @@ from mulogic import (
     mk_forall,
     mk_free_evar,
     mk_free_svar,
+    mk_floor,
+    mk_implies,
     mk_mu,
     mk_not,
     mk_or,
@@ -567,17 +570,37 @@ def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, 
 # --- fused instructions -------------------------------------------------------
 
 
-@pytest.mark.parametrize("text, names", [
+def instantiated_equality(sig):
+    """The body of a ``\\forall`` with ``O()`` put for its variable: the
+    ``\\equals`` is rebuilt, node by node, through the constructors."""
+    forall = parse_pattern(r"\forall{Nat} \equals{Bool}(S(b0), plus(b0, S(O())))", sig)
+    return bevar_subst(parse_pattern("O()", sig), forall.body.body.body)
+
+
+def look_alike_equality(sig):
+    """The fourteen core nodes of an ``\\equals``, with two equal but
+    distinct objects for its left operand."""
+    a, twin, b = [parse_pattern(text, sig) for text in ("S(O())", "S(O())", "plus(O(), S(O()))")]
+    assert a == twin and a is not twin
+    return mk_floor(sig.sort("Bool"), mk_and(mk_implies(a, b), mk_implies(b, twin)))
+
+
+@pytest.mark.parametrize("make, names", [
     (r"\equals{Bool}(S(O()), plus(O(), S(O())))",
      ["_app_op", "_app_op", "_app_op", "_equals_op"]),
     (r"\forall{Nat} \equals{Nat}(S(b0), \not(plus(b0, S(O()))))",
      ["_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op"]),
-    # a near miss compiles node by node
+    (instantiated_equality, ["_app_op", "_app_op", "_app_op", "_equals_op"]),
+    # near misses compile node by node
     (r"\subseteq{Bool}(S(O()), plus(O(), S(O())))",
      ["_and_op", "_app_op", "_app_op", "_app_op", "_defined_op"]),
-], ids=["top", "forall", "subseteq"])
-def test_equality_places_one_instruction(std_sig, std_model, placed, text, names):
-    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    (look_alike_equality,
+     ["_and_op", "_and_op", "_and_op", "_app_op", "_app_op", "_app_op", "_app_op",
+      "_defined_op"]),
+], ids=["top", "forall", "substituted", "subseteq", "look-alike"])
+def test_equality_places_one_instruction(std_sig, std_model, placed, make, names):
+    p = make(std_sig) if callable(make) else parse_pattern(make, std_sig)
+    empty = Valuation.empty()
     for model in (std_model, cycle_model(std_sig)):
         placed.clear()
         assert eval_pattern(model, empty, p) == ref_eval_pattern(model, empty, p)
