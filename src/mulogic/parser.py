@@ -53,6 +53,8 @@ from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 from .errors import MuLogicError
 from .model import FiniteModel, build_model
 from .pattern import (
+    EX,
+    MU,
     Context,
     Pattern,
     mk_and,
@@ -274,11 +276,12 @@ _REQUIRED, _OPTIONAL, _ABSENT = "required", "optional", "absent"
 class _Connective:
     """How a connective ``\\kind`` is written, sort-checked and built.
 
-    ``annotation`` says whether ``{Sort}`` follows the keyword.  On a
-    binder (``binds == "ex"``) the annotation is the bound variable's sort;
-    elsewhere it is the sort of the whole pattern.  ``binds`` names the
-    context the operand's scope extends: ``"ex"`` by the annotation,
-    ``"mu"`` by the pattern's own sort.  The builder takes the required
+    ``annotation`` says whether ``{Sort}`` follows the keyword.  On an
+    ``EX`` binder the annotation is the bound variable's sort; elsewhere it
+    is the sort of the whole pattern.  ``binds`` is the kind of the context
+    the operand's scope extends, or None for a connective that binds
+    nothing: ``EX`` by the annotation, ``MU`` by the pattern's own sort
+    (the kinds of :mod:`mulogic.pattern`).  The builder takes the required
     annotation first, then the operands, or the contexts when there are
     none.  ``infers_operands``: a required annotation on a non-binder
     fixes the pattern's sort and not its operands'; they share a sort
@@ -289,14 +292,14 @@ class _Connective:
                  "infers_operands")
 
     def __init__(self, kind: str, annotation: str, arity: int, parens: bool,
-                 build: Callable[..., Pattern], binds: str = ""):
+                 build: Callable[..., Pattern], binds: int | None = None):
         self.kind = kind
         self.annotation = annotation
         self.arity = arity
         self.parens = parens
         self.build = build
         self.binds = binds
-        self.infers_operands = annotation == _REQUIRED and not binds
+        self.infers_operands = annotation == _REQUIRED and binds is None
 
 
 _CONNECTIVES = {conn.kind: conn for conn in (
@@ -305,10 +308,10 @@ _CONNECTIVES = {conn.kind: conn for conn in (
     _Connective("or", _ABSENT, 2, True, mk_or),
     _Connective("implies", _ABSENT, 2, True, mk_implies),
     _Connective("iff", _ABSENT, 2, True, mk_iff),
-    _Connective("exists", _REQUIRED, 1, False, mk_exists, binds="ex"),
-    _Connective("forall", _REQUIRED, 1, False, mk_forall, binds="ex"),
-    _Connective("mu", _OPTIONAL, 1, False, mk_mu, binds="mu"),
-    _Connective("nu", _OPTIONAL, 1, False, mk_nu, binds="mu"),
+    _Connective("exists", _REQUIRED, 1, False, mk_exists, binds=EX),
+    _Connective("forall", _REQUIRED, 1, False, mk_forall, binds=EX),
+    _Connective("mu", _OPTIONAL, 1, False, mk_mu, binds=MU),
+    _Connective("nu", _OPTIONAL, 1, False, mk_nu, binds=MU),
     _Connective("ceil", _REQUIRED, 1, True, mk_defined),
     _Connective("floor", _REQUIRED, 1, True, mk_floor),
     _Connective("equals", _REQUIRED, 2, True, mk_equals),
@@ -452,12 +455,12 @@ class _Elaborator:
         annotation = None
         if node.sort_name is not None:
             annotation = _declared_sort(self.sig, node.sort_name, node.span)
-        if conn.binds == "ex":
+        if conn.binds == EX:
             ex = (annotation,) + ex
         elif annotation is not None:
             what = "annotation" if conn.annotation == _OPTIONAL else "pattern"
             self._check(annotation, expect, node.span, f"\\{conn.kind} {what}")
-        if conn.binds == "mu":
+        if conn.binds == MU:
             mu = (expect,) + mu
         operand = expect
         if conn.infers_operands and node.children:
@@ -485,13 +488,13 @@ class _Elaborator:
                     sort = self.sig.symbol(node.name).result if has else None
                 else:
                     sort = _declared_sort(self.sig, node.sort_name, node.span)
-            elif conn.binds == "ex":
+            elif conn.binds == EX:
                 binder = _declared_sort(self.sig, node.sort_name, node.span)
                 sort = yield self.infer(node.children, (binder,) + ex, mu)
             elif node.sort_name is not None:
                 sort = _declared_sort(self.sig, node.sort_name, node.span)
             else:
-                inner = (None,) + mu if conn.binds == "mu" else mu
+                inner = (None,) + mu if conn.binds == MU else mu
                 sort = yield self.infer(node.children, ex, inner)
             if sort is not None:
                 return sort

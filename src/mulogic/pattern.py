@@ -8,7 +8,15 @@ is closed when both contexts are empty.
 Node invariants are stated once, in ``__post_init__``, so an ill-sorted or
 ill-scoped tree cannot be built, not even by constructing the dataclasses
 directly.  The ``mk_*`` helpers below only compute the derived fields (sort
-and contexts) and let the constructor check them.
+and contexts) and let the constructor check them.  The three rules that
+come in an ex and a mu form are each stated once, in a private base class
+whose two node classes fix the context kind ``_kind`` (``EX`` or ``MU``,
+the positions in a node's ``(ex, mu)`` pair): ``_FreeVar`` (the node has
+its variable's sort), ``_BoundVar`` (the index lies in the context of its
+kind and names the node's sort) and ``_Binder`` (the body's context of its
+kind is the binder's with the bound sort prepended, ``binder_sort`` for
+``Exists`` and the node's own sort for ``Mu``; the other context is the
+binder's; and the binder has its body's sort).
 
 Each node's facts are fixed at construction too, and are fixed-size: the
 last step of every ``__post_init__`` stores, from its children's, the ex
@@ -27,12 +35,9 @@ The facts take no part in ``==``, ``hash`` or ``repr``.
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
 kind through the constructor from the node's ``_payload`` fields (those
-between ``mu`` and the children).  A binder's body context is its own
-context with one sort prepended (``Exists`` prepends ``binder_sort`` to
-``ex``, ``Mu`` its own sort to ``mu``), which the constructors check.  On
-that protocol sits the one traversal, :func:`walk`, which expands each
-distinct node once, with :func:`fold_pattern` and :func:`map_pattern` on
-top of it.  Every operation here and in :mod:`mulogic.subst` and
+between ``mu`` and the children).  On that protocol sits the one
+traversal, :func:`walk`, which expands each distinct node once, with
+:func:`fold_pattern` and :func:`map_pattern` on top of it.  Every operation here and in :mod:`mulogic.subst` and
 :mod:`mulogic.printer` is a walk, fold or map, ``==``, ``hash`` and
 ``repr`` included: the node classes generate none of them, and ``Pattern``
 states each once as a fold.  Two passes keep a stack of their own: the
@@ -65,8 +70,12 @@ from .signature import ElemVar, SetVar, Signature, Sort, SymbolDecl
 Context = tuple[Sort, ...]
 T = TypeVar("T")
 
-# Context kinds, as positions in a node's ``(ex, mu)`` pair.
+# Context kinds, as positions in a node's ``(ex, mu)`` pair, and how
+# refusals name each kind's context, variables and binder.
 EX, MU = 0, 1
+_CONTEXT = ("ex", "mu")
+_VARIABLE = ("element variable", "set variable")
+_BINDER = ("exists", "mu")
 
 
 def _ctx(sorts: Iterable[Sort]) -> Context:
@@ -132,50 +141,63 @@ class Pattern:
         return print_pattern(self)
 
 
-@_node
-class FreeEVar(Pattern):
+class _FreeVar(Pattern):
+    """A free variable of kind ``_kind``: the node's sort is its
+    variable's."""
+
     _payload = ("var",)
+
+    def __post_init__(self) -> None:
+        if self.var.sort != self.sort:
+            raise SortMismatchError(
+                f"free {_VARIABLE[self._kind]} {self.var} cannot have sort {self.sort}"
+            )
+        _fix_facts(self)
+
+
+@_node
+class FreeEVar(_FreeVar):
     var: ElemVar
-
-    def __post_init__(self) -> None:
-        if self.var.sort != self.sort:
-            raise SortMismatchError(
-                f"free element variable {self.var} cannot have sort {self.sort}"
-            )
-        _fix_facts(self)
+    _kind = EX
 
 
 @_node
-class FreeSVar(Pattern):
-    _payload = ("var",)
+class FreeSVar(_FreeVar):
     var: SetVar
+    _kind = MU
+
+
+class _BoundVar(Pattern):
+    """A bound variable of kind ``_kind``: its index lies in the node's
+    context of that kind and names the node's sort there."""
+
+    _payload = ("index",)
 
     def __post_init__(self) -> None:
-        if self.var.sort != self.sort:
-            raise SortMismatchError(
-                f"free set variable {self.var} cannot have sort {self.sort}"
-            )
+        ctx = (self.ex, self.mu)[self._kind]
+        if not 0 <= self.index < len(ctx):
+            raise IndexOutOfScopeError(f"{self._what()} out of scope (context has {len(ctx)} entries)")
+        if ctx[self.index] != self.sort:
+            raise SortMismatchError(f"{self._what()} has sort {ctx[self.index]}, not {self.sort}")
         _fix_facts(self)
+
+    def _what(self) -> str:
+        return f"bound {_VARIABLE[self._kind]} {'bB'[self._kind]}{self.index}"
 
 
 @_node
-class BoundEVar(Pattern):
-    _payload = ("index",)
+class BoundEVar(_BoundVar):
     index: int
-
-    def __post_init__(self) -> None:
-        _require_in_scope(f"element variable b{self.index}", self, self.ex)
-        _fix_facts(self)
+    _kind = EX
 
 
 @_node
-class BoundSVar(Pattern):
-    _payload = ("index",)
+class BoundSVar(_BoundVar):
     index: int
+    _kind = MU
 
-    def __post_init__(self) -> None:
-        _require_in_scope(f"set variable B{self.index}", self, self.mu)
-        _fix_facts(self)
+
+_BOUND = (BoundEVar, BoundSVar)
 
 
 @_node
@@ -250,48 +272,46 @@ class And(Pattern):
         return (self.left, self.right)
 
 
+class _Binder(Pattern):
+    """A binder of kind ``_kind``: its body's context of that kind is the
+    binder's own with the bound sort (the field named by ``_bound``)
+    prepended, its other context is the binder's, and the binder takes its
+    body's sort."""
+
+    def __post_init__(self) -> None:
+        kind, body = self._kind, self.body
+        inner, outer = (body.ex, body.mu), (self.ex, self.mu)
+        bound = getattr(self, self._bound)
+        if inner[kind] != (bound,) + outer[kind]:
+            raise BinderSortMismatchError(
+                f"{_BINDER[kind]} binder {('over', 'of sort')[kind]} {bound} does not "
+                f"match the body context {[str(s) for s in inner[kind]]}"
+            )
+        if inner[1 - kind] != outer[1 - kind]:
+            raise ContextMismatchError(
+                f"{_BINDER[kind]} body has a different {_CONTEXT[1 - kind]} context"
+            )
+        if body.sort != self.sort:
+            raise SortMismatchError(f"{_BINDER[kind]} inherits the sort of its body")
+        _fix_facts(self)
+
+    @property
+    def children(self) -> tuple[Pattern, ...]:
+        return (self.body,)
+
+
 @_node
-class Exists(Pattern):
+class Exists(_Binder):
     _payload = ("binder_sort",)
     binder_sort: Sort
     body: Pattern
-
-    def __post_init__(self) -> None:
-        if self.body.ex != (self.binder_sort,) + self.ex:
-            raise BinderSortMismatchError(
-                f"exists binder over {self.binder_sort} does not match the "
-                f"body context {[str(s) for s in self.body.ex]}"
-            )
-        if self.body.mu != self.mu:
-            raise ContextMismatchError("exists body has a different mu context")
-        if self.body.sort != self.sort:
-            raise SortMismatchError("exists inherits the sort of its body")
-        _fix_facts(self)
-
-    @property
-    def children(self) -> tuple[Pattern, ...]:
-        return (self.body,)
+    _kind, _bound = EX, "binder_sort"
 
 
 @_node
-class Mu(Pattern):
+class Mu(_Binder):
     body: Pattern
-
-    def __post_init__(self) -> None:
-        if self.body.mu != (self.sort,) + self.mu:
-            raise BinderSortMismatchError(
-                f"mu binder of sort {self.sort} does not match the body "
-                f"context {[str(s) for s in self.body.mu]}"
-            )
-        if self.body.ex != self.ex:
-            raise ContextMismatchError("mu body has a different ex context")
-        if self.body.sort != self.sort:
-            raise SortMismatchError("mu inherits the sort of its body")
-        _fix_facts(self)
-
-    @property
-    def children(self) -> tuple[Pattern, ...]:
-        return (self.body,)
+    _kind, _bound = MU, "sort"
 
 
 @_node
@@ -309,13 +329,6 @@ class Defined(Pattern):
     @property
     def children(self) -> tuple[Pattern, ...]:
         return (self.body,)
-
-
-def _require_in_scope(what: str, node: Pattern, ctx: Context) -> None:
-    if not 0 <= node.index < len(ctx):
-        raise IndexOutOfScopeError(f"bound {what} out of scope (context has {len(ctx)} entries)")
-    if ctx[node.index] != node.sort:
-        raise SortMismatchError(f"bound {what} has sort {ctx[node.index]}, not {node.sort}")
 
 
 def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
@@ -501,15 +514,21 @@ def mk_free_svar(var: SetVar, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) 
 
 
 def mk_bound_evar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
-    """Bound element variable ``index``; its sort is read off the context."""
-    ex = _ctx(ex)
-    return BoundEVar(ex[index] if 0 <= index < len(ex) else None, ex, _ctx(mu), index)
+    """Bound element variable ``index``; its sort is read off the ex context."""
+    return _mk_bound(EX, ex, mu, index)
 
 
 def mk_bound_svar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
     """Bound set variable ``index``; its sort is read off the mu context."""
-    mu = _ctx(mu)
-    return BoundSVar(mu[index] if 0 <= index < len(mu) else None, _ctx(ex), mu, index)
+    return _mk_bound(MU, ex, mu, index)
+
+
+def _mk_bound(kind: int, ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
+    """Bound variable ``index`` of ``kind``, its sort read off the context of
+    that kind."""
+    ctxs = (_ctx(ex), _ctx(mu))
+    ctx = ctxs[kind]
+    return _BOUND[kind](ctx[index] if 0 <= index < len(ctx) else None, *ctxs, index)
 
 
 def mk_app(

@@ -33,10 +33,10 @@ from .errors import (
     SortMismatchError,
 )
 from .pattern import (
+    _BOUND,
+    _CONTEXT,
     EX,
     MU,
-    BoundEVar,
-    BoundSVar,
     Context,
     FreeEVar,
     FreeSVar,
@@ -44,9 +44,6 @@ from .pattern import (
     map_pattern,
 )
 from .signature import ElemVar, SetVar, Sort
-
-_NAME = ("ex", "mu")
-_BOUND = (BoundEVar, BoundSVar)
 
 
 def _show(ctx: Context) -> list[str]:
@@ -62,7 +59,7 @@ def _extend(
         split, insert = splits[kind], inserts[kind]
         if not 0 <= split <= len(ctx):
             raise BadSplitError(
-                f"{_NAME[kind]} split {split} exceeds context length {len(ctx)}"
+                f"{_CONTEXT[kind]} split {split} exceeds context length {len(ctx)}"
             )
         if insert:
             cuts.append((kind, len(ctx) - split, 0, insert))
@@ -94,7 +91,7 @@ def _align(psi: Pattern, kind: int, target: Context) -> Pattern:
     d = len(target) - len(ctx)
     if d < 0 or target[d:] != ctx:
         raise SlotNotFoundError(
-            f"replacement {_NAME[kind]} context {_show(ctx)} is not a "
+            f"replacement {_CONTEXT[kind]} context {_show(ctx)} is not a "
             f"suffix of the target's {_show(target)}"
         )
     return _weaken(psi, kind, target[:d]) if d else psi
@@ -138,7 +135,7 @@ def _bound_subst(kind: int, psi: Pattern, p: Pattern) -> Pattern:
     k = len(ctx) - tail - 1
     if k < 0 or ctx[k] != psi.sort or ctx[k + 1 :] != psi_ctx:
         raise SlotNotFoundError(
-            f"target {_NAME[kind]} context {_show(ctx)} does not decompose "
+            f"target {_CONTEXT[kind]} context {_show(ctx)} does not decompose "
             f"around a {psi.sort} slot followed by {_show(psi_ctx)}"
         )
     psi = _align(psi, other, (p.ex, p.mu)[other])

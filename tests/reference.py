@@ -26,6 +26,11 @@ and sort id.
 ``ref_tokenize`` is the text frontend's earlier tokenizer, kept as the
 oracle for ``parser.tokenize``: a ``match`` loop from a running position
 with its own copy of the token regex, counting columns as it goes.
+
+``ref_well_sorted`` is the sorting judgement, one rule per node kind,
+written out for each kind without the kernel's sharing of rules between
+the ex and mu kinds.  It reads a node's children only for their sorts and
+contexts.
 """
 
 from __future__ import annotations
@@ -372,3 +377,45 @@ def ref_tokenize(text):
             col += len(value)
         pos = m.end()
     return tokens
+
+
+def ref_well_sorted(kind, sort, ex, mu, *fields):
+    """True iff a node of ``kind`` (its class name) with ``sort``, contexts
+    ``ex`` and ``mu`` and the remaining constructor ``fields`` is well
+    sorted and well scoped."""
+
+    def fits(child, child_ex=ex, child_mu=mu):
+        return child.ex == child_ex and child.mu == child_mu
+
+    if kind == "FreeEVar":
+        (var,) = fields
+        return var.sort == sort
+    if kind == "FreeSVar":
+        (var,) = fields
+        return var.sort == sort
+    if kind == "BoundEVar":
+        (index,) = fields
+        return 0 <= index < len(ex) and ex[index] == sort
+    if kind == "BoundSVar":
+        (index,) = fields
+        return 0 <= index < len(mu) and mu[index] == sort
+    if kind == "App":
+        symbol, args = fields
+        return (len(args) == len(symbol.params) and sort == symbol.result
+                and all(a.sort == s and fits(a) for a, s in zip(args, symbol.params)))
+    if kind == "Not":
+        (body,) = fields
+        return body.sort == sort and fits(body)
+    if kind == "And":
+        left, right = fields
+        return left.sort == right.sort == sort and fits(left) and fits(right)
+    if kind == "Exists":
+        binder_sort, body = fields
+        return body.sort == sort and fits(body, (binder_sort,) + ex, mu)
+    if kind == "Mu":
+        (body,) = fields
+        return body.sort == sort and fits(body, ex, (sort,) + mu)
+    if kind == "Defined":
+        (body,) = fields
+        return fits(body)
+    raise ValueError(f"unknown node kind {kind!r}")

@@ -77,6 +77,26 @@ class TestCheck:
         )
         assert main(["check", str(theory), "--strict-positivity"]) == 1
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("axioms, counts, where", [
+        ([], "2 sort(s), 8 symbol(s), 12 axiom(s)", None),
+        (["axiom twisted [Bool] \\mu \\not(B0)"], "1 sort(s), 1 symbol(s), 1 axiom(s)", "root"),
+        (["axiom fine [Bool] true()", "axiom twisted [Bool] \\not(\\mu \\not(B0))"],
+         "1 sort(s), 1 symbol(s), 2 axiom(s)", "0"),
+    ], ids=["natbool", "root", "below-not"])
+    def test_output_byte_for_byte(self, tmp_path, capsys, strict, axioms, counts, where):
+        path = NATBOOL_MLT
+        if axioms:
+            path = str(tmp_path / "twisted.mlt")
+            Path(path).write_text("\n".join(["sort Bool", "symbol true : -> Bool", *axioms]) + "\n")
+        code = main(["check", path, *(["--strict-positivity"] if strict else [])])
+        out, err = capsys.readouterr()
+        assert out == f"{path}: ok ({counts})\n"
+        warning = (f"{path}: warning[positivity]: axiom 'twisted': "
+                   f"non-positive mu binder at node {where}\n")
+        assert err == ("" if where is None else warning)
+        assert code == (1 if strict and where else 0)
+
 
 class TestEval:
     def test_ground_application(self, capsys):
@@ -317,13 +337,16 @@ class TestSatisfies:
 
 class TestSubprocess:
     def _run(self, *args, stdin=None, hashseed=None):
+        return self._run_python("-m", "mulogic", *args, stdin=stdin, hashseed=hashseed)
+
+    def _run_python(self, *args, stdin=None, hashseed=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         if hashseed is not None:
             env["PYTHONHASHSEED"] = hashseed
         return subprocess.run(
-            [sys.executable, "-m", "mulogic", *args],
+            [sys.executable, *args],
             capture_output=True,
             input=stdin,
             text=True,
@@ -355,6 +378,44 @@ class TestSubprocess:
         proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, pattern, hashseed=hashseed)
         assert proc.returncode == 1
         assert proc.stderr == "error: x:Nat is not bound\n"
+
+    @pytest.mark.parametrize("case", ["prefix-mu-20", "set-variable-19"])
+    def test_applications_on_every_subset_run_in_constant_memory(self, tmp_path, case):
+        # a prefix mu over 20 elements and a free set variable over 19 each
+        # run their applications on every subset of the carrier
+        (tmp_path / "chain.mlt").write_text(
+            "sort Nat\nsymbol O : -> Nat\nsymbol S : Nat -> Nat\n"
+            "axiom excluded-middle [Nat] \\or(\\not(S(#X:Nat)), S(#X:Nat))\n")
+        for n in (19, 20):
+            lines = ["model chain", f"carrier Nat = {{ {', '.join(map(str, range(n)))} }}",
+                     "interp O() = { 0 }"]
+            lines += [f"interp S({k}) = {{ {k + 1} }}" for k in range(n - 1)]
+            lines.append(f"interp S({n - 1}) = {{ }}")
+            (tmp_path / f"chain{n}.mlm").write_text("\n".join(lines) + "\n")
+        chain = str(tmp_path / "chain.mlt")
+        args, want = {
+            "prefix-mu-20": (
+                ["eval", chain, str(tmp_path / "chain20.mlm"), "\\mu{Nat} \\or(O(), S(B0))",
+                 "--lfp", "prefix"],
+                "{ " + ", ".join(map(str, range(20))) + " }"),
+            "set-variable-19": (
+                ["satisfies", chain, str(tmp_path / "chain19.mlm")],
+                "excluded-middle: satisfied\ntheory satisfied: 1 axiom(s) checked"),
+        }[case]
+        # a fresh wrapper process, so that its RUSAGE_CHILDREN peak is that
+        # of its one mulogic child
+        wrapper = (
+            "import json, resource, subprocess, sys\n"
+            "done = subprocess.run([sys.executable, '-m', 'mulogic', *sys.argv[1:]],"
+            " capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "kib = peak // 1024 if sys.platform == 'darwin' else peak\n"
+            "print(json.dumps([done.returncode, done.stdout + done.stderr, kib // 1024]))\n"
+        )
+        proc = self._run_python("-c", wrapper, *args)
+        code, got, peak_mb = json.loads(proc.stdout)
+        assert (code, got) == (0, want + "\n")
+        assert peak_mb < 64, f"peak RSS {peak_mb} MB, not under 64 MB"
 
     def test_usage_error(self):
         proc = self._run()

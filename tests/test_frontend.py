@@ -208,6 +208,18 @@ class TestParsePattern:
         p = parse_pattern("\\mu B0", std_sig, expect_sort=nat)
         assert p.sort == nat
 
+    def test_binder_body_is_checked_against_the_expected_sort(self, std_sig):
+        # a binder passes its expected sort to its body instead of inferring
+        # one from it, so an unannotated fixpoint under it needs no
+        # annotation, and a body of another sort is a mismatch at the body
+        nat = std_sig.sort("Nat")
+        for text in ("\\exists{Bool} \\mu B0", "\\forall{Bool} \\nu B0"):
+            p = parse_pattern(text, std_sig, expect_sort=nat)
+            assert p.sort == nat and p.is_closed
+        (diag,) = diag_of(lambda: parse_pattern("\\and(true(), \\exists{Nat} O())", std_sig))
+        assert (diag.code, diag.span, diag.message) == (
+            "sort-mismatch", (1, 27, 1), "application of O has sort Nat, expected Bool")
+
     def test_expected_sort_mismatch(self, std_sig):
         bool_ = std_sig.sort("Bool")
         with pytest.raises(ParseError) as err:

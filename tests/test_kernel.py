@@ -1,13 +1,16 @@
 import random
 import sys
+import warnings
 
 import pytest
 
 from mulogic import (
     And,
+    CarrierSet,
     ElemVar,
     MuCheck,
     SetVar,
+    Signature,
     Sort,
     Valuation,
     bevar_subst,
@@ -39,6 +42,7 @@ from mulogic import (
     mk_or,
     mk_subseteq,
     mk_top,
+    parse_pattern,
     print_pattern,
     size,
     structural_eq,
@@ -50,10 +54,24 @@ from mulogic.errors import (
     BinderSortMismatchError,
     ContextMismatchError,
     IndexOutOfScopeError,
+    MuLogicError,
+    NonPositiveMuWarning,
     SlotNotFoundError,
     SortMismatchError,
 )
-from mulogic.pattern import Defined, Exists, FreeSVar, Mu, fold_pattern, walk
+from mulogic.pattern import (
+    App,
+    BoundEVar,
+    BoundSVar,
+    Defined,
+    Exists,
+    FreeEVar,
+    FreeSVar,
+    Mu,
+    Not,
+    fold_pattern,
+    walk,
+)
 from gen import (
     iter_nodes,
     random_context,
@@ -61,7 +79,14 @@ from gen import (
     random_positive_mu,
     random_signature,
 )
-from reference import ref_equal, ref_facts, ref_free_var_sets, ref_repr
+from reference import (
+    ref_equal,
+    ref_eval_pattern,
+    ref_facts,
+    ref_free_var_sets,
+    ref_repr,
+    ref_well_sorted,
+)
 
 
 @pytest.fixture
@@ -206,6 +231,107 @@ def _set_over_a_larger_carrier(sig, nat, bool_):
 def test_ill_formed_construction_is_refused(std_sig, nat, bool_, attempt, error):
     with pytest.raises(error):
         attempt(std_sig, nat, bool_)
+
+
+def _o(sig, ex=(), mu=()):
+    return mk_app(sig, sig.symbol("O"), [], ex, mu)
+
+
+def _t(sig, ex=(), mu=()):
+    return mk_app(sig, sig.symbol("true"), [], ex, mu)
+
+
+# (id, attempt(sig, nat, bool_), exception class, exact message): one row
+# per refusal branch of the node constructors
+_REFUSALS = [
+    ("free-evar-sort", lambda s, n, b: FreeEVar(b, (), (), ElemVar("x", n)),
+     SortMismatchError, "free element variable x:Nat cannot have sort Bool"),
+    ("free-svar-sort", lambda s, n, b: FreeSVar(b, (), (), SetVar("X", n)),
+     SortMismatchError, "free set variable #X:Nat cannot have sort Bool"),
+    ("bound-evar-past-scope", lambda s, n, b: BoundEVar(n, (n,), (), 1),
+     IndexOutOfScopeError, "bound element variable b1 out of scope (context has 1 entries)"),
+    ("bound-evar-negative", lambda s, n, b: BoundEVar(n, (n,), (), -1),
+     IndexOutOfScopeError, "bound element variable b-1 out of scope (context has 1 entries)"),
+    ("bound-evar-reads-ex", lambda s, n, b: BoundEVar(n, (), (n,), 0),
+     IndexOutOfScopeError, "bound element variable b0 out of scope (context has 0 entries)"),
+    ("mk-bound-evar-past-scope", lambda s, n, b: mk_bound_evar((n,), (), 3),
+     IndexOutOfScopeError, "bound element variable b3 out of scope (context has 1 entries)"),
+    ("bound-evar-sort", lambda s, n, b: BoundEVar(b, (n,), (), 0),
+     SortMismatchError, "bound element variable b0 has sort Nat, not Bool"),
+    ("bound-svar-past-scope", lambda s, n, b: BoundSVar(n, (), (n,), 1),
+     IndexOutOfScopeError, "bound set variable B1 out of scope (context has 1 entries)"),
+    ("bound-svar-negative", lambda s, n, b: BoundSVar(n, (), (n,), -1),
+     IndexOutOfScopeError, "bound set variable B-1 out of scope (context has 1 entries)"),
+    ("bound-svar-reads-mu", lambda s, n, b: BoundSVar(n, (n,), (), 0),
+     IndexOutOfScopeError, "bound set variable B0 out of scope (context has 0 entries)"),
+    ("mk-bound-svar-past-scope", lambda s, n, b: mk_bound_svar((), (n, b), 2),
+     IndexOutOfScopeError, "bound set variable B2 out of scope (context has 2 entries)"),
+    ("bound-svar-sort", lambda s, n, b: BoundSVar(b, (), (n, b), 0),
+     SortMismatchError, "bound set variable B0 has sort Nat, not Bool"),
+    ("app-arity", lambda s, n, b: App(b, (), (), s.symbol("isZero"), ()),
+     ArityMismatchError, "isZero expects 1 arguments, got 0"),
+    ("app-result-sort", lambda s, n, b: App(n, (), (), s.symbol("isZero"), (_o(s),)),
+     SortMismatchError, "application of isZero has sort Bool, not Nat"),
+    ("app-argument-sort", lambda s, n, b: App(n, (), (), s.symbol("plus"), (_o(s), _t(s))),
+     ArgSortMismatchError, "argument 1 of plus must have sort Nat, got Bool"),
+    ("app-argument-ex", lambda s, n, b: App(n, (), (), s.symbol("plus"), (_o(s), _o(s, ex=(n,)))),
+     ContextMismatchError, "argument 1 of plus lives in a different context"),
+    ("app-argument-mu", lambda s, n, b: App(n, (), (), s.symbol("S"), (_o(s, mu=(b,)),)),
+     ContextMismatchError, "argument 0 of S lives in a different context"),
+    ("not-sort", lambda s, n, b: Not(n, (), (), _t(s)),
+     SortMismatchError, "negation requires sort Nat, got Bool"),
+    ("not-ex", lambda s, n, b: Not(b, (), (), _t(s, ex=(n,))),
+     ContextMismatchError, "negation child lives in a different context"),
+    ("not-mu", lambda s, n, b: Not(b, (), (), _t(s, mu=(n,))),
+     ContextMismatchError, "negation child lives in a different context"),
+    ("and-left-sort", lambda s, n, b: And(b, (), (), _o(s), _t(s)),
+     SortMismatchError, "conjunction requires sort Bool, got Nat"),
+    ("and-right-sort", lambda s, n, b: And(b, (), (), _t(s), _o(s)),
+     SortMismatchError, "conjunction requires sort Bool, got Nat"),
+    ("and-left-ex", lambda s, n, b: And(b, (), (), _t(s, ex=(n,)), _t(s)),
+     ContextMismatchError, "conjunction child lives in a different context"),
+    ("and-right-mu", lambda s, n, b: And(b, (), (), _t(s), _t(s, mu=(n,))),
+     ContextMismatchError, "conjunction child lives in a different context"),
+    ("exists-binder-sort", lambda s, n, b: Exists(n, (), (), b, _o(s, ex=(n,))),
+     BinderSortMismatchError, "exists binder over Bool does not match the body context ['Nat']"),
+    ("exists-binder-missing", lambda s, n, b: Exists(n, (), (), n, _o(s)),
+     BinderSortMismatchError, "exists binder over Nat does not match the body context []"),
+    ("exists-binder-tail", lambda s, n, b: Exists(n, (b,), (), n, _o(s, ex=(n,))),
+     BinderSortMismatchError, "exists binder over Nat does not match the body context ['Nat']"),
+    ("exists-binder-in-mu", lambda s, n, b: Exists(n, (), (), n, _o(s, mu=(n,))),
+     BinderSortMismatchError, "exists binder over Nat does not match the body context []"),
+    ("exists-other-context", lambda s, n, b: Exists(n, (), (), n, _o(s, (n,), (b,))),
+     ContextMismatchError, "exists body has a different mu context"),
+    ("exists-sort", lambda s, n, b: Exists(b, (), (), n, _o(s, ex=(n,))),
+     SortMismatchError, "exists inherits the sort of its body"),
+    ("mu-binder-sort", lambda s, n, b: Mu(n, (), (), _o(s, mu=(b,))),
+     BinderSortMismatchError, "mu binder of sort Nat does not match the body context ['Bool']"),
+    ("mu-binder-missing", lambda s, n, b: Mu(n, (), (), _o(s)),
+     BinderSortMismatchError, "mu binder of sort Nat does not match the body context []"),
+    ("mu-binder-tail", lambda s, n, b: Mu(n, (), (b,), _o(s, mu=(n,))),
+     BinderSortMismatchError, "mu binder of sort Nat does not match the body context ['Nat']"),
+    ("mu-binder-in-ex", lambda s, n, b: Mu(n, (), (), _o(s, ex=(n,))),
+     BinderSortMismatchError, "mu binder of sort Nat does not match the body context []"),
+    ("mu-other-context", lambda s, n, b: Mu(n, (), (), _o(s, (b,), (n,))),
+     ContextMismatchError, "mu body has a different ex context"),
+    ("mu-sort", lambda s, n, b: Mu(b, (), (), _o(s, mu=(b,))),
+     SortMismatchError, "mu inherits the sort of its body"),
+    ("defined-ex", lambda s, n, b: Defined(b, (), (), _o(s, ex=(n,))),
+     ContextMismatchError, "definedness body has a different context"),
+    ("defined-mu", lambda s, n, b: Defined(b, (), (), _o(s, mu=(n,))),
+     ContextMismatchError, "definedness body has a different context"),
+]
+
+
+@pytest.mark.parametrize("attempt, error, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in _REFUSALS])
+def test_each_refusal_has_its_exact_error(std_sig, nat, bool_, attempt, error, message):
+    with pytest.raises(MuLogicError) as err:
+        attempt(std_sig, nat, bool_)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if error is ArgSortMismatchError:
+        assert err.value.position == 1
 
 
 def test_free_evar_identity_includes_sort(nat, bool_):
@@ -611,3 +737,119 @@ def test_repr_of_each_node_kind(std_sig, nat, bool_):
     for p, text in cases:
         assert repr(p) == text == ref_repr(p)
     assert repr(zero) == f"SymbolDecl(name='O', params=(), result={N}, id=4)"
+
+
+# --- the sorting judgement, checked exhaustively to size 3 -----------------
+
+
+def _judged_signature() -> Signature:
+    sig = Signature()
+    a, b = sig.declare_sort("A"), sig.declare_sort("B")
+    sig.declare_symbol("c", [], a)
+    sig.declare_symbol("f", [a], b)
+    sig.declare_symbol("g", [a, b], a)
+    return sig
+
+
+def _candidates(sig, size, accepted):
+    """``(node class, constructor arguments)`` for every candidate node of
+    ``size``: each sort and pair of contexts of length 0 or 1, with leaves
+    of every index in -1..1 and free variables of either sort, and inner
+    nodes over the accepted nodes of ``size - 1`` (both operands of size 1
+    for ``And`` and ``g``)."""
+    sorts = (sig.sort("A"), sig.sort("B"))
+    ctxs = ((), *((s,) for s in sorts))
+    if size == 1:
+        fields = [(FreeEVar, (ElemVar("x", s),)) for s in sorts]
+        fields += [(FreeSVar, (SetVar("X", s),)) for s in sorts]
+        fields += [(kind, (i,)) for kind in (BoundEVar, BoundSVar) for i in (-1, 0, 1)]
+        fields.append((App, (sig.symbol("c"), ())))
+    else:
+        kids = accepted[size - 1]
+        fields = [(kind, (kid,)) for kind in (Not, Mu, Defined) for kid in kids]
+        fields += [(Exists, (s, kid)) for s in sorts for kid in kids]
+        fields += [(App, (sig.symbol("f"), (kid,))) for kid in kids]
+        if size == 3:
+            pairs = [(left, right) for left in accepted[1] for right in accepted[1]]
+            fields += [(And, pair) for pair in pairs]
+            fields += [(App, (sig.symbol("g"), pair)) for pair in pairs]
+    for sort in sorts:
+        for ex in ctxs:
+            for mu in ctxs:
+                for kind, rest in fields:
+                    yield kind, (sort, ex, mu, *rest)
+
+
+@pytest.fixture(scope="module")
+def judged():
+    """The signature, the number of candidates, every candidate on which the
+    kernel and ``ref_well_sorted`` disagree, and the accepted nodes by size.
+    A refusal that is not a ``MuLogicError`` propagates."""
+    sig = _judged_signature()
+    accepted: dict[int, list] = {}
+    disagreements, count = [], 0
+    for size in (1, 2, 3):
+        accepted[size] = []
+        for kind, args in _candidates(sig, size, accepted):
+            count += 1
+            try:
+                node = kind(*args)
+            except MuLogicError:
+                node = None
+            if (node is not None) != ref_well_sorted(kind.__name__, *args):
+                disagreements.append((kind.__name__, args))
+            if node is not None:
+                accepted[size].append(node)
+    return sig, count, disagreements, accepted
+
+
+def test_kernel_builds_exactly_the_well_sorted_nodes(judged):
+    _, count, disagreements, accepted = judged
+    assert disagreements == []
+    assert count == 152_154
+    assert [len(accepted[size]) for size in (1, 2, 3)] == [57, 267, 1454]
+
+
+def _outcome(evaluate, model, rho, p, mode):
+    """The denotation, or the type of the ``MuLogicError`` raised."""
+    try:
+        return evaluate(model, rho, p, mode)
+    except MuLogicError as err:
+        return type(err)
+
+
+def test_closed_well_sorted_nodes_denote_sets_of_their_sort(judged):
+    sig, _, _, accepted = judged
+    a, b = sig.sort("A"), sig.sort("B")
+    model = build_model(sig, {"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}, {
+        "c": {(): ["a0"]},
+        "f": {("a0",): ["b0", "b1"]},
+        "g": {("a0", "b0"): ["a1"], ("a1", "b1"): ["a0", "a1"], ("a0", "b2"): ["a0"]},
+    })
+    rho = Valuation(
+        {ElemVar("x", a): model.elem(a, "a1"), ElemVar("x", b): model.elem(b, "b2")},
+        {SetVar("X", a): model.set_of(a, [model.elem(a, "a0")]),
+         SetVar("X", b): model.set_of(b, [model.elem(b, "b0"), model.elem(b, "b2")])},
+    )
+    closed = [p for size in (1, 2, 3) for p in accepted[size] if p.is_closed]
+    refused = 0
+    for p in closed:
+        for mode in ("iterate", "prefix"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonPositiveMuWarning)
+                got = _outcome(eval_pattern, model, rho, p, mode)
+                want = _outcome(ref_eval_pattern, model, rho, p, mode)
+            assert got == want, (print_pattern(p), mode)
+            if type(got) is CarrierSet:
+                assert got.sort is p.sort and got.width == model.carrier_size(p.sort)
+            else:
+                refused += 1
+    assert (len(closed), refused) == (288, 2)
+
+
+def test_closed_well_sorted_nodes_print_and_parse_back(judged):
+    sig, _, _, accepted = judged
+    for size in (1, 2, 3):
+        for p in accepted[size]:
+            if p.is_closed:
+                assert parse_pattern(print_pattern(p), sig) == p
