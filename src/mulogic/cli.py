@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import MuLogicError
+from .errors import MuLogicError, NonPositiveMuWarning
 from .model import FiniteModel
 from .parser import ParseError, parse_binding, parse_model, parse_pattern, parse_theory
 from .pattern import check_mu_positivity
@@ -154,19 +156,53 @@ def _print_diagnostics(path: str, diagnostics) -> None:
         print(f"{path}:{diag}", file=sys.stderr)
 
 
-def _cmd_check(args) -> int:
-    path = args.theory
-    theory = _load(path, parse_theory)
+def _report_positivity(source: str, named_patterns) -> bool:
+    """Print a ``warning[positivity]`` diagnostic for each non-positive mu
+    binder of each ``(what, pattern)``; return whether there was one."""
     warned = False
-    for axiom in theory.axioms:
-        for mu_path in check_mu_positivity(axiom.pattern).negative_paths():
+    for what, pattern in named_patterns:
+        for mu_path in check_mu_positivity(pattern).negative_paths():
             warned = True
             where = "/".join(str(i) for i in mu_path) or "root"
             print(
-                f"{path}: warning[positivity]: axiom {axiom.label!r}: "
+                f"{source}: warning[positivity]: {what}"
                 f"non-positive mu binder at node {where}",
                 file=sys.stderr,
             )
+    return warned
+
+
+@contextmanager
+def _positivity_reported():
+    """Run an evaluation whose non-positive binders are reported already.
+    Its ``NonPositiveMuWarning`` is never raised, whatever the warning
+    filters, and Python prints nothing for it; a caller of :func:`main`
+    that records warnings still receives it."""
+    format_warning = warnings.formatwarning
+
+    def silent(message, category, *rest):
+        if issubclass(category, NonPositiveMuWarning):
+            return ""
+        return format_warning(message, category, *rest)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", NonPositiveMuWarning)
+        warnings.formatwarning = silent
+        try:
+            yield
+        finally:
+            warnings.formatwarning = format_warning
+
+
+def _axioms(theory, labels=None):
+    return [(f"axiom {axiom.label!r}: ", axiom.pattern) for axiom in theory.axioms
+            if labels is None or axiom.label in labels]
+
+
+def _cmd_check(args) -> int:
+    path = args.theory
+    theory = _load(path, parse_theory)
+    warned = _report_positivity(path, _axioms(theory))
     sig = theory.signature
     print(
         f"{path}: ok ({len(sig.sorts)} sort(s), {len(sig.symbols)} symbol(s), "
@@ -210,9 +246,12 @@ def _cmd_eval(args) -> int:
         return 1
     try:
         rho = _parse_bindings(args, model)
-        result = eval_pattern(
-            model, rho, pattern, lfp_mode=args.lfp, prefix_cap=args.prefix_cap
-        )
+        if args.lfp == LFP_PREFIX:
+            _report_positivity("<pattern>", [("", pattern)])
+        with _positivity_reported():
+            result = eval_pattern(
+                model, rho, pattern, lfp_mode=args.lfp, prefix_cap=args.prefix_cap
+            )
     except MuLogicError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -229,14 +268,17 @@ def _cmd_satisfies(args) -> int:
         if missing:
             print(f"error: no such axiom(s): {', '.join(missing)}", file=sys.stderr)
             return 1
-    report = satisfies(
-        model,
-        theory,
-        labels=args.axiom,
-        lfp_mode=args.lfp,
-        prefix_cap=args.prefix_cap,
-        state_cap=args.cap,
-    )
+    if args.lfp == LFP_PREFIX:
+        _report_positivity(args.theory, _axioms(theory, args.axiom))
+    with _positivity_reported():
+        report = satisfies(
+            model,
+            theory,
+            labels=args.axiom,
+            lfp_mode=args.lfp,
+            prefix_cap=args.prefix_cap,
+            state_cap=args.cap,
+        )
     if args.report == "json":
         payload = {
             "satisfied": report.satisfied,

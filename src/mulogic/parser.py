@@ -40,6 +40,10 @@ The tokenizer makes one pass of a single regex over the text, takes each
 column as the offset from its line's start, and emits plain ``__slots__``
 token records.  The frontend has no nesting limit: its pattern routines
 are generators that one driver, ``_run``, runs on an explicit stack.
+
+Model files have a second reader: one ``_MODEL_LINE_RE`` match per line
+reads a well-formed file without making tokens, and any file it cannot
+read goes to the token path, which alone reports diagnostics.
 """
 
 from __future__ import annotations
@@ -657,8 +661,108 @@ def parse_model(
 
     Returns the model and any warning diagnostics (the totality lint flags
     interpretation tuples left to the default empty set).
+
+    A well-formed file is read one regex match per line.  Any other file,
+    including one ``build_model`` refuses, is read again by the tokenizer,
+    which reports every diagnostic.
     """
     sig = theory.signature
+    read = _read_model_lines(text, sig)
+    model = None
+    if read is not None:
+        try:
+            model = build_model(sig, read[0], read[1])
+        except MuLogicError:
+            pass  # the token path says why
+    if model is None:
+        read = _parse_model_tokens(text, sig)
+        model = build_model(sig, read[0], read[1])
+    carriers, interps, interp_lines = read
+
+    warnings_out: list[Diagnostic] = []
+    if lint_totality:
+        for symbol in sig.symbols:
+            table = interps.get(symbol.name, {})
+            domains = [carriers[param.name] for param in symbol.params]
+            for combo in itertools.product(*domains):
+                if combo not in table:
+                    warnings_out.append(Diagnostic(
+                        "warning",
+                        interp_lines.get(symbol.name, (1, 1, 1)),
+                        "totality",
+                        f"{symbol.name}({', '.join(combo)}) is not listed; "
+                        "it defaults to the empty set"))
+    return model, warnings_out
+
+
+# A model file's data: its carriers' labels in order, its tables and each
+# symbol's first ``interp`` span, all by name.
+_ModelData = tuple[dict[str, Sequence[str]],
+                   dict[str, dict[tuple[str, ...], list[str]]], dict[str, Span]]
+
+# One line of a model file: a ``model``, ``carrier`` or ``interp`` line or
+# none, then an optional comment.  Names and labels are ASCII words that the
+# tokenizer reads as one token of the same text, so no name has the shape of
+# a bound variable (``b1``) and no label holds a quote or a hyphen.
+_NAME = r"(?![bB][0-9]+(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
+_LABELS = r"[ \t\r]*(?:[A-Za-z0-9_]+[ \t\r]*(?:,[ \t\r]*[A-Za-z0-9_]+[ \t\r]*)*)?"
+_MODEL_LINE_RE = re.compile(
+    rf"[ \t\r]*(?:model[ \t\r]+(?P<model>{_NAME}(?:-[A-Za-z0-9_]+)*)"
+    rf"|carrier[ \t\r]+(?P<sort>{_NAME})[ \t\r]*=[ \t\r]*\{{(?P<carrier>{_LABELS})\}}"
+    rf"|interp[ \t\r]+(?P<symbol>{_NAME})[ \t\r]*\((?P<args>{_LABELS})\)"
+    rf"[ \t\r]*=[ \t\r]*\{{(?P<values>{_LABELS})\}})?[ \t\r]*(?://.*)?"
+)
+
+
+def _split_labels(group: str) -> list[str]:
+    # the group matched _LABELS, so its only whitespace is [ \t\r]
+    joined = "".join(group.split())
+    return joined.split(",") if joined else []
+
+
+def _read_model_lines(text: str, sig: Signature) -> _ModelData | None:
+    """A model file's data read with one ``_MODEL_LINE_RE`` match per
+    line, or None for the token path to read: a line that does not match,
+    a second ``model`` or ``carrier`` line, a repeated ``interp`` key, an
+    undeclared symbol, or a symbol's first ``interp`` line above a carrier
+    of its sorts.  What ``build_model`` refuses is left to it."""
+    carriers: dict[str, list[str]] = {}
+    interps: dict[str, dict[tuple[str, ...], list[str]]] = {}
+    interp_lines: dict[str, Span] = {}
+    named = False
+    for number, line in enumerate(text.split("\n"), 1):
+        m = _MODEL_LINE_RE.fullmatch(line)
+        if m is None:
+            return None
+        name = m["symbol"]
+        if name is not None:
+            table = interps.get(name)
+            if table is None:
+                if not sig.has_symbol(name):
+                    return None
+                symbol = sig.symbol(name)
+                if any(s.name not in carriers for s in (*symbol.params, symbol.result)):
+                    return None
+                table = interps[name] = {}
+                interp_lines[name] = (number, m.start("symbol") + 1, len(name))
+            key = tuple(_split_labels(m["args"]))
+            if key in table:
+                return None
+            table[key] = _split_labels(m["values"])
+        elif m["sort"] is not None:
+            if m["sort"] in carriers:
+                return None
+            carriers[m["sort"]] = _split_labels(m["carrier"])
+        elif m["model"] is not None:
+            if named:
+                return None
+            named = True
+    return carriers, interps, interp_lines
+
+
+def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
+    """A model file's data read from tokens; raises :class:`ParseError`
+    carrying every diagnostic found."""
     carriers: dict[str, dict[str, None]] = {}  # labels in declaration order
     carrier_lines: set[str] = set()
     interps: dict[str, dict[tuple[str, ...], list[str]]] = {}
@@ -685,23 +789,7 @@ def parse_model(
                 f"sort {sort.name} declares no carrier"))
     if diagnostics:
         raise ParseError(diagnostics)
-
-    model = build_model(sig, carriers, interps)
-
-    warnings_out: list[Diagnostic] = []
-    if lint_totality:
-        for symbol in sig.symbols:
-            table = interps.get(symbol.name, {})
-            domains = [carriers[param.name] for param in symbol.params]
-            for combo in itertools.product(*domains):
-                if combo not in table:
-                    warnings_out.append(Diagnostic(
-                        "warning",
-                        interp_lines.get(symbol.name, (1, 1, 1)),
-                        "totality",
-                        f"{symbol.name}({', '.join(combo)}) is not listed; "
-                        "it defaults to the empty set"))
-    return model, warnings_out
+    return carriers, interps, interp_lines
 
 
 _LABEL_KINDS = ("name", "number", "bevar", "bsvar")

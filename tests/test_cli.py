@@ -454,3 +454,32 @@ class TestSubprocess:
         assert expected in proc.stdout + proc.stderr
         if code == 0:
             assert proc.stdout + proc.stderr == expected + "\n"
+
+    @pytest.mark.parametrize("filters", ["error", "default"])
+    def test_positivity_warnings_are_diagnostics(self, tmp_path, monkeypatch, filters):
+        # each non-positive binder is reported by axiom label, in check's
+        # form; Python neither raises nor prints the library's warning
+        monkeypatch.setenv("PYTHONWARNINGS", filters)
+        theory, model = tmp_path / "neg.mlt", tmp_path / "one.mlm"
+        theory.write_text(
+            "sort Nat\nsymbol O : -> Nat\n"
+            "axiom neg [Nat] \\mu{Nat} \\not(B0)\n"
+            "axiom zero [Nat] \\or(O(), \\not(O()))\n"
+            "axiom neg-below [Nat] \\or(O(), \\mu{Nat} \\not(B0))\n"
+        )
+        model.write_text("model one\ncarrier Nat = { 0 }\ninterp O() = { 0 }\n")
+        warning = f"{theory}: warning[positivity]: axiom {{!r}}: non-positive mu binder at node {{}}\n"
+        both = warning.format("neg", "root") + warning.format("neg-below", "0/1/0")
+        sat = ["satisfies", str(theory), str(model)]
+
+        proc = self._run(*sat, "--lfp", "prefix")
+        assert (proc.returncode, proc.stderr) == (0, both)
+        assert proc.stdout.endswith("theory satisfied: 3 axiom(s) checked\n")
+        proc = self._run(*sat, "--lfp", "prefix", "--axiom", "neg-below", "--report", "json")
+        assert (proc.returncode, proc.stderr) == (0, warning.format("neg-below", "0/1/0"))
+        assert [a["label"] for a in json.loads(proc.stdout)["axioms"]] == ["neg-below"]
+        proc = self._run(*sat)  # iterate refuses the binder as an error verdict
+        assert (proc.returncode, proc.stderr) == (1, "")
+        proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, "\\mu{Nat} \\not(B0)", "--lfp", "prefix")
+        assert (proc.returncode, proc.stdout) == (0, "{ 0, 1, 2, 3 }\n")
+        assert proc.stderr == "<pattern>: warning[positivity]: non-positive mu binder at node root\n"

@@ -227,6 +227,10 @@ def _set_over_a_larger_carrier(sig, nat, bool_):
     pytest.param(lambda sig, nat, bool_: fevar_subst(
         mk_bound_evar((nat,), (), 0), ElemVar("x", nat), mk_free_evar(ElemVar("x", nat))),
         SlotNotFoundError, id="fevar-subst-open-replacement"),
+    pytest.param(lambda sig, nat, bool_: fevar_subst(
+        mk_bound_evar((nat,), (), 0), ElemVar("x", nat),
+        mk_free_evar(ElemVar("x", nat), ex=(bool_,))),
+        SlotNotFoundError, id="fevar-subst-replacement-context-not-a-suffix"),
 ])
 def test_ill_formed_construction_is_refused(std_sig, nat, bool_, attempt, error):
     with pytest.raises(error):
