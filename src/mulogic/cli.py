@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import MuLogicError, NonPositiveMuWarning
@@ -172,26 +171,17 @@ def _report_positivity(source: str, named_patterns) -> bool:
     return warned
 
 
-@contextmanager
-def _positivity_reported():
-    """Run an evaluation whose non-positive binders are reported already.
-    Its ``NonPositiveMuWarning`` is never raised, whatever the warning
-    filters, and Python prints nothing for it; a caller of :func:`main`
-    that records warnings still receives it."""
-    format_warning = warnings.formatwarning
-
-    def silent(message, category, *rest):
-        if issubclass(category, NonPositiveMuWarning):
-            return ""
-        return format_warning(message, category, *rest)
-
+def _evaluate(args, source: str, named_patterns, call, *call_args, **kwargs):
+    """``call`` (``eval_pattern`` or ``satisfies``) under the fixpoint
+    engine of ``args``.  Under ``--lfp prefix`` a ``warning[positivity]``
+    line is printed first for each non-positive binder of
+    ``named_patterns``; the call's ``NonPositiveMuWarning`` would say the
+    same, so it is ignored, whatever the warning filters."""
+    if args.lfp == LFP_PREFIX:
+        _report_positivity(source, named_patterns)
     with warnings.catch_warnings():
-        warnings.simplefilter("always", NonPositiveMuWarning)
-        warnings.formatwarning = silent
-        try:
-            yield
-        finally:
-            warnings.formatwarning = format_warning
+        warnings.simplefilter("ignore", NonPositiveMuWarning)
+        return call(*call_args, lfp_mode=args.lfp, prefix_cap=args.prefix_cap, **kwargs)
 
 
 def _axioms(theory, labels=None):
@@ -215,28 +205,41 @@ def _cmd_check(args) -> int:
 
 def _parse_bindings(args, model: FiniteModel) -> Valuation:
     rho = Valuation.empty()
-    for text in args.evar_bindings:
-        name, sort, labels = _binding(model, text, "-v", "x:Sort=elem")
-        rho = rho.update_evar(ElemVar(name, sort), model.elem(sort, labels[0]))
-    for text in args.svar_bindings:
-        name, sort, labels = _binding(model, text, "-V", "X:Sort={e1,e2}")
-        elems = [model.elem(sort, label) for label in labels]
-        rho = rho.update_svar(SetVar(name, sort), model.set_of(sort, elems))
+    for flag, texts in (("-v", args.evar_bindings), ("-V", args.svar_bindings)):
+        for text in texts:
+            var, value = _binding(model, text, flag)
+            if rho.binds(var):
+                print(f"error: {var} is bound twice", file=sys.stderr)
+                raise _Exit(1)
+            rho = rho.update_evar(var, value) if flag == "-v" else rho.update_svar(var, value)
     return rho
 
 
-def _binding(model: FiniteModel, text: str, flag: str, want: str):
+def _binding(model: FiniteModel, text: str, flag: str):
+    """The variable and the value of the ``-v`` or ``-V`` binding ``text``."""
+    braced = flag == "-V"
     try:
-        name, sort_name, labels = parse_binding(text, braced=flag == "-V")
+        name, sort_name, labels = parse_binding(text, braced=braced)
     except ParseError:
+        want = "X:Sort={e1,e2}" if braced else "x:Sort=elem"
         print(f"error: malformed {flag} binding {text!r} (want {want})", file=sys.stderr)
         raise _Exit(1) from None
-    return name, model.signature.sort(sort_name), labels
+    sort = model.signature.sort(sort_name)
+    elems = [model.elem(sort, label) for label in labels]
+    if braced:
+        return SetVar(name, sort), model.set_of(sort, elems)
+    return ElemVar(name, sort), elems[0]
+
+
+def _load_inputs(args):
+    """The theory and the model that ``args`` name."""
+    theory = _load(args.theory, parse_theory)
+    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
+    return theory, model
 
 
 def _cmd_eval(args) -> int:
-    theory = _load(args.theory, parse_theory)
-    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
+    theory, model = _load_inputs(args)
     # "-" is not pattern syntax, so it can stand for stdin
     text = _read(None) if args.pattern == "-" else args.pattern
     try:
@@ -246,12 +249,7 @@ def _cmd_eval(args) -> int:
         return 1
     try:
         rho = _parse_bindings(args, model)
-        if args.lfp == LFP_PREFIX:
-            _report_positivity("<pattern>", [("", pattern)])
-        with _positivity_reported():
-            result = eval_pattern(
-                model, rho, pattern, lfp_mode=args.lfp, prefix_cap=args.prefix_cap
-            )
+        result = _evaluate(args, "<pattern>", [("", pattern)], eval_pattern, model, rho, pattern)
     except MuLogicError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -260,25 +258,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_satisfies(args) -> int:
-    theory = _load(args.theory, parse_theory)
-    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
+    theory, model = _load_inputs(args)
     if args.axiom:
         known = {axiom.label for axiom in theory.axioms}
         missing = [label for label in args.axiom if label not in known]
         if missing:
             print(f"error: no such axiom(s): {', '.join(missing)}", file=sys.stderr)
             return 1
-    if args.lfp == LFP_PREFIX:
-        _report_positivity(args.theory, _axioms(theory, args.axiom))
-    with _positivity_reported():
-        report = satisfies(
-            model,
-            theory,
-            labels=args.axiom,
-            lfp_mode=args.lfp,
-            prefix_cap=args.prefix_cap,
-            state_cap=args.cap,
-        )
+    report = _evaluate(args, args.theory, _axioms(theory, args.axiom), satisfies,
+                       model, theory, labels=args.axiom, state_cap=args.cap)
     if args.report == "json":
         payload = {
             "satisfied": report.satisfied,

@@ -201,23 +201,19 @@ class _TokenStream:
         self._end_span = end_span
 
     def peek(self) -> Token | None:
-        pos = self._pos
-        return self._tokens[pos] if pos < len(self._tokens) else None
+        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
 
     def at(self, punct: str) -> bool:
         """Whether the next token is the punctuation ``punct``."""
-        pos = self._pos
-        if pos >= len(self._tokens):
-            return False
-        tok = self._tokens[pos]
-        return tok.kind == "punct" and tok.text == punct
+        tok = self.peek()
+        return tok is not None and tok.kind == "punct" and tok.text == punct
 
     def next(self, what: str) -> Token:
-        pos = self._pos
-        if pos >= len(self._tokens):
+        tok = self.peek()
+        if tok is None:
             raise _err(self._end_span, "syntax", f"expected {what}, found end of input")
-        self._pos = pos + 1
-        return self._tokens[pos]
+        self._pos += 1
+        return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
         label = what or (text if text is not None else kind)
@@ -249,14 +245,13 @@ def _delimited(ts: _TokenStream, open_: str, close: str) -> Iterator[None]:
     if ts.at(close):
         ts.next(close)
         return
-    what = f"',' or '{close}'"
     while True:
         yield
-        sep = ts.next(what)
+        sep = ts.next(f"',' or '{close}'")
         if sep.kind == "punct" and sep.text == close:
             return
         if not (sep.kind == "punct" and sep.text == ","):
-            raise _err(sep.span, "syntax", f"expected {what}, found {sep.text!r}")
+            raise _err(sep.span, "syntax", f"expected ',' or '{close}', found {sep.text!r}")
 
 
 def _expect_end(ts: _TokenStream) -> None:

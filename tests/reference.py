@@ -31,6 +31,14 @@ with its own copy of the token regex, counting columns as it goes.
 written out for each kind without the kernel's sharing of rules between
 the ex and mu kinds.  It reads a node's children only for their sorts and
 contexts.
+
+``ref_free_subst`` and ``ref_bound_subst`` are the free- and bound-variable
+substitutions of ``mulogic.subst``, each a plain recursion from the root
+that counts the binders of each kind it has passed: a bound variable
+points into the context the substitution edits when its index is at least
+that count.  The replacement is weakened by ``ref_weaken`` with the same
+count.  A refusal is raised as the ``MuLogicError`` subclass that names
+it, with messages of their own.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from mulogic import (
     BoundSVar,
     CarrierSet,
     Defined,
+    ElemVar,
     Exists,
     FreeEVar,
     FreeSVar,
@@ -63,6 +72,8 @@ from mulogic.errors import (
     NonPositiveMuError,
     NonPositiveMuWarning,
     NotClosedError,
+    SlotNotFoundError,
+    SortMismatchError,
     StateSpaceTooLargeError,
     UnboundFreeVariableError,
 )
@@ -419,3 +430,107 @@ def ref_well_sorted(kind, sort, ex, mu, *fields):
         (body,) = fields
         return fits(body)
     raise ValueError(f"unknown node kind {kind!r}")
+
+
+def _ref_rebuild(p, ex, mu, leaf, dex=0, dmu=0):
+    """``p`` rebuilt through the constructors with the contexts ``ex`` and
+    ``mu`` at its root, each binder prepending its sort to its body's
+    context of its kind, and each variable leaf replaced by ``leaf(node,
+    ex, mu, dex, dmu)``: ``dex`` and ``dmu`` count the ``Exists`` and
+    ``Mu`` binders above the leaf."""
+    kind = type(p)
+    if kind is Exists:
+        body = _ref_rebuild(p.body, (p.binder_sort, *ex), mu, leaf, dex + 1, dmu)
+        return Exists(p.sort, ex, mu, p.binder_sort, body)
+    if kind is Mu:
+        return Mu(p.sort, ex, mu, _ref_rebuild(p.body, ex, (p.sort, *mu), leaf, dex, dmu + 1))
+
+    def sub(q):
+        return _ref_rebuild(q, ex, mu, leaf, dex, dmu)
+
+    if kind is App:
+        return App(p.sort, ex, mu, p.symbol, tuple(map(sub, p.args)))
+    if kind is Not:
+        return Not(p.sort, ex, mu, sub(p.body))
+    if kind is Defined:
+        return Defined(p.sort, ex, mu, sub(p.body))
+    if kind is And:
+        return And(p.sort, ex, mu, sub(p.left), sub(p.right))
+    return leaf(p, ex, mu, dex, dmu)
+
+
+def _ref_moved(node, ex, mu, index=None):
+    """The variable leaf ``node`` with the contexts ``ex`` and ``mu``, and
+    for a bound variable ``index`` in place of its own when given."""
+    kind = type(node)
+    if kind in (FreeEVar, FreeSVar):
+        return kind(node.sort, ex, mu, node.var)
+    return kind(node.sort, ex, mu, node.index if index is None else index)
+
+
+def _ref_head(ctx, tail):
+    """``ctx`` without ``tail`` at its end; a ``SlotNotFoundError`` when
+    ``ctx`` does not end in ``tail``."""
+    cut = len(ctx) - len(tail)
+    if cut < 0 or ctx[cut:] != tail:
+        raise SlotNotFoundError(f"context {list(ctx)} does not end in {list(tail)}")
+    return ctx[:cut]
+
+
+def ref_weaken(psi, ex_head, mu_head):
+    """``psi`` with ``ex_head`` and ``mu_head`` put in front of its
+    contexts: a bound variable that points past the binders above it, into
+    ``psi``'s own context, moves past the new sorts."""
+
+    def leaf(node, ex, mu, dex, dmu):
+        if type(node) is BoundEVar and node.index >= dex:
+            return _ref_moved(node, ex, mu, node.index + len(ex_head))
+        if type(node) is BoundSVar and node.index >= dmu:
+            return _ref_moved(node, ex, mu, node.index + len(mu_head))
+        return _ref_moved(node, ex, mu)
+
+    return _ref_rebuild(psi, (*ex_head, *psi.ex), (*mu_head, *psi.mu), leaf)
+
+
+def ref_free_subst(psi, x, p):
+    """``fevar_subst``/``fsvar_subst``: every free occurrence of ``x`` in
+    ``p`` (a ``FreeEVar`` for an element variable, a ``FreeSVar`` for a
+    set variable) becomes ``psi``, weakened to the occurrence's contexts.
+    ``psi`` must have the sort of ``x`` and contexts that end ``p``'s."""
+    if psi.sort != x.sort:
+        raise SortMismatchError(f"{x} cannot be replaced by a pattern of sort {psi.sort}")
+    _ref_head(p.ex, psi.ex)
+    _ref_head(p.mu, psi.mu)
+    occurrence = FreeEVar if isinstance(x, ElemVar) else FreeSVar
+
+    def leaf(node, ex, mu, dex, dmu):
+        if type(node) is occurrence and node.var == x:
+            return ref_weaken(psi, _ref_head(ex, psi.ex), _ref_head(mu, psi.mu))
+        return node
+
+    return _ref_rebuild(p, p.ex, p.mu, leaf)
+
+
+def ref_bound_subst(kind, psi, p):
+    """``bevar_subst`` (``kind`` is ``BoundEVar``) or ``bsvar_subst``
+    (``BoundSVar``): ``p``'s context of that kind must read ``head +
+    (psi.sort,)`` followed by ``psi``'s, and ``psi``'s other context must
+    end ``p``'s.  The slot leaves every context; a variable of ``kind``
+    that points at it becomes ``psi``, weakened to its contexts, and one
+    that points past it moves down by one."""
+    on_ex = kind is BoundEVar
+    own = psi.ex if on_ex else psi.mu
+    head = _ref_head(p.ex if on_ex else p.mu, (psi.sort, *own))
+    _ref_head(p.mu if on_ex else p.ex, psi.mu if on_ex else psi.ex)
+
+    def leaf(node, ex, mu, dex, dmu):
+        if type(node) is not kind:
+            return _ref_moved(node, ex, mu)
+        slot = (dex if on_ex else dmu) + len(head)
+        if node.index == slot:
+            return ref_weaken(psi, _ref_head(ex, psi.ex), _ref_head(mu, psi.mu))
+        return _ref_moved(node, ex, mu, node.index - (node.index > slot))
+
+    if on_ex:
+        return _ref_rebuild(p, (*head, *own), p.mu, leaf)
+    return _ref_rebuild(p, p.ex, (*head, *own), leaf)

@@ -7,12 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from mulogic.errors import NonPositiveMuWarning
 from mulogic.cli import main
 from mulogic.corpus import corpus_path
 
 NATBOOL_MLT = str(corpus_path("natbool.mlt"))
 NATBOOL_MLM = str(corpus_path("natbool.mlm"))
+
+# two axioms that natbool's model violates, each at one valuation
+PLANTED = (
+    "axiom planted-pair [Bool] \\not(\\and(\\equals{Bool}(x:Nat, S(O())), "
+    "\\equals{Bool}(y:Nat, S(S(O())))))\n"
+    "axiom planted-set [Bool] \\not(\\and(\\equals{Bool}(x:Nat, S(O())), "
+    "\\equals{Bool}(#X:Nat, \\or(O(), S(S(O()))))))\n"
+)
 
 
 @pytest.fixture
@@ -177,6 +184,36 @@ class TestEval:
         assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "isZero(true())"]) == 1
         assert "sort-mismatch" in capsys.readouterr().err
 
+    # (model text or None for natbool's, arguments after the pattern,
+    # exit code, stdout, stderr); {model} in stderr is the model's path
+    @pytest.mark.parametrize("model, args, code, out, err", [
+        pytest.param(None, ["\\mu{Nat} \\not(B0)", "--lfp", "prefix"], 0, "{ 0, 1, 2, 3 }\n",
+                     "<pattern>: warning[positivity]: non-positive mu binder at node root\n",
+                     id="prefix-non-positive"),
+        pytest.param(None, ["plus(x:Nat, #X:Nat)", "-v", "x:Nat=1", "-V", "X:Nat={0,2}"], 0,
+                     "{ 1, 3 }\n", "", id="bindings"),
+        pytest.param(None, ["x:Nat", "-v", "x:Nat=0", "-v", "x:Nat=1"], 1, "",
+                     "error: x:Nat is bound twice\n", id="evar-bound-twice"),
+        pytest.param(None, ["#X:Nat", "-V", "X:Nat={0}", "-V", "X:Nat={1,2}"], 1, "",
+                     "error: #X:Nat is bound twice\n", id="svar-bound-twice"),
+        pytest.param(None, ["\\and(O()"], 1, "",
+                     "<pattern>:1:9: error[syntax]: expected ,, found end of input\n",
+                     id="end-of-input"),
+        pytest.param(None, ["S(O() O())"], 1, "",
+                     "<pattern>:1:7: error[syntax]: expected ',' or ')', found 'O'\n",
+                     id="application-separator"),
+        pytest.param("model bad\ncarrier Nat = { 0 1 }\ncarrier Bool = { t, f }\n", ["O()"], 1,
+                     "", "{model}:2:19: error[syntax]: expected ',' or '}}', found '1'\n",
+                     id="label-separator"),
+    ])
+    def test_output_byte_for_byte(self, tmp_path, capsys, model, args, code, out, err):
+        path = NATBOOL_MLM
+        if model is not None:
+            path = str(tmp_path / "bad.mlm")
+            Path(path).write_text(model)
+        assert main(["eval", NATBOOL_MLT, path, *args]) == code
+        assert capsys.readouterr() == (out, err.format(model=path))
+
 
 # Closed patterns over the natbool corpus model and their denotations,
 # the same under both fixpoint engines.
@@ -280,12 +317,55 @@ class TestSatisfies:
         assert neg["verdict"] == "error" and "got" not in neg and "witness" not in neg
         assert neg["message"].startswith("NonPositiveMuError: ")
         assert zero["verdict"] == "satisfied"
-        with pytest.warns(NonPositiveMuWarning):
-            assert main([*args, "--lfp", "prefix"]) == 0
-        assert "neg: satisfied" in capsys.readouterr().out
+        # the CLI reports the binder itself, and no warning leaves main
+        assert main([*args, "--lfp", "prefix"]) == 0
+        out, err = capsys.readouterr()
+        assert "neg: satisfied" in out
+        assert err == (f"{theory}: warning[positivity]: axiom 'neg': "
+                       "non-positive mu binder at node root\n")
 
     def test_io_failure(self, capsys):
         assert main(["satisfies", NATBOOL_MLT, "/nonexistent.mlm"]) == 2
+
+    @pytest.mark.parametrize("report", ["text", "json"])
+    @pytest.mark.parametrize("lfp", ["iterate", "prefix"])
+    @pytest.mark.parametrize("planted", [False, True], ids=["natbool", "planted"])
+    def test_output_byte_for_byte(self, tmp_path, capsys, planted, lfp, report):
+        carriers = {"Bool": ["t", "f"], "Nat": ["0", "1", "2", "3"]}
+        axioms = [("bool-domain", "Bool"), ("nat-domain", "Nat"), ("isZero-O", "Bool"),
+                  ("isZero-S", "Bool"), ("notb-true", "Bool"), ("notb-false", "Bool"),
+                  ("andb-true", "Bool"), ("plus-O", "Nat")]
+        # label: (the text report's valuation, the JSON report's witness)
+        violated = {}
+        theory = NATBOOL_MLT
+        if planted:
+            theory = str(tmp_path / "planted.mlt")
+            Path(theory).write_text(Path(NATBOOL_MLT).read_text() + PLANTED)
+            axioms += [("planted-pair", "Bool"), ("planted-set", "Bool")]
+            violated = {
+                "planted-pair": ("x:Nat = 1, y:Nat = 2", {"x:Nat": "1", "y:Nat": "2"}),
+                "planted-set": ("x:Nat = 1, #X:Nat = ['0', '2']",
+                                {"x:Nat": "1", "#X:Nat": ["0", "2"]}),
+            }
+        axioms += [(f"definedness/{a}/{b}", b) for a in ("Bool", "Nat") for b in ("Bool", "Nat")]
+        code = main(["satisfies", theory, NATBOOL_MLM, "--lfp", lfp, "--report", report])
+        if report == "text":
+            lines = [f"{label}: violated (got {{ }} with {violated[label][0]})"
+                     if label in violated else f"{label}: satisfied" for label, _ in axioms]
+            verdict = "theory NOT satisfied" if planted else "theory satisfied"
+            out = "\n".join([*lines, f"{verdict}: {len(axioms)} axiom(s) checked"]) + "\n"
+        else:
+            records = []
+            for label, sort in axioms:
+                record = {"label": label, "sort": sort,
+                          "verdict": "violated" if label in violated else "satisfied",
+                          "expected": carriers[sort]}
+                if label in violated:
+                    record.update(got=[], witness=violated[label][1])
+                records.append(record)
+            payload = {"satisfied": not planted, "axioms": records}
+            out = json.dumps(payload, indent=2) + "\n"
+        assert (code, capsys.readouterr()) == (int(planted), (out, ""))
 
     @pytest.mark.parametrize("lfp", ["iterate", "prefix"])
     def test_planted_violations_at_their_valuations(self, tmp_path, capsys, lfp):

@@ -1,6 +1,7 @@
 import random
 import sys
 import warnings
+from functools import partial
 
 import pytest
 
@@ -80,11 +81,14 @@ from gen import (
     random_signature,
 )
 from reference import (
+    ref_bound_subst,
     ref_equal,
     ref_eval_pattern,
     ref_facts,
+    ref_free_subst,
     ref_free_var_sets,
     ref_repr,
+    ref_weaken,
     ref_well_sorted,
 )
 
@@ -814,10 +818,10 @@ def test_kernel_builds_exactly_the_well_sorted_nodes(judged):
     assert [len(accepted[size]) for size in (1, 2, 3)] == [57, 267, 1454]
 
 
-def _outcome(evaluate, model, rho, p, mode):
-    """The denotation, or the type of the ``MuLogicError`` raised."""
+def _outcome(call, *args):
+    """``call(*args)``, or the type of the ``MuLogicError`` it raises."""
     try:
-        return evaluate(model, rho, p, mode)
+        return call(*args)
     except MuLogicError as err:
         return type(err)
 
@@ -857,3 +861,37 @@ def test_closed_well_sorted_nodes_print_and_parse_back(judged):
         for p in accepted[size]:
             if p.is_closed:
                 assert parse_pattern(print_pattern(p), sig) == p
+
+
+def test_substitution_matches_its_reference(judged):
+    # every replacement and target among the judged nodes whose sizes add
+    # up to at most 3, and every size-1 replacement into a size-1 node with
+    # one sort put in front of either context (a context of length 2 has
+    # a slot before a nonempty tail), under both bound substitutions and
+    # the free substitution of each of x and X at either sort
+    sig, _, _, accepted = judged
+    a, b = sig.sort("A"), sig.sort("B")
+    variables = [ElemVar("x", a), ElemVar("x", b), SetVar("X", a), SetVar("X", b)]
+    longer = [ref_weaken(p, *heads) for p in accepted[1]
+              for s in (a, b) for heads in (((s,), ()), ((), (s,)))]
+    disagreements, count, results = [], 0, 0
+    for replacements, targets in ((accepted[1], accepted[1] + accepted[2] + longer),
+                                  (accepted[2], accepted[1])):
+        for psi in replacements:
+            for p in targets:
+                calls = [(bevar_subst, partial(ref_bound_subst, BoundEVar), (psi, p)),
+                         (bsvar_subst, partial(ref_bound_subst, BoundSVar), (psi, p))]
+                calls += [(fevar_subst if isinstance(x, ElemVar) else fsvar_subst,
+                           ref_free_subst, (psi, x, p)) for x in variables]
+                for kernel, reference, args in calls:
+                    got, want = _outcome(kernel, *args), _outcome(reference, *args)
+                    count += 1
+                    if isinstance(want, type):
+                        agree = got is want
+                    else:
+                        results += 1
+                        agree = got == want and (got.ex, got.mu) == (want.ex, want.mu)
+                    if not agree:
+                        disagreements.append((kernel.__name__, args, got, want))
+    assert disagreements == []
+    assert (count, results) == (280_098, 36_936)
