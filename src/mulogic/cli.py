@@ -2,13 +2,14 @@
 
 Exit codes: 0 clean, 1 for diagnostics/violations/evaluation errors, 2 for
 I/O failures (a file, or for ``eval -`` the pattern on stdin, that cannot
-be read or is not UTF-8).
+be read or is not UTF-8; or a stdout whose reader has closed it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -141,18 +142,15 @@ def _read(path: str | None) -> str:
         raise _Exit(2) from None
 
 
-def _load(path: str, parse):
-    """``parse`` of the text at ``path``; exit 1 with its diagnostics."""
+def _parsed(source: str, text: str, parse, *args):
+    """``parse(text, *args)``; on a :class:`ParseError`, print each of its
+    diagnostics after ``source`` and exit 1."""
     try:
-        return parse(_read(path))
+        return parse(text, *args)
     except ParseError as err:
-        _print_diagnostics(path, err.diagnostics)
+        for diag in err.diagnostics:
+            print(f"{source}:{diag}", file=sys.stderr)
         raise _Exit(1) from None
-
-
-def _print_diagnostics(path: str, diagnostics) -> None:
-    for diag in diagnostics:
-        print(f"{path}:{diag}", file=sys.stderr)
 
 
 def _report_positivity(source: str, named_patterns) -> bool:
@@ -191,7 +189,7 @@ def _axioms(theory, labels=None):
 
 def _cmd_check(args) -> int:
     path = args.theory
-    theory = _load(path, parse_theory)
+    theory = _parsed(path, _read(path), parse_theory)
     warned = _report_positivity(path, _axioms(theory))
     sig = theory.signature
     print(
@@ -233,8 +231,8 @@ def _binding(model: FiniteModel, text: str, flag: str):
 
 def _load_inputs(args):
     """The theory and the model that ``args`` name."""
-    theory = _load(args.theory, parse_theory)
-    model, _warnings = _load(args.model, lambda text: parse_model(text, theory))
+    theory = _parsed(args.theory, _read(args.theory), parse_theory)
+    model, _warnings = _parsed(args.model, _read(args.model), parse_model, theory)
     return theory, model
 
 
@@ -242,11 +240,7 @@ def _cmd_eval(args) -> int:
     theory, model = _load_inputs(args)
     # "-" is not pattern syntax, so it can stand for stdin
     text = _read(None) if args.pattern == "-" else args.pattern
-    try:
-        pattern = parse_pattern(text, theory.signature)
-    except ParseError as err:
-        _print_diagnostics("<pattern>", err.diagnostics)
-        return 1
+    pattern = _parsed("<pattern>", text, parse_pattern, theory.signature)
     try:
         rho = _parse_bindings(args, model)
         result = _evaluate(args, "<pattern>", [("", pattern)], eval_pattern, model, rho, pattern)
@@ -279,7 +273,15 @@ def _cmd_satisfies(args) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so that the
+        # interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

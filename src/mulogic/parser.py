@@ -44,6 +44,11 @@ are generators that one driver, ``_run``, runs on an explicit stack.
 Model files have a second reader: one ``_MODEL_LINE_RE`` match per line
 reads a well-formed file without making tokens, and any file it cannot
 read goes to the token path, which alone reports diagnostics.
+
+Every refusal is a :class:`ParseError`: a pattern or a binding raises the
+first one, and the line driver collects one per failing line.  Each
+"expected X, found Y" is phrased by ``_unexpected``.  A file's line
+handlers are closures over that file's state, one set per file format.
 """
 
 from __future__ import annotations
@@ -106,15 +111,12 @@ class ParseError(MuLogicError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-class _Bail(Exception):
-    """Internal: abort the current line/pattern with one diagnostic."""
-
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
+def _err(span: Span, code: str, message: str) -> ParseError:
+    return ParseError([Diagnostic("error", span, code, message)])
 
 
-def _err(span: Span, code: str, message: str) -> _Bail:
-    return _Bail(Diagnostic("error", span, code, message))
+def _unexpected(tok: Token, what: str) -> ParseError:
+    return _err(tok.span, "syntax", f"expected {what}, found {tok.text!r}")
 
 
 # --- tokens ---------------------------------------------------------------
@@ -179,18 +181,13 @@ def tokenize(text: str) -> list[Token]:
         elif kind != "ws" and kind != "comment":
             value = m.group()
             if kind == "name" and _RESERVED_NAME_RE.search(value):
-                raise ParseError(
-                    [Diagnostic("error", (line, start - line_start + 1, len(value)),
-                                "reserved-name",
-                                f"identifier {value!r} is reserved: no name may "
-                                "end in a quote followed by digits")]
-                )
+                raise _err((line, start - line_start + 1, len(value)), "reserved-name",
+                           f"identifier {value!r} is reserved: no name may "
+                           "end in a quote followed by digits")
             append(Token(kind, value, line, start - line_start + 1))
     if pos < len(text):
-        raise ParseError(
-            [Diagnostic("error", (line, pos - line_start + 1, 1), "lex",
-                        f"unexpected character {text[pos]!r}")]
-        )
+        raise _err((line, pos - line_start + 1, 1), "lex",
+                   f"unexpected character {text[pos]!r}")
     return tokens
 
 
@@ -216,10 +213,10 @@ class _TokenStream:
         return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        label = what or (text if text is not None else kind)
+        label = what or f"'{text}'"
         tok = self.next(label)
         if tok.kind != kind or (text is not None and tok.text != text):
-            raise _err(tok.span, "syntax", f"expected {label}, found {tok.text!r}")
+            raise _unexpected(tok, label)
         return tok
 
 
@@ -245,13 +242,14 @@ def _delimited(ts: _TokenStream, open_: str, close: str) -> Iterator[None]:
     if ts.at(close):
         ts.next(close)
         return
+    what = f"',' or '{close}'"
     while True:
         yield
-        sep = ts.next(f"',' or '{close}'")
+        sep = ts.next(what)
         if sep.kind == "punct" and sep.text == close:
             return
         if not (sep.kind == "punct" and sep.text == ","):
-            raise _err(sep.span, "syntax", f"expected ',' or '{close}', found {sep.text!r}")
+            raise _unexpected(sep, what)
 
 
 def _expect_end(ts: _TokenStream) -> None:
@@ -357,7 +355,7 @@ def _parse_node(ts: _TokenStream) -> Generator:
         ts.expect("punct", ":", what="':' (free variables are written name:Sort)")
         sort = ts.expect("name", what="a sort name")
         return _SNode("evar", tok.span, name=tok.text, sort_name=sort.text)
-    raise _err(tok.span, "syntax", f"expected a pattern, found {tok.text!r}")
+    raise _unexpected(tok, "a pattern")
 
 
 def _parse_keyword(ts: _TokenStream, tok: Token) -> Generator:
@@ -411,6 +409,8 @@ class _Elaborator:
                 raise _err(node.span, "cannot-infer-sort", _CANNOT_INFER)
         try:
             return _run(self._elab(node, expect, ex, mu))
+        except ParseError:
+            raise
         except MuLogicError as kernel_error:
             raise _err(node.span, "kernel", str(kernel_error)) from None
 
@@ -517,12 +517,9 @@ def parse_pattern(
     either the expected sort or an annotation.
     """
     ts = _TokenStream(tokenize(text), _end_span(text))
-    try:
-        node = _run(_parse_node(ts))
-        _expect_end(ts)
-        return _Elaborator(sig).elab(node, expect_sort, tuple(ex), tuple(mu))
-    except _Bail as bail:
-        raise ParseError([bail.diagnostic]) from None
+    node = _run(_parse_node(ts))
+    _expect_end(ts)
+    return _Elaborator(sig).elab(node, expect_sort, tuple(ex), tuple(mu))
 
 
 def _end_span(text: str) -> Span:
@@ -548,11 +545,10 @@ def _parse_lines(
         handler = handlers.get(head.text) if head.kind == "name" else None
         try:
             if handler is None:
-                raise _err(head.span, "syntax",
-                           f"expected {expected}, found {head.text!r}")
+                raise _unexpected(head, expected)
             handler(head, ts)
-        except _Bail as bail:
-            diagnostics.append(bail.diagnostic)
+        except ParseError as err:
+            diagnostics.extend(err.diagnostics)
     return diagnostics
 
 
@@ -577,8 +573,37 @@ def parse_theory(text: str) -> Theory:
                        f"sort {name.text!r} already declared")
         sig.declare_sort(name.text)
 
+    def symbol_line(head: Token, ts: _TokenStream) -> None:
+        name = ts.expect("name", what="a symbol name")
+        ts.expect("punct", ":")
+        params: list[Sort] = []
+        tok = ts.next("parameter sorts or '->'")
+        while tok.kind != "arrow":
+            if tok.kind != "name":
+                raise _unexpected(tok, "a sort name or '->'")
+            params.append(_declared_sort(sig, tok.text, tok.span))
+            tok = ts.next("',' or '->'")
+            if tok.kind == "punct" and tok.text == ",":
+                tok = ts.expect("name", what="a sort name")
+            elif tok.kind != "arrow":
+                raise _unexpected(tok, "',' or '->'")
+        result = ts.expect("name", what="a result sort")
+        _expect_end(ts)
+        result_sort = _declared_sort(sig, result.text, result.span)
+        if sig.has_symbol(name.text):
+            raise _err(name.span, "duplicate-symbol",
+                       f"symbol {name.text!r} already declared")
+        sig.declare_symbol(name.text, params, result_sort)
+
     def axiom_line(head: Token, ts: _TokenStream) -> None:
-        axiom = _parse_axiom_line(elab, ts)
+        label = ts.expect("name", what="an axiom label")
+        ts.expect("punct", "[")
+        sort_tok = ts.expect("name", what="a sort name")
+        ts.expect("punct", "]")
+        sort = _declared_sort(sig, sort_tok.text, sort_tok.span)
+        node = _run(_parse_node(ts))
+        _expect_end(ts)
+        axiom = Axiom(label.text, sort, elab.elab(node, sort, (), ()))
         if axiom.label in axioms:
             raise _err(head.span, "duplicate-label",
                        f"axiom label {axiom.label!r} already used")
@@ -594,7 +619,7 @@ def parse_theory(text: str) -> Theory:
 
     diagnostics = _parse_lines(text, {
         "sort": sort_line,
-        "symbol": lambda head, ts: _parse_symbol_line(sig, ts),
+        "symbol": symbol_line,
         "axiom": axiom_line,
         "option": option_line,
     })
@@ -608,42 +633,6 @@ def parse_theory(text: str) -> Theory:
     if DEFINEDNESS_OPTION in options:
         theory = instantiate_definedness(theory)
     return theory
-
-
-def _parse_symbol_line(sig: Signature, ts: _TokenStream) -> None:
-    name = ts.expect("name", what="a symbol name")
-    ts.expect("punct", ":")
-    params: list[Sort] = []
-    tok = ts.next("parameter sorts or '->'")
-    while tok.kind != "arrow":
-        if tok.kind != "name":
-            raise _err(tok.span, "syntax",
-                       f"expected a sort name or '->', found {tok.text!r}")
-        params.append(_declared_sort(sig, tok.text, tok.span))
-        tok = ts.next("',' or '->'")
-        if tok.kind == "punct" and tok.text == ",":
-            tok = ts.expect("name", what="a sort name")
-        elif tok.kind != "arrow":
-            raise _err(tok.span, "syntax",
-                       f"expected ',' or '->', found {tok.text!r}")
-    result = ts.expect("name", what="a result sort")
-    _expect_end(ts)
-    result_sort = _declared_sort(sig, result.text, result.span)
-    if sig.has_symbol(name.text):
-        raise _err(name.span, "duplicate-symbol",
-                   f"symbol {name.text!r} already declared")
-    sig.declare_symbol(name.text, params, result_sort)
-
-
-def _parse_axiom_line(elab: _Elaborator, ts: _TokenStream) -> Axiom:
-    label = ts.expect("name", what="an axiom label")
-    ts.expect("punct", "[")
-    sort_tok = ts.expect("name", what="a sort name")
-    ts.expect("punct", "]")
-    sort = _declared_sort(elab.sig, sort_tok.text, sort_tok.span)
-    node = _run(_parse_node(ts))
-    _expect_end(ts)
-    return Axiom(label.text, sort, elab.elab(node, sort, (), ()))
 
 
 # --- model files -------------------------------------------------------------
@@ -755,6 +744,16 @@ def _read_model_lines(text: str, sig: Signature) -> _ModelData | None:
     return carriers, interps, interp_lines
 
 
+_LABEL_KINDS = ("name", "number", "bevar", "bsvar")
+
+
+def _parse_label(ts: _TokenStream) -> Token:
+    tok = ts.next("an element label")
+    if tok.kind not in _LABEL_KINDS:
+        raise _unexpected(tok, "an element label")
+    return tok
+
+
 def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
     """A model file's data read from tokens; raises :class:`ParseError`
     carrying every diagnostic found."""
@@ -771,11 +770,66 @@ def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
             raise _err(head.span, "syntax", "duplicate 'model' line")
         model_lines.append(head)
 
+    def carrier_line(head: Token, ts: _TokenStream) -> None:
+        sort_tok = ts.expect("name", what="a sort name")
+        _declared_sort(sig, sort_tok.text, sort_tok.span)
+        if sort_tok.text in carrier_lines:
+            raise _err(sort_tok.span, "duplicate-carrier",
+                       f"carrier of {sort_tok.text} already declared")
+        carrier_lines.add(sort_tok.text)
+        ts.expect("eq", what="'='")
+        labels = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
+        _expect_end(ts)
+        if not labels:
+            raise _err(sort_tok.span, "empty-carrier",
+                       f"sort {sort_tok.text} must have a non-empty carrier")
+        domain: dict[str, None] = {}
+        for tok in labels:
+            if tok.text in domain:
+                raise _err(tok.span, "duplicate-label",
+                           f"carrier element {tok.text!r} listed twice")
+            domain[tok.text] = None
+        carriers[sort_tok.text] = domain
+
+    def interp_line(head: Token, ts: _TokenStream) -> None:
+        sym_tok = ts.expect("name", what="a symbol name")
+        if not sig.has_symbol(sym_tok.text):
+            raise _err(sym_tok.span, "unknown-symbol",
+                       f"symbol {sym_tok.text!r} is not declared")
+        symbol = sig.symbol(sym_tok.text)
+        args = [_parse_label(ts) for _ in _delimited(ts, "(", ")")]
+        ts.expect("eq", what="'='")
+        values = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
+        _expect_end(ts)
+
+        if len(args) != len(symbol.params):
+            raise _err(sym_tok.span, "bad-tuple",
+                       f"{symbol.name} expects {len(symbol.params)} argument(s), "
+                       f"got {len(args)}")
+        check_elements(args, symbol.params, "bad-tuple")
+        check_elements(values, itertools.repeat(symbol.result), "bad-value")
+
+        table = interps.setdefault(symbol.name, {})
+        key = tuple(tok.text for tok in args)
+        if key in table:
+            raise _err(sym_tok.span, "duplicate-interp",
+                       f"{symbol.name}({', '.join(key)}) already interpreted")
+        table[key] = [tok.text for tok in values]
+        interp_lines.setdefault(symbol.name, sym_tok.span)
+
+    def check_elements(labels: Iterable[Token], sorts: Iterable[Sort], code: str) -> None:
+        for tok, sort in zip(labels, sorts):
+            domain = carriers.get(sort.name)
+            if domain is None:
+                raise _err(tok.span, code, f"no carrier declared (yet) for sort {sort.name}")
+            if tok.text not in domain:
+                raise _err(tok.span, code,
+                           f"{tok.text!r} is not an element of the {sort.name} carrier")
+
     diagnostics = _parse_lines(text, {
         "model": model_line,
-        "carrier": lambda head, ts: _parse_carrier_line(sig, ts, carriers, carrier_lines),
-        "interp": lambda head, ts: _parse_interp_line(
-            sig, ts, carriers, interps, interp_lines),
+        "carrier": carrier_line,
+        "interp": interp_line,
     })
     for sort in sig.sorts:
         if sort.name not in carrier_lines:
@@ -787,88 +841,6 @@ def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
     return carriers, interps, interp_lines
 
 
-_LABEL_KINDS = ("name", "number", "bevar", "bsvar")
-
-
-def _parse_label(ts: _TokenStream) -> Token:
-    tok = ts.next("an element label")
-    if tok.kind not in _LABEL_KINDS:
-        raise _err(tok.span, "syntax",
-                   f"expected an element label, found {tok.text!r}")
-    return tok
-
-
-def _parse_carrier_line(
-    sig: Signature,
-    ts: _TokenStream,
-    carriers: dict[str, dict[str, None]],
-    carrier_lines: set[str],
-) -> None:
-    sort_tok = ts.expect("name", what="a sort name")
-    _declared_sort(sig, sort_tok.text, sort_tok.span)
-    if sort_tok.text in carrier_lines:
-        raise _err(sort_tok.span, "duplicate-carrier",
-                   f"carrier of {sort_tok.text} already declared")
-    carrier_lines.add(sort_tok.text)
-    ts.expect("eq", what="'='")
-    labels = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
-    _expect_end(ts)
-    if not labels:
-        raise _err(sort_tok.span, "empty-carrier",
-                   f"sort {sort_tok.text} must have a non-empty carrier")
-    domain: dict[str, None] = {}
-    for tok in labels:
-        if tok.text in domain:
-            raise _err(tok.span, "duplicate-label",
-                       f"carrier element {tok.text!r} listed twice")
-        domain[tok.text] = None
-    carriers[sort_tok.text] = domain
-
-
-def _parse_interp_line(
-    sig: Signature,
-    ts: _TokenStream,
-    carriers: dict[str, dict[str, None]],
-    interps: dict[str, dict[tuple[str, ...], list[str]]],
-    interp_lines: dict[str, Span],
-) -> None:
-    sym_tok = ts.expect("name", what="a symbol name")
-    if not sig.has_symbol(sym_tok.text):
-        raise _err(sym_tok.span, "unknown-symbol",
-                   f"symbol {sym_tok.text!r} is not declared")
-    symbol = sig.symbol(sym_tok.text)
-    args = [_parse_label(ts) for _ in _delimited(ts, "(", ")")]
-    ts.expect("eq", what="'='")
-    values = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
-    _expect_end(ts)
-
-    if len(args) != len(symbol.params):
-        raise _err(sym_tok.span, "bad-tuple",
-                   f"{symbol.name} expects {len(symbol.params)} argument(s), "
-                   f"got {len(args)}")
-    _check_elements(carriers, args, symbol.params, "bad-tuple")
-    _check_elements(carriers, values, itertools.repeat(symbol.result), "bad-value")
-
-    table = interps.setdefault(symbol.name, {})
-    key = tuple(tok.text for tok in args)
-    if key in table:
-        raise _err(sym_tok.span, "duplicate-interp",
-                   f"{symbol.name}({', '.join(key)}) already interpreted")
-    table[key] = [tok.text for tok in values]
-    interp_lines.setdefault(symbol.name, sym_tok.span)
-
-
-def _check_elements(carriers: dict[str, dict[str, None]], labels: Iterable[Token],
-                    sorts: Iterable[Sort], code: str) -> None:
-    for tok, sort in zip(labels, sorts):
-        domain = carriers.get(sort.name)
-        if domain is None:
-            raise _err(tok.span, code, f"no carrier declared (yet) for sort {sort.name}")
-        if tok.text not in domain:
-            raise _err(tok.span, code,
-                       f"{tok.text!r} is not an element of the {sort.name} carrier")
-
-
 # --- command-line bindings ----------------------------------------------------
 
 
@@ -877,14 +849,11 @@ def parse_binding(text: str, braced: bool) -> tuple[str, str, list[str]]:
     ...}`` when ``braced``, with the tokenizer and label grammar of model
     files.  Returns the names and labels; raises :class:`ParseError`."""
     ts = _TokenStream(tokenize(text), _end_span(text))
-    try:
-        name = ts.expect("name", what="a variable name")
-        ts.expect("punct", ":")
-        sort = ts.expect("name", what="a sort name")
-        ts.expect("eq", what="'='")
-        labels = ([_parse_label(ts) for _ in _delimited(ts, "{", "}")] if braced
-                  else [_parse_label(ts)])
-        _expect_end(ts)
-    except _Bail as bail:
-        raise ParseError([bail.diagnostic]) from None
+    name = ts.expect("name", what="a variable name")
+    ts.expect("punct", ":")
+    sort = ts.expect("name", what="a sort name")
+    ts.expect("eq", what="'='")
+    labels = ([_parse_label(ts) for _ in _delimited(ts, "{", "}")] if braced
+              else [_parse_label(ts)])
+    _expect_end(ts)
     return name.text, sort.text, [tok.text for tok in labels]

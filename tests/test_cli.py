@@ -197,8 +197,14 @@ class TestEval:
         pytest.param(None, ["#X:Nat", "-V", "X:Nat={0}", "-V", "X:Nat={1,2}"], 1, "",
                      "error: #X:Nat is bound twice\n", id="svar-bound-twice"),
         pytest.param(None, ["\\and(O()"], 1, "",
-                     "<pattern>:1:9: error[syntax]: expected ,, found end of input\n",
+                     "<pattern>:1:9: error[syntax]: expected ',', found end of input\n",
                      id="end-of-input"),
+        pytest.param(None, ["\\exists{Nat b0"], 1, "",
+                     "<pattern>:1:13: error[syntax]: expected '}}', found 'b0'\n",
+                     id="annotation-close"),
+        pytest.param(None, ["#X Nat"], 1, "",
+                     "<pattern>:1:4: error[syntax]: expected ':', found 'Nat'\n",
+                     id="set-variable-colon"),
         pytest.param(None, ["S(O() O())"], 1, "",
                      "<pattern>:1:7: error[syntax]: expected ',' or ')', found 'O'\n",
                      id="application-separator"),
@@ -416,10 +422,11 @@ class TestSatisfies:
 
 
 class TestSubprocess:
-    def _run(self, *args, stdin=None, hashseed=None):
-        return self._run_python("-m", "mulogic", *args, stdin=stdin, hashseed=hashseed)
+    def _run(self, *args, stdin=None, hashseed=None, stdout=subprocess.PIPE):
+        return self._run_python("-m", "mulogic", *args, stdin=stdin, hashseed=hashseed,
+                                stdout=stdout)
 
-    def _run_python(self, *args, stdin=None, hashseed=None):
+    def _run_python(self, *args, stdin=None, hashseed=None, stdout=subprocess.PIPE):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -427,7 +434,8 @@ class TestSubprocess:
             env["PYTHONHASHSEED"] = hashseed
         return subprocess.run(
             [sys.executable, *args],
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             input=stdin,
             text=True,
             env=env,
@@ -496,6 +504,21 @@ class TestSubprocess:
         code, got, peak_mb = json.loads(proc.stdout)
         assert (code, got) == (0, want + "\n")
         assert peak_mb < 64, f"peak RSS {peak_mb} MB, not under 64 MB"
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["check", NATBOOL_MLT], id="check"),
+        pytest.param(["satisfies", NATBOOL_MLT, NATBOOL_MLM, "--report", "json"],
+                     id="satisfies"),
+        pytest.param(["eval", NATBOOL_MLT, NATBOOL_MLM, "O()"], id="eval"),
+    ])
+    def test_closed_stdout_exits_2_quietly(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            proc = self._run(*args, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "")
 
     def test_usage_error(self):
         proc = self._run()

@@ -597,7 +597,10 @@ def look_alike_equality(sig):
     (look_alike_equality,
      ["_and_op", "_and_op", "_and_op", "_app_op", "_app_op", "_app_op", "_app_op",
       "_defined_op"]),
-], ids=["top", "forall", "substituted", "subseteq", "look-alike"])
+    # a floor of two implications whose first lacks the double negation
+    (r"\floor{Bool}(\and(\or(S(O()), O()), \or(O(), O())))",
+     ["_and_op", "_and_op", "_and_op", "_app_op", "_defined_op"]),
+], ids=["top", "forall", "substituted", "subseteq", "look-alike", "no-double-negation"])
 def test_equality_places_one_instruction(std_sig, std_model, placed, make, names):
     p = make(std_sig) if callable(make) else parse_pattern(make, std_sig)
     empty = Valuation.empty()

@@ -140,6 +140,8 @@ class TestTokenizer:
     def test_corpus_files(self):
         for name in FILES:
             self.check(corpus_path(name).read_text(encoding="utf-8"))
+        with pytest.raises(KeyError, match="no bundled corpus file named 'nat.mlt'"):
+            corpus_path("nat.mlt")
 
     def test_corpus_mutants(self):
         for _, text in mutants(seed=31, count=500):
@@ -382,7 +384,7 @@ class TestPrinter:
         x = mk_free_evar(ElemVar("x", nat))
         assert print_pattern(mk_defined(bool_, x)) == "\\ceil{Bool}(x:Nat)"
         p = parse_pattern("isZero(S(O()))", std_sig)
-        assert print_pattern(p) == "isZero(S(O()))"
+        assert print_pattern(p) == str(p) == "isZero(S(O()))"
 
     def test_mu_prints_annotated(self, std_sig):
         p = parse_pattern("\\mu{Nat} \\or(O(), S(B0))", std_sig)

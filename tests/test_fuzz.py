@@ -74,19 +74,28 @@ def mutants(seed: int, count: int):
         yield kind, mutate(text, pool, rng, rng.randint(1, 3))
 
 
+def parse(kind: str, text: str, theory):
+    """``text`` parsed as ``kind``: a theory, a model of ``theory`` with the
+    totality lint, or a pattern over its signature."""
+    if kind == "theory":
+        return parse_theory(text)
+    if kind == "model":
+        return parse_model(text, theory, lint_totality=True)
+    return parse_pattern(text, theory.signature)
+
+
 def parse_outcome(kind: str, text: str, theory) -> str:
     """What parsing ``text`` as ``kind`` gives: a short result summary or
     the error's class and message.  Any other exception propagates."""
     try:
-        if kind == "theory":
-            result = parse_theory(text)
-            return f"ok {[(a.label, a.pattern) for a in result.axioms]!r}"
-        if kind == "model":
-            _, warnings = parse_model(text, theory, lint_totality=True)
-            return f"ok {[str(w) for w in warnings]}"
-        return f"ok {parse_pattern(text, theory.signature)!r}"
+        result = parse(kind, text, theory)
     except MuLogicError as err:
         return f"{type(err).__name__}: {err}"
+    if kind == "theory":
+        return f"ok {[(a.label, a.pattern) for a in result.axioms]!r}"
+    if kind == "model":
+        return f"ok {[str(w) for w in result[1]]}"
+    return f"ok {result!r}"
 
 
 def cli_commands(kind: str, arg: str) -> list[list[str]]:
@@ -125,6 +134,15 @@ def test_parse_mutants_end_in_a_result_or_a_diagnostic(natbool):
             outcomes.append(parse_outcome(kind, text, natbool))
         except Exception as err:  # noqa: BLE001 - report the mutant
             pytest.fail(f"{kind} mutant {text!r} raised {err!r}")
+        if outcomes[-1].startswith(ParseError.__name__):
+            with pytest.raises(ParseError) as caught:
+                parse(kind, text, natbool)
+            # every span lies in the text; a column may be one past its line's end
+            lines = text.split("\n")
+            for d in caught.value.diagnostics:
+                line, col, length = d.span
+                assert 1 <= line <= len(lines), (d, text)
+                assert 1 <= col <= len(lines[line - 1]) + 1 and length >= 1, (d, text)
     diagnosed = sum(o.startswith(ParseError.__name__) for o in outcomes)
     assert 0 < diagnosed < len(outcomes)
 

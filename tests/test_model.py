@@ -7,10 +7,13 @@ import pytest
 from mulogic import (
     CarrierSet,
     Signature,
+    Theory,
     Valuation,
+    Verdict,
     build_model,
     eval_pattern,
     parse_model,
+    parse_pattern,
     parse_theory,
     satisfies,
     singleton_fastpath,
@@ -286,6 +289,32 @@ def test_carrier_set_sort_guard(std_model):
     bool_ = std_model.signature.sort("Bool")
     with pytest.raises(SortMismatchError):
         std_model.full_set(nat) | std_model.full_set(bool_)
+    with pytest.raises(SortMismatchError):
+        std_model.full_set(nat).contains(std_model.elem(bool_, "t"))
+    for bits in (-1, 1 << 4):
+        with pytest.raises(ValueError, match="exceed width 4"):
+            CarrierSet(nat, 4, bits)
+
+
+# a sort declared after the model was built has no carrier in it
+@pytest.mark.parametrize("text, closed", [
+    (r"\top{Late}", True),
+    (r"\exists{Late} \top{Bool}", True),
+    (r"\ceil{Bool}(x:Late)", False),
+    (r"\ceil{Bool}(#X:Late)", False),
+])
+def test_a_sort_without_a_carrier_is_refused(std_sig, std_model, text, closed):
+    late = std_sig.declare_sort("Late")
+    message = "model has no carrier for sort Late"
+    for lookup in (std_model.carrier, lambda sort: std_model.elem(sort, "a")):
+        with pytest.raises(UnknownSortError, match=message):
+            lookup(late)
+    p = parse_pattern(text, std_sig)
+    if closed:
+        with pytest.raises(UnknownSortError, match=message):
+            eval_pattern(std_model, Valuation.empty(), p)
+    (result,) = satisfies(std_model, Theory(std_sig).add_axiom("late", p.sort, p)).results
+    assert (result.verdict, result.message) == (Verdict.ERROR, f"UnknownSortError: {message}")
 
 
 def test_extended_app_is_monotone(std_model):

@@ -77,6 +77,13 @@ class TestValuation:
         rho = Valuation.empty().update_evar(y, one).update_evar(x, two)
         assert rho.evar(y) == one
 
+    def test_unbound_variable_is_refused(self, std_model, nat):
+        rho = Valuation.empty().update_evar(ElemVar("x", nat), std_model.elem(nat, "1"))
+        with pytest.raises(UnboundFreeVariableError, match="element variable y:Nat is not bound"):
+            rho.evar(ElemVar("y", nat))
+        with pytest.raises(UnboundFreeVariableError, match="set variable #X:Nat is not bound"):
+            rho.svar(SetVar("X", nat))
+
     def test_sort_discipline(self, std_model, nat, bool_):
         x = ElemVar("x", nat)
         with pytest.raises(SortMismatchError):

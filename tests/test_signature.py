@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mulogic import Signature, mk_app
+from mulogic import ElemVar, SetVar, Signature, mk_app
 from mulogic.errors import (
     DuplicateSortError,
     DuplicateSymbolError,
@@ -18,6 +18,7 @@ def test_declare_sort_assigns_dense_ids():
     bool_ = sig.declare_sort("Bool")
     assert (bool_.name, bool_.id) == ("Bool", 1)
     assert sig.sort("Nat") == nat
+    assert repr(sig) == "Signature(sorts=[Nat, Bool], symbols=[])"
 
 
 def test_duplicate_sort_rejected():
@@ -32,11 +33,25 @@ def test_empty_sort_name_rejected():
         Signature().declare_sort("")
 
 
+def test_empty_symbol_name_rejected(std_sig):
+    with pytest.raises(ValueError, match="symbol name must be non-empty"):
+        std_sig.declare_symbol("", [], std_sig.sort("Nat"))
+
+
 def test_declare_symbol_round_trips(std_sig):
     is_zero = std_sig.symbol("isZero")
     params, result = std_sig.symbol_signature(is_zero)
     assert [s.name for s in params] == ["Nat"]
     assert result.name == "Bool"
+    assert (is_zero.arity, str(is_zero)) == (1, "isZero")
+
+
+def test_variables_of_a_declared_sort(std_sig):
+    nat = std_sig.sort("Nat")
+    assert std_sig.elem_var("x", nat) == ElemVar("x", nat)
+    assert std_sig.set_var("X", nat) == SetVar("X", nat)
+    with pytest.raises(UnknownSortError):
+        std_sig.set_var("X", Signature().declare_sort("Nat"))
 
 
 def test_nullary_symbol(std_sig):

@@ -56,6 +56,9 @@ def bool_domain(std_sig):
 def test_add_axiom(std_sig, bool_, bool_domain):
     theory = Theory(std_sig).add_axiom("bool-domain", bool_, bool_domain)
     assert [a.label for a in theory.axioms] == ["bool-domain"]
+    assert theory.axiom("bool-domain") is theory.axioms[0]
+    with pytest.raises(KeyError):
+        theory.axiom("missing")
 
 
 def test_open_axiom_rejected(std_sig, bool_):
