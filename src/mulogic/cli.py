@@ -88,13 +88,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sat.add_argument(
         "--cap",
-        type=int,
+        type=_count,
         default=DEFAULT_STATE_CAP,
         metavar="N",
         help="state-space cap on the number of valuations per axiom",
     )
     _add_lfp_flags(sat)
     return parser
+
+
+def _count(text: str) -> int:
+    """A non-negative int, for ``--cap`` and ``--prefix-cap``; argparse
+    reports anything else as a usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return n
 
 
 def _add_lfp_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,7 +118,7 @@ def _add_lfp_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--prefix-cap",
-        type=int,
+        type=_count,
         default=DEFAULT_PREFIX_CAP,
         metavar="N",
         help="largest carrier the prefix engine will enumerate subsets of",

@@ -471,10 +471,11 @@ def map_pattern(
     """Rebuild ``p`` over :func:`fold_pattern`.
 
     Each cut ``(kind, tail, drop, insert)`` edits every node's context of
-    ``kind`` (``EX`` or ``MU``): the ``drop`` sorts just before its last
-    ``tail`` sorts are replaced by ``insert``.  Binders only ever prepend
-    to a context, so the last ``tail`` sorts are the same ones at every
-    node: counting from the end is the one shift rule under binders.
+    ``kind`` (``EX`` or ``MU``, its position in the node's ``(ex, mu)``
+    pair): the ``drop`` sorts just before its last ``tail`` sorts are
+    replaced by ``insert``.  Binders only ever prepend to a context, so the
+    last ``tail`` sorts are the same ones at every node: counting from the
+    end is the one shift rule under binders.
 
     ``leaf(node, ex, mu)`` gives the image of each node without children,
     given its new contexts; every other node is rebuilt through its
@@ -484,20 +485,16 @@ def map_pattern(
     """
 
     def combine(node: Pattern, kids: Sequence[Pattern]) -> Pattern:
-        ex, mu = node.ex, node.mu
+        ctxs = [node.ex, node.mu]
         for kind, tail, drop, insert in cuts:
-            ctx = mu if kind == MU else ex
+            ctx = ctxs[kind]
             at = len(ctx) - tail - drop
-            ctx = ctx[:at] + insert + ctx[at + drop :]
-            if kind == MU:
-                mu = ctx
-            else:
-                ex = ctx
+            ctxs[kind] = ctx[:at] + insert + ctx[at + drop :]
         if not kids:
-            return leaf(node, ex, mu)
+            return leaf(node, *ctxs)
         if not cuts and all(map(is_, kids, node.children)):
             return node
-        return node.rebuild(ex, mu, kids)
+        return node.rebuild(*ctxs, kids)
 
     return fold_pattern(p, combine)
 

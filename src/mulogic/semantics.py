@@ -124,6 +124,9 @@ from .errors import (
 )
 from .model import CarrierElem, CarrierSet, FiniteModel, _lift
 from .pattern import (
+    _VARIABLE,
+    EX,
+    MU,
     And,
     App,
     BoundEVar,
@@ -175,25 +178,21 @@ class Valuation:
         return Valuation(self.evars, {**self.svars, x: a})
 
     def evar(self, x: ElemVar) -> CarrierElem:
-        try:
-            return self.evars[x]
-        except KeyError:
-            raise UnboundFreeVariableError(
-                x, f"element variable {x} is not bound"
-            ) from None
+        return self._value(EX, x)
 
     def svar(self, x: SetVar) -> CarrierSet:
+        return self._value(MU, x)
+
+    def _value(self, kind: int, x: ElemVar | SetVar):
+        """The value of ``x`` in the map of ``kind``: ``evars`` for ``EX``,
+        ``svars`` for ``MU``."""
         try:
-            return self.svars[x]
+            return (self.evars, self.svars)[kind][x]
         except KeyError:
-            raise UnboundFreeVariableError(
-                x, f"set variable {x} is not bound"
-            ) from None
+            raise UnboundFreeVariableError(x, f"{_VARIABLE[kind]} {x} is not bound") from None
 
     def binds(self, var: ElemVar | SetVar) -> bool:
-        if isinstance(var, ElemVar):
-            return var in self.evars
-        return var in self.svars
+        return var in (self.evars if isinstance(var, ElemVar) else self.svars)
 
 
 def lfp_iterate(
@@ -465,14 +464,17 @@ def _compile(
     sets.  Nothing runs here.
 
     Results are signed registers: ``r`` or its complement ``~r``, which is
-    ``r ^ -1``.  The stack holds ``(node, exs, mus, sign)`` to enter and
+    ``r ^ -1``.  The stack holds ``(node, ctxs, sign)`` to enter and
     ``(node, scope, inner, n, sign)`` to leave a node with ``n`` placed
     operands; the node's result goes out XORed with ``sign``, 0 or -1.
-    ``exs``/``mus`` are the scopes of the enclosing ex and mu binders,
-    outermost first, so de Bruijn index ``i`` of a node is scope
-    ``exs[-1 - i]``; ``inner`` is a binder's body scope.  Entering a chain
-    of ``Not`` nodes flips ``sign`` once per node and goes on to the first
-    node below it that is not one, in the same step; a ``Not`` whose
+    ``ctxs`` is the pair ``(exs, mus)`` of the scopes of the enclosing ex
+    and mu binders, outermost first, indexed like a node's ``(ex, mu)``
+    contexts by the context kind: a bound variable of kind ``k`` and de
+    Bruijn index ``i`` is scope ``ctxs[k][-1 - i]``, and a binder of kind
+    ``k`` enters its body with its own scope appended to ``ctxs[k]``;
+    ``inner`` is a binder's body scope.  Entering a chain of ``Not`` nodes
+    flips ``sign`` once per node and goes on to the first node below it
+    that is not one, in the same step; a ``Not`` whose
     ``_operands`` fact is set, the root of an ``\\equals``, is not part of
     a chain and enters only its two operands.  A variable is its register
     at once and pushes no leave item.  Every other node is looked up in
@@ -495,28 +497,26 @@ def _compile(
     base = len(levels)
     results: list[int] = []  # signed registers of the children met so far
     emit = results.append
-    stack: list[tuple] = [(p, (), (), 0)]
+    stack: list[tuple] = [(p, ((), ()), 0)]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
-        if len(item) == 4:  # enter
-            node, exs, mus, sign = item
+        if len(item) == 3:  # enter
+            node, ctxs, sign = item
             kind = type(node)
             while kind is Not and node._operands is None:
                 node = node.body
                 kind = type(node)
                 sign = ~sign
-            if kind is BoundEVar:
-                emit(exs[-1 - node.index].var ^ sign)
-                continue
-            if kind is BoundSVar:
-                emit(mus[-1 - node.index].var ^ sign)
+            if kind is BoundEVar or kind is BoundSVar:
+                emit(ctxs[node._kind][-1 - node.index].var ^ sign)
                 continue
             if kind is FreeEVar or kind is FreeSVar:
                 reg = variables.index(node.var)
                 reads[reg] = reg + 1
                 emit(reg ^ sign)
                 continue
+            exs, mus = ctxs
             ex, even, odd, _, _ = node._facts
             scope = top
             if ex:
@@ -533,7 +533,7 @@ def _compile(
                 args = node.args
                 if args:
                     push((node, scope, None, len(args), sign))
-                    stack += [(kid, exs, mus, 0) for kid in reversed(args)]
+                    stack += [(kid, ctxs, 0) for kid in reversed(args)]
                 else:  # a constant
                     value = model.mask_table(node.symbol).get((), 0)
                     reg = scope.memo[id(node)] = len(regs)
@@ -541,16 +541,16 @@ def _compile(
                     emit(reg ^ sign)
             elif kind is And:
                 push((node, scope, None, 2, sign))
-                push((node.right, exs, mus, 0))
-                push((node.left, exs, mus, 0))
+                push((node.right, ctxs, 0))
+                push((node.left, ctxs, 0))
             elif kind is Not:  # an equality: only its two operands are placed
                 a, b = node._operands
                 push((node, scope, None, 2, sign))
-                push((b, exs, mus, 0))
-                push((a, exs, mus, 0))
+                push((b, ctxs, 0))
+                push((a, ctxs, 0))
             elif kind is Defined:
                 push((node, scope, None, 1, sign))
-                push((node.body, exs, mus, 0))
+                push((node.body, ctxs, 0))
             else:  # Exists or Mu
                 full(node.sort)
                 if kind is Exists:
@@ -572,10 +572,9 @@ def _compile(
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
                 regs.append(0)
                 push((node, scope, inner, 1, sign))
-                if kind is Exists:
-                    push((node.body, (*exs, inner), mus, 0))
-                else:
-                    push((node.body, exs, (*mus, inner), 0))
+                body_ctxs = [*ctxs]
+                body_ctxs[node._kind] += (inner,)
+                push((node.body, tuple(body_ctxs), 0))
             continue
         node, scope, inner, n, sign = item
         kind = type(node)

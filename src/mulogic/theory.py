@@ -257,9 +257,12 @@ def report_text(model: FiniteModel, report: SatisfactionReport) -> str:
         if result.verdict is Verdict.SATISFIED:
             lines.append(f"{result.axiom.label}: satisfied")
         elif result.verdict is Verdict.VIOLATED:
-            bindings = witness_bindings(model, result.witness) if result.witness else {}
+            # set variables print as sets, in the form of ``got``
+            rho = result.witness or Valuation.empty()
             shown = ", ".join(
-                f"{name} = {value}" for name, value in bindings.items()
+                f"{var} = {rho.evars[var].label}" if isinstance(var, ElemVar)
+                else f"{var} = {model.format_set(rho.svars[var])}"
+                for var in _valuation_order(rho.evars, rho.svars)
             )
             got = model.format_set(result.got) if result.got is not None else "?"
             lines.append(

@@ -32,13 +32,16 @@ written out for each kind without the kernel's sharing of rules between
 the ex and mu kinds.  It reads a node's children only for their sorts and
 contexts.
 
-``ref_free_subst`` and ``ref_bound_subst`` are the free- and bound-variable
-substitutions of ``mulogic.subst``, each a plain recursion from the root
-that counts the binders of each kind it has passed: a bound variable
-points into the context the substitution edits when its index is at least
-that count.  The replacement is weakened by ``ref_weaken`` with the same
-count.  A refusal is raised as the ``MuLogicError`` subclass that names
-it, with messages of their own.
+``ref_extend_env``, ``ref_free_subst`` and ``ref_bound_subst`` are the
+context extension and the free- and bound-variable substitutions of
+``mulogic.subst``, each a plain recursion from the root that counts the
+binders of each kind it has passed: a bound variable points into the
+context the operation edits when its index is at least that count.  The
+replacement is weakened by ``ref_weaken``, an extension at the front, with
+the same count.  ``ref_index_subst`` is the index procedure as the
+four-case recursion on the prefix that ``mulogic.subst`` unrolls.  A
+refusal is raised as the ``MuLogicError`` subclass that names it, with
+messages of their own.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ from mulogic import (
 )
 from mulogic.pattern import walk
 from mulogic.errors import (
+    BadSplitError,
     CarrierTooLargeError,
+    IndexOutOfScopeError,
     NonPositiveMuError,
     NonPositiveMuWarning,
     NotClosedError,
@@ -477,19 +482,56 @@ def _ref_head(ctx, tail):
     return ctx[:cut]
 
 
-def ref_weaken(psi, ex_head, mu_head):
-    """``psi`` with ``ex_head`` and ``mu_head`` put in front of its
-    contexts: a bound variable that points past the binders above it, into
-    ``psi``'s own context, moves past the new sorts."""
+def ref_extend_env(p, ex_split, ex_insert=(), mu_split=0, mu_insert=()):
+    """``extend_env``: ``ex_insert`` goes into ``p.ex`` before position
+    ``ex_split``, and ``mu_insert`` into ``p.mu`` before ``mu_split``, each
+    split lying in ``0..len`` of its context.  A bound variable whose index
+    reaches past the binders above it and the sorts before the split moves
+    past the inserted sorts."""
+    for ctx, split in ((p.ex, ex_split), (p.mu, mu_split)):
+        if not 0 <= split <= len(ctx):
+            raise BadSplitError(f"split {split} lies outside the context {list(ctx)}")
 
     def leaf(node, ex, mu, dex, dmu):
-        if type(node) is BoundEVar and node.index >= dex:
-            return _ref_moved(node, ex, mu, node.index + len(ex_head))
-        if type(node) is BoundSVar and node.index >= dmu:
-            return _ref_moved(node, ex, mu, node.index + len(mu_head))
+        if type(node) is BoundEVar and node.index >= dex + ex_split:
+            return _ref_moved(node, ex, mu, node.index + len(ex_insert))
+        if type(node) is BoundSVar and node.index >= dmu + mu_split:
+            return _ref_moved(node, ex, mu, node.index + len(mu_insert))
         return _ref_moved(node, ex, mu)
 
-    return _ref_rebuild(psi, (*ex_head, *psi.ex), (*mu_head, *psi.mu), leaf)
+    ex = (*p.ex[:ex_split], *ex_insert, *p.ex[ex_split:])
+    mu = (*p.mu[:mu_split], *mu_insert, *p.mu[mu_split:])
+    return _ref_rebuild(p, ex, mu, leaf)
+
+
+def ref_weaken(psi, ex_head, mu_head):
+    """``psi`` with ``ex_head`` and ``mu_head`` put in front of its
+    contexts."""
+    return ref_extend_env(psi, 0, ex_head, 0, mu_head)
+
+
+def ref_index_subst(kind, index, prefix, psi):
+    """``index_subst`` (``kind`` is ``BoundEVar``) or ``index_subst_set``
+    (``BoundSVar``): bound variable ``index`` of the context ``prefix +
+    (psi.sort,)`` followed by ``psi``'s context of that kind, with the slot
+    replaced by ``psi``.  The four-case recursion on ``prefix``: with no
+    prefix, index 0 is ``psi`` and a later index the variable before it;
+    with a head sort, index 0 is the variable of that sort and a later
+    index is the result for the tail, weakened by the head."""
+    on_ex = kind is BoundEVar
+    own = psi.ex if on_ex else psi.mu
+    if not 0 <= index <= len(prefix) + len(own):
+        raise IndexOutOfScopeError(f"index {index} lies outside {len(prefix) + 1 + len(own)} slots")
+
+    def bound(ctx, i):
+        return kind(ctx[i], *((ctx, psi.mu) if on_ex else (psi.ex, ctx)), i)
+
+    if not prefix:
+        return psi if index == 0 else bound(own, index - 1)
+    if index == 0:
+        return bound((*prefix, *own), 0)
+    inner = ref_index_subst(kind, index - 1, prefix[1:], psi)
+    return ref_weaken(inner, *(((prefix[0],), ()) if on_ex else ((), (prefix[0],))))
 
 
 def ref_free_subst(psi, x, p):

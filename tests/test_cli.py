@@ -333,6 +333,31 @@ class TestSatisfies:
     def test_io_failure(self, capsys):
         assert main(["satisfies", NATBOOL_MLT, "/nonexistent.mlm"]) == 2
 
+    @pytest.mark.parametrize("command, flag", [("satisfies", "--cap"),
+                                               ("satisfies", "--prefix-cap"),
+                                               ("eval", "--prefix-cap")])
+    def test_a_negative_cap_is_a_usage_error(self, capsys, command, flag):
+        # a count below 0 ends in argparse's usage error, as one that is
+        # not an int does; 0 is a cap that refuses what needs any work
+        inputs = [NATBOOL_MLT, NATBOOL_MLM, *(["O()"] if command == "eval" else [])]
+        for value, why in (("-1", "invalid non-negative int value: '-1'"),
+                           ("abc", "invalid int value: 'abc'")):
+            with pytest.raises(SystemExit) as stop:
+                main([command, *inputs, flag, value])
+            out, err = capsys.readouterr()
+            assert (stop.value.code, out) == (2, "")
+            assert err.startswith("usage: ")
+            assert err.endswith(f" error: argument {flag}: {why}\n")
+        assert main(["satisfies", NATBOOL_MLT, NATBOOL_MLM, "--cap", "0",
+                     "--axiom", "bool-domain"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "bool-domain: error (StateSpaceTooLargeError: axiom 'bool-domain' needs 1 "
+            "valuations, more than the cap of 0)\n")
+        assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "\\mu{Nat} \\or(O(), S(B0))",
+                     "--lfp", "prefix", "--prefix-cap", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: carrier of Nat has 4 elements; enumerating 2^4 subsets exceeds the cap of 0\n")
+
     @pytest.mark.parametrize("report", ["text", "json"])
     @pytest.mark.parametrize("lfp", ["iterate", "prefix"])
     @pytest.mark.parametrize("planted", [False, True], ids=["natbool", "planted"])
@@ -350,7 +375,7 @@ class TestSatisfies:
             axioms += [("planted-pair", "Bool"), ("planted-set", "Bool")]
             violated = {
                 "planted-pair": ("x:Nat = 1, y:Nat = 2", {"x:Nat": "1", "y:Nat": "2"}),
-                "planted-set": ("x:Nat = 1, #X:Nat = ['0', '2']",
+                "planted-set": ("x:Nat = 1, #X:Nat = { 0, 2 }",
                                 {"x:Nat": "1", "#X:Nat": ["0", "2"]}),
             }
         axioms += [(f"definedness/{a}/{b}", b) for a in ("Bool", "Nat") for b in ("Bool", "Nat")]

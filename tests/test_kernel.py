@@ -23,6 +23,8 @@ from mulogic import (
     fevar_subst,
     free_vars,
     fsvar_subst,
+    index_subst,
+    index_subst_set,
     mk_and,
     mk_app,
     mk_bottom,
@@ -70,6 +72,7 @@ from mulogic.pattern import (
     FreeSVar,
     Mu,
     Not,
+    Pattern,
     fold_pattern,
     walk,
 )
@@ -84,9 +87,11 @@ from reference import (
     ref_bound_subst,
     ref_equal,
     ref_eval_pattern,
+    ref_extend_env,
     ref_facts,
     ref_free_subst,
     ref_free_var_sets,
+    ref_index_subst,
     ref_repr,
     ref_weaken,
     ref_well_sorted,
@@ -872,26 +877,115 @@ def test_substitution_matches_its_reference(judged):
     sig, _, _, accepted = judged
     a, b = sig.sort("A"), sig.sort("B")
     variables = [ElemVar("x", a), ElemVar("x", b), SetVar("X", a), SetVar("X", b)]
-    longer = [ref_weaken(p, *heads) for p in accepted[1]
-              for s in (a, b) for heads in (((s,), ()), ((), (s,)))]
-    disagreements, count, results = [], 0, 0
-    for replacements, targets in ((accepted[1], accepted[1] + accepted[2] + longer),
-                                  (accepted[2], accepted[1])):
-        for psi in replacements:
-            for p in targets:
-                calls = [(bevar_subst, partial(ref_bound_subst, BoundEVar), (psi, p)),
-                         (bsvar_subst, partial(ref_bound_subst, BoundSVar), (psi, p))]
-                calls += [(fevar_subst if isinstance(x, ElemVar) else fsvar_subst,
-                           ref_free_subst, (psi, x, p)) for x in variables]
-                for kernel, reference, args in calls:
-                    got, want = _outcome(kernel, *args), _outcome(reference, *args)
-                    count += 1
-                    if isinstance(want, type):
-                        agree = got is want
-                    else:
-                        results += 1
-                        agree = got == want and (got.ex, got.mu) == (want.ex, want.mu)
-                    if not agree:
-                        disagreements.append((kernel.__name__, args, got, want))
+    longer = _weakened(accepted[1], (a, b))
+
+    def calls():
+        for replacements, targets in ((accepted[1], accepted[1] + accepted[2] + longer),
+                                      (accepted[2], accepted[1])):
+            for psi in replacements:
+                for p in targets:
+                    yield bevar_subst, partial(ref_bound_subst, BoundEVar), (psi, p)
+                    yield bsvar_subst, partial(ref_bound_subst, BoundSVar), (psi, p)
+                    for x in variables:
+                        yield (fevar_subst if isinstance(x, ElemVar) else fsvar_subst,
+                               ref_free_subst, (psi, x, p))
+
+    count, results, disagreements = _compare(calls())
     assert disagreements == []
     assert (count, results) == (280_098, 36_936)
+
+
+def _weakened(nodes, sorts):
+    """Each of ``nodes`` with one of ``sorts`` put in front of either
+    context: a context of length 2 has a slot before a nonempty tail."""
+    return [ref_weaken(p, *heads) for p in nodes
+            for s in sorts for heads in (((s,), ()), ((), (s,)))]
+
+
+def _compare(calls, check=None):
+    """Run each ``(kernel, reference, args)`` of ``calls``; the number of
+    calls, of results, and each call on which kernel and reference differ,
+    in a result (by ``==`` and contexts) or in the ``MuLogicError``
+    subclass of a refusal.  ``check(args, result)``, when given, runs on
+    each result."""
+    count, results, disagreements = 0, 0, []
+    for kernel, reference, args in calls:
+        got, want = _outcome(kernel, *args), _outcome(reference, *args)
+        count += 1
+        if isinstance(want, type):
+            agree = got is want
+        else:
+            results += 1
+            agree = got == want and (got.ex, got.mu) == (want.ex, want.mu)
+            if agree and check is not None:
+                check(args, got)
+        if not agree:
+            disagreements.append((kernel.__name__, args, got, want))
+    return count, results, disagreements
+
+
+def test_extension_and_index_procedure_match_their_references(judged):
+    # over the replacements and targets above: extend_env at every split
+    # of either context, one past each end included, with each insert of
+    # one or two sorts, and at every pair of splits with one sort in each;
+    # index_subst and index_subst_set of each node at every prefix of up
+    # to two sorts and every index, one past each end included.  Each
+    # extension keeps its pattern's size.
+    sig, _, _, accepted = judged
+    a, b = sig.sort("A"), sig.sort("B")
+    nodes = accepted[1] + accepted[2] + _weakened(accepted[1], (a, b))
+    inserts = [(s,) for s in (a, b)] + [(s, t) for s in (a, b) for t in (a, b)]
+    prefixes = [()] + [(s,) for s in (a, b)] + [(s, t) for s in (a, b) for t in (a, b)]
+
+    def calls():
+        for p in nodes:
+            for insert in inserts:
+                for split in range(-1, len(p.ex) + 2):
+                    yield extend_env, ref_extend_env, (p, split, insert)
+                for split in range(-1, len(p.mu) + 2):
+                    yield extend_env, ref_extend_env, (p, 0, (), split, insert)
+            for ex_split in range(len(p.ex) + 1):
+                for mu_split in range(len(p.mu) + 1):
+                    for s in (a, b):
+                        for t in (a, b):
+                            yield extend_env, ref_extend_env, (p, ex_split, (s,), mu_split, (t,))
+            for prefix in prefixes:
+                for index in range(-1, len(prefix) + len(p.ex) + 2):
+                    yield index_subst, partial(ref_index_subst, BoundEVar), (index, prefix, p)
+                for index in range(-1, len(prefix) + len(p.mu) + 2):
+                    yield index_subst_set, partial(ref_index_subst, BoundSVar), (index, prefix, p)
+
+    def same_size(args, result):
+        if isinstance(args[0], Pattern):  # an extension
+            assert size(result) == size(args[0]), args
+
+    count, results, disagreements = _compare(calls(), same_size)
+    assert disagreements == []
+    assert (count, results) == (74_190, 45_486)
+
+
+def test_closing_an_opened_binder_gives_it_back(judged):
+    # open each binder among the judged nodes and the size-2 ones weakened
+    # with a fresh free variable (bevar_subst/bsvar_subst), then close it
+    # again (extend_env at the front, then fevar_subst/fsvar_subst with the
+    # binder's bound variable): the body comes back, and so the binder
+    sig, _, _, accepted = judged
+    a, b = sig.sort("A"), sig.sort("B")
+    nodes = accepted[2] + accepted[3] + _weakened(accepted[2], (a, b))
+    binders = [q for q in nodes if type(q) in (Exists, Mu)]
+    for q in binders:
+        body = q.body
+        if type(q) is Exists:
+            x = ElemVar("fresh", q.binder_sort)
+            opened = bevar_subst(mk_free_evar(x, q.ex, q.mu), body)
+            b0 = mk_bound_evar(body.ex, body.mu, 0)
+            closed = fevar_subst(b0, x, extend_env(opened, 0, (q.binder_sort,)))
+        else:
+            x = SetVar("Fresh", q.sort)
+            opened = bsvar_subst(mk_free_svar(x, q.ex, q.mu), body)
+            b0 = mk_bound_svar(body.ex, body.mu, 0)
+            closed = fsvar_subst(b0, x, extend_env(opened, 0, (), 0, (q.sort,)))
+        assert (opened.ex, opened.mu) == (q.ex, q.mu)
+        assert closed == body, q
+        assert q.rebuild(q.ex, q.mu, (closed,)) == q
+    assert len(binders) == 563
