@@ -41,6 +41,11 @@ column as the offset from its line's start, and emits plain ``__slots__``
 token records.  The frontend has no nesting limit: its pattern routines
 are generators that one driver, ``_run``, runs on an explicit stack.
 
+Elaboration hash-conses: within one ``parse_pattern`` or ``parse_theory``
+call, each distinct subterm written in the same contexts is elaborated
+into one node, found by its key before any constructor runs (see
+``_Elaborator``).  Nothing is kept across calls.
+
 Model files have a second reader: one ``_MODEL_LINE_RE`` match per line
 reads a well-formed file without making tokens, and any file it cannot
 read goes to the token path, which alone reports diagnostics.
@@ -397,10 +402,31 @@ def _bound_sort(node: _SNode, ex: Context, mu: tuple[Sort | None, ...]) -> Sort 
 class _Elaborator:
     """Turns surface nodes into kernel patterns, checking sorts top-down
     and inferring them bottom-up where the grammar leaves them open
-    (definedness arguments and unannotated fixpoints)."""
+    (definedness arguments and unannotated fixpoints).
+
+    One elaborator serves one ``parse_pattern`` or ``parse_theory`` call
+    and makes one node per distinct subterm written in it (hash-consing:
+    Filliâtre & Conchon, ML Workshop 2006).  Its table maps each node's
+    key to the node made for it: the surface kind, the expected sort, the
+    contexts, the payload (a symbol, a variable's name or an index) and
+    the children's identities.  A hit returns that node and builds
+    nothing, so a subterm written twice in the same contexts is one
+    object, and placement, whose memo is keyed by identity, computes it
+    once.  A derived connective's expansion is entered as a whole: the
+    nodes inside it are its builder's.  Keys hold no pattern, whose ``==``
+    and ``hash`` walk it; separate calls share nothing.
+    """
 
     def __init__(self, sig: Signature):
         self.sig = sig
+        self._table: dict[tuple, Pattern] = {}
+
+    def _node(self, key: tuple, build: Callable[..., Pattern], *args: Any) -> Pattern:
+        """The node for ``key``, made by ``build(*args)`` on a miss."""
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = build(*args)
+        return node
 
     def elab(self, node: _SNode, expect: Sort | None, ex: Context, mu: Context) -> Pattern:
         if expect is None:
@@ -426,7 +452,8 @@ class _Elaborator:
         if node.kind in ("bevar", "bsvar"):
             self._check(_bound_sort(node, ex, mu), expect, node.span, node.name)
             build = mk_bound_evar if node.kind == "bevar" else mk_bound_svar
-            return build(ex, mu, node.index)
+            return self._node((node.kind, expect, ex, mu, node.index),
+                              build, ex, mu, node.index)
         if node.kind == "app":
             if not self.sig.has_symbol(node.name):
                 raise _err(node.span, "unknown-symbol",
@@ -441,19 +468,24 @@ class _Elaborator:
             args = []
             for child, param in zip(node.children, symbol.params):
                 args.append((yield self._elab(child, param, ex, mu)))
-            return mk_app(self.sig, symbol, args, ex, mu)
+            return self._node((node.kind, expect, ex, mu, symbol, *map(id, args)),
+                              mk_app, self.sig, symbol, args, ex, mu)
         sort = _declared_sort(self.sig, node.sort_name, node.span)
+        key = (node.kind, sort, ex, mu, node.name)
         if node.kind == "evar":
             self._check(sort, expect, node.span, f"variable {node.name}")
-            return mk_free_evar(ElemVar(node.name, sort), ex, mu)
+            return self._node(key, mk_free_evar, ElemVar(node.name, sort), ex, mu)
         self._check(sort, expect, node.span, f"set variable {node.name}")
-        return mk_free_svar(SetVar(node.name, sort), ex, mu)
+        return self._node(key, mk_free_svar, SetVar(node.name, sort), ex, mu)
 
     def _elab_connective(self, conn: _Connective, node: _SNode, expect: Sort,
                          ex: Context, mu: Context) -> Generator:
         annotation = None
         if node.sort_name is not None:
             annotation = _declared_sort(self.sig, node.sort_name, node.span)
+        # an \exists binder's sort is its body's first ex sort, and any
+        # other annotation is the expected sort
+        key = (node.kind, expect, ex, mu)
         if conn.binds == EX:
             ex = (annotation,) + ex
         elif annotation is not None:
@@ -472,7 +504,8 @@ class _Elaborator:
         for child in node.children:
             operands.append((yield self._elab(child, operand, ex, mu)))
         leading = [annotation] if conn.annotation == _REQUIRED else []
-        return conn.build(*leading, *(operands or (ex, mu)))
+        return self._node((*key, *map(id, operands)), conn.build,
+                          *leading, *(operands or (ex, mu)))
 
     def infer(self, nodes: Sequence[_SNode], ex: Context,
               mu: tuple[Sort | None, ...]) -> Generator:

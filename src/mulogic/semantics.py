@@ -18,7 +18,11 @@ unbound variables.
   entered in it; each node entered in a scope gets one register there, an
   int bitmask over the carrier of the node's sort, so a subtree shared
   within one scope is computed once, and one shared by two sibling binders
-  that both read their own variable is computed in each.  A bound
+  that both read their own variable is computed in each.  The parser makes
+  one node of each distinct subterm written in one call (see
+  :mod:`mulogic.parser`), so a subterm the text repeats is shared, and
+  gets one register; equal subtrees built apart through the ``mk_*``
+  helpers are distinct objects and get one each.  A bound
   variable's node is its binder's register and a free variable's its
   level's, with no memo entry; a 0-ary symbol is a constant.  Symbol
   applications read the model's one-bit-mask tables

@@ -166,8 +166,8 @@ def check_axiom(
         choices.append(values)
     if count > state_cap:
         raise StateSpaceTooLargeError(
-            f"axiom {axiom.label!r} needs {count} valuations, more than the "
-            f"cap of {state_cap}"
+            f"axiom {axiom.label!r} needs {count} valuation{'' if count == 1 else 's'}, "
+            f"more than the cap of {state_cap}"
         )
     _check_evaluable(p, lfp_mode)
 

@@ -100,8 +100,8 @@ def ref_check_axiom(model, axiom, lfp_mode="iterate", prefix_cap=20, state_cap=1
     )
     if count > state_cap:
         raise StateSpaceTooLargeError(
-            f"axiom {axiom.label!r} needs {count} valuations, more than the "
-            f"cap of {state_cap}"
+            f"axiom {axiom.label!r} needs {count} valuation{'' if count == 1 else 's'}, "
+            f"more than the cap of {state_cap}"
         )
     _check(axiom.pattern, lfp_mode)
     expected = model.full_set(axiom.sort)

@@ -352,7 +352,7 @@ class TestSatisfies:
                      "--axiom", "bool-domain"]) == 1
         assert capsys.readouterr().out.startswith(
             "bool-domain: error (StateSpaceTooLargeError: axiom 'bool-domain' needs 1 "
-            "valuations, more than the cap of 0)\n")
+            "valuation, more than the cap of 0)\n")
         assert main(["eval", NATBOOL_MLT, NATBOOL_MLM, "\\mu{Nat} \\or(O(), S(B0))",
                      "--lfp", "prefix", "--prefix-cap", "0"]) == 1
         assert capsys.readouterr().err == (

@@ -23,6 +23,7 @@ from mulogic import (
     mk_bound_evar,
     mk_bound_svar,
     mk_defined,
+    mk_equals,
     mk_exists,
     mk_forall,
     mk_free_evar,
@@ -32,11 +33,16 @@ from mulogic import (
     mk_mu,
     mk_not,
     mk_or,
+    parse_model,
     parse_pattern,
+    parse_theory,
+    print_pattern,
     satisfies,
 )
 from mulogic import model as models, semantics
+from mulogic.corpus import corpus_path
 from mulogic.errors import CarrierTooLargeError, MuLogicError, NestingTooDeepError
+from mulogic.pattern import walk
 from gen import (
     EQUALITY_SHAPES,
     random_equality,
@@ -587,13 +593,13 @@ def look_alike_equality(sig):
 
 @pytest.mark.parametrize("make, names", [
     (r"\equals{Bool}(S(O()), plus(O(), S(O())))",
-     ["_app_op", "_app_op", "_app_op", "_equals_op"]),
+     ["_app_op", "_app_op", "_equals_op"]),
     (r"\forall{Nat} \equals{Nat}(S(b0), \not(plus(b0, S(O()))))",
      ["_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op"]),
     (instantiated_equality, ["_app_op", "_app_op", "_app_op", "_equals_op"]),
     # near misses compile node by node
     (r"\subseteq{Bool}(S(O()), plus(O(), S(O())))",
-     ["_and_op", "_app_op", "_app_op", "_app_op", "_defined_op"]),
+     ["_and_op", "_app_op", "_app_op", "_defined_op"]),
     (look_alike_equality,
      ["_and_op", "_and_op", "_and_op", "_app_op", "_app_op", "_app_op", "_app_op",
       "_defined_op"]),
@@ -721,6 +727,115 @@ def test_memory_stays_bounded_over_every_subset(n):
     report, check_peak = traced_peak(lambda: satisfies(model, theory))
     assert value == ref_eval_pattern(model, empty, fix) and report.satisfied
     assert max(eval_peak, check_peak) < 32 * 1024, (eval_peak, check_peak)
+
+
+# --- one node per distinct subterm --------------------------------------------
+
+
+def registers(model, p):
+    """How many registers placement gives the closed pattern ``p``."""
+    return len(semantics._compile(model, p, "iterate", 20, ()).regs)
+
+
+def distinct_nodes(p):
+    return sum(kids is not None for _, kids in walk(p))
+
+
+def assert_fully_shared(p):
+    """No two distinct nodes of ``p`` have the same head and children."""
+    nodes = {}
+    for node, kids in walk(p):
+        if kids is not None:
+            key = (*node._head(), *map(id, kids))
+            assert nodes.setdefault(key, node) is node, str(node)
+
+
+def test_equal_subterms_of_one_parse_are_one_node(std_sig, std_model):
+    p = parse_pattern(r"\equals{Bool}(S(O()), plus(O(), S(O())))", std_sig)
+    a, b = p._operands
+    assert a is b.args[1] and a.args[0] is b.args[0]
+    # O(), S(O()), plus(O(), S(O())) and the comparison; parsed apart, the
+    # second S(O()) and its O() are other objects, with registers of their own
+    apart = mk_equals(std_sig.sort("Bool"), parse_pattern("S(O())", std_sig),
+                      parse_pattern("plus(O(), S(O()))", std_sig))
+    assert apart == p
+    assert (registers(std_model, p), registers(std_model, apart)) == (4, 6)
+    empty = Valuation.empty()
+    assert eval_pattern(std_model, empty, p) == eval_pattern(std_model, empty, apart)
+    # a \mu with and without its annotation is one node
+    p = parse_pattern(r"\and(\mu{Nat} S(B0), \mu S(B0))", std_sig)
+    assert p.left is p.right
+    # equal text in other contexts, or of another sort, is another pattern
+    for text in (r"\and(O(), \exists{Nat} O())", r"\and(\top{Nat}, \exists{Nat} \top{Nat})"):
+        p = parse_pattern(text, std_sig)
+        assert p.left != p.right.body
+    p = parse_pattern(r"\and(\ceil{Bool}(O()), isZero(\ceil{Nat}(O())))", std_sig)
+    assert p.left.body is p.right.args[0].body and p.left != p.right.args[0]
+
+
+def test_separate_parses_share_nothing(std_sig):
+    a, b = parse_pattern("S(O())", std_sig), parse_pattern("S(O())", std_sig)
+    assert a == b and a is not b and a.args[0] is not b.args[0]
+
+
+def test_one_theory_shares_equal_subterms_across_its_axioms():
+    theory = parse_theory("\n".join([
+        "sort Nat",
+        "symbol S : Nat -> Nat",
+        "symbol plus : Nat, Nat -> Nat",
+        r"axiom defined [Nat] \ceil{Nat}(plus(x:Nat, S(y:Nat)))",
+        r"axiom succ [Nat] \equals{Nat}(plus(x:Nat, S(y:Nat)), S(plus(x:Nat, y:Nat)))",
+    ]))
+    defined, succ = (axiom.pattern for axiom in theory.axioms)
+    left, right = succ._operands
+    assert defined.body is left
+    assert left.args[0] is right.args[0].args[0] and left.args[1].args[0] is right.args[0].args[1]
+
+
+def reparsed(p, sig):
+    """``p`` printed and parsed back: equal to ``p``, printed the same and
+    fully shared."""
+    text = print_pattern(p)
+    q = parse_pattern(text, sig, p.ex, p.mu, expect_sort=p.sort)
+    assert q == p and print_pattern(q) == text, text
+    assert_fully_shared(q)
+    return q
+
+
+def test_reparsed_patterns_are_shared_and_evaluate_the_same():
+    # each generator builds equal subterms as distinct objects, so some
+    # reparses of each have fewer nodes
+    rng = random.Random(150)
+    makers = (
+        lambda sig: random_pattern(rng, sig, rng.choice(sig.sorts), budget=rng.randint(2, 14)),
+        lambda sig: random_positive_mu(rng, sig, budget=rng.randint(3, 10)),
+        lambda sig: random_nested_fixpoint(rng, sig, rng.randint(2, 3)),
+        lambda sig: random_equality(rng, sig)[1],
+    )
+    fewer = [0] * len(makers)
+    for case in range(400):
+        sig = random_signature(rng)
+        model = random_model(rng, sig, max_carrier=3)
+        p = makers[case % len(makers)](sig)
+        q = reparsed(p, sig)
+        fewer[case % len(makers)] += distinct_nodes(q) < distinct_nodes(p)
+        rho = random_valuation(rng, model, p)
+        for arm in EVAL_ARMS[:2]:
+            mine = outcome(eval_pattern, model, rho, q, **arm)
+            assert mine == outcome(ref_eval_pattern, model, rho, p, **arm), (case, arm, str(p))
+    assert min(fewer) > 0, fewer
+
+
+def test_reparsed_corpus_axioms_keep_their_verdicts():
+    natbool = parse_theory(corpus_path("natbool.mlt").read_text(encoding="utf-8"))
+    model, _ = parse_model(corpus_path("natbool.mlm").read_text(encoding="utf-8"), natbool)
+    for axiom in natbool.axioms:
+        again = Axiom(axiom.label, axiom.sort, reparsed(axiom.pattern, natbool.signature))
+        for arm in CHECK_ARMS[:2]:
+            mine, warned = outcome(check_axiom, model, again, **arm)
+            ref, ref_warned = outcome(ref_check_axiom, model, axiom, **arm)
+            assert (axiom_view(mine), warned) == (axiom_view(ref), ref_warned), (axiom.label, arm)
+            assert axiom_view(mine) == axiom_view(check_axiom(model, axiom, **arm))
 
 
 # --- the valuation search -----------------------------------------------------
