@@ -60,7 +60,11 @@ unbound variables.
   for any node; every other shape compiles node by node.
 * **Applications.**  An application whose arguments each hold at most one
   bit reads its table entry straight; only wider arguments take the
-  pointwise lift.  Each instruction keeps at most its last argument and
+  pointwise lift.  An element variable denotes exactly one element, so
+  placement knows which registers always hold one bit, the variable of
+  each ``Exists`` and the level of each free element variable; a unary or
+  binary application of such registers alone reads its entry with no
+  test.  Each instruction keeps at most its last argument and
   image, as a ``prefix`` μ or a free set variable runs it on every subset
   of a carrier: a unary application of a plain argument, in any scope,
   ORs its last image with the image of only the bits its argument gained
@@ -78,7 +82,9 @@ unbound variables.
   ``Exists`` or ``Mu`` instruction loops over its body's list, so Python
   recursion depth is the run-time nesting of binder loops, not the
   pattern depth, and placement refuses a nesting the recursion limit has
-  no room for (:class:`~mulogic.errors.NestingTooDeepError`).
+  no room for (:class:`~mulogic.errors.NestingTooDeepError`).  An
+  ``Exists`` loop runs its body for every element of its carrier, so its
+  work does not depend on where in carrier order its union fills.
 
 Least fixpoints come in two engines:
 
@@ -491,6 +497,9 @@ def _compile(
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     regs = [0] * len(levels)
     reads: dict[int, int] = {}  # register -> its innermost level's depth
+    # registers that always hold exactly one bit: the levels of free element
+    # variables and the variables of Exists binders
+    ones = {k for k, var in enumerate(variables) if isinstance(var, ElemVar)}
     room = None  # how deep binder loops may nest, found at the first binder
     full = model._full_mask
 
@@ -574,6 +583,8 @@ def _compile(
                 # the binder's variable is the next register; its loop sets it
                 # before each run of the body
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
+                if kind is Exists:
+                    ones.add(inner.var)
                 regs.append(0)
                 push((node, scope, inner, 1, sign))
                 body_ctxs = [*ctxs]
@@ -606,10 +617,10 @@ def _compile(
             reads[dst] = level
         if kind is App:
             table = model.mask_table(node.symbol)
-            flips = (0,) * n
+            flips, single = (0,) * n, ones.issuperset(args)
             if min(args) < 0:  # most applications have none to decode; skip the list
                 args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.args)])
-            op = _app_op(regs, dst, args, table, flips)
+            op = _app_op(regs, dst, args, table, flips, single)
         elif kind is And:
             a, b = args
             op = _and_op(regs, dst, a, b)
@@ -708,25 +719,42 @@ def _equals_op(
 
 
 def _app_op(
-    regs: list[int], dst: int, args: Sequence[int], table: Mapping, flips: Sequence[int]
+    regs: list[int], dst: int, args: Sequence[int], table: Mapping, flips: Sequence[int],
+    single: bool,
 ) -> Callable[[], None]:
     """Pointwise application: the OR of the table entries of every
     combination of one-bit masks drawn from the arguments.  Argument ``k``
     is register ``args[k]`` XORed with ``flips[k]``: 0, or the full carrier
-    of its sort for a complement.  The unary and binary forms serve plain
-    arguments; any complemented argument takes the n-ary form.  Each reads
-    the table straight when every argument holds at most one bit (a key
-    with an empty argument is absent from it), else lifts the arguments.
+    of its sort for a complement.  ``single`` is set when every argument is
+    a plain register that always holds exactly one bit, the variable of an
+    ``Exists`` or of a free element variable's level: its unary and binary
+    forms read the table entry straight, with no test.  The other unary and
+    binary forms serve plain arguments; any complemented argument takes the
+    n-ary form.  Each reads the table straight when every argument holds at
+    most one bit (a key with an empty argument is absent from it), else
+    lifts the arguments.
 
-    The unary form keeps its last argument and image, and no form keeps
-    more, since a ``prefix`` μ or a free set variable runs an application
-    on every subset of a carrier.  When the last argument is a subset of
-    this one, the image is the last image ORed with the image of the added
-    bits alone, since pointwise application distributes over union
-    (semi-naive evaluation: Bancilhon, 1986).  Any other argument is
-    lifted whole."""
+    The unary form of a plain argument keeps its last argument and image,
+    and no form keeps more, since a ``prefix`` μ or a free set variable
+    runs an application on every subset of a carrier.  When the last
+    argument is a subset of this one, the image is the last image ORed with
+    the image of the added bits alone, since pointwise application
+    distributes over union (semi-naive evaluation: Bancilhon, 1986).  Any
+    other argument is lifted whole."""
     plain = not any(flips)
-    if plain and len(args) == 1:
+    if single and len(args) == 1:
+        (a,) = args
+
+        def op() -> None:
+            regs[dst] = table.get((regs[a],), 0)
+
+    elif single and len(args) == 2:
+        a, b = args
+
+        def op() -> None:
+            regs[dst] = table.get((regs[a], regs[b]), 0)
+
+    elif plain and len(args) == 1:
         (a,) = args
         last = image = 0
 
@@ -772,7 +800,9 @@ def _exists_op(
 ) -> Callable[[], None]:
     """The union of register ``res`` XORed with ``flip`` (0, or the full
     carrier for a complemented body) over ``body`` run once per element
-    mask in ``elems``."""
+    mask in ``elems``.  The loop does not stop once the union is full: its
+    cost would then depend on where in carrier order the union fills (for
+    a ``\\forall``, where its first counterexample lies)."""
 
     def op() -> None:
         acc = 0

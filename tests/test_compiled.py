@@ -40,6 +40,7 @@ from mulogic import (
     satisfies,
 )
 from mulogic import model as models, semantics
+from mulogic.model import _lift
 from mulogic.corpus import corpus_path
 from mulogic.errors import CarrierTooLargeError, MuLogicError, NestingTooDeepError
 from mulogic.pattern import walk
@@ -573,6 +574,33 @@ def test_complement_runs_where_its_operand_is_computed(std_sig, std_model, nat, 
     assert axiom_view(result) == axiom_view(ref_check_axiom(std_model, axiom))
 
 
+def perturbed_plus(std_sig, i, j):
+    """The standard model with ``plus(i, j)`` changed to an element that
+    ``plus(j, i)`` does not hold, or unchanged when ``i`` is None."""
+    table = {(str(a), str(b)): [str(a + b)] if a + b <= 3 else []
+             for a in range(4) for b in range(4)}
+    if i is not None:
+        table[str(i), str(j)] = [str((i + j + 1) % 4)]
+    return build_model(std_sig, {"Bool": ["t", "f"], "Nat": ["0", "1", "2", "3"]},
+                       {"O": {(): ["0"]}, "plus": table})
+
+
+@pytest.mark.parametrize("i, j", [(None, None), *itertools.permutations(range(4), 2)])
+def test_forall_runs_every_pair_wherever_one_fails(std_sig, monkeypatch, i, j):
+    # the union of the complemented equality is full, and the forall
+    # decided empty, at the first pair with plus(x, y) != plus(y, x); the
+    # loops still run the body for all 16 pairs, so the work does not
+    # depend on where in carrier order the failing pair lies
+    equals_runs = _runs(monkeypatch, "_equals_op")
+    p = parse_pattern(r"\forall{Nat} \forall{Nat} \equals{Nat}(plus(b0, b1), plus(b1, b0))",
+                      std_sig)
+    model, empty = perturbed_plus(std_sig, i, j), Valuation.empty()
+    got = eval_pattern(model, empty, p)
+    assert got == ref_eval_pattern(model, empty, p)
+    assert got.is_full == (i is None) and got.is_empty == (i is not None)
+    assert equals_runs == [16]
+
+
 # --- fused instructions -------------------------------------------------------
 
 
@@ -701,6 +729,73 @@ def test_interpret_symbol_reads_the_table(std_sig, std_model, lifts):
     assert std_model.format_set(std_model.interpret_symbol(plus, (one, two))) == "{ 3 }"
     assert std_model.interpret_symbol(plus, (two, two)).is_empty
     assert lifts == []
+
+
+@pytest.fixture
+def apps(monkeypatch):
+    """Each placed application instruction, with the arguments its maker
+    was given."""
+    made = []
+    make = semantics._app_op
+
+    def recorded(*args):
+        op = make(*args)
+        made.append((op, *args))
+        return op
+
+    monkeypatch.setattr(semantics, "_app_op", recorded)
+    return made
+
+
+@pytest.mark.parametrize("text, straight", [
+    # element variables always hold one bit: an Exists variable, in one
+    # place or both, and a free element variable, read with no test
+    (r"\exists{Nat} S(b0)", True),
+    (r"\exists{Nat} \exists{Nat} plus(b1, b0)", True),
+    (r"S(x:Nat)", True),
+    (r"plus(x:Nat, y:Nat)", True),
+    (r"\exists{Nat} plus(x:Nat, b0)", True),
+    # a mu or free set variable, a complement or a computed argument may
+    # hold any subset, and keeps the test; so does a binary application
+    # with one such argument
+    (r"\mu{Nat} \or(O(), S(B0))", False),
+    (r"S(#X:Nat)", False),
+    (r"plus(x:Nat, #X:Nat)", False),
+    (r"\exists{Nat} S(\not(b0))", False),
+    (r"isZero(\not(x:Nat))", False),
+    (r"\exists{Nat} S(S(b0))", False),
+    (r"\exists{Nat} plus(b0, S(b0))", False),
+])
+def test_applications_of_element_variables_read_the_table_straight(
+        std_sig, std_model, apps, lifts, text, straight):
+    nat = std_sig.sort("Nat")
+    rho = Valuation({ElemVar(name, nat): std_model.elem(nat, "2") for name in "xy"},
+                    {SetVar("X", nat): std_model.full_set(nat)})
+    p = parse_pattern(text, std_sig)
+    axiom = Axiom("a", p.sort, p)
+
+    def checked():
+        assert axiom_view(check_axiom(std_model, axiom)) == axiom_view(
+            ref_check_axiom(std_model, axiom))
+
+    def evaluated():
+        assert eval_pattern(std_model, rho, p) == ref_eval_pattern(std_model, rho, p)
+
+    # check_axiom only where there are free variables
+    for run in (evaluated, checked) if ":" in text else (evaluated,):
+        apps.clear()
+        run()
+        # run the last placed application with every argument {0, 1}: its
+        # table has no entry for that key, so a straight read gives 0
+        op, regs, dst, args, table, flips, _ = apps[-1]
+        image = _lift(table, (0b11,) * len(args))  # not the counted lift
+        lifts.clear()
+        for a, flip in zip(args, flips):
+            regs[a] = 0b11 ^ flip
+        op()
+        assert image and regs[dst] == (0 if straight else image)
+        if straight:
+            assert lifts == []
 
 
 def traced_peak(run):

@@ -7,6 +7,7 @@ import pytest
 
 from mulogic import (
     And,
+    Axiom,
     CarrierSet,
     ElemVar,
     MuCheck,
@@ -17,6 +18,7 @@ from mulogic import (
     bevar_subst,
     bsvar_subst,
     build_model,
+    check_axiom,
     check_mu_positivity,
     eval_pattern,
     extend_env,
@@ -85,6 +87,7 @@ from gen import (
 )
 from reference import (
     ref_bound_subst,
+    ref_check_axiom,
     ref_equal,
     ref_eval_pattern,
     ref_extend_env,
@@ -858,6 +861,117 @@ def test_closed_well_sorted_nodes_denote_sets_of_their_sort(judged):
             else:
                 refused += 1
     assert (len(closed), refused) == (288, 2)
+
+
+class _CheckedTable(dict):
+    """A mask table whose ``get`` asserts that each key component is 0 or
+    one bit of its parameter's carrier, whose full masks are ``fulls``.
+    The evaluator reads a table only through ``get``, lifts included, so a
+    value outside its carrier that reaches a table, even one a lookup
+    would ignore, fails the test."""
+
+    def __init__(self, table, fulls):
+        super().__init__(table)
+        self.fulls = fulls
+
+    def get(self, key, default=None):
+        assert len(key) == len(self.fulls) and all(
+            not bits & (bits - 1) and bits & full == bits for bits, full in zip(key, self.fulls)
+        ), (key, self.fulls)
+        return super().get(key, default)
+
+
+def _checked_model(sig, carriers, interps):
+    """``build_model``'s model, with each mask table checked."""
+    model = build_model(sig, carriers, interps)
+    model._masks = {symbol: _CheckedTable(table, [model._full_mask(s) for s in symbol.params])
+                    for symbol, table in model._masks.items()}
+    return model
+
+
+def _closed_of_size_4(sig, accepted):
+    """Every well-sorted closed node of size 4 over the judged nodes of
+    sizes 1-3, built from the operands that fit rather than by filtering
+    candidates: contexts of length 0 or 1 close only under a binder."""
+    a, b = sig.sort("A"), sig.sort("B")
+    closed = {size: [p for p in accepted[size] if not p.ex and not p.mu] for size in (1, 2, 3)}
+    nodes = []
+    for kid in closed[3]:
+        nodes.append(Not(kid.sort, (), (), kid))
+        nodes += [Defined(s, (), (), kid) for s in (a, b)]
+        if kid.sort is a:
+            nodes.append(App(b, (), (), sig.symbol("f"), (kid,)))
+    for kid in accepted[3]:
+        if len(kid.ex) == 1 and not kid.mu:
+            nodes.append(Exists(kid.sort, (), (), kid.ex[0], kid))
+        if not kid.ex and kid.mu == (kid.sort,):
+            nodes.append(Mu(kid.sort, (), (), kid))
+    for left, right in [(p, q) for p in closed[1] for q in closed[2]] + [
+            (p, q) for p in closed[2] for q in closed[1]]:
+        if left.sort is right.sort:
+            nodes.append(And(left.sort, (), (), left, right))
+        if (left.sort, right.sort) == (a, b):
+            nodes.append(App(a, (), (), sig.symbol("g"), (left, right)))
+    return nodes
+
+
+def _verdict(result):
+    """An ``AxiomResult``'s verdict, set and witness, or a refusal's type."""
+    return result if isinstance(result, type) else (result.verdict, result.got, result.witness)
+
+
+# the judged model, one where f is total and one with a one-element carrier
+_CHECKED_MODELS = {
+    "partial-f": ({"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}, {
+        "c": {(): ["a0"]},
+        "f": {("a0",): ["b0", "b1"]},
+        "g": {("a0", "b0"): ["a1"], ("a1", "b1"): ["a0", "a1"], ("a0", "b2"): ["a0"]},
+    }),
+    "total-f": ({"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}, {
+        "c": {(): ["a1"]},
+        "f": {("a0",): ["b1"], ("a1",): ["b0", "b2"]},
+        "g": {("a1", "b0"): ["a0"], ("a0", "b1"): ["a1"], ("a1", "b2"): ["a0", "a1"]},
+    }),
+    "one-element": ({"A": ["a0"], "B": ["b0", "b1"]}, {
+        "c": {(): ["a0"]},
+        "f": {("a0",): ["b1"]},
+        "g": {("a0", "b0"): ["a0"]},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", _CHECKED_MODELS)
+def test_evaluation_to_size_4_reads_only_keys_in_their_carriers(judged, name):
+    # every closed node of size 1-4 (1,654 of size 4), under both engines,
+    # against the reference, on a model whose tables check every key they
+    # are asked for; those with free variables also through check_axiom,
+    # over every valuation.  The refusals are the iterate engine's of a
+    # non-positive binder
+    sig, _, _, accepted = judged
+    model = _checked_model(sig, *_CHECKED_MODELS[name])
+    rho = Valuation(
+        {ElemVar("x", s): model.carrier(s)[-1] for s in sig.sorts},
+        {SetVar("X", s): model.set_of(s, {model.carrier(s)[0], model.carrier(s)[-1]})
+         for s in sig.sorts},
+    )
+    nodes = [p for size in (1, 2, 3) for p in accepted[size] if p.is_closed]
+    nodes += _closed_of_size_4(sig, accepted)
+    refused = checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonPositiveMuWarning)
+        for p in nodes:
+            for mode in ("iterate", "prefix"):
+                got = _outcome(eval_pattern, model, rho, p, mode)
+                want = _outcome(ref_eval_pattern, model, rho, p, mode)
+                assert got == want, (print_pattern(p), mode)
+                refused += type(got) is not CarrierSet
+                if any(free_vars(p)):
+                    axiom = Axiom("a", p.sort, p)
+                    got, want = [_verdict(_outcome(check, model, axiom, mode))
+                                 for check in (check_axiom, ref_check_axiom)]
+                    assert got == want, (print_pattern(p), mode)
+                    checked += 1
+    assert (len(nodes), refused, checked) == (1942, 25, 2728)
 
 
 def test_closed_well_sorted_nodes_print_and_parse_back(judged):
