@@ -28,7 +28,6 @@ the public methods and the evaluator alike.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -41,10 +40,11 @@ from .errors import (
     UnknownSortError,
     UnknownSymbolError,
 )
+from ._record import record, set_field
 from .signature import Signature, Sort, SymbolDecl
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CarrierElem:
     """Element ``ordinal`` of one model's ``sort`` carrier.  Compares by
     identity: a model accepts only its own (``carrier[e.ordinal] is e``)."""
@@ -53,17 +53,28 @@ class CarrierElem:
     ordinal: int
     label: str
 
+    def __init__(self, sort: Sort, ordinal: int, label: str) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ordinal", ordinal)
+        set_field(self, "label", label)
+
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
+@record
 class CarrierSet:
     """Subset of one sort's carrier as a fixed-width bit vector."""
 
     sort: Sort
     width: int
     bits: int
+
+    def __init__(self, sort: Sort, width: int, bits: int) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "width", width)
+        set_field(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << self.width):
@@ -125,13 +136,19 @@ class CarrierSet:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SymbolInterp:
     """Interpretation table of one symbol, keyed by element tuples; unlisted
     tuples mean the empty set.  A view of :meth:`FiniteModel.mask_table`."""
 
     symbol: SymbolDecl
     table: Mapping[tuple[CarrierElem, ...], CarrierSet]
+
+    def __init__(
+        self, symbol: SymbolDecl, table: Mapping[tuple[CarrierElem, ...], CarrierSet]
+    ) -> None:
+        set_field(self, "symbol", symbol)
+        set_field(self, "table", table)
 
 
 class FiniteModel:

@@ -61,9 +61,9 @@ from __future__ import annotations
 import itertools
 import re
 from operator import attrgetter
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
+from ._record import record, set_field
 from .errors import MuLogicError
 from .model import FiniteModel, build_model
 from .pattern import (
@@ -98,12 +98,20 @@ from .theory import DEFINEDNESS_OPTION, Axiom, Theory, instantiate_definedness
 Span = tuple[int, int, int]  # (line, column, length), 1-based positions
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
+    """One error or warning about a span of a parsed text."""
+
     severity: str  # "error" | "warning"
     span: Span
     code: str
     message: str
+
+    def __init__(self, severity: str, span: Span, code: str, message: str) -> None:
+        set_field(self, "severity", severity)
+        set_field(self, "span", span)
+        set_field(self, "code", code)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         line, col, _ = self.span

@@ -5,18 +5,19 @@ the sorts of dangling existentially-bound variables, ``mu`` the sorts of
 dangling fixpoint-bound variables (index 0 = innermost binder).  A pattern
 is closed when both contexts are empty.
 
-Node invariants are stated once, in ``__post_init__``, so an ill-sorted or
-ill-scoped tree cannot be built, not even by constructing the dataclasses
-directly.  The ``mk_*`` helpers below only compute the derived fields (sort
-and contexts) and let the constructor check them.  The three rules that
-come in an ex and a mu form are each stated once, in a private base class
-whose two node classes fix the context kind ``_kind`` (``EX`` or ``MU``,
-the positions in a node's ``(ex, mu)`` pair): ``_FreeVar`` (the node has
-its variable's sort), ``_BoundVar`` (the index lies in the context of its
-kind and names the node's sort) and ``_Binder`` (the body's context of its
-kind is the binder's with the bound sort prepended, ``binder_sort`` for
-``Exists`` and the node's own sort for ``Mu``; the other context is the
-binder's; and the binder has its body's sort).
+Node invariants are stated once, in ``__post_init__``, which every node's
+``__init__`` runs, so an ill-sorted or ill-scoped tree cannot be built, not
+even by constructing the dataclasses directly.  The ``mk_*`` helpers below
+only compute the derived fields (sort and contexts) and let the constructor
+check them.  The three rules that come in an ex and a mu form are each
+stated once, in a private base class whose two node classes fix the context
+kind ``_kind`` (``EX`` or ``MU``, the positions in a node's ``(ex, mu)``
+pair): ``_FreeVar`` (the node has its variable's sort), ``_BoundVar`` (the
+index lies in the context of its kind and names the node's sort) and
+``_Binder`` (the body's context of its kind is the binder's with the bound
+sort prepended, ``binder_sort`` for ``Exists`` and the node's own sort for
+``Mu``; the other context is the binder's; and the binder has its body's
+sort).
 
 Each node's facts are fixed at construction too, and are fixed-size: the
 last step of every ``__post_init__`` stores, from its children's, the ex
@@ -35,16 +36,18 @@ The facts take no part in ``==``, ``hash`` or ``repr``.
 Every node offers the same protocol: ``children`` (the subpatterns, in
 order) and ``rebuild(ex, mu, children)``, which makes a node of the same
 kind through the constructor from the node's ``_payload`` fields (those
-between ``mu`` and the children).  On that protocol sits the one
-traversal, :func:`walk`, which expands each distinct node once, with
-:func:`fold_pattern` and :func:`map_pattern` on top of it.  Every operation here and in :mod:`mulogic.subst` and
-:mod:`mulogic.printer` is a walk, fold or map, ``==``, ``hash`` and
-``repr`` included: the node classes generate none of them, and ``Pattern``
-states each once as a fold.  Two passes keep a stack of their own: the
-evaluator's placement pass, which expands a node once per binder scope,
-and :func:`check_mu_positivity`, a preorder that carries the path by
-which it first reaches each node.  So pattern depth is not limited by the
-interpreter's recursion limit.
+between ``mu`` and the children).  On that protocol sits the one traversal,
+:func:`walk`, which expands each distinct node once, with
+:func:`fold_pattern` and :func:`map_pattern` on top of it.  Every operation
+here and in :mod:`mulogic.subst` and :mod:`mulogic.printer` is a walk, fold
+or map, ``==``, ``hash`` and ``repr`` included: ``Pattern`` states each
+once as a fold.  No method of a node class is generated: the classes are
+frozen dataclasses built by :func:`mulogic._record.record`, which compiles
+no code, and each takes the ``__init__`` of its shape, written below.  Two
+passes keep a stack of their own: the evaluator's placement pass, which
+expands a node once per binder scope, and :func:`check_mu_positivity`, a
+preorder that carries the path by which it first reaches each node.  So
+pattern depth is not limited by the interpreter's recursion limit.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -52,10 +55,11 @@ may share subtrees freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from ._record import record, set_field
 from .errors import (
     ArgSortMismatchError,
     ArityMismatchError,
@@ -82,18 +86,26 @@ def _ctx(sorts: Iterable[Sort]) -> Context:
     return tuple(sorts)
 
 
-# Nodes compare, hash and print through the folds on Pattern, so nothing
-# the decorator would generate recurses.
-_node = dataclass(frozen=True, eq=False, repr=False)
+# Nodes are records (see mulogic._record) that compare, hash and print
+# through the folds on Pattern, so nothing recurses.  Each node class takes
+# the __init__ of its shape, which stores the fields and runs __post_init__.
+_node = record(repr=False, eq=False)
 
 
 @_node
 class Pattern:
+    """A pattern node; the node classes below are its kinds."""
+
     sort: Sort
     ex: Context
     mu: Context
     # (ex, even, odd, free, positive), stored by _fix_facts
     _facts: tuple = field(init=False, compare=False, repr=False)
+
+    def __init__(self, sort: Sort, ex: Context, mu: Context) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
 
     # Leaves have no subpatterns; inner node classes override this.
     children = ()
@@ -147,6 +159,15 @@ class _FreeVar(Pattern):
 
     _payload = ("var",)
 
+    def __init__(
+        self, sort: Sort, ex: Context, mu: Context, var: ElemVar | SetVar
+    ) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
+        set_field(self, "var", var)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.var.sort != self.sort:
             raise SortMismatchError(
@@ -157,12 +178,16 @@ class _FreeVar(Pattern):
 
 @_node
 class FreeEVar(_FreeVar):
+    """A free element variable."""
+
     var: ElemVar
     _kind = EX
 
 
 @_node
 class FreeSVar(_FreeVar):
+    """A free set variable."""
+
     var: SetVar
     _kind = MU
 
@@ -172,6 +197,13 @@ class _BoundVar(Pattern):
     context of that kind and names the node's sort there."""
 
     _payload = ("index",)
+
+    def __init__(self, sort: Sort, ex: Context, mu: Context, index: int) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
+        set_field(self, "index", index)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ctx = (self.ex, self.mu)[self._kind]
@@ -187,12 +219,16 @@ class _BoundVar(Pattern):
 
 @_node
 class BoundEVar(_BoundVar):
+    """An element variable bound by the ``index``-th enclosing ``Exists``."""
+
     index: int
     _kind = EX
 
 
 @_node
 class BoundSVar(_BoundVar):
+    """A set variable bound by the ``index``-th enclosing ``Mu``."""
+
     index: int
     _kind = MU
 
@@ -202,9 +238,21 @@ _BOUND = (BoundEVar, BoundSVar)
 
 @_node
 class App(Pattern):
+    """The application of ``symbol`` to ``args``."""
+
     _payload = ("symbol",)
     symbol: SymbolDecl
     args: tuple[Pattern, ...]
+
+    def __init__(
+        self, sort: Sort, ex: Context, mu: Context, symbol: SymbolDecl, args: tuple[Pattern, ...]
+    ) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
+        set_field(self, "symbol", symbol)
+        set_field(self, "args", args)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         symbol = self.symbol
@@ -239,10 +287,22 @@ class App(Pattern):
         return App(self.sort, ex, mu, self.symbol, tuple(children))
 
 
+def _init_body(self, sort: Sort, ex: Context, mu: Context, body: Pattern) -> None:
+    """The ``__init__`` of the node classes whose one child is ``body``."""
+    set_field(self, "sort", sort)
+    set_field(self, "ex", ex)
+    set_field(self, "mu", mu)
+    set_field(self, "body", body)
+    self.__post_init__()
+
+
 @_node
 class Not(Pattern):
+    """Negation: the complement of ``body`` in the carrier of its sort."""
+
     body: Pattern
 
+    __init__ = _init_body
     # (A, B) for an \equals, else None; set on the instance only at a floor
     _operands = None
 
@@ -259,8 +319,20 @@ class Not(Pattern):
 
 @_node
 class And(Pattern):
+    """Conjunction: the intersection of ``left`` and ``right``."""
+
     left: Pattern
     right: Pattern
+
+    def __init__(
+        self, sort: Sort, ex: Context, mu: Context, left: Pattern, right: Pattern
+    ) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_same_shape("conjunction", self, self.left)
@@ -302,16 +374,32 @@ class _Binder(Pattern):
 
 @_node
 class Exists(_Binder):
+    """The union of ``body`` over every element of ``binder_sort``."""
+
     _payload = ("binder_sort",)
     binder_sort: Sort
     body: Pattern
     _kind, _bound = EX, "binder_sort"
 
+    def __init__(
+        self, sort: Sort, ex: Context, mu: Context, binder_sort: Sort, body: Pattern
+    ) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "ex", ex)
+        set_field(self, "mu", mu)
+        set_field(self, "binder_sort", binder_sort)
+        set_field(self, "body", body)
+        self.__post_init__()
+
 
 @_node
 class Mu(_Binder):
+    """The least fixpoint of ``body`` in its bound set variable."""
+
     body: Pattern
     _kind, _bound = MU, "sort"
+
+    __init__ = _init_body
 
 
 @_node
@@ -320,6 +408,8 @@ class Defined(Pattern):
     non-empty set.  The node sort is independent of the body sort."""
 
     body: Pattern
+
+    __init__ = _init_body
 
     def __post_init__(self) -> None:
         if self.body.ex != self.ex or self.body.mu != self.mu:
@@ -718,7 +808,7 @@ def validate(p: Pattern) -> bool:
 # --- positivity ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MuCheck:
     """Verdict for one mu binder; ``path`` is the child-index route from
     the root to the binder."""
@@ -726,10 +816,19 @@ class MuCheck:
     path: tuple[int, ...]
     positive: bool
 
+    def __init__(self, path: tuple[int, ...], positive: bool) -> None:
+        set_field(self, "path", path)
+        set_field(self, "positive", positive)
 
-@dataclass(frozen=True)
+
+@record
 class PositivityReport:
+    """The verdicts of :func:`check_mu_positivity`, one per mu binder."""
+
     checks: tuple[MuCheck, ...]
+
+    def __init__(self, checks: tuple[MuCheck, ...]) -> None:
+        set_field(self, "checks", checks)
 
     @property
     def all_positive(self) -> bool:

@@ -61,10 +61,10 @@ unbound variables.
 * **Applications.**  An application whose arguments each hold at most one
   bit reads its table entry straight; only wider arguments take the
   pointwise lift.  An element variable denotes exactly one element, so
-  placement knows which registers always hold one bit, the variable of
-  each ``Exists`` and the level of each free element variable; a unary or
-  binary application of such registers alone reads its entry with no
-  test.  Each instruction keeps at most its last argument and
+  its register, the variable of the ``Exists`` that binds it or the level
+  of a free one, always holds one bit; a unary or binary application
+  whose arguments are all element variables, as the kinds of its argument
+  nodes show, reads its entry with no test.  Each instruction keeps at most its last argument and
   image, as a ``prefix`` μ or a free set variable runs it on every subset
   of a carrier: a unary application of a plain argument, in any scope,
   ORs its last image with the image of only the bits its argument gained
@@ -119,10 +119,11 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import FACTORY, record, set_field
 from .errors import (
     CarrierTooLargeError,
     NestingTooDeepError,
@@ -162,12 +163,19 @@ LFP_PREFIX = "prefix"
 DEFAULT_PREFIX_CAP = 20
 
 
-@dataclass(frozen=True)
+@record
 class Valuation:
     """Sort-respecting bindings for free element and set variables."""
 
     evars: Mapping[ElemVar, CarrierElem] = field(default_factory=dict)
     svars: Mapping[SetVar, CarrierSet] = field(default_factory=dict)
+
+    def __init__(
+        self, evars: Mapping[ElemVar, CarrierElem] = FACTORY,
+        svars: Mapping[SetVar, CarrierSet] = FACTORY,
+    ) -> None:
+        set_field(self, "evars", {} if evars is FACTORY else evars)
+        set_field(self, "svars", {} if svars is FACTORY else svars)
 
     @staticmethod
     def empty() -> Valuation:
@@ -462,6 +470,11 @@ def _loop_room() -> int:
     return (sys.getrecursionlimit() - depth - _SPARE_FRAMES) // _FRAMES_PER_LOOP
 
 
+# the node kinds of an element variable, whose register always holds exactly
+# one bit: a free one's level, or the variable of the Exists that binds it
+_ELEMENT_VARIABLES = frozenset({FreeEVar, BoundEVar})
+
+
 def _compile(
     model: FiniteModel,
     p: Pattern,
@@ -497,9 +510,6 @@ def _compile(
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     regs = [0] * len(levels)
     reads: dict[int, int] = {}  # register -> its innermost level's depth
-    # registers that always hold exactly one bit: the levels of free element
-    # variables and the variables of Exists binders
-    ones = {k for k, var in enumerate(variables) if isinstance(var, ElemVar)}
     room = None  # how deep binder loops may nest, found at the first binder
     full = model._full_mask
 
@@ -583,8 +593,6 @@ def _compile(
                 # the binder's variable is the next register; its loop sets it
                 # before each run of the body
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
-                if kind is Exists:
-                    ones.add(inner.var)
                 regs.append(0)
                 push((node, scope, inner, 1, sign))
                 body_ctxs = [*ctxs]
@@ -617,7 +625,7 @@ def _compile(
             reads[dst] = level
         if kind is App:
             table = model.mask_table(node.symbol)
-            flips, single = (0,) * n, ones.issuperset(args)
+            flips, single = (0,) * n, _ELEMENT_VARIABLES.issuperset(map(type, node.args))
             if min(args) < 0:  # most applications have none to decode; skip the list
                 args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.args)])
             op = _app_op(regs, dst, args, table, flips, single)

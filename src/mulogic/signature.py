@@ -10,8 +10,9 @@ never equal, even under the same name and id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._record import record, set_field
 
 from .errors import (
     DuplicateSortError,
@@ -21,21 +22,37 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Sort:
+    """A sort, made by :meth:`Signature.declare_sort`; its ``id`` is its
+    position there."""
+
     name: str
     id: int
+
+    def __init__(self, name: str, id: int) -> None:
+        set_field(self, "name", name)
+        set_field(self, "id", id)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SymbolDecl:
+    """A symbol from the ``params`` sorts to the ``result`` sort, made by
+    :meth:`Signature.declare_symbol`; its ``id`` is its position there."""
+
     name: str
     params: tuple[Sort, ...]
     result: Sort
     id: int
+
+    def __init__(self, name: str, params: tuple[Sort, ...], result: Sort, id: int) -> None:
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "result", result)
+        set_field(self, "id", id)
 
     @property
     def arity(self) -> int:
@@ -45,23 +62,31 @@ class SymbolDecl:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class ElemVar:
     """Free element variable; identity is the (name, sort) pair."""
 
     name: str
     sort: Sort
 
+    def __init__(self, name: str, sort: Sort) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
+
     def __str__(self) -> str:
         return f"{self.name}:{self.sort.name}"
 
 
-@dataclass(frozen=True)
+@record
 class SetVar:
     """Free set variable; identity is the (name, sort) pair."""
 
     name: str
     sort: Sort
+
+    def __init__(self, name: str, sort: Sort) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
 
     def __str__(self) -> str:
         return f"#{self.name}:{self.sort.name}"

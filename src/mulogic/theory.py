@@ -11,9 +11,10 @@ failure abort the rest.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable
 
+from ._record import record, set_field
 from .errors import (
     DuplicateLabelError,
     MuLogicError,
@@ -42,7 +43,7 @@ DEFINEDNESS_OPTION = "instantiate-definedness"
 DEFINEDNESS_VAR = "x"
 
 
-@dataclass(frozen=True)
+@record
 class Axiom:
     """A labeled closed pattern of ``sort``.  Its free variables are fixed
     at construction, in valuation order, outside ``==``, ``hash`` and ``repr``."""
@@ -51,6 +52,12 @@ class Axiom:
     sort: Sort
     pattern: Pattern
     _variables: tuple = field(init=False, compare=False, repr=False)
+
+    def __init__(self, label: str, sort: Sort, pattern: Pattern) -> None:
+        set_field(self, "label", label)
+        set_field(self, "sort", sort)
+        set_field(self, "pattern", pattern)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.pattern.is_closed:
@@ -65,11 +72,22 @@ class Axiom:
         object.__setattr__(self, "_variables", _valuation_order(*free_vars(self.pattern)))
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
+    """A signature, labelled axioms over it, and the options that built it."""
+
     signature: Signature
     axioms: tuple[Axiom, ...] = ()
     options: frozenset[str] = frozenset()
+
+    def __init__(
+        self, signature: Signature, axioms: tuple[Axiom, ...] = (),
+        options: frozenset[str] = frozenset(),
+    ) -> None:
+        set_field(self, "signature", signature)
+        set_field(self, "axioms", axioms)
+        set_field(self, "options", options)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.signature.sorts:
@@ -113,18 +131,38 @@ class Verdict(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@record
 class AxiomResult:
+    """The verdict on one axiom; a violation has the first failing
+    valuation as ``witness`` and the set it produced as ``got``, an error
+    its ``message``."""
+
     axiom: Axiom
     verdict: Verdict
     witness: Valuation | None = None
     got: CarrierSet | None = None
     message: str | None = None
 
+    def __init__(
+        self, axiom: Axiom, verdict: Verdict, witness: Valuation | None = None,
+        got: CarrierSet | None = None, message: str | None = None,
+    ) -> None:
+        set_field(self, "axiom", axiom)
+        set_field(self, "verdict", verdict)
+        set_field(self, "witness", witness)
+        set_field(self, "got", got)
+        set_field(self, "message", message)
 
-@dataclass(frozen=True)
+
+@record
 class SatisfactionReport:
+    """The results of :func:`satisfies`, one per axiom checked, in
+    declaration order."""
+
     results: tuple[AxiomResult, ...]
+
+    def __init__(self, results: tuple[AxiomResult, ...]) -> None:
+        set_field(self, "results", results)
 
     @property
     def satisfied(self) -> bool:

@@ -20,10 +20,16 @@ from mulogic.errors import MuLogicError
 from gen import random_model_data, random_signature
 from test_fuzz import mutants
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py")
-bench_gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_gen)
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """``bench/generate.py``, loaded by path when a test first needs it, so
+    that in a copy without ``bench/`` only those tests fail, naming it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +136,7 @@ def test_random_models_agree(monkeypatch):
     assert 100 < taken < 300
 
 
-def test_bench_models_agree(monkeypatch):
+def test_bench_models_agree(bench_gen, monkeypatch):
     theory = parse_theory(bench_gen.theory_text())
     rng = random.Random(26)
     models = [bench_gen.capped_model(n, rng) for n in (4, 7, 12)]
@@ -175,7 +181,7 @@ def test_traps_go_to_the_tokenizer(natbool, monkeypatch, extra, end):
         line_outcome(text, natbool, monkeypatch)
 
 
-def test_well_formed_files_skip_the_tokenizer(natbool, monkeypatch):
+def test_well_formed_files_skip_the_tokenizer(natbool, bench_gen, monkeypatch):
     corpus = corpus_path("natbool.mlm").read_text(encoding="utf-8")
     bench = bench_gen.capped_model(9, random.Random(5)).text()
     for text in (corpus, corpus.replace("\n", "\r\n"), nat64_text(), bench):
