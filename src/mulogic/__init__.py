@@ -48,11 +48,11 @@ from .pattern import (
     mk_or,
     mk_subseteq,
     mk_top,
+    print_pattern,
     size,
     structural_eq,
     validate,
 )
-from .printer import print_pattern
 from .semantics import (
     Valuation,
     eval_pattern,

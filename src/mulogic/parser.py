@@ -397,6 +397,13 @@ def _parse_keyword(ts: _TokenStream, tok: Token) -> Generator:
 _CANNOT_INFER = ("cannot infer the sort of this pattern; add a sort "
                  "annotation (e.g. \\mu{Sort})")
 
+# Per surface kind of a free variable: its record, its node builder and how
+# a sort mismatch names it.
+_FREE_VARIABLE = {
+    "evar": (ElemVar, mk_free_evar, "variable"),
+    "svar": (SetVar, mk_free_svar, "set variable"),
+}
+
 
 def _bound_sort(node: _SNode, ex: Context, mu: tuple[Sort | None, ...]) -> Sort | None:
     context = ex if node.kind == "bevar" else mu
@@ -479,12 +486,10 @@ class _Elaborator:
             return self._node((node.kind, expect, ex, mu, symbol, *map(id, args)),
                               mk_app, self.sig, symbol, args, ex, mu)
         sort = _declared_sort(self.sig, node.sort_name, node.span)
-        key = (node.kind, sort, ex, mu, node.name)
-        if node.kind == "evar":
-            self._check(sort, expect, node.span, f"variable {node.name}")
-            return self._node(key, mk_free_evar, ElemVar(node.name, sort), ex, mu)
-        self._check(sort, expect, node.span, f"set variable {node.name}")
-        return self._node(key, mk_free_svar, SetVar(node.name, sort), ex, mu)
+        var, build, what = _FREE_VARIABLE[node.kind]
+        self._check(sort, expect, node.span, f"{what} {node.name}")
+        return self._node((node.kind, sort, ex, mu, node.name),
+                          build, var(node.name, sort), ex, mu)
 
     def _elab_connective(self, conn: _Connective, node: _SNode, expect: Sort,
                          ex: Context, mu: Context) -> Generator:

@@ -39,15 +39,24 @@ kind through the constructor from the node's ``_payload`` fields (those
 between ``mu`` and the children).  On that protocol sits the one traversal,
 :func:`walk`, which expands each distinct node once, with
 :func:`fold_pattern` and :func:`map_pattern` on top of it.  Every operation
-here and in :mod:`mulogic.subst` and :mod:`mulogic.printer` is a walk, fold
-or map, ``==``, ``hash`` and ``repr`` included: ``Pattern`` states each
-once as a fold.  No method of a node class is generated: the classes are
-frozen dataclasses built by :func:`mulogic._record.record`, which compiles
-no code, and each takes the ``__init__`` of its shape, written below.  Two
-passes keep a stack of their own: the evaluator's placement pass, which
-expands a node once per binder scope, and :func:`check_mu_positivity`, a
-preorder that carries the path by which it first reaches each node.  So
-pattern depth is not limited by the interpreter's recursion limit.
+here and in :mod:`mulogic.subst` is a walk, fold or map, ``==``, ``hash``,
+``repr`` and ``str`` included: ``Pattern`` states each once as a fold.  No
+method of a node class is generated: the classes are frozen dataclasses
+built by :func:`mulogic._record.record`, which compiles no code, and each
+takes the ``__init__`` of its shape, written below; a bare ``Pattern``, of
+no node kind, is refused.  A leaf or ``App`` stores its contexts and
+arguments as tuples (a tuple as the same object), so no list the caller
+holds ends up inside a node.  Two passes keep a stack of their own: the
+evaluator's placement pass, which expands a node once per binder scope,
+and :func:`check_mu_positivity`, a preorder that carries the path by which
+it first reaches each node.  So pattern depth is not limited by the
+interpreter's recursion limit.
+
+:func:`print_pattern` (and so ``str``) writes the canonical concrete
+syntax, core syntax only: derived connectives were expanded at
+construction and print as their expansions.  Mu binders are printed with
+their sort annotation, so that any constructible pattern, of any depth,
+parses back without an expected sort: ``parse(print(p)) == p``.
 
 Patterns are immutable values; every transformation builds a new tree and
 may share subtrees freely.
@@ -69,21 +78,16 @@ from .errors import (
     MuLogicError,
     SortMismatchError,
 )
-from .signature import ElemVar, SetVar, Signature, Sort, SymbolDecl
+from .signature import EX, MU, ElemVar, SetVar, Signature, Sort, SymbolDecl
 
 Context = tuple[Sort, ...]
 T = TypeVar("T")
 
-# Context kinds, as positions in a node's ``(ex, mu)`` pair, and how
-# refusals name each kind's context, variables and binder.
-EX, MU = 0, 1
+# How refusals name the context, variables and binder of each kind (EX or
+# MU, the positions in a node's ``(ex, mu)`` pair).
 _CONTEXT = ("ex", "mu")
 _VARIABLE = ("element variable", "set variable")
 _BINDER = ("exists", "mu")
-
-
-def _ctx(sorts: Iterable[Sort]) -> Context:
-    return tuple(sorts)
 
 
 # Nodes are records (see mulogic._record) that compare, hash and print
@@ -103,9 +107,7 @@ class Pattern:
     _facts: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, sort: Sort, ex: Context, mu: Context) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "ex", ex)
-        set_field(self, "mu", mu)
+        raise MuLogicError("a bare Pattern has no node kind; build one of its node classes")
 
     # Leaves have no subpatterns; inner node classes override this.
     children = ()
@@ -148,8 +150,6 @@ class Pattern:
         return _flatten(fold_pattern(self, _repr_rope))
 
     def __str__(self) -> str:
-        from .printer import print_pattern
-
         return print_pattern(self)
 
 
@@ -163,8 +163,8 @@ class _FreeVar(Pattern):
         self, sort: Sort, ex: Context, mu: Context, var: ElemVar | SetVar
     ) -> None:
         set_field(self, "sort", sort)
-        set_field(self, "ex", ex)
-        set_field(self, "mu", mu)
+        set_field(self, "ex", tuple(ex))
+        set_field(self, "mu", tuple(mu))
         set_field(self, "var", var)
         self.__post_init__()
 
@@ -200,8 +200,8 @@ class _BoundVar(Pattern):
 
     def __init__(self, sort: Sort, ex: Context, mu: Context, index: int) -> None:
         set_field(self, "sort", sort)
-        set_field(self, "ex", ex)
-        set_field(self, "mu", mu)
+        set_field(self, "ex", tuple(ex))
+        set_field(self, "mu", tuple(mu))
         set_field(self, "index", index)
         self.__post_init__()
 
@@ -233,6 +233,7 @@ class BoundSVar(_BoundVar):
     _kind = MU
 
 
+_FREE = (FreeEVar, FreeSVar)
 _BOUND = (BoundEVar, BoundSVar)
 
 
@@ -248,10 +249,10 @@ class App(Pattern):
         self, sort: Sort, ex: Context, mu: Context, symbol: SymbolDecl, args: tuple[Pattern, ...]
     ) -> None:
         set_field(self, "sort", sort)
-        set_field(self, "ex", ex)
-        set_field(self, "mu", mu)
+        set_field(self, "ex", tuple(ex))
+        set_field(self, "mu", tuple(mu))
         set_field(self, "symbol", symbol)
-        set_field(self, "args", args)
+        set_field(self, "args", tuple(args))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -284,7 +285,7 @@ class App(Pattern):
         return self.args
 
     def rebuild(self, ex, mu, children):
-        return App(self.sort, ex, mu, self.symbol, tuple(children))
+        return App(self.sort, ex, mu, self.symbol, children)
 
 
 def _init_body(self, sort: Sort, ex: Context, mu: Context, body: Pattern) -> None:
@@ -354,7 +355,8 @@ class _Binder(Pattern):
         kind, body = self._kind, self.body
         inner, outer = (body.ex, body.mu), (self.ex, self.mu)
         bound = getattr(self, self._bound)
-        if inner[kind] != (bound,) + outer[kind]:
+        # refuse a list context before the tuple "+" below meets it
+        if type(outer[kind]) is not tuple or inner[kind] != (bound,) + outer[kind]:
             raise BinderSortMismatchError(
                 f"{_BINDER[kind]} binder {('over', 'of sort')[kind]} {bound} does not "
                 f"match the body context {[str(s) for s in inner[kind]]}"
@@ -428,6 +430,34 @@ def _require_same_shape(what: str, node: Pattern, child: Pattern) -> None:
         )
     if child.ex != node.ex or child.mu != node.mu:
         raise ContextMismatchError(f"{what} child lives in a different context")
+
+
+# --- printing -----------------------------------------------------------
+
+# Per node kind: the text before the children, between them, and after.
+_SYNTAX = {
+    FreeEVar: lambda p: (f"{p.var.name}:{p.var.sort.name}", "", ""),
+    FreeSVar: lambda p: (f"#{p.var.name}:{p.var.sort.name}", "", ""),
+    BoundEVar: lambda p: (f"b{p.index}", "", ""),
+    BoundSVar: lambda p: (f"B{p.index}", "", ""),
+    App: lambda p: (f"{p.symbol.name}(", ", ", ")"),
+    Not: lambda p: ("\\not(", "", ")"),
+    And: lambda p: ("\\and(", ", ", ")"),
+    Exists: lambda p: (f"\\exists{{{p.binder_sort.name}}} ", "", ""),
+    Mu: lambda p: (f"\\mu{{{p.sort.name}}} ", "", ""),
+    Defined: lambda p: (f"\\ceil{{{p.sort.name}}}(", "", ")"),
+}
+
+
+def print_pattern(p: Pattern) -> str:
+    """The canonical concrete syntax of ``p``, which parses back to it."""
+    return _flatten(fold_pattern(p, _layout))
+
+
+def _layout(node: Pattern, kids: Sequence[list]) -> list:
+    """``str(node)`` as a rope over its children's ropes."""
+    before, between, after = _SYNTAX[type(node)](node)
+    return [before, *_joined(kids, between), after]
 
 
 def _repr_rope(node: Pattern, kids: Sequence[list]) -> list:
@@ -593,11 +623,11 @@ def map_pattern(
 
 
 def mk_free_evar(var: ElemVar, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) -> Pattern:
-    return FreeEVar(var.sort, _ctx(ex), _ctx(mu), var)
+    return FreeEVar(var.sort, ex, mu, var)
 
 
 def mk_free_svar(var: SetVar, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) -> Pattern:
-    return FreeSVar(var.sort, _ctx(ex), _ctx(mu), var)
+    return FreeSVar(var.sort, ex, mu, var)
 
 
 def mk_bound_evar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
@@ -613,7 +643,7 @@ def mk_bound_svar(ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern
 def _mk_bound(kind: int, ex: Iterable[Sort], mu: Iterable[Sort], index: int) -> Pattern:
     """Bound variable ``index`` of ``kind``, its sort read off the context of
     that kind."""
-    ctxs = (_ctx(ex), _ctx(mu))
+    ctxs = (tuple(ex), tuple(mu))
     ctx = ctxs[kind]
     return _BOUND[kind](ctx[index] if 0 <= index < len(ctx) else None, *ctxs, index)
 
@@ -630,8 +660,8 @@ def mk_app(
     closed).  Given contexts must match the arguments'."""
     sig._require_symbol(symbol)
     args = tuple(args)
-    ex = _ctx(ex) if ex is not None else args[0].ex if args else ()
-    mu = _ctx(mu) if mu is not None else args[0].mu if args else ()
+    ex = ex if ex is not None else args[0].ex if args else ()
+    mu = mu if mu is not None else args[0].mu if args else ()
     return App(symbol.result, ex, mu, symbol, args)
 
 
@@ -665,8 +695,7 @@ def mk_defined(result_sort: Sort, body: Pattern) -> Pattern:
 
 
 def mk_top(sort: Sort, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) -> Pattern:
-    ex = _ctx(ex)
-    return mk_exists(sort, mk_bound_evar((sort,) + ex, mu, 0))
+    return mk_exists(sort, mk_bound_evar((sort, *ex), mu, 0))
 
 
 def mk_bottom(sort: Sort, ex: Iterable[Sort] = (), mu: Iterable[Sort] = ()) -> Pattern:
@@ -771,9 +800,12 @@ def size(p: Pattern) -> int:
 def free_vars(p: Pattern) -> tuple[frozenset[ElemVar], frozenset[SetVar]]:
     """The free element and set variables of ``p``, from one walk, which
     is skipped when ``p`` reads no free variable."""
-    nodes = [node for node, _ in walk(p)] if p._facts[3] else ()
-    evars = frozenset(node.var for node in nodes if type(node) is FreeEVar)
-    return evars, frozenset(node.var for node in nodes if type(node) is FreeSVar)
+    found = (set(), set())
+    if p._facts[3]:
+        for node, _ in walk(p):
+            if type(node) in _FREE:
+                found[node._kind].add(node.var)
+    return frozenset(found[EX]), frozenset(found[MU])
 
 
 def structural_eq(p: Pattern, q: Pattern) -> bool:

@@ -210,7 +210,7 @@ class Valuation:
             raise UnboundFreeVariableError(x, f"{_VARIABLE[kind]} {x} is not bound") from None
 
     def binds(self, var: ElemVar | SetVar) -> bool:
-        return var in (self.evars if isinstance(var, ElemVar) else self.svars)
+        return var in (self.evars, self.svars)[var._kind]
 
 
 def lfp_iterate(
@@ -348,8 +348,7 @@ def _valuation_order(evars: Iterable[ElemVar], svars: Iterable[SetVar]) -> tuple
     """Free variables in valuation order: element variables first, then
     set variables, each sorted by name and sort id.  Levels, the order of
     valuations, unbound-variable errors and witnesses all follow it."""
-    key = attrgetter("name", "sort.id")
-    return (*sorted(evars, key=key), *sorted(svars, key=key))
+    return tuple(sorted((*evars, *svars), key=attrgetter("_kind", "name", "sort.id")))
 
 
 def _bits_of(model: FiniteModel, rho: Valuation, var: ElemVar | SetVar) -> int:

@@ -62,34 +62,39 @@ class SymbolDecl:
         return self.name
 
 
+# Variable kinds, as positions in a node's ``(ex, mu)`` pair: an element
+# variable lives in the ex context, a set variable in the mu context.
+EX, MU = 0, 1
+
+
 @record
-class ElemVar:
+class _Var:
+    """A free variable of kind ``_kind``; identity is the kind and the
+    (name, sort) pair."""
+
+    name: str
+    sort: Sort
+
+    def __init__(self, name: str, sort: Sort) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
+
+    def __str__(self) -> str:
+        return f"{'#' * self._kind}{self.name}:{self.sort.name}"
+
+
+@record
+class ElemVar(_Var):
     """Free element variable; identity is the (name, sort) pair."""
 
-    name: str
-    sort: Sort
-
-    def __init__(self, name: str, sort: Sort) -> None:
-        set_field(self, "name", name)
-        set_field(self, "sort", sort)
-
-    def __str__(self) -> str:
-        return f"{self.name}:{self.sort.name}"
+    _kind = EX
 
 
 @record
-class SetVar:
+class SetVar(_Var):
     """Free set variable; identity is the (name, sort) pair."""
 
-    name: str
-    sort: Sort
-
-    def __init__(self, name: str, sort: Sort) -> None:
-        set_field(self, "name", name)
-        set_field(self, "sort", sort)
-
-    def __str__(self) -> str:
-        return f"#{self.name}:{self.sort.name}"
+    _kind = MU
 
 
 class Signature:

@@ -35,11 +35,10 @@ from .errors import (
 from .pattern import (
     _BOUND,
     _CONTEXT,
+    _FREE,
     EX,
     MU,
     Context,
-    FreeEVar,
-    FreeSVar,
     Pattern,
     map_pattern,
 )
@@ -159,7 +158,7 @@ def _free_subst(psi: Pattern, x: ElemVar | SetVar, p: Pattern) -> Pattern:
             f"replacement of sort {psi.sort} cannot substitute {x}"
         )
     psi = _align(_align(psi, EX, p.ex), MU, p.mu)
-    occurrence = FreeEVar if isinstance(x, ElemVar) else FreeSVar
+    occurrence = _FREE[x._kind]
 
     def replace(node: Pattern, ex: Context, mu: Context) -> Pattern:
         if type(node) is occurrence and node.var == x:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import warnings
@@ -243,10 +244,38 @@ def _set_over_a_larger_carrier(sig, nat, bool_):
         mk_bound_evar((nat,), (), 0), ElemVar("x", nat),
         mk_free_evar(ElemVar("x", nat), ex=(bool_,))),
         SlotNotFoundError, id="fevar-subst-replacement-context-not-a-suffix"),
+    pytest.param(lambda sig, nat, bool_: Pattern(nat, (), ()), MuLogicError, id="bare-pattern"),
+    pytest.param(lambda sig, nat, bool_: Exists(
+        nat, [], (), nat, BoundEVar(nat, [nat], [], 0)),
+        BinderSortMismatchError, id="exists-list-context"),
+    pytest.param(lambda sig, nat, bool_: Mu(
+        nat, (), [], BoundSVar(nat, [], [nat], 0)),
+        BinderSortMismatchError, id="mu-list-context"),
 ])
 def test_ill_formed_construction_is_refused(std_sig, nat, bool_, attempt, error):
     with pytest.raises(error):
         attempt(std_sig, nat, bool_)
+
+
+def test_no_list_of_the_caller_ends_up_in_a_node(std_sig, std_model, nat):
+    """Leaves and App store their contexts and arguments as tuples, so a
+    list the caller changes later changes no node; a tuple is kept as the
+    same object."""
+    succ = std_sig.symbol("S")
+    x = ElemVar("x", nat)
+    args = [mk_free_evar(x)]
+    app = App(nat, (), (), succ, args)
+    args.append(mk_free_evar(x))
+    assert app.args == (args[0],) and validate(app)
+    zero = std_model.elem(nat, "0")
+    got = eval_pattern(std_model, Valuation({x: zero}, {}), app)
+    assert got == eval_pattern(std_model, Valuation.empty(), mk_app(std_sig, succ, [_o(std_sig)]))
+    ex, mu = [nat], []
+    b0 = BoundEVar(nat, ex, mu, 0)
+    ex.append(nat)
+    assert (b0.ex, b0.mu) == ((nat,), ()) and mk_exists(nat, b0) == mk_top(nat)
+    assert dataclasses.replace(app).args is app.args
+    assert dataclasses.replace(b0).ex is b0.ex
 
 
 def _o(sig, ex=(), mu=()):
@@ -336,6 +365,8 @@ _REFUSALS = [
      ContextMismatchError, "definedness body has a different context"),
     ("defined-mu", lambda s, n, b: Defined(b, (), (), _o(s, mu=(n,))),
      ContextMismatchError, "definedness body has a different context"),
+    ("bare-pattern", lambda s, n, b: Pattern(n, (), ()),
+     MuLogicError, "a bare Pattern has no node kind; build one of its node classes"),
 ]
 
 

@@ -84,6 +84,13 @@ class TestValuation:
         with pytest.raises(UnboundFreeVariableError, match="set variable #X:Nat is not bound"):
             rho.svar(SetVar("X", nat))
 
+    def test_binds_tells_the_kinds_apart(self, std_model, nat):
+        x, set_x = ElemVar("x", nat), SetVar("x", nat)
+        with_x = Valuation.empty().update_evar(x, std_model.elem(nat, "0"))
+        with_set_x = Valuation.empty().update_svar(set_x, std_model.full_set(nat))
+        assert with_x.binds(x) and not with_x.binds(set_x)
+        assert with_set_x.binds(set_x) and not with_set_x.binds(x)
+
     def test_sort_discipline(self, std_model, nat, bool_):
         x = ElemVar("x", nat)
         with pytest.raises(SortMismatchError):
@@ -174,6 +181,7 @@ class TestEval:
             (SetVar("X", nat), ElemVar("x", nat)),
             (SetVar("Y", nat), SetVar("X", nat)),
             (SetVar("x", nat), SetVar("x", bool_)),
+            (SetVar("x", nat), ElemVar("x", nat)),
             (ElemVar("v", nat), ElemVar("v", bool_)),
         ]
         for first, second in pairs:
