@@ -135,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_satisfies(args)
     except _Exit as stop:
         return stop.code
+    except MuLogicError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 class _Exit(Exception):
@@ -195,8 +198,9 @@ def _evaluate(args, source: str, named_patterns, call, *call_args, **kwargs):
 
 
 def _axioms(theory, labels=None):
-    return [(f"axiom {axiom.label!r}: ", axiom.pattern) for axiom in theory.axioms
-            if labels is None or axiom.label in labels]
+    """``(what, pattern)`` for each axiom that ``labels`` name; raises
+    :class:`MuLogicError` for a label that names none."""
+    return [(f"axiom {axiom.label!r}: ", axiom.pattern) for axiom in theory.select(labels)]
 
 
 def _cmd_check(args) -> int:
@@ -219,8 +223,7 @@ def _parse_bindings(args, model: FiniteModel) -> Valuation:
         for text in texts:
             var, value = _binding(model, text, flag)
             if rho.binds(var):
-                print(f"error: {var} is bound twice", file=sys.stderr)
-                raise _Exit(1)
+                raise MuLogicError(f"{var} is bound twice")
             rho = rho.update_evar(var, value) if flag == "-v" else rho.update_svar(var, value)
     return rho
 
@@ -253,24 +256,14 @@ def _cmd_eval(args) -> int:
     # "-" is not pattern syntax, so it can stand for stdin
     text = _read(None) if args.pattern == "-" else args.pattern
     pattern = _parsed("<pattern>", text, parse_pattern, theory.signature)
-    try:
-        rho = _parse_bindings(args, model)
-        result = _evaluate(args, "<pattern>", [("", pattern)], eval_pattern, model, rho, pattern)
-    except MuLogicError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    rho = _parse_bindings(args, model)
+    result = _evaluate(args, "<pattern>", [("", pattern)], eval_pattern, model, rho, pattern)
     print(model.format_set(result))
     return 0
 
 
 def _cmd_satisfies(args) -> int:
     theory, model = _load_inputs(args)
-    if args.axiom:
-        known = {axiom.label for axiom in theory.axioms}
-        missing = [label for label in args.axiom if label not in known]
-        if missing:
-            print(f"error: no such axiom(s): {', '.join(missing)}", file=sys.stderr)
-            return 1
     report = _evaluate(args, args.theory, _axioms(theory, args.axiom), satisfies,
                        model, theory, labels=args.axiom, state_cap=args.cap)
     if args.report == "json":

@@ -52,8 +52,12 @@ read goes to the token path, which alone reports diagnostics.
 
 Every refusal is a :class:`ParseError`: a pattern or a binding raises the
 first one, and the line driver collects one per failing line.  Each
-"expected X, found Y" is phrased by ``_unexpected``.  A file's line
-handlers are closures over that file's state, one set per file format.
+"expected X, found Y" is phrased by ``_unexpected``.  A refusal that the
+signature or the model states (an unknown or duplicate sort or symbol, a
+wrong argument count) is theirs: ``_checked`` makes the call and reports
+the error's own message, so sort inference and elaboration look a symbol
+up the same way.  A file's line handlers are closures over that file's
+state, one set per file format.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from ._record import record, set_field
 from .errors import MuLogicError
-from .model import FiniteModel, build_model
+from .model import FiniteModel, _check_arity, build_model
 from .pattern import (
     EX,
     MU,
@@ -272,10 +276,14 @@ def _expect_end(ts: _TokenStream) -> None:
                    f"unexpected trailing input {trailing.text!r}")
 
 
-def _declared_sort(sig: Signature, name: str, span: Span) -> Sort:
-    if not sig.has_sort(name):
-        raise _err(span, "unknown-sort", f"sort {name!r} is not declared")
-    return sig.sort(name)
+def _checked(span: Span, code: str, call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, a signature or model call that states its own
+    refusals: the :class:`MuLogicError` it raises becomes a ``code``
+    diagnostic at ``span`` with the error's message."""
+    try:
+        return call(*args)
+    except MuLogicError as err:
+        raise _err(span, code, str(err)) from None
 
 
 # --- surface syntax -------------------------------------------------------
@@ -470,14 +478,8 @@ class _Elaborator:
             return self._node((node.kind, expect, ex, mu, node.index),
                               build, ex, mu, node.index)
         if node.kind == "app":
-            if not self.sig.has_symbol(node.name):
-                raise _err(node.span, "unknown-symbol",
-                           f"symbol {node.name!r} is not declared")
-            symbol = self.sig.symbol(node.name)
-            if len(node.children) != len(symbol.params):
-                raise _err(node.span, "arity",
-                           f"{symbol.name} expects {len(symbol.params)} "
-                           f"argument(s), got {len(node.children)}")
+            symbol = _checked(node.span, "unknown-symbol", self.sig.symbol, node.name)
+            _checked(node.span, "arity", _check_arity, symbol, len(node.children))
             self._check(symbol.result, expect, node.span,
                         f"application of {symbol.name}")
             args = []
@@ -485,7 +487,7 @@ class _Elaborator:
                 args.append((yield self._elab(child, param, ex, mu)))
             return self._node((node.kind, expect, ex, mu, symbol, *map(id, args)),
                               mk_app, self.sig, symbol, args, ex, mu)
-        sort = _declared_sort(self.sig, node.sort_name, node.span)
+        sort = _checked(node.span, "unknown-sort", self.sig.sort, node.sort_name)
         var, build, what = _FREE_VARIABLE[node.kind]
         self._check(sort, expect, node.span, f"{what} {node.name}")
         return self._node((node.kind, sort, ex, mu, node.name),
@@ -495,7 +497,7 @@ class _Elaborator:
                          ex: Context, mu: Context) -> Generator:
         annotation = None
         if node.sort_name is not None:
-            annotation = _declared_sort(self.sig, node.sort_name, node.span)
+            annotation = _checked(node.span, "unknown-sort", self.sig.sort, node.sort_name)
         # an \exists binder's sort is its body's first ex sort, and any
         # other annotation is the expected sort
         key = (node.kind, expect, ex, mu)
@@ -529,15 +531,15 @@ class _Elaborator:
                 if node.kind in ("bevar", "bsvar"):
                     sort = _bound_sort(node, ex, mu)
                 elif node.kind == "app":
-                    has = self.sig.has_symbol(node.name)
-                    sort = self.sig.symbol(node.name).result if has else None
+                    sort = _checked(node.span, "unknown-symbol", self.sig.symbol,
+                                    node.name).result
                 else:
-                    sort = _declared_sort(self.sig, node.sort_name, node.span)
+                    sort = _checked(node.span, "unknown-sort", self.sig.sort, node.sort_name)
             elif conn.binds == EX:
-                binder = _declared_sort(self.sig, node.sort_name, node.span)
+                binder = _checked(node.span, "unknown-sort", self.sig.sort, node.sort_name)
                 sort = yield self.infer(node.children, (binder,) + ex, mu)
             elif node.sort_name is not None:
-                sort = _declared_sort(self.sig, node.sort_name, node.span)
+                sort = _checked(node.span, "unknown-sort", self.sig.sort, node.sort_name)
             else:
                 inner = (None,) + mu if conn.binds == MU else mu
                 sort = yield self.infer(node.children, ex, inner)
@@ -614,10 +616,7 @@ def parse_theory(text: str) -> Theory:
     def sort_line(head: Token, ts: _TokenStream) -> None:
         name = ts.expect("name", what="a sort name")
         _expect_end(ts)
-        if sig.has_sort(name.text):
-            raise _err(name.span, "duplicate-sort",
-                       f"sort {name.text!r} already declared")
-        sig.declare_sort(name.text)
+        _checked(name.span, "duplicate-sort", sig.declare_sort, name.text)
 
     def symbol_line(head: Token, ts: _TokenStream) -> None:
         name = ts.expect("name", what="a symbol name")
@@ -627,7 +626,7 @@ def parse_theory(text: str) -> Theory:
         while tok.kind != "arrow":
             if tok.kind != "name":
                 raise _unexpected(tok, "a sort name or '->'")
-            params.append(_declared_sort(sig, tok.text, tok.span))
+            params.append(_checked(tok.span, "unknown-sort", sig.sort, tok.text))
             tok = ts.next("',' or '->'")
             if tok.kind == "punct" and tok.text == ",":
                 tok = ts.expect("name", what="a sort name")
@@ -635,18 +634,16 @@ def parse_theory(text: str) -> Theory:
                 raise _unexpected(tok, "',' or '->'")
         result = ts.expect("name", what="a result sort")
         _expect_end(ts)
-        result_sort = _declared_sort(sig, result.text, result.span)
-        if sig.has_symbol(name.text):
-            raise _err(name.span, "duplicate-symbol",
-                       f"symbol {name.text!r} already declared")
-        sig.declare_symbol(name.text, params, result_sort)
+        result_sort = _checked(result.span, "unknown-sort", sig.sort, result.text)
+        _checked(name.span, "duplicate-symbol", sig.declare_symbol, name.text, params,
+                 result_sort)
 
     def axiom_line(head: Token, ts: _TokenStream) -> None:
         label = ts.expect("name", what="an axiom label")
         ts.expect("punct", "[")
         sort_tok = ts.expect("name", what="a sort name")
         ts.expect("punct", "]")
-        sort = _declared_sort(sig, sort_tok.text, sort_tok.span)
+        sort = _checked(sort_tok.span, "unknown-sort", sig.sort, sort_tok.text)
         node = _run(_parse_node(ts))
         _expect_end(ts)
         axiom = Axiom(label.text, sort, elab.elab(node, sort, (), ()))
@@ -818,7 +815,7 @@ def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
 
     def carrier_line(head: Token, ts: _TokenStream) -> None:
         sort_tok = ts.expect("name", what="a sort name")
-        _declared_sort(sig, sort_tok.text, sort_tok.span)
+        _checked(sort_tok.span, "unknown-sort", sig.sort, sort_tok.text)
         if sort_tok.text in carrier_lines:
             raise _err(sort_tok.span, "duplicate-carrier",
                        f"carrier of {sort_tok.text} already declared")
@@ -839,19 +836,13 @@ def _parse_model_tokens(text: str, sig: Signature) -> _ModelData:
 
     def interp_line(head: Token, ts: _TokenStream) -> None:
         sym_tok = ts.expect("name", what="a symbol name")
-        if not sig.has_symbol(sym_tok.text):
-            raise _err(sym_tok.span, "unknown-symbol",
-                       f"symbol {sym_tok.text!r} is not declared")
-        symbol = sig.symbol(sym_tok.text)
+        symbol = _checked(sym_tok.span, "unknown-symbol", sig.symbol, sym_tok.text)
         args = [_parse_label(ts) for _ in _delimited(ts, "(", ")")]
         ts.expect("eq", what="'='")
         values = [_parse_label(ts) for _ in _delimited(ts, "{", "}")]
         _expect_end(ts)
 
-        if len(args) != len(symbol.params):
-            raise _err(sym_tok.span, "bad-tuple",
-                       f"{symbol.name} expects {len(symbol.params)} argument(s), "
-                       f"got {len(args)}")
+        _checked(sym_tok.span, "bad-tuple", _check_arity, symbol, len(args))
         check_elements(args, symbol.params, "bad-tuple")
         check_elements(values, itertools.repeat(symbol.result), "bad-value")
 

@@ -12,8 +12,9 @@ only compute the derived fields (sort and contexts) and let the constructor
 check them.  The three rules that come in an ex and a mu form are each
 stated once, in a private base class whose two node classes fix the context
 kind ``_kind`` (``EX`` or ``MU``, the positions in a node's ``(ex, mu)``
-pair): ``_FreeVar`` (the node has its variable's sort), ``_BoundVar`` (the
-index lies in the context of its kind and names the node's sort) and
+pair): ``_FreeVar`` (the node has its variable's kind and sort),
+``_BoundVar`` (the index lies in the context of its kind and names the
+node's sort) and
 ``_Binder`` (the body's context of its kind is the binder's with the bound
 sort prepended, ``binder_sort`` for ``Exists`` and the node's own sort for
 ``Mu``; the other context is the binder's; and the binder has its body's
@@ -154,7 +155,7 @@ class Pattern:
 
 
 class _FreeVar(Pattern):
-    """A free variable of kind ``_kind``: the node's sort is its
+    """A free variable of kind ``_kind``: the node's kind and sort are its
     variable's."""
 
     _payload = ("var",)
@@ -169,6 +170,11 @@ class _FreeVar(Pattern):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if self.var._kind != self._kind:
+            raise SortMismatchError(
+                f"free {_VARIABLE[self._kind]} node cannot hold the "
+                f"{_VARIABLE[self.var._kind]} {self.var}"
+            )
         if self.var.sort != self.sort:
             raise SortMismatchError(
                 f"free {_VARIABLE[self._kind]} {self.var} cannot have sort {self.sort}"

@@ -74,19 +74,21 @@ class Axiom:
 
 @record
 class Theory:
-    """A signature, labelled axioms over it, and the options that built it."""
+    """A signature, labelled axioms over it, and the options that built it.
+    The axioms are kept as a tuple and the options as a frozenset, so no
+    container of the caller's ends up in a theory."""
 
     signature: Signature
     axioms: tuple[Axiom, ...] = ()
     options: frozenset[str] = frozenset()
 
     def __init__(
-        self, signature: Signature, axioms: tuple[Axiom, ...] = (),
-        options: frozenset[str] = frozenset(),
+        self, signature: Signature, axioms: Iterable[Axiom] = (),
+        options: Iterable[str] = frozenset(),
     ) -> None:
         set_field(self, "signature", signature)
-        set_field(self, "axioms", axioms)
-        set_field(self, "options", options)
+        set_field(self, "axioms", tuple(axioms))
+        set_field(self, "options", frozenset(options))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -108,6 +110,20 @@ class Theory:
             if axiom.label == label:
                 return axiom
         raise KeyError(label)
+
+    def select(self, labels: Iterable[str] | None = None) -> tuple[Axiom, ...]:
+        """The axioms that ``labels`` name, in declaration order, or every
+        axiom when ``labels`` is None; raises :class:`MuLogicError` naming,
+        in the order given, each label that names no axiom."""
+        if labels is None:
+            return self.axioms
+        labels = list(labels)
+        known = {axiom.label for axiom in self.axioms}
+        missing = [label for label in labels if label not in known]
+        if missing:
+            raise MuLogicError(f"no such axiom(s): {', '.join(missing)}")
+        wanted = set(labels)
+        return tuple(axiom for axiom in self.axioms if axiom.label in wanted)
 
 
 def instantiate_definedness(theory: Theory) -> Theory:
@@ -230,16 +246,15 @@ def satisfies(
     prefix_cap: int = DEFAULT_PREFIX_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SatisfactionReport:
-    """Check every axiom (or the ``labels`` subset) in declaration order.
+    """Check every axiom (or those that ``labels`` name, see
+    :meth:`Theory.select`) in declaration order.
 
-    A :class:`MuLogicError` from an axiom becomes its ``error`` verdict and
+    A label that names no axiom is refused before any check.  A
+    :class:`MuLogicError` from an axiom becomes its ``error`` verdict and
     the run goes on; any other exception is a fault and propagates.
     """
-    wanted = None if labels is None else set(labels)
     results = []
-    for axiom in theory.axioms:
-        if wanted is not None and axiom.label not in wanted:
-            continue
+    for axiom in theory.select(labels):
         try:
             results.append(
                 check_axiom(

@@ -376,6 +376,33 @@ class TestParseModel:
         assert diags[0].code == "bad-tuple" and "no carrier" in diags[0].message
 
 
+_SIGNATURE_TEXT = "sort Bool\nsort Nat\nsymbol O : -> Nat\nsymbol isZero : Nat -> Bool\n"
+
+
+@pytest.mark.parametrize("kind, text, code, span, message", [
+    ("pattern", "g()", "unknown-symbol", (1, 1, 1), "symbol 'g' is not declared"),
+    ("pattern", "\\ceil{Bool}(g())", "unknown-symbol", (1, 13, 1),
+     "symbol 'g' is not declared"),
+    # sort inference looks the symbol up in the unannotated \mu's body
+    ("pattern", "\\ceil{Bool}(\\mu \\or(B0, g()))", "unknown-symbol", (1, 25, 1),
+     "symbol 'g' is not declared"),
+    ("theory", _SIGNATURE_TEXT + "axiom a [Bool] \\ceil{Bool}(g())", "unknown-symbol",
+     (5, 28, 1), "symbol 'g' is not declared"),
+    ("model", "carrier Bool = { t }\ncarrier Nat = { 0 }\ninterp isZero(0, 0) = { t }",
+     "bad-tuple", (3, 8, 6), "isZero expects 1 argument(s), got 2"),
+], ids=["pattern-root", "pattern-under-ceil", "pattern-in-unannotated-mu", "theory-axiom",
+        "model-interp-arity"])
+def test_library_refusals_are_reported_where_written(kind, text, code, span, message):
+    """The signature and the model state these refusals; the frontend
+    reports each with their message, at the span of what is refused."""
+    theory = parse_theory(_SIGNATURE_TEXT)
+    parse = {"theory": lambda: parse_theory(text),
+             "pattern": lambda: parse_pattern(text, theory.signature),
+             "model": lambda: parse_model(text, theory)}[kind]
+    (diag,) = diag_of(parse)
+    assert (diag.code, diag.span, diag.message) == (code, span, message)
+
+
 class TestPrinter:
     def test_core_forms(self, std_sig):
         nat = std_sig.sort("Nat")

@@ -235,6 +235,9 @@ def _set_over_a_larger_carrier(sig, nat, bool_):
     pytest.param(lambda sig, nat, bool_: FreeSVar(
         bool_, (), (), SetVar("X", nat)),
         SortMismatchError, id="free-svar-sort"),
+    pytest.param(lambda sig, nat, bool_: FreeEVar(
+        nat, (), (), SetVar("X", nat)),
+        SortMismatchError, id="free-evar-holds-a-set-variable"),
     pytest.param(_set_over_a_larger_carrier, SortMismatchError,
                  id="eval-set-over-another-carrier"),
     pytest.param(lambda sig, nat, bool_: fevar_subst(
@@ -293,6 +296,10 @@ _REFUSALS = [
      SortMismatchError, "free element variable x:Nat cannot have sort Bool"),
     ("free-svar-sort", lambda s, n, b: FreeSVar(b, (), (), SetVar("X", n)),
      SortMismatchError, "free set variable #X:Nat cannot have sort Bool"),
+    ("free-evar-kind", lambda s, n, b: FreeEVar(n, (), (), SetVar("X", n)),
+     SortMismatchError, "free element variable node cannot hold the set variable #X:Nat"),
+    ("free-svar-kind", lambda s, n, b: FreeSVar(n, (), (), ElemVar("x", n)),
+     SortMismatchError, "free set variable node cannot hold the element variable x:Nat"),
     ("bound-evar-past-scope", lambda s, n, b: BoundEVar(n, (n,), (), 1),
      IndexOutOfScopeError, "bound element variable b1 out of scope (context has 1 entries)"),
     ("bound-evar-negative", lambda s, n, b: BoundEVar(n, (n,), (), -1),

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mulogic import (
+    Axiom,
     ElemVar,
     SetVar,
     Signature,
@@ -28,6 +29,7 @@ from mulogic import (
 )
 from mulogic.errors import (
     DuplicateLabelError,
+    MuLogicError,
     NotClosedError,
     SortMismatchError,
     StateSpaceTooLargeError,
@@ -178,6 +180,33 @@ def test_satisfies_label_filter(std_sig, std_model, bool_, bool_domain):
     )
     report = satisfies(std_model, theory, labels=["bool-domain"])
     assert len(report.results) == 1 and report.satisfied
+
+
+def test_satisfies_refuses_labels_that_name_no_axiom(std_sig, std_model, bool_, bool_domain):
+    theory = Theory(std_sig).add_axiom("bool-domain", bool_, bool_domain)
+    for labels, missing in [
+        (["bool-domian"], "bool-domian"),
+        (["x", "bool-domain", "y"], "x, y"),
+        ("bool-domain", "b, o, o, l, -, d, o, m, a, i, n"),
+    ]:
+        with pytest.raises(MuLogicError) as err:
+            satisfies(std_model, theory, labels=labels)
+        assert str(err.value) == f"no such axiom(s): {missing}"
+    assert theory.select(["bool-domain"]) == theory.axioms == theory.select()
+
+
+def test_theory_keeps_no_container_of_the_callers(std_sig, std_model, bool_, bool_domain):
+    axioms = [Axiom("bool-domain", bool_, bool_domain)]
+    options = {"instantiate-definedness"}
+    theory = Theory(std_sig, axioms, options)
+    axioms.append(axioms[0])
+    options.add("other")
+    assert theory.axioms == (axioms[0],) and theory.options == {"instantiate-definedness"}
+    hash(theory)
+    assert len(theory.add_axiom("never", bool_, mk_bottom(bool_)).axioms) == 2
+    assert len(instantiate_definedness(theory).axioms) == 1 + len(std_sig.sorts) ** 2
+    kept = Theory(std_sig, theory.axioms, theory.options)
+    assert kept.axioms is theory.axioms and kept.options is theory.options
 
 
 def test_satisfies_aggregates_errors_and_continues(std_sig, std_model, bool_, nat, bool_domain):
