@@ -19,10 +19,13 @@ Symbol application is one pointwise routine over those tables,
 combination of argument choices.  A key of singletons has one
 combination, so a plain lookup (:meth:`FiniteModel.interpret_symbol`, and
 the evaluator's application of arguments of at most one element each)
-reads the table straight instead.  Elements compare by identity, so each
-belongs to the one model that built it; :meth:`FiniteModel._elem_mask`
-and :meth:`FiniteModel._set_bits` alone decide carrier membership, for
-the public methods and the evaluator alike.
+reads the table straight instead.  The model records which symbols
+denote partial functions (no entry of more than one element), so that
+the evaluator knows which applications hold at most one element.
+Elements compare by identity, so each belongs to the one model that
+built it; :meth:`FiniteModel._elem_mask` and :meth:`FiniteModel._set_bits`
+alone decide carrier membership, for the public methods and the
+evaluator alike.
 """
 
 from __future__ import annotations
@@ -173,6 +176,12 @@ class FiniteModel:
         self._fulls = {sort: (1 << len(c)) - 1 for sort, c in self._carriers.items()}
         self._ones = {sort: tuple([1 << k for k in range(len(c))])
                       for sort, c in self._carriers.items()}
+        # the symbols that denote partial functions: every entry of their
+        # table holds one bit, so an application of them to arguments of
+        # at most one element each denotes at most one element
+        self._functions = frozenset([
+            s for s, table in self._masks.items()
+            if not any([bits & (bits - 1) for bits in table.values()])])
 
     def carrier(self, sort: Sort) -> tuple[CarrierElem, ...]:
         try:

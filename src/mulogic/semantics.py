@@ -53,22 +53,40 @@ unbound variables.
   ``B`` objects in both implications, when it is built, and keeps
   ``(A, B)`` as a node fact (see :mod:`mulogic.pattern`).  Placement reads
   that fact, places only ``A`` and ``B``, and emits one comparison: the
-  full carrier of ``s`` if ``A``'s register, XORed with the full carrier
-  of their sort when exactly one of them is a complement, equals ``B``'s,
+  full carrier of ``s`` if ``A``'s value, XORed with the full carrier of
+  their sort when exactly one of them is a complement, equals ``B``'s,
   else 0 (a superoperator: Proebsting, POPL 1995).  Its scope, memo
   entry, register and free-variable level are the outer ``Not``'s, as
-  for any node; every other shape compiles node by node.
-* **Applications.**  An application whose arguments each hold at most one
-  bit reads its table entry straight; only wider arguments take the
-  pointwise lift.  An element variable denotes exactly one element, so
-  its register, the variable of the ``Exists`` that binds it or the level
-  of a free one, always holds one bit; a unary or binary application
-  whose arguments are all element variables, as the kinds of its argument
-  nodes show, reads its entry with no test.  Each instruction keeps at most its last argument and
-  image, as a ``prefix`` μ or a free set variable runs it on every subset
-  of a carrier: a unary application of a plain argument, in any scope,
-  ORs its last image with the image of only the bits its argument gained
-  whenever its last argument is a subset of the new one, since pointwise
+  for any node; every other shape compiles node by node.  An operand
+  that is an application, is not yet in the memo of the equality's
+  scope and would be placed in that scope (it reads the variable that
+  put the equality there; at the top, a free variable) places only its
+  arguments; if each holds at most one bit (see *Applications*), it
+  gets no register, and the comparison reads its table entry itself, so
+  an equation of two terms in a loop is one instruction, read against
+  read or read against register.  Otherwise it is placed as any
+  application: when an argument may hold more (a relation, a μ or set
+  variable, a complement), when the other operand placed it in the same
+  scope (its register is read), and when, at the top, it reads only
+  levels outside the equality's (it runs once per value of those).  A
+  closed equality at the top runs once, so its operands stay
+  applications of their own, which repeated operands share.
+* **Applications.**  An application whose arguments placement knows to
+  hold at most one bit each reads its table entry straight, with no test;
+  any other tests its arguments when it runs, and lifts only wider ones
+  pointwise.  An argument holds at most one bit when it is an element
+  variable (the variable of the ``Exists`` that binds it, or the level of
+  a free one), a constant whose symbol the model records as a partial
+  function (every entry of its table holds at most one bit), or a term: an
+  application of such a symbol whose arguments all hold at most one bit,
+  which denotes at most one element.  Placement decides it from the kinds
+  of the argument nodes and, for an application, the set of terms placed
+  so far; it keeps no set of registers, so a pattern without terms pays
+  for none.  Each instruction keeps at most its last argument and image,
+  as a ``prefix`` μ or a free set variable runs it on every subset of a
+  carrier: a unary application of a plain argument, in any scope, ORs its
+  last image with the image of only the bits its argument gained whenever
+  its last argument is a subset of the new one, since pointwise
   application distributes over union.  A μ body's variable grows under
   ``iterate``, and half of the subsets that ``prefix`` takes in counting
   order are supersets of the one before.
@@ -469,9 +487,9 @@ def _loop_room() -> int:
     return (sys.getrecursionlimit() - depth - _SPARE_FRAMES) // _FRAMES_PER_LOOP
 
 
-# the node kinds of an element variable, whose register always holds exactly
-# one bit: a free one's level, or the variable of the Exists that binds it
-_ELEMENT_VARIABLES = frozenset({FreeEVar, BoundEVar})
+# the ``inner`` of the leave item of an equality's operand entered as a read,
+# and of an equality with such an operand (see _compile)
+_READ = object()
 
 
 def _compile(
@@ -504,6 +522,17 @@ def _compile(
     identity, which keeps its result before ``sign`` is applied; a node
     whose ``scope`` is the top goes on leave to the innermost level its
     operands read, but stays in the top's memo.
+
+    ``terms`` holds the identity of each application placed that is a
+    term (module docstring).  An equality's operand that the equality may
+    read (:func:`_read_here`) is not entered: the equality pushes its
+    leave item and its arguments, and marks both leave items with
+    ``inner`` ``_READ``.  On leave, such an operand that the other operand
+    has placed meanwhile is that register; else, if each argument holds at
+    most one bit, it takes back the register it allocated and emits the
+    read ``(node, table, args, level)`` in place of a signed register,
+    which the equality settles (:func:`_settled`); else it is placed as
+    any application.
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
@@ -511,13 +540,15 @@ def _compile(
     reads: dict[int, int] = {}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
     full = model._full_mask
+    functions = model._functions
+    terms: set[int] = set()  # id(node) of each application placed that is a term
 
     def decode(reg: int, sort: Sort) -> tuple[int, int]:
         """A signed register of ``sort`` as (register, value to XOR it with)."""
         return (~reg, full(sort)) if reg < 0 else (reg, 0)
 
     base = len(levels)
-    results: list[int] = []  # signed registers of the children met so far
+    results: list = []  # signed registers (or reads) of the children met so far
     emit = results.append
     stack: list[tuple] = [(p, ((), ()), 0)]
     pop, push = stack.pop, stack.append
@@ -539,7 +570,7 @@ def _compile(
                 emit(reg ^ sign)
                 continue
             exs, mus = ctxs
-            ex, even, odd, _, _ = node._facts
+            ex, even, odd, free, _ = node._facts
             scope = top
             if ex:
                 scope = exs[len(exs) - (ex & -ex).bit_length()]
@@ -568,6 +599,21 @@ def _compile(
             elif kind is Not:  # an equality: only its two operands are placed
                 a, b = node._operands
                 push((node, scope, None, 2, sign))
+                if free or scope is not top:  # else it runs once, and reads no table
+                    # the variable that puts the equality in ``scope``: none at the top
+                    mu_bit = mu & -mu if mu and scope is inner else 0
+                    ex_bit = 0 if mu_bit or scope is top else ex & -ex
+                    read_a = _read_here(a, scope.memo, ex_bit, mu_bit)
+                    read_b = _read_here(b, scope.memo, ex_bit, mu_bit)
+                    if read_a or read_b:
+                        stack[-1] = (node, scope, _READ, 2, sign)
+                        for operand, read in ((b, read_b), (a, read_a)):
+                            if read:
+                                push((operand, scope, _READ, len(operand.args), 0))
+                                stack += [(kid, ctxs, 0) for kid in reversed(operand.args)]
+                            else:
+                                push((operand, ctxs, 0))
+                        continue
                 push((b, ctxs, 0))
                 push((a, ctxs, 0))
             elif kind is Defined:
@@ -606,17 +652,21 @@ def _compile(
         level = 0
         if node._facts[3]:
             for a in args:
-                depth = reads.get(a if a >= 0 else ~a, 0)
+                depth = a[3] if type(a) is tuple else reads.get(a if a >= 0 else ~a, 0)
                 if depth > level:
                     level = depth
             if level and scope is top:
                 scope = levels[level - 1]
         if inner is not None:
-            ex, even, odd, _, _ = node.body._facts
-            if not (ex if kind is Exists else even | odd) & 1:
-                # a body without the bound variable is its own union and fixpoint
-                memo[id(node)] = args[0]
-                emit(args[0] ^ sign)
+            if inner is not _READ:  # a binder
+                ex, even, odd, _, _ = node.body._facts
+                if not (ex if kind is Exists else even | odd) & 1:
+                    # a body without the bound variable is its own union and fixpoint
+                    memo[id(node)] = args[0]
+                    emit(args[0] ^ sign)
+                    continue
+            elif kind is App and id(node) in memo:  # the other operand placed it
+                emit(memo[id(node)])
                 continue
         dst = out = len(regs)
         regs.append(0)
@@ -624,8 +674,23 @@ def _compile(
             reads[dst] = level
         if kind is App:
             table = model.mask_table(node.symbol)
-            flips, single = (0,) * n, _ELEMENT_VARIABLES.issuperset(map(type, node.args))
-            if min(args) < 0:  # most applications have none to decode; skip the list
+            for kid in node.args:  # does each argument hold at most one bit?
+                kid_kind = type(kid)
+                if not (kid_kind is BoundEVar or kid_kind is FreeEVar or kid_kind is App and (
+                        id(kid) in terms if kid.args else kid.symbol in functions)):
+                    single = False
+                    break
+            else:
+                single = True
+            if single and inner is _READ:  # the equality reads it: it takes no register
+                regs.pop()
+                reads.pop(dst, None)
+                emit((node, table, args, level))
+                continue
+            flips = (0,) * n
+            if single and node.symbol in functions:
+                terms.add(id(node))
+            elif min(args) < 0:  # most applications have none to decode; skip the list
                 args, flips = zip(*[decode(a, kid.sort) for a, kid in zip(args, node.args)])
             op = _app_op(regs, dst, args, table, flips, single)
         elif kind is And:
@@ -636,8 +701,26 @@ def _compile(
         elif kind is Not:  # an equality
             # the operands' sort is that of the iff under the floor
             sort = node.body.body.sort
-            (a, fa), (b, fb) = decode(args[0], sort), decode(args[1], sort)
-            op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
+            x, y = args
+            if inner is _READ:  # an operand entered as a read may stay one (see _settled)
+                # no comprehension here: it would turn these locals into cells
+                outer = item[1] is top and level
+                if type(x) is tuple:
+                    x = _settled(x, memo, outer, regs, reads, terms, functions, top, levels)
+                if type(y) is tuple:
+                    y = _settled(y, memo, outer, regs, reads, terms, functions, top, levels)
+                if type(x) is not tuple:  # the equality is symmetric: a read goes first
+                    x, y = y, x
+            if type(x) is tuple:
+                _, table, keys, _ = x
+                if type(y) is tuple:
+                    op = _equals_reads_op(regs, dst, table, keys, y[1], y[2], full(node.sort))
+                else:
+                    b, flip = decode(y, sort)
+                    op = _equals_read_op(regs, dst, table, keys, b, flip, full(node.sort))
+            else:
+                (a, fa), (b, fb) = decode(x, sort), decode(y, sort)
+                op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
         elif kind is Defined:
             # the complement of a is empty where a is full
             a, empty = decode(args[0], node.body.sort)
@@ -666,6 +749,47 @@ def _compile(
         memo[id(node)] = out
         emit(out ^ sign)
     return _Program(regs, top.code, levels, *decode(results[0], p.sort))
+
+
+def _read_here(operand: Pattern, memo: dict[int, int], ex_bit: int, mu_bit: int) -> bool:
+    """Whether an equality's operand is entered as a read (see
+    :func:`_compile`): an application with arguments, not in ``memo``, the
+    memo of the equality's scope, that reads the variable that puts the
+    equality there, bit ``ex_bit`` of its ex mask or ``mu_bit`` of its mu
+    mask, and so is placed there too; at the top (both 0), one that reads
+    a free variable, whose level is then at most the equality's."""
+    if type(operand) is not App or not operand.args or id(operand) in memo:
+        return False
+    ex, even, odd, free, _ = operand._facts
+    return bool(ex & ex_bit or (even | odd) & mu_bit) if ex_bit | mu_bit else free
+
+
+def _settled(
+    read: tuple, memo: dict[int, int], level: int, regs: list[int], reads: dict[int, int],
+    terms: set[int], functions: frozenset, top: _Scope, levels: Sequence[_Scope],
+) -> int | tuple:
+    """An equality's operand ``read``, ``(node, table, args, depth)``, as
+    the equality takes it: the register of ``node`` if the other operand
+    placed it in the equality's scope, whose memo is ``memo``; else, if
+    the equality is at the top and ``depth`` is a level outside its
+    ``level``, the register of an application instruction placed at
+    ``depth`` (the top for 0), as for any application; else the read
+    itself."""
+    node, table, args, depth = read
+    reg = memo.get(id(node))
+    if reg is not None:
+        return reg
+    if depth >= level:
+        return read
+    reg = memo[id(node)] = len(regs)
+    regs.append(0)
+    if depth:
+        reads[reg] = depth
+    if node.symbol in functions:
+        terms.add(id(node))
+    (levels[depth - 1] if depth else top).code.append(
+        _app_op(regs, reg, args, table, (0,) * len(args), True))
+    return reg
 
 
 # --- instructions -----------------------------------------------------------
@@ -717,10 +841,67 @@ def _equals_op(
 ) -> Callable[[], None]:
     """``full`` if register ``a`` XORed with ``flip`` equals register
     ``b``, else 0: the floor of an iff.  ``flip`` is the full carrier of
-    the operands' sort when exactly one operand is a complement, else 0."""
+    the operands' sort when exactly one operand is a complement, else 0.
+    An operand that is a term in a loop is read from its table by the
+    comparison itself instead (:func:`_equals_read_op`,
+    :func:`_equals_reads_op`)."""
 
     def op() -> None:
         regs[dst] = full if regs[a] ^ flip == regs[b] else 0
+
+    return op
+
+
+def _equals_read_op(
+    regs: list[int], dst: int, table: Mapping, keys: Sequence[int], b: int, flip: int,
+    full: int,
+) -> Callable[[], None]:
+    """``full`` if the entry of ``table`` at registers ``keys``, each of
+    at most one bit, equals register ``b`` XORed with ``flip``, else 0: an
+    equality that reads one operand, an application, from its table.
+    ``flip`` is the full carrier of the operands' sort when ``b`` is a
+    complement, else 0."""
+    if len(keys) == 1:
+        (x,) = keys
+
+        def op() -> None:
+            regs[dst] = full if table.get((regs[x],), 0) == regs[b] ^ flip else 0
+
+    elif len(keys) == 2:
+        x, y = keys
+
+        def op() -> None:
+            regs[dst] = full if table.get((regs[x], regs[y]), 0) == regs[b] ^ flip else 0
+
+    else:
+
+        def op() -> None:
+            key = tuple([regs[k] for k in keys])
+            regs[dst] = full if table.get(key, 0) == regs[b] ^ flip else 0
+
+    return op
+
+
+def _equals_reads_op(
+    regs: list[int], dst: int, table: Mapping, keys: Sequence[int], other: Mapping,
+    other_keys: Sequence[int], full: int,
+) -> Callable[[], None]:
+    """``full`` if the entry of ``table`` at registers ``keys`` equals that
+    of ``other`` at ``other_keys``, each register of at most one bit, else
+    0: an equality that reads both operands, applications, from their
+    tables."""
+    if len(keys) == len(other_keys) == 2:
+        (x, y), (u, v) = keys, other_keys
+
+        def op() -> None:
+            regs[dst] = full if table.get((regs[x], regs[y]), 0) == other.get(
+                (regs[u], regs[v]), 0) else 0
+
+    else:
+
+        def op() -> None:
+            key, other_key = tuple([regs[k] for k in keys]), tuple([regs[k] for k in other_keys])
+            regs[dst] = full if table.get(key, 0) == other.get(other_key, 0) else 0
 
     return op
 
@@ -733,13 +914,14 @@ def _app_op(
     combination of one-bit masks drawn from the arguments.  Argument ``k``
     is register ``args[k]`` XORed with ``flips[k]``: 0, or the full carrier
     of its sort for a complement.  ``single`` is set when every argument is
-    a plain register that always holds exactly one bit, the variable of an
-    ``Exists`` or of a free element variable's level: its unary and binary
-    forms read the table entry straight, with no test.  The other unary and
-    binary forms serve plain arguments; any complemented argument takes the
-    n-ary form.  Each reads the table straight when every argument holds at
-    most one bit (a key with an empty argument is absent from it), else
-    lifts the arguments.
+    a plain register that always holds at most one bit: an element
+    variable, a constant of a partial function or a term (module
+    docstring).  Its forms read the table entry straight, with no test:
+    ``table.get(key, 0)`` is exact when each argument is empty or one
+    element, since a key with an empty argument is absent.  The other
+    unary and binary forms serve plain arguments; any complemented
+    argument takes the n-ary form.  Each reads the table straight when
+    every argument holds at most one bit, else lifts the arguments.
 
     The unary form of a plain argument keeps its last argument and image,
     and no form keeps more, since a ``prefix`` μ or a free set variable
@@ -760,6 +942,11 @@ def _app_op(
 
         def op() -> None:
             regs[dst] = table.get((regs[a], regs[b]), 0)
+
+    elif single:
+
+        def op() -> None:
+            regs[dst] = table.get(tuple([regs[a] for a in args]), 0)
 
     elif plain and len(args) == 1:
         (a,) = args

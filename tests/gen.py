@@ -83,6 +83,123 @@ def random_model_data(rng: random.Random, sig: Signature, max_carrier: int = 4,
     return carriers, interps
 
 
+# How ``random_term_model_data`` interprets each symbol.
+SYMBOL_SHAPES = ("total", "partial", "relation")
+
+
+def random_term_model_data(rng: random.Random, sig: Signature, max_carrier: int = 4):
+    """The label data of a model whose symbols are, each drawn from
+    ``SYMBOL_SHAPES``: total functions (every entry one element), partial
+    functions (one element or none, at least one entry empty) or relations
+    (at least one entry of two elements; only over a result carrier of two
+    or more).  A 0-ary symbol is a constant of one element, of none or of
+    two."""
+    carriers = {
+        s.name: [f"e{i}" for i in range(rng.randint(1, max_carrier))]
+        for s in sig.sorts
+    }
+    interps = {}
+    for sym in sig.symbols:
+        labels = carriers[sym.result.name]
+        shape = rng.choice(SYMBOL_SHAPES)
+        if shape == "relation" and len(labels) < 2:
+            shape = "partial"
+        combos = list(itertools.product(*[carriers[p.name] for p in sym.params]))
+        table = {combo: [rng.choice(labels)] for combo in combos}
+        if shape == "partial":
+            for combo in combos:
+                if rng.random() < 0.3:
+                    table[combo] = []
+            table[rng.choice(combos)] = []
+        elif shape == "relation":
+            for combo in combos:
+                if rng.random() < 0.3:
+                    table[combo] = rng.sample(labels, rng.randint(0, len(labels)))
+            table[rng.choice(combos)] = rng.sample(labels, 2)
+        interps[sym.name] = table
+    return carriers, interps
+
+
+def random_term(rng: random.Random, sig: Signature, sort, ex=(), mu=(), depth: int = 3,
+                allow_free: bool = True) -> Pattern:
+    """A term of ``sort``: applications, nested up to ``depth`` deep, over
+    the element variables of ``ex``, free element variables (with
+    ``allow_free``) and constants.  One argument in twenty is instead the
+    complement of a term, and one in ten a variable of ``mu`` where one
+    has its sort."""
+    ex, mu = tuple(ex), tuple(mu)
+    apps = [sym for sym in sig.symbols if sym.result == sort and sym.params]
+    if depth > 0 and apps and rng.random() < 0.6:
+        symbol = rng.choice(apps)
+        args = []
+        for param in symbol.params:
+            sets = [i for i, s in enumerate(mu) if s == param]
+            roll = rng.random()
+            if roll < 0.05:
+                args.append(mk_not(random_term(rng, sig, param, ex, mu, depth - 1, allow_free)))
+            elif roll < 0.15 and sets:
+                args.append(mk_bound_svar(ex, mu, rng.choice(sets)))
+            else:
+                args.append(random_term(rng, sig, param, ex, mu, depth - 1, allow_free))
+        return mk_app(sig, symbol, args)
+    leaves = [mk_bound_evar(ex, mu, i) for i, s in enumerate(ex) if s == sort]
+    leaves += [mk_app(sig, sym, [], ex, mu)
+               for sym in sig.symbols if sym.result == sort and not sym.params]
+    if allow_free or not leaves:
+        leaves.append(mk_free_evar(ElemVar(rng.choice(VAR_NAMES), sort), ex, mu))
+    return rng.choice(leaves)
+
+
+def random_term_equation(rng: random.Random, sig: Signature) -> Pattern:
+    """``\\equals`` of two ``random_term`` outputs of one sort: under up
+    to three ``\\forall`` or ``\\exists`` binders whose variables the
+    terms read, over free element variables, or both; now and then in a
+    ``\\mu`` body that the terms may read, outside the binders."""
+    sort, operand_sort = rng.choice(sig.sorts), rng.choice(sig.sorts)
+    binders = [rng.choice(sig.sorts) for _ in range(rng.choice((0, 1, 2, 2, 3)))]
+    ex = tuple(reversed(binders))  # the innermost binder first
+    mu = ()
+    if rng.random() < 0.3:  # of a sort that some symbol takes
+        sort = rng.choice([param for sym in sig.symbols for param in sym.params] or [sort])
+        mu = (sort,)
+    allow_free = not binders or rng.random() < 0.3
+    depth = rng.randint(1, 3)
+    a = random_term(rng, sig, operand_sort, ex, mu, depth, allow_free)
+    b = a if rng.random() < 0.05 else random_term(rng, sig, operand_sort, ex, mu, depth,
+                                                     allow_free)
+    p = mk_equals(sort, a, b)
+    for binder in reversed(binders):
+        p = (mk_forall if rng.random() < 0.7 else mk_exists)(binder, p)
+    if mu:
+        p = mk_mu(mk_or(p, mk_bound_svar((), mu, 0)))
+    return p
+
+
+def checked_model(model):
+    """``model`` with each mask table replaced by a ``CheckedTable``."""
+    model._masks = {symbol: CheckedTable(table, [model._full_mask(s) for s in symbol.params])
+                    for symbol, table in model._masks.items()}
+    return model
+
+
+class CheckedTable(dict):
+    """A mask table whose ``get`` asserts that each key component is 0 or
+    one bit of its parameter's carrier, whose full masks are ``fulls``.
+    The evaluator reads a table only through ``get``, lifts and the reads
+    of a comparison included, so a value outside its carrier that reaches
+    a table, even one a lookup would ignore, fails the test."""
+
+    def __init__(self, table, fulls):
+        super().__init__(table)
+        self.fulls = fulls
+
+    def get(self, key, default=None):
+        assert len(key) == len(self.fulls) and all(
+            not bits & (bits - 1) and bits & full == bits for bits, full in zip(key, self.fulls)
+        ), (key, self.fulls)
+        return super().get(key, default)
+
+
 def random_context(rng: random.Random, sig: Signature, max_len: int = 3, min_len: int = 0):
     return tuple(rng.choice(sig.sorts) for _ in range(rng.randint(min_len, max_len)))
 

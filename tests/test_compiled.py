@@ -1,5 +1,6 @@
 """The compiled evaluator against the reference fold and the prefix oracle."""
 
+import collections
 import itertools
 import random
 import tracemalloc
@@ -8,8 +9,11 @@ import warnings
 import pytest
 
 from mulogic import (
+    App,
     Axiom,
+    BoundSVar,
     ElemVar,
+    Not,
     SetVar,
     Signature,
     Theory,
@@ -18,6 +22,7 @@ from mulogic import (
     build_model,
     check_axiom,
     eval_pattern,
+    free_vars,
     mk_and,
     mk_app,
     mk_bound_evar,
@@ -44,14 +49,19 @@ from mulogic.model import _lift
 from mulogic.corpus import corpus_path
 from mulogic.errors import CarrierTooLargeError, MuLogicError, NestingTooDeepError
 from mulogic.pattern import walk
+from mulogic.semantics import _valuation_order
 from gen import (
     EQUALITY_SHAPES,
+    checked_model,
+    iter_nodes,
     random_equality,
     random_model,
     random_nested_fixpoint,
     random_pattern,
     random_positive_mu,
     random_signature,
+    random_term_equation,
+    random_term_model_data,
     random_valuation,
 )
 from reference import ref_check_axiom, ref_eval_pattern
@@ -590,8 +600,9 @@ def test_forall_runs_every_pair_wherever_one_fails(std_sig, monkeypatch, i, j):
     # the union of the complemented equality is full, and the forall
     # decided empty, at the first pair with plus(x, y) != plus(y, x); the
     # loops still run the body for all 16 pairs, so the work does not
-    # depend on where in carrier order the failing pair lies
-    equals_runs = _runs(monkeypatch, "_equals_op")
+    # depend on where in carrier order the failing pair lies.  The body is
+    # one instruction, which reads both sides from the table
+    equals_runs = _runs(monkeypatch, "_equals_reads_op")
     p = parse_pattern(r"\forall{Nat} \forall{Nat} \equals{Nat}(plus(b0, b1), plus(b1, b0))",
                       std_sig)
     model, empty = perturbed_plus(std_sig, i, j), Valuation.empty()
@@ -622,8 +633,9 @@ def look_alike_equality(sig):
 @pytest.mark.parametrize("make, names", [
     (r"\equals{Bool}(S(O()), plus(O(), S(O())))",
      ["_app_op", "_app_op", "_equals_op"]),
+    # S(b0) is read by the comparison itself; the complement is not
     (r"\forall{Nat} \equals{Nat}(S(b0), \not(plus(b0, S(O()))))",
-     ["_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op"]),
+     ["_app_op", "_app_op", "_equals_read_op", "_exists_op"]),
     (instantiated_equality, ["_app_op", "_app_op", "_app_op", "_equals_op"]),
     # near misses compile node by node
     (r"\subseteq{Bool}(S(O()), plus(O(), S(O())))",
@@ -642,6 +654,98 @@ def test_equality_places_one_instruction(std_sig, std_model, placed, make, names
         placed.clear()
         assert eval_pattern(model, empty, p) == ref_eval_pattern(model, empty, p)
         assert sorted(placed) == names
+
+
+@pytest.mark.parametrize("text, mode, functional, relational", [
+    # both sides are read, on either model
+    (r"\forall{Nat} \forall{Nat} \equals{Nat}(plus(b0, b1), plus(b1, b0))", "iterate",
+     ["_equals_reads_op", "_exists_op", "_exists_op"],
+     ["_equals_reads_op", "_exists_op", "_exists_op"]),
+    # S(b0) and S(S(b0)) are terms where S is a partial function
+    (r"\forall{Nat} \equals{Nat}(S(S(b0)), plus(b0, S(b0)))", "iterate",
+     ["_app_op", "_equals_reads_op", "_exists_op"],
+     ["_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op"]),
+    # the other side placed S(b0) in the same loop: its register is read
+    (r"\forall{Nat} \equals{Nat}(S(b0), S(S(b0)))", "iterate",
+     ["_app_op", "_equals_read_op", "_exists_op"],
+     ["_app_op", "_app_op", "_equals_op", "_exists_op"]),
+    (r"\forall{Nat} \equals{Nat}(S(b0), \not(S(b0)))", "iterate",
+     ["_app_op", "_equals_op", "_exists_op"], ["_app_op", "_equals_op", "_exists_op"]),
+    # the left side placed the right one, which reads a mu variable: each is
+    # an application of its own, once
+    (r"\mu{Nat} \or(B0, \forall{Nat} \equals{Nat}(plus(b0, S(plus(b0, B0))), "
+     r"S(plus(b0, B0))))", "prefix",
+     ["_and_op", "_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op", "_prefix_op"],
+     ["_and_op", "_app_op", "_app_op", "_app_op", "_equals_op", "_exists_op", "_prefix_op"]),
+    # a side hoisted out of the loop is an application of its own
+    (r"\forall{Nat} \equals{Nat}(S(b0), S(O()))", "iterate",
+     ["_app_op", "_equals_read_op", "_exists_op"], ["_app_op", "_equals_read_op", "_exists_op"]),
+    # over free variables, the left side reads x only: it runs at x's level
+    (r"\equals{Bool}(S(x:Nat), plus(x:Nat, y:Nat))", "iterate",
+     ["_app_op", "_equals_read_op"], ["_app_op", "_equals_read_op"]),
+], ids=["both-read", "nested-terms", "placed-by-the-other", "complement", "mu-argument",
+        "hoisted", "outer-level"])
+def test_equality_reads_its_terms_where_it_runs(
+        std_sig, std_model, placed, text, mode, functional, relational):
+    p = parse_pattern(text, std_sig)
+    variables = _valuation_order(*free_vars(p))
+    for model, names in ((std_model, functional), (relational_model(std_sig), relational)):
+        placed.clear()
+        program = semantics._compile(model, p, mode, 20, variables)
+        assert sorted(placed) == names
+        # each free variable's level keeps one instruction
+        assert [len(level.code) for level in program.levels] == [1] * len(variables)
+        if variables:
+            axiom = Axiom("a", p.sort, p)
+            mine = outcome(check_axiom, model, axiom, lfp_mode=mode)
+            ref = outcome(ref_check_axiom, model, axiom, lfp_mode=mode)
+            assert (axiom_view(mine[0]), mine[1]) == (axiom_view(ref[0]), ref[1])
+        else:
+            empty = Valuation.empty()
+            assert (outcome(eval_pattern, model, empty, p, lfp_mode=mode)
+                    == outcome(ref_eval_pattern, model, empty, p, lfp_mode=mode))
+
+
+def _features(model, p):
+    """Which fallbacks the terms of ``p`` take: an application of a
+    relation, and an argument that is a mu variable or a complement."""
+    seen = set()
+    for node in iter_nodes(p):
+        if type(node) is App:
+            if node.symbol not in model._functions:
+                seen.add("relation")
+            for kid in node.args:
+                seen.add({BoundSVar: "mu-argument", Not: "complement"}.get(type(kid)))
+    return seen - {None}
+
+
+def test_term_equations_match_the_reference(placed):
+    """Equations between nested applications, on models of total and
+    partial functions and relations whose tables check every key, against
+    the reference under both engines: eval_pattern's set, and
+    check_axiom's verdict, witness and got where there are free
+    variables."""
+    rng = random.Random(350)
+    features = collections.Counter()
+    for case in range(400):
+        sig = random_signature(rng)
+        model = checked_model(build_model(sig, *random_term_model_data(rng, sig)))
+        p = random_term_equation(rng, sig)
+        features.update(_features(model, p))
+        rho = random_valuation(rng, model, p)
+        for arm in EVAL_ARMS[:2]:
+            mine = outcome(eval_pattern, model, rho, p, **arm)
+            assert mine == outcome(ref_eval_pattern, model, rho, p, **arm), (case, arm, str(p))
+        if any(free_vars(p)):
+            axiom = Axiom("a", p.sort, p)
+            for arm in CHECK_ARMS[:2]:
+                mine, warned = outcome(check_axiom, model, axiom, **arm)
+                ref, ref_warned = outcome(ref_check_axiom, model, axiom, **arm)
+                assert (axiom_view(mine), warned) == (axiom_view(ref), ref_warned), (
+                    case, arm, str(p))
+    made = collections.Counter(placed)
+    assert min(made["_equals_reads_op"], made["_equals_read_op"], made["_equals_op"]) > 40, made
+    assert len(features) == 3 and min(features.values()) > 20, features
 
 
 @pytest.fixture
@@ -747,55 +851,77 @@ def apps(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("text, straight", [
+def relational_model(sig):
+    """The standard model with ``S`` and ``plus`` relations: some entry of
+    each holds two elements, so no application of them is a term."""
+    return build_model(
+        sig, {"Bool": ["t", "f"], "Nat": ["0", "1", "2", "3"]},
+        {"O": {(): ["0"]}, "isZero": {("0",): ["t"], ("1",): ["f"]},
+         "S": {("0",): ["1", "2"], ("1",): ["2"], ("2",): ["3"]},
+         "plus": {("0", "0"): ["0"], ("0", "1"): ["1", "3"], ("1", "0"): ["1"],
+                  ("1", "1"): ["2"]}},
+    )
+
+
+STRAIGHT = [
     # element variables always hold one bit: an Exists variable, in one
     # place or both, and a free element variable, read with no test
-    (r"\exists{Nat} S(b0)", True),
-    (r"\exists{Nat} \exists{Nat} plus(b1, b0)", True),
-    (r"S(x:Nat)", True),
-    (r"plus(x:Nat, y:Nat)", True),
-    (r"\exists{Nat} plus(x:Nat, b0)", True),
+    (r"\exists{Nat} S(b0)", True, True),
+    (r"\exists{Nat} \exists{Nat} plus(b1, b0)", True, True),
+    (r"S(x:Nat)", True, True),
+    (r"plus(x:Nat, y:Nat)", True, True),
+    (r"\exists{Nat} plus(x:Nat, b0)", True, True),
     # a mu or free set variable, a complement or a computed argument may
     # hold any subset, and keeps the test; so does a binary application
     # with one such argument
-    (r"\mu{Nat} \or(O(), S(B0))", False),
-    (r"S(#X:Nat)", False),
-    (r"plus(x:Nat, #X:Nat)", False),
-    (r"\exists{Nat} S(\not(b0))", False),
-    (r"isZero(\not(x:Nat))", False),
-    (r"\exists{Nat} S(S(b0))", False),
-    (r"\exists{Nat} plus(b0, S(b0))", False),
-])
+    (r"\mu{Nat} \or(O(), S(B0))", False, False),
+    (r"S(#X:Nat)", False, False),
+    (r"plus(x:Nat, #X:Nat)", False, False),
+    (r"\exists{Nat} S(\not(b0))", False, False),
+    (r"isZero(\not(x:Nat))", False, False),
+    # an application of a symbol whose every entry holds one bit, to
+    # arguments that hold one bit, holds one bit: on the standard model,
+    # where S is a partial function, not where it is a relation
+    (r"\exists{Nat} S(S(b0))", False, True),
+    (r"\exists{Nat} plus(b0, S(b0))", False, True),
+]
+
+
+# ids name the rows as before the functional model was added
+@pytest.mark.parametrize("text, straight, functional", [
+    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in STRAIGHT])
 def test_applications_of_element_variables_read_the_table_straight(
-        std_sig, std_model, apps, lifts, text, straight):
+        std_sig, std_model, apps, lifts, text, straight, functional):
     nat = std_sig.sort("Nat")
-    rho = Valuation({ElemVar(name, nat): std_model.elem(nat, "2") for name in "xy"},
-                    {SetVar("X", nat): std_model.full_set(nat)})
     p = parse_pattern(text, std_sig)
     axiom = Axiom("a", p.sort, p)
+    # straight on the relational model, and on the functional standard one
+    for model, want in ((relational_model(std_sig), straight), (std_model, functional)):
+        rho = Valuation({ElemVar(name, nat): model.elem(nat, "2") for name in "xy"},
+                        {SetVar("X", nat): model.full_set(nat)})
 
-    def checked():
-        assert axiom_view(check_axiom(std_model, axiom)) == axiom_view(
-            ref_check_axiom(std_model, axiom))
+        def checked():
+            assert axiom_view(check_axiom(model, axiom)) == axiom_view(
+                ref_check_axiom(model, axiom))
 
-    def evaluated():
-        assert eval_pattern(std_model, rho, p) == ref_eval_pattern(std_model, rho, p)
+        def evaluated():
+            assert eval_pattern(model, rho, p) == ref_eval_pattern(model, rho, p)
 
-    # check_axiom only where there are free variables
-    for run in (evaluated, checked) if ":" in text else (evaluated,):
-        apps.clear()
-        run()
-        # run the last placed application with every argument {0, 1}: its
-        # table has no entry for that key, so a straight read gives 0
-        op, regs, dst, args, table, flips, _ = apps[-1]
-        image = _lift(table, (0b11,) * len(args))  # not the counted lift
-        lifts.clear()
-        for a, flip in zip(args, flips):
-            regs[a] = 0b11 ^ flip
-        op()
-        assert image and regs[dst] == (0 if straight else image)
-        if straight:
-            assert lifts == []
+        # check_axiom only where there are free variables
+        for run in (evaluated, checked) if ":" in text else (evaluated,):
+            apps.clear()
+            run()
+            # run the last placed application with every argument {0, 1}:
+            # its table has no entry for that key, so a straight read gives 0
+            op, regs, dst, args, table, flips, _ = apps[-1]
+            image = _lift(table, (0b11,) * len(args))  # not the counted lift
+            lifts.clear()
+            for a, flip in zip(args, flips):
+                regs[a] = 0b11 ^ flip
+            op()
+            assert image and regs[dst] == (0 if want else image), (model, run)
+            if want:
+                assert lifts == []
 
 
 def traced_peak(run):

@@ -80,6 +80,7 @@ from mulogic.pattern import (
     walk,
 )
 from gen import (
+    checked_model,
     iter_nodes,
     random_context,
     random_pattern,
@@ -901,30 +902,10 @@ def test_closed_well_sorted_nodes_denote_sets_of_their_sort(judged):
     assert (len(closed), refused) == (288, 2)
 
 
-class _CheckedTable(dict):
-    """A mask table whose ``get`` asserts that each key component is 0 or
-    one bit of its parameter's carrier, whose full masks are ``fulls``.
-    The evaluator reads a table only through ``get``, lifts included, so a
-    value outside its carrier that reaches a table, even one a lookup
-    would ignore, fails the test."""
-
-    def __init__(self, table, fulls):
-        super().__init__(table)
-        self.fulls = fulls
-
-    def get(self, key, default=None):
-        assert len(key) == len(self.fulls) and all(
-            not bits & (bits - 1) and bits & full == bits for bits, full in zip(key, self.fulls)
-        ), (key, self.fulls)
-        return super().get(key, default)
-
-
 def _checked_model(sig, carriers, interps):
-    """``build_model``'s model, with each mask table checked."""
-    model = build_model(sig, carriers, interps)
-    model._masks = {symbol: _CheckedTable(table, [model._full_mask(s) for s in symbol.params])
-                    for symbol, table in model._masks.items()}
-    return model
+    """``build_model``'s model, with each mask table checked (see
+    ``gen.CheckedTable``)."""
+    return checked_model(build_model(sig, carriers, interps))
 
 
 def _closed_of_size_4(sig, accepted):
@@ -958,7 +939,8 @@ def _verdict(result):
     return result if isinstance(result, type) else (result.verdict, result.got, result.witness)
 
 
-# the judged model, one where f is total and one with a one-element carrier
+# the judged model, one where f is a total function and g a relation, and
+# one with a one-element carrier, where every symbol is a function
 _CHECKED_MODELS = {
     "partial-f": ({"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}, {
         "c": {(): ["a0"]},
@@ -967,7 +949,7 @@ _CHECKED_MODELS = {
     }),
     "total-f": ({"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}, {
         "c": {(): ["a1"]},
-        "f": {("a0",): ["b1"], ("a1",): ["b0", "b2"]},
+        "f": {("a0",): ["b1"], ("a1",): ["b2"]},
         "g": {("a1", "b0"): ["a0"], ("a0", "b1"): ["a1"], ("a1", "b2"): ["a0", "a1"]},
     }),
     "one-element": ({"A": ["a0"], "B": ["b0", "b1"]}, {
