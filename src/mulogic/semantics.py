@@ -120,17 +120,30 @@ function.
 
 Under ``iterate``, the variable of a μ body only grows while its loop
 runs (Emerson & Lei, LICS 1986), so placement gives a ``Mu`` instruction
-in the body of an enclosing ``iterate`` μ a warm start: it resumes from
-its own last fixpoint instead of the empty set when that binder's
+placed in the body of an enclosing ``iterate`` μ a warm start: it resumes
+from its own last fixpoint instead of the empty set when that binder's
 variable occurs only positively in the inner μ node (one bit of its
-facts).  Between two of its runs only that variable has changed, and it
-has grown, so the inner fixpoint can only have grown.  A ``\\nu`` in
-between flips the parity, and an inner μ that reads the variable of an
-``Exists`` in between is placed in that binder's loop, whose ticks do not
-ascend: either starts cold.  The enclosing loop resets the saved value to
-the empty set each time it starts afresh.  ``prefix`` takes no warm
-start: its candidate sets are every subset in turn, not an ascending
-chain, so no earlier value bounds a later one.
+facts).  Any other μ is cold: one placed at the top, at a free
+variable's level or in an ``Exists`` loop, whose values do not ascend
+(an inner μ that reads the variable of an ``Exists`` in between is
+placed in that loop), and one that the enclosing binder's variable
+reaches under a negation (a ``\\nu`` in between flips the parity).  Warm
+μs form chains, each under a cold μ, its root, which resets every warm μ
+below it, transitively, to the empty set each time it starts; a warm μ
+resets nothing.  This is exact: every μ binder is positive, so a warm μ
+node lies under an even number of negations from each binder of its
+chain, and is monotone in all of their variables.  Within one run of the
+root those variables only ascend, and everything else the node reads the
+root reads too, and stays fixed.  So its last fixpoint is still below
+its new least fixpoint, and its body maps that value to a superset of
+itself: the start that :func:`_iterate` asks for.  Within one run of
+the root, a warm μ's value then rises at most ``n`` times, for a carrier
+of ``n`` elements, so it takes at most ``n`` more rounds than the μ
+around it, and a chain of ``d`` μs at most ``d(d + 1)/2 · n + d`` rounds
+per run of its root, where restarting each μ whenever the one around it
+starts could take about ``n^(d - 1)``.  ``prefix`` takes no warm start:
+its candidate sets are every subset in turn, not an ascending chain, so
+no earlier value bounds a later one.
 """
 
 from __future__ import annotations
@@ -413,7 +426,10 @@ class _Scope:
     orders the scopes of one chain, outermost first; ``loops`` counts the
     binder loops its code runs inside.  ``ascending`` is set for the body
     of an ``iterate`` μ, whose variable only grows while its loop runs;
-    ``resumed`` lists the registers of the warm μ instructions in it."""
+    ``resumed`` lists the registers of the warm μ instructions placed in
+    it and, handed up from their bodies, of every warm μ below them: the
+    ones that the μ whose body it is resets when it starts, if it is cold,
+    or hands up in turn, if it is warm."""
 
     __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo")
 
@@ -738,11 +754,13 @@ def _compile(
                 _, even, odd, _, _ = node._facts
                 mu = even | odd
                 rel = (mu & -mu).bit_length() - 1
-                warm = scope.ascending and svar_occurs_positively(node, rel)
-                if warm:
-                    scope.resumed.append(dst)
+                resumed = inner.resumed
+                if scope.ascending and svar_occurs_positively(node, rel):
+                    # warm: it and the warm mus below it go up to the root of its chain
+                    scope.resumed += (*resumed, dst)
+                    resumed = None
                 op = _iterate_op(regs, dst, inner.var, res, inner.code, node.sort,
-                                 width, inner.resumed, warm, flip)
+                                 width, resumed, flip)
             else:
                 op = _prefix_op(regs, dst, inner.var, res, inner.code, width, flip)
         scope.code.append(op)
@@ -1012,16 +1030,25 @@ def _exists_op(
 
 def _iterate_op(
     regs: list[int], dst: int, var: int, res: int, body: list, sort: Sort, n: int,
-    resumed: Sequence[int], warm: bool, flip: int,
+    resumed: Sequence[int] | None, flip: int,
 ) -> Callable[[], None]:
-    """Each run starts the warm μ instructions of ``body`` (registers
-    ``resumed``) afresh from the empty set, then iterates from the empty
-    set, or from ``dst``'s last value when ``warm``."""
+    """A cold μ, the root of a chain of warm ones, starts each run by
+    setting every warm μ instruction below it (registers ``resumed``) back
+    to the empty set, then iterates from the empty set.  A warm μ
+    (``resumed`` None) resets nothing and iterates from ``dst``'s last
+    value, which the root of its chain keeps below the new fixpoint (module
+    docstring)."""
+    if resumed is None:
 
-    def op() -> None:
-        for reg in resumed:
-            regs[reg] = 0
-        regs[dst] = _iterate(regs, var, res, body, sort, n, regs[dst] if warm else 0, flip)
+        def op() -> None:
+            regs[dst] = _iterate(regs, var, res, body, sort, n, regs[dst], flip)
+
+    else:
+
+        def op() -> None:
+            for reg in resumed:
+                regs[reg] = 0
+            regs[dst] = _iterate(regs, var, res, body, sort, n, 0, flip)
 
     return op
 

@@ -406,6 +406,125 @@ def _read_as(rng, sig, sort, leaf) -> Pattern:
     return mk_defined(sort, leaf)
 
 
+# The cold roots ``random_warm_chain`` puts a chain under: each runs the
+# chain's root more than once.
+WARM_ROOTS = ("exists", "free", "nu")
+
+
+def random_warm_chain(rng: random.Random, sig: Signature) -> tuple[str, Pattern]:
+    """A chain of 3 to 5 nested binders, all ``mk_mu`` or all ``mk_nu``,
+    whose bodies are positive in every variable of the chain, under a
+    root drawn from ``WARM_ROOTS``; with the root's name.  Each binder
+    below the chain's first reads its parent's variable, so under
+    ``iterate`` it is a warm μ, except that one in seven sits in an
+    ``\\exists`` whose variable it reads, and starts a chain of its own.
+
+    The chain's first binder is a cold μ that runs more than once, and
+    reads nothing that ascends while it does.  Under an ``\\exists``
+    whose variable it reads, the pattern is the union of the chain's
+    complement or, as a ``\\forall``, the intersection of the chain, so
+    that a value left over from an earlier tick shows (a union of the
+    chain would hide it).  Over a free variable that it reads, the
+    pattern is an axiom of membership or non-membership of an element
+    variable, or of inclusion of a set variable, so that a check passes
+    some valuations before its first failure.  Under a ``\\nu`` whose
+    variable it reads, a chain of ``mk_mu`` binders is reached under the
+    ``\\nu``'s negation and runs once per round of the ``\\nu``; a
+    chain of ``mk_nu`` binders extends the ``\\nu``'s own chain."""
+    root, sort = rng.choice(WARM_ROOTS), rng.choice(sig.sorts)
+    binder = rng.choice((mk_mu, mk_mu, mk_nu))
+    depth = rng.randint(3, 5)
+    if root == "exists":
+        ex = (rng.choice(sig.sorts),)
+        chain = _warm_link(rng, sig, sort, ex, (), depth, binder, _exists_read(rng, ex))
+        if rng.random() < 0.5:
+            return root, mk_forall(ex[0], chain)
+        return root, mk_exists(ex[0], mk_not(chain))
+    if root == "nu":
+        def cold(ex, mu):
+            return mk_bound_svar(ex, mu, len(mu) - 1)
+
+        return root, mk_nu(_warm_link(rng, sig, sort, (), (sort,), depth, binder, cold))
+    var = ElemVar("x", sort) if rng.random() < 0.7 else SetVar("X", sort)
+    free = mk_free_evar if isinstance(var, ElemVar) else mk_free_svar
+
+    def cold(ex, mu):
+        leaf = free(var, ex, mu)
+        return mk_not(leaf) if rng.random() < 0.3 else leaf
+
+    chain = _warm_link(rng, sig, sort, (), (), depth, binder, cold)
+    if isinstance(var, SetVar):
+        return root, mk_subseteq(sort, free(var), chain)
+    member = mk_defined(sort, mk_and(free(var), chain))
+    return root, member if rng.random() < 0.5 else mk_not(member)
+
+
+def _exists_read(rng, ex):
+    """A read, from any context inside it, of the variable of the
+    ``\\exists`` whose body's ex context is ``ex``, now and then negated."""
+    def read(inner_ex, mu):
+        leaf = mk_bound_evar(inner_ex, mu, len(inner_ex) - len(ex))
+        return mk_not(leaf) if rng.random() < 0.3 else leaf
+
+    return read
+
+
+def _warm_link(rng, sig, sort, ex, mu, depth, binder, cold, first=True) -> Pattern:
+    """A binder of ``random_warm_chain`` and the ``depth - 1`` below it.
+
+    Its body reads its own variable, now and then an outer binder's, the
+    root's variable ``cold(ex, mu)`` (always in the ``first`` binder of a
+    chain, now and then below) and the next binder.  Mostly these are
+    shared out between a seed and the arguments of a step, an application
+    that reads at least its own variable: ``\\or(seed, f(...))``, a closure
+    under ``f`` whose fixpoint depends on where the seed starts it.  Now
+    and then a small positive pattern joins in."""
+    mu = (sort,) + mu
+    leaves = [mk_bound_svar(ex, mu, 0)]
+    if not first:  # the parent's variable, so that this binder is placed in its body
+        leaves.append(mk_bound_svar(ex, mu, 1))
+    if len(mu) > 2 and rng.random() < 0.3:
+        leaves.append(mk_bound_svar(ex, mu, rng.randrange(2, len(mu))))
+    if first or rng.random() < 0.3:
+        leaves.append(cold(ex, mu))
+    if depth > 1:
+        inner_sort = sort if rng.random() < 0.7 else rng.choice(sig.sorts)
+        if rng.random() < 1 / 7:
+            inner_ex = (rng.choice(sig.sorts),) + ex
+            leaves.append(mk_exists(inner_ex[0], _warm_link(
+                rng, sig, inner_sort, inner_ex, mu, depth - 1, binder, _exists_read(rng, inner_ex))))
+        else:
+            leaves.append(_warm_link(rng, sig, inner_sort, ex, mu, depth - 1, binder, cold, False))
+    steps = [sym for sym in sig.symbols if sym.result == sort and sym.params]
+    if steps and rng.random() < 0.8:
+        symbol = rng.choice(steps)
+        seed, groups = [], [[] for _ in symbol.params]
+        groups[rng.randrange(len(groups))].append(leaves[0])
+        for leaf in leaves[1:]:
+            (seed if rng.random() < 0.4 else rng.choice(groups)).append(leaf)
+        step = mk_app(sig, symbol, [
+            _joined(rng, sig, param, ex, mu, group) for param, group in zip(symbol.params, groups)])
+        body = mk_or(_joined(rng, sig, sort, ex, mu, seed), step) if seed else step
+    else:
+        body = _joined(rng, sig, sort, ex, mu, leaves)
+    if rng.random() < 0.15:
+        filler = random_pattern(rng, sig, sort, ex, mu, rng.randint(2, 3), allow_free=False,
+                                positive_only=True, parities=(0,) * len(mu), mu_depth=0)
+        body = mk_or(body, filler) if rng.random() < 0.5 else mk_and(body, filler)
+    return binder(body)
+
+
+def _joined(rng, sig, sort, ex, mu, leaves) -> Pattern:
+    """The union of ``leaves``, each read as a pattern of ``sort``; a read
+    of a set variable of ``mu`` when there are none."""
+    if not leaves:
+        leaves = [mk_bound_svar(ex, mu, rng.randrange(len(mu)))]
+    joined = _read_as(rng, sig, sort, leaves[0])
+    for leaf in leaves[1:]:
+        joined = mk_or(joined, _read_as(rng, sig, sort, leaf))
+    return joined
+
+
 # What ``random_equality`` builds around its operands A and B: the derived
 # equality, drawn three times as often as each near miss of its core shape.
 EQUALITY_SHAPES = ("equals", "equals", "equals", "subseteq", "iff", "ceil-not-iff",
