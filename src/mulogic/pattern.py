@@ -7,7 +7,7 @@ is closed when both contexts are empty.
 
 Node invariants are stated once, in ``__post_init__``, which every node's
 ``__init__`` runs, so an ill-sorted or ill-scoped tree cannot be built, not
-even by constructing the dataclasses directly.  The ``mk_*`` helpers below
+even by constructing the node classes directly.  The ``mk_*`` helpers below
 only compute the derived fields (sort and contexts) and let the constructor
 check them.  The three rules that come in an ex and a mu form are each
 stated once, in a private base class whose two node classes fix the context
@@ -42,8 +42,8 @@ between ``mu`` and the children).  On that protocol sits the one traversal,
 :func:`fold_pattern` and :func:`map_pattern` on top of it.  Every operation
 here and in :mod:`mulogic.subst` is a walk, fold or map, ``==``, ``hash``,
 ``repr`` and ``str`` included: ``Pattern`` states each once as a fold.  No
-method of a node class is generated: the classes are frozen dataclasses
-built by :func:`mulogic._record.record`, which compiles no code, and each
+method of a node class is generated: the classes are frozen records built
+by :func:`mulogic._record.record`, which compiles no code, and each
 takes the ``__init__`` of its shape, written below; a bare ``Pattern``, of
 no node kind, is refused.  A leaf or ``App`` stores its contexts and
 arguments as tuples (a tuple as the same object), so no list the caller
@@ -65,11 +65,10 @@ may share subtrees freely.
 
 from __future__ import annotations
 
-from dataclasses import field
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._record import record, set_field
+from ._record import HIDDEN, record, set_field
 from .errors import (
     ArgSortMismatchError,
     ArityMismatchError,
@@ -105,7 +104,7 @@ class Pattern:
     ex: Context
     mu: Context
     # (ex, even, odd, free, positive), stored by _fix_facts
-    _facts: tuple = field(init=False, compare=False, repr=False)
+    _facts: tuple = HIDDEN
 
     def __init__(self, sort: Sort, ex: Context, mu: Context) -> None:
         raise MuLogicError("a bare Pattern has no node kind; build one of its node classes")

@@ -150,11 +150,10 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import field
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import FACTORY, record, set_field
+from ._record import FACTORY, factory, record, set_field
 from .errors import (
     CarrierTooLargeError,
     NestingTooDeepError,
@@ -198,8 +197,8 @@ DEFAULT_PREFIX_CAP = 20
 class Valuation:
     """Sort-respecting bindings for free element and set variables."""
 
-    evars: Mapping[ElemVar, CarrierElem] = field(default_factory=dict)
-    svars: Mapping[SetVar, CarrierSet] = field(default_factory=dict)
+    evars: Mapping[ElemVar, CarrierElem] = factory(dict)
+    svars: Mapping[SetVar, CarrierSet] = factory(dict)
 
     def __init__(
         self, evars: Mapping[ElemVar, CarrierElem] = FACTORY,

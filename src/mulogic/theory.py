@@ -11,10 +11,9 @@ failure abort the rest.
 from __future__ import annotations
 
 import enum
-from dataclasses import field
 from typing import Iterable
 
-from ._record import record, set_field
+from ._record import HIDDEN, record, set_field
 from .errors import (
     DuplicateLabelError,
     MuLogicError,
@@ -51,7 +50,7 @@ class Axiom:
     label: str
     sort: Sort
     pattern: Pattern
-    _variables: tuple = field(init=False, compare=False, repr=False)
+    _variables: tuple = HIDDEN
 
     def __init__(self, label: str, sort: Sort, pattern: Pattern) -> None:
         set_field(self, "label", label)

@@ -467,6 +467,22 @@ class TestSubprocess:
             timeout=60,
         )
 
+    def test_cli_starts_without_dataclasses(self):
+        """A command imports none of ``dataclasses``, ``inspect`` and ``ast``
+        beyond what the bare interpreter does: records build their dataclass
+        view only when a program reads it.  It runs in a subprocess, since
+        pytest itself imports them."""
+
+        def imported(*args):
+            proc = self._run_python("-X", "importtime", *args)
+            assert proc.returncode == 0, proc.stderr
+            return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+
+        added = imported("-m", "mulogic", "check", NATBOOL_MLT) - imported("-c", "pass")
+        assert "mulogic.cli" in added
+        assert added & {"dataclasses", "inspect", "ast"} == set()
+
     def test_eval_process(self):
         proc = self._run("eval", NATBOOL_MLT, NATBOOL_MLM, "isZero(S(O()))")
         assert proc.returncode == 0

@@ -2,10 +2,14 @@
 class take part in ``==``, ``hash`` and ``repr``."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,6 +223,13 @@ def test_record_replace_round_trip(name):
         assert copy == obj
 
 
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+@pytest.mark.parametrize("name", INSTANCES)
+def test_record_copy_replace(name):
+    obj, _ = samples()[name]
+    assert repr(copy.replace(obj)) == repr(obj)
+
+
 @pytest.mark.parametrize("name", INSTANCES)
 def test_record_is_frozen(name):
     obj, _ = samples()[name]
@@ -252,6 +263,141 @@ def test_record_eq_and_hash(name):
         assert hash(obj) == hash(key)
 
 
+# --- the dataclass view ----------------------------------------------------
+#
+# Records build their dataclass view when it is first read.  It holds what
+# ``dataclass`` made of them when it ran at import.
+
+MISSING = dataclasses.MISSING
+# field -> its annotation, in every record that has the field
+TYPES = {
+    "_facts": "tuple", "_variables": "tuple", "args": "tuple[Pattern, ...]",
+    "axiom": "Axiom", "axioms": "tuple[Axiom, ...]", "binder_sort": "Sort", "bits": "int",
+    "body": "Pattern", "checks": "tuple[MuCheck, ...]", "code": "str",
+    "evars": "Mapping[ElemVar, CarrierElem]", "ex": "Context", "got": "CarrierSet | None",
+    "id": "int", "index": "int", "label": "str", "left": "Pattern", "mu": "Context",
+    "name": "str", "options": "frozenset[str]", "ordinal": "int", "params": "tuple[Sort, ...]",
+    "path": "tuple[int, ...]", "pattern": "Pattern", "positive": "bool", "result": "Sort",
+    "results": "tuple[AxiomResult, ...]", "right": "Pattern", "severity": "str",
+    "signature": "Signature", "sort": "Sort", "span": "Span",
+    "svars": "Mapping[SetVar, CarrierSet]", "symbol": "SymbolDecl",
+    "table": "Mapping[tuple[CarrierElem, ...], CarrierSet]", "verdict": "Verdict",
+    "width": "int", "witness": "Valuation | None",
+}
+# (class, field) -> its annotation, where records differ
+CLASS_TYPES = {
+    ("AxiomResult", "message"): "str | None", ("Diagnostic", "message"): "str",
+    ("FreeEVar", "var"): "ElemVar", ("FreeSVar", "var"): "SetVar",
+}
+# (class, field) -> (default, default_factory), where either is set
+DEFAULTS = {
+    ("AxiomResult", "witness"): (None, MISSING), ("AxiomResult", "got"): (None, MISSING),
+    ("AxiomResult", "message"): (None, MISSING), ("Theory", "axioms"): ((), MISSING),
+    ("Theory", "options"): (frozenset(), MISSING), ("Valuation", "evars"): (MISSING, dict),
+    ("Valuation", "svars"): (MISSING, dict),
+}
+# every record's __dataclass_params__ (Python 3.12 added the last four)
+PARAMS = {"init": False, "repr": False, "eq": False, "order": False, "unsafe_hash": False,
+          "frozen": False, "match_args": True, "kw_only": False, "slots": False,
+          "weakref_slot": False}
+
+
+def view(cls):
+    """Every attribute of every field of ``cls``, and then its dataclass
+    parameters, which exist once the fields have been read."""
+    fields = [(f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash,
+               f.compare, f.kw_only, dict(f.metadata)) for f in dataclasses.fields(cls)]
+    params = cls.__dataclass_params__
+    return fields, {key: getattr(params, key, value) for key, value in PARAMS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_dataclass_view(name):
+    cls = getattr(mulogic, name)
+    fields, params = view(cls)
+    expected = [(field, CLASS_TYPES.get((name, field), TYPES.get(field)),
+                 *DEFAULTS.get((name, field), (MISSING, MISSING)), init, repr, hash, compare,
+                 False, {}) for field, init, compare, hash, repr in RECORDS[name][0]]
+    assert fields == expected
+    assert params == PARAMS and "__dataclass_params__" in vars(cls)
+    # a field is a class attribute only when it has a default
+    assert all(hasattr(cls, f.name) == (f.default is not MISSING)
+               for f in dataclasses.fields(cls))
+
+
+def sample_dicts(sig):
+    """``dataclasses.asdict`` of each sample but the two that hold a dict
+    keyed by records, whose keys it would turn into dicts."""
+    N = {"name": "Nat", "id": 0}
+    X = {"name": "x", "sort": N}
+
+    def node(ex=(), mu=(), facts=(0, 0, 0, True, True), **rest):
+        return {"sort": N, "ex": ex, "mu": mu, "_facts": facts, **rest}
+
+    FX = node(var=X)
+    B0 = node(ex=(N,), facts=(1, 0, 0, False, True), index=0)
+    BB0 = node(mu=(N,), facts=(0, 1, 0, False, True), index=0)
+    TOP = node(facts=(0, 0, 0, False, True), binder_sort=N, body=B0)
+    AXIOM = {"label": "a", "sort": N, "pattern": TOP, "_variables": ()}
+    RESULT = {"axiom": AXIOM, "verdict": mulogic.Verdict.SATISFIED, "witness": None,
+              "got": None, "message": None}
+    CHECK = {"path": (0,), "positive": True}
+    SUCC = {"name": "succ", "params": (N,), "result": N, "id": 0}
+    return {
+        "And": node(left=FX, right=FX), "App": node(symbol=SUCC, args=(FX,)),
+        "Axiom": AXIOM, "AxiomResult": RESULT, "BoundEVar": B0, "BoundSVar": BB0,
+        "CarrierElem": {"sort": N, "ordinal": 0, "label": "0"},
+        "CarrierSet": {"sort": N, "width": 2, "bits": 1}, "Defined": node(body=FX),
+        "Diagnostic": {"severity": "error", "span": (1, 2, 3), "code": "syntax",
+                       "message": "no"},
+        "ElemVar": X, "Exists": TOP, "FreeEVar": FX, "FreeSVar": node(var={"name": "X", "sort": N}),
+        "Mu": node(facts=(0, 0, 0, False, True), body=BB0), "MuCheck": CHECK,
+        "Not": node(body=FX), "PositivityReport": {"checks": (CHECK,)},
+        "SatisfactionReport": {"results": (RESULT,)}, "SetVar": {"name": "X", "sort": N},
+        "Sort": N, "SymbolDecl": SUCC,
+        # asdict copies the signature, which is no record
+        "Theory": {"signature": sig, "axioms": (AXIOM,), "options": frozenset()},
+    }
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_record_asdict(name):
+    obj, _ = samples()[name]
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            dataclasses.asdict(obj)
+    else:
+        sig = samples()["Theory"][0].signature
+        assert repr(dataclasses.asdict(obj)) == repr(sample_dicts(sig)[name])
+
+
+FIRST_READ = """
+import dataclasses, sys
+sys.path.insert(0, sys.argv[1])
+import mulogic, test_surface
+objs, names = test_surface.samples(), sorted(test_surface.RECORDS)
+before = [name for name in names if "__dataclass_params__" in vars(getattr(mulogic, name))]
+for name in names:
+    dataclasses.fields(objs[name][0] if sys.argv[2] == "instance" and name in objs
+                       else getattr(mulogic, name))
+views = [test_surface.view(getattr(mulogic, name)) for name in names]
+print(repr((before, views)).replace(repr(dataclasses.MISSING), "MISSING"))
+"""
+
+
+def test_record_view_is_built_on_first_read_from_class_or_instance():
+    """In a new interpreter no record has its view at import, and reading it
+    first from an instance or from the class builds the same view as here."""
+    here = repr(([], [view(getattr(mulogic, name)) for name in sorted(RECORDS)]))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(mulogic.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for first in ("class", "instance"):
+        proc = subprocess.run([sys.executable, "-c", FIRST_READ, str(Path(__file__).parent), first],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here.replace(repr(MISSING), "MISSING")
+
+
 def test_import_generates_no_code():
     """No method of a mulogic class was compiled at import from generated
     source, as ``dataclass`` compiles ``__init__``, ``__eq__``, ``__hash__``,
@@ -273,6 +419,12 @@ def test_import_generates_no_code():
     assert generated == {}
 
 
+# The one import allowed inside a function: records import ``dataclasses``
+# only to build their dataclass view or to refuse a write, so that the CLI
+# starts without it.  It is a standard module, so it hides no cycle.
+DEFERRED = ("_record.py", "import dataclasses")
+
+
 def test_no_module_imports_inside_a_function():
     """Every import of the package runs when its module loads: none sits
     inside a function, where it would hide an import cycle."""
@@ -281,5 +433,6 @@ def test_no_module_imports_inside_a_function():
         for scope in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
-                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+                           if isinstance(node, (ast.Import, ast.ImportFrom))
+                           and (path.name, ast.unparse(node)) != DEFERRED]
     assert nested == []
