@@ -320,7 +320,16 @@ class FiniteModel:
 def _lift(table: Mapping[tuple[int, ...], int], key: Sequence[int]) -> int:
     """Pointwise application over a :meth:`FiniteModel.mask_table`: the OR
     of the entries of every combination of one-bit masks, one drawn from
-    each argument's bits in ``key``."""
+    each argument's bits in ``key``.  One argument's combinations are its
+    bits, so it ORs their entries with no ``itertools.product``."""
+    if len(key) == 1:
+        (bits,) = key
+        out = 0
+        while bits:
+            low = bits & -bits
+            out |= table.get((low,), 0)
+            bits ^= low
+        return out
     choices = []
     for bits in key:
         ones = []

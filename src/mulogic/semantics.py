@@ -31,7 +31,11 @@ unbound variables.
   pattern and the model (an unknown sort or symbol, a carrier larger than
   ``prefix_cap``, binder loops nested deeper than the recursion limit
   leaves room for) are raised here, in the order in which a node-by-node
-  evaluation would reach them.
+  evaluation would reach them.  The walk's stack holds the nodes to enter,
+  bare, and one leave item per node with operands; the scopes of the
+  binders around the node entered are walk state, which a binder saves
+  on its body's scope when it enters its body and restores when it is
+  left.
 * **Signed registers.**  A ``Not`` places no register and no instruction
   (the complement edges of BDD packages: Brace, Rudell & Bryant, DAC
   1990).  Each placed result is a signed register, ``r`` or its complement
@@ -97,7 +101,8 @@ unbound variables.
   ``check_axiom`` share (:meth:`_Program.search`): in product order, it
   re-runs only the levels from the first variable that changed and stops
   at the first valuation whose result is not the one wanted.  An
-  ``Exists`` or ``Mu`` instruction loops over its body's list, so Python
+  ``Exists`` or ``Mu`` instruction loops over its body's list (an
+  ``Exists`` whose body is one instruction calls that one), so Python
   recursion depth is the run-time nesting of binder loops, not the
   pattern depth, and placement refuses a nesting the recursion limit has
   no room for (:class:`~mulogic.errors.NestingTooDeepError`).  An
@@ -425,12 +430,14 @@ class _Scope:
     orders the scopes of one chain, outermost first; ``loops`` counts the
     binder loops its code runs inside.  ``ascending`` is set for the body
     of an ``iterate`` μ, whose variable only grows while its loop runs;
-    ``resumed`` lists the registers of the warm μ instructions placed in
-    it and, handed up from their bodies, of every warm μ below them: the
-    ones that the μ whose body it is resets when it starts, if it is cold,
-    or hands up in turn, if it is warm."""
+    ``ctxs``, set on a binder's body scope only, keeps the binder contexts
+    around that binder, which placement restores when it leaves the
+    binder; ``resumed`` lists the registers of the warm μ instructions
+    placed in it and, handed up from their bodies, of every warm μ below
+    them: the ones that the μ whose body it is resets when it starts, if
+    it is cold, or hands up in turn, if it is warm."""
 
-    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo")
+    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo", "ctxs")
 
     def __init__(self, depth: int, var: int, loops: int = 0, ascending: bool = False):
         self.depth, self.var, self.loops, self.ascending = depth, var, loops, ascending
@@ -519,17 +526,20 @@ def _compile(
     sets.  Nothing runs here.
 
     Results are signed registers: ``r`` or its complement ``~r``, which is
-    ``r ^ -1``.  The stack holds ``(node, ctxs, sign)`` to enter and
+    ``r ^ -1``.  The stack holds a node itself to enter it and the tuple
     ``(node, scope, inner, n, sign)`` to leave a node with ``n`` placed
     operands; the node's result goes out XORed with ``sign``, 0 or -1.
-    ``ctxs`` is the pair ``(exs, mus)`` of the scopes of the enclosing ex
-    and mu binders, outermost first, indexed like a node's ``(ex, mu)``
-    contexts by the context kind: a bound variable of kind ``k`` and de
-    Bruijn index ``i`` is scope ``ctxs[k][-1 - i]``, and a binder of kind
-    ``k`` enters its body with its own scope appended to ``ctxs[k]``;
-    ``inner`` is a binder's body scope.  Entering a chain of ``Not`` nodes
-    flips ``sign`` once per node and goes on to the first node below it
-    that is not one, in the same step; a ``Not`` whose
+    ``inner`` is a binder's body scope.  The walk keeps ``ctxs``, the pair
+    ``(exs, mus)`` of the scopes of the binders around the node entered,
+    outermost first, indexed like a node's ``(ex, mu)`` contexts by the
+    context kind: a bound variable of kind ``k`` and de Bruijn index ``i``
+    is scope ``ctxs[k][-1 - i]``.  A binder of kind ``k`` saves ``ctxs``
+    on its body scope and enters its body with that scope appended to
+    ``ctxs[k]``; its leave item, popped once the whole body is left,
+    restores them for the siblings below it on the stack.  Entering a
+    chain of ``Not`` nodes flips ``sign``, 0 on entry, once per node and
+    goes on to the first node below it that is not one, in the same step;
+    a ``Not`` whose
     ``_operands`` fact is set, the root of an ``\\equals``, is not part of
     a chain and enters only its two operands.  A variable is its register
     at once and pushes no leave item.  Every other node is looked up in
@@ -565,12 +575,12 @@ def _compile(
     base = len(levels)
     results: list = []  # signed registers (or reads) of the children met so far
     emit = results.append
-    stack: list[tuple] = [(p, ((), ()), 0)]
+    ctxs, stack = ((), ()), [p]  # the walk's binder contexts; nodes to enter, leave items
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
-        if len(item) == 3:  # enter
-            node, ctxs, sign = item
+        if type(item) is not tuple:  # enter
+            node, sign = item, 0
             kind = type(node)
             while kind is Not and node._operands is None:
                 node = node.body
@@ -601,7 +611,7 @@ def _compile(
                 args = node.args
                 if args:
                     push((node, scope, None, len(args), sign))
-                    stack += [(kid, ctxs, 0) for kid in reversed(args)]
+                    stack += reversed(args)
                 else:  # a constant
                     value = model.mask_table(node.symbol).get((), 0)
                     reg = scope.memo[id(node)] = len(regs)
@@ -609,8 +619,8 @@ def _compile(
                     emit(reg ^ sign)
             elif kind is And:
                 push((node, scope, None, 2, sign))
-                push((node.right, ctxs, 0))
-                push((node.left, ctxs, 0))
+                push(node.right)
+                push(node.left)
             elif kind is Not:  # an equality: only its two operands are placed
                 a, b = node._operands
                 push((node, scope, None, 2, sign))
@@ -625,15 +635,15 @@ def _compile(
                         for operand, read in ((b, read_b), (a, read_a)):
                             if read:
                                 push((operand, scope, _READ, len(operand.args), 0))
-                                stack += [(kid, ctxs, 0) for kid in reversed(operand.args)]
+                                stack += reversed(operand.args)
                             else:
-                                push((operand, ctxs, 0))
+                                push(operand)
                         continue
-                push((b, ctxs, 0))
-                push((a, ctxs, 0))
+                push(b)
+                push(a)
             elif kind is Defined:
                 push((node, scope, None, 1, sign))
-                push((node.body, ctxs, 0))
+                push(node.body)
             else:  # Exists or Mu
                 full(node.sort)
                 if kind is Exists:
@@ -653,11 +663,11 @@ def _compile(
                 # the binder's variable is the next register; its loop sets it
                 # before each run of the body
                 inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
+                inner.ctxs = ctxs  # restored when the binder is left
                 regs.append(0)
                 push((node, scope, inner, 1, sign))
-                body_ctxs = [*ctxs]
-                body_ctxs[node._kind] += (inner,)
-                push((node.body, tuple(body_ctxs), 0))
+                ctxs = (exs + (inner,), mus) if kind is Exists else (exs, mus + (inner,))
+                push(node.body)
             continue
         node, scope, inner, n, sign = item
         kind = type(node)
@@ -673,7 +683,8 @@ def _compile(
             if level and scope is top:
                 scope = levels[level - 1]
         if inner is not None:
-            if inner is not _READ:  # a binder
+            if inner is not _READ:  # a binder: its body is left
+                ctxs = inner.ctxs
                 ex, even, odd, _, _ = node.body._facts
                 if not (ex if kind is Exists else even | odd) & 1:
                     # a body without the bound variable is its own union and fixpoint
@@ -1013,16 +1024,31 @@ def _exists_op(
     carrier for a complemented body) over ``body`` run once per element
     mask in ``elems``.  The loop does not stop once the union is full: its
     cost would then depend on where in carrier order the union fills (for
-    a ``\\forall``, where its first counterexample lies)."""
+    a ``\\forall``, where its first counterexample lies).  ``body`` is
+    complete when the ``Exists`` is placed, so a body of one instruction,
+    the inner ``\\forall`` of a quantified equation, is called without a
+    loop over the list."""
+    if len(body) == 1:
+        (step,) = body
 
-    def op() -> None:
-        acc = 0
-        for elem in elems:
-            regs[var] = elem
-            for step in body:
+        def op() -> None:
+            acc = 0
+            for elem in elems:
+                regs[var] = elem
                 step()
-            acc |= regs[res] ^ flip
-        regs[dst] = acc
+                acc |= regs[res] ^ flip
+            regs[dst] = acc
+
+    else:
+
+        def op() -> None:
+            acc = 0
+            for elem in elems:
+                regs[var] = elem
+                for step in body:
+                    step()
+                acc |= regs[res] ^ flip
+            regs[dst] = acc
 
     return op
 

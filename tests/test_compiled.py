@@ -47,7 +47,13 @@ from mulogic import (
 from mulogic import model as models, semantics
 from mulogic.model import _lift
 from mulogic.corpus import corpus_path
-from mulogic.errors import CarrierTooLargeError, MuLogicError, NestingTooDeepError
+from mulogic.errors import (
+    CarrierTooLargeError,
+    MuLogicError,
+    NestingTooDeepError,
+    UnknownSortError,
+    UnknownSymbolError,
+)
 from mulogic.pattern import walk
 from mulogic.semantics import _valuation_order
 from gen import (
@@ -674,6 +680,138 @@ def test_forall_runs_every_pair_wherever_one_fails(std_sig, monkeypatch, i, j):
     assert got == ref_eval_pattern(model, empty, p)
     assert got.is_full == (i is None) and got.is_empty == (i is not None)
     assert equals_runs == [16]
+
+
+# --- binder bodies and the placement walk -------------------------------------
+
+
+@pytest.fixture
+def bodies(monkeypatch):
+    """For each placed binder instruction, in placement order, its maker
+    and the makers of the instructions in its body list."""
+    made, out = {}, []  # id(op) -> (maker, op), kept so that no id is reused
+    for name in [n for n in dir(semantics) if n.startswith("_") and n.endswith("_op")]:
+        make = getattr(semantics, name)
+
+        def recorded(*args, make=make, name=name):
+            if name in ("_exists_op", "_iterate_op", "_prefix_op"):
+                out.append((name, [made[id(step)][0] for step in args[4]]))
+            op = make(*args)
+            made[id(op)] = name, op
+            return op
+
+        monkeypatch.setattr(semantics, name, recorded)
+    return out
+
+
+def mu_maker(mode):
+    return "_iterate_op" if mode == "iterate" else "_prefix_op"
+
+
+# the body of the outermost binder, which is placed last; "mu" stands for
+# the maker of a mu instruction under the engine run
+LOOP_BODIES = [
+    # no instruction: the body is the bound variable, or its complement
+    (r"\forall{Nat} b0", []),
+    (r"\exists{Nat} \not(b0)", []),
+    # one instruction, of each maker that can be alone in a body
+    (r"\forall{Nat} \equals{Nat}(S(b0), plus(b0, O()))", ["_equals_reads_op"]),
+    (r"\forall{Nat} \equals{Nat}(S(b0), O())", ["_equals_read_op"]),
+    (r"\forall{Nat} \equals{Nat}(b0, O())", ["_equals_op"]),
+    (r"\exists{Nat} S(b0)", ["_app_op"]),
+    (r"\forall{Nat} \not(S(b0))", ["_app_op"]),
+    (r"\exists{Nat} \ceil{Bool}(\and(b0, S(O())))", ["_and_op", "_defined_op"]),
+    (r"\forall{Nat} \ceil{Bool}(b0)", ["_defined_op"]),
+    (r"\exists{Nat} \exists{Nat} plus(b0, b1)", ["_exists_op"]),
+    (r"\forall{Nat} \forall{Nat} \not(plus(b1, b0))", ["_exists_op"]),
+    (r"\exists{Nat} \mu{Nat} \or(b0, S(B0))", ["mu"]),
+    (r"\forall{Nat} \not(\mu{Nat} \or(b0, S(B0)))", ["mu"]),
+    # two instructions
+    (r"\exists{Nat} S(S(b0))", ["_app_op", "_app_op"]),
+    (r"\forall{Nat} \or(b0, S(b0))", ["_app_op", "_and_op"]),
+]
+
+
+@pytest.mark.parametrize("text, body", LOOP_BODIES)
+def test_loop_bodies_of_no_one_or_two_instructions(std_sig, std_model, bodies, text, body):
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for model in (std_model, cycle_model(std_sig)):
+        for arm in EVAL_ARMS:
+            bodies.clear()
+            mine = outcome(eval_pattern, model, empty, p, **arm)
+            assert mine == outcome(ref_eval_pattern, model, empty, p, **arm), arm
+            if bodies:  # none where the prefix cap refuses the mu
+                want = [mu_maker(arm["lfp_mode"]) if m == "mu" else m for m in body]
+                assert bodies[-1] == ("_exists_op", want), arm
+
+
+# each binder's leave restores the contexts of the binders around it, so
+# a node entered after it reads the variables of those: the placement, by
+# binder in placement order, and the result are those of the reference
+WALK_CASES = [
+    # a closed inner binder is placed at the top; the sibling after it
+    # reads the outer variable, in the outer loop
+    (r"\exists{Nat} \and(\exists{Nat} plus(b0, O()), S(b0))",
+     [("_exists_op", ["_app_op"]), ("_exists_op", ["_app_op", "_and_op"])]),
+    # an inner binder that reads the outer variable, then a sibling binder
+    # that reads it too
+    (r"\exists{Nat} \and(\exists{Nat} plus(b0, b1), \exists{Nat} plus(b1, S(b0)))",
+     [("_exists_op", ["_app_op"]), ("_exists_op", ["_app_op", "_app_op"]),
+      ("_exists_op", ["_exists_op", "_exists_op", "_and_op"])]),
+    # ex inside mu inside ex: the sibling after the inner exists reads the
+    # outer exists' variable, in the mu's loop
+    (r"\exists{Nat} \mu{Nat} \or(\exists{Nat} \and(b0, S(B0)), \or(b0, S(\and(b0, B0))))",
+     [("_exists_op", ["_and_op"]),
+      ("mu", ["_app_op", "_exists_op", "_and_op", "_app_op", "_and_op", "_and_op"]),
+      ("_exists_op", ["mu"])]),
+    # mu inside ex inside mu: the sibling after the inner mu reads the
+    # outer mu's variable, in the exists' loop
+    (r"\mu{Nat} \or(S(O()), \exists{Nat} \and(\mu{Nat} \or(b0, S(B0)), \and(b0, B0)))",
+     [("mu", ["_app_op", "_and_op"]), ("_exists_op", ["mu", "_and_op", "_and_op"]),
+      ("mu", ["_exists_op", "_and_op"])]),
+]
+
+
+@pytest.mark.parametrize("text, placed_bodies", WALK_CASES)
+def test_a_binder_leave_restores_the_outer_contexts(std_sig, std_model, bodies, text,
+                                                    placed_bodies):
+    p, empty = parse_pattern(text, std_sig), Valuation.empty()
+    for model in (std_model, cycle_model(std_sig)):
+        for arm in EVAL_ARMS[:2]:
+            bodies.clear()
+            mine = outcome(eval_pattern, model, empty, p, **arm)
+            assert mine == outcome(ref_eval_pattern, model, empty, p, **arm), arm
+            mu = mu_maker(arm["lfp_mode"])
+            assert bodies == [(mu if name == "mu" else name,
+                               [mu if m == "mu" else m for m in body])
+                              for name, body in placed_bodies], arm
+
+
+# two placement errors on either side of a binder: the one a node-by-node
+# evaluation reaches first is raised; g and Late are declared after the
+# model is built, so it has no table for g and no carrier for Late
+PLACEMENT_ERRORS = [
+    (r"\and(\exists{Nat} g(b0), \mu{Nat} \or(O(), S(B0)))", UnknownSymbolError),
+    (r"\and(\mu{Nat} \or(O(), S(B0)), \exists{Nat} g(b0))", CarrierTooLargeError),
+    (r"\and(g(O()), \exists{Late} \top{Nat})", UnknownSymbolError),
+    (r"\and(\exists{Late} \top{Nat}, g(O()))", UnknownSortError),
+    (r"\exists{Nat} \and(\exists{Nat} \and(b0, \exists{Late} \top{Nat}), g(b0))",
+     UnknownSortError),
+    (r"\exists{Nat} \and(\exists{Nat} \and(b0, g(b1)), \exists{Late} \top{Nat})",
+     UnknownSymbolError),
+    (r"\and(\exists{Nat} \and(b0, S(b0)), \and(g(O()), \exists{Late} \top{Nat}))",
+     UnknownSymbolError),
+]
+
+
+@pytest.mark.parametrize("text, error", PLACEMENT_ERRORS)
+def test_the_first_placement_error_reached_is_raised(std_sig, std_model, text, error):
+    nat = std_sig.sort("Nat")
+    std_sig.declare_sort("Late")
+    std_sig.declare_symbol("g", [nat], nat)
+    p = parse_pattern(text, std_sig)
+    with pytest.raises(error):
+        eval_pattern(std_model, Valuation.empty(), p, lfp_mode="prefix", prefix_cap=2)
 
 
 # --- fused instructions -------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -29,6 +30,7 @@ from mulogic.errors import (
     UnknownSortError,
     UnknownSymbolError,
 )
+from mulogic.model import _lift
 from mulogic.pattern import free_vars
 from conftest import make_std_model, make_std_signature
 from gen import (
@@ -37,6 +39,7 @@ from gen import (
     random_pattern,
     random_positive_mu,
     random_signature,
+    random_term_model_data,
 )
 from reference import ref_tables
 
@@ -349,6 +352,67 @@ def test_extended_app_matches_bruteforce(std_model):
             )
         got = {e.label for e in std_model.elems(std_model.extended_app(plus, [a, b]))}
         assert got == expected
+
+
+def lifted_entries(table, key):
+    """The OR of the entries of a mask table whose every argument bit lies
+    in that argument's bits in ``key``: the pointwise lift read off the
+    table's entries instead of built from the key's combinations."""
+    out = 0
+    for args, bits in table.items():
+        if all(arg & bits_of_arg for arg, bits_of_arg in zip(args, key)):
+            out |= bits
+    return out
+
+
+def lift_keys(rng, n):
+    """Argument bits over an ``n``-element carrier: none, one element,
+    several (two or more, not all, where the carrier allows) and all."""
+    full = (1 << n) - 1
+    several = [bits for bits in range(full) if bits.bit_count() > 1]
+    return [0, 1 << rng.randrange(n), *([rng.choice(several)] if several else []), full]
+
+
+def test_lift_matches_the_entries_it_covers():
+    """``_lift`` and ``extended_app`` over unary and binary symbols that are
+    total functions, partial functions, relations or have no entry at all,
+    at keys of no bit, one bit, several bits and the full carrier."""
+    rng = random.Random(38)
+    shapes, arities = set(), set()
+    for case in range(150):
+        sig = Signature()
+        a, b = sig.declare_sort("A"), sig.declare_sort("B")
+        unary, binary = sig.declare_symbol("f", [a], b), sig.declare_symbol("g", [a, b], a)
+        carriers, interps = random_term_model_data(rng, sig, max_carrier=5)
+        if case % 5 == 0:  # no entry: every key lifts to the empty set
+            interps[rng.choice(["f", "g"])] = {}
+        model = build_model(sig, carriers, interps)
+        for symbol in (unary, binary):
+            table = model.mask_table(symbol)
+            values = list(table.values())
+            domain = math.prod(model.carrier_size(param) for param in symbol.params)
+            shapes.add("empty" if not values else "relation" if any(
+                v & (v - 1) for v in values) else "partial" if len(values) < domain else "total")
+            interp = model.interp(symbol).table
+            for key in itertools.product(*[lift_keys(rng, model.carrier_size(param))
+                                           for param in symbol.params]):
+                arity_bits = tuple(min(bits.bit_count(), 2) for bits in key)
+                arities.add((len(key), arity_bits))
+                want = lifted_entries(table, key)
+                assert _lift(table, key) == want, (case, symbol.name, key)
+                arg_sets = [CarrierSet(param, model.carrier_size(param), bits)
+                            for param, bits in zip(symbol.params, key)]
+                got = model.extended_app(symbol, arg_sets)
+                # the same set, read off the element-keyed view of the table
+                seen = model.empty_set(symbol.result)
+                for args, value in interp.items():
+                    if all(s.contains(e) for s, e in zip(arg_sets, args)):
+                        seen = seen | value
+                assert got == seen == CarrierSet(symbol.result, got.width, want)
+    assert shapes == {"empty", "total", "partial", "relation"}
+    # every pairing of no bit, one bit and two or more bits, in both arities
+    assert arities >= {(1, (k,)) for k in range(3)} | {
+        (2, (k, m)) for k in range(3) for m in range(3)}
 
 
 _CARRIER_LINE_RE = re.compile(r"^(carrier \w+ = \{ )(.*)( \})$", re.M)

@@ -5,6 +5,7 @@ import ast
 import copy
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -436,3 +437,25 @@ def test_no_module_imports_inside_a_function():
                            if isinstance(node, (ast.Import, ast.ImportFrom))
                            and (path.name, ast.unparse(node)) != DEFERRED]
     assert nested == []
+
+
+def test_bench_tracer_wraps_names_that_exist():
+    """``bench/tracer.py`` wraps package names by attribute, such as
+    ``semantics.singleton_fastpath``, ``semantics.bevar_subst`` and
+    ``theory.eval_pattern``: renaming or deleting one breaks every traced
+    benchmark run.  Load it by path, install it on the package and take it
+    off again, which puts back every name it wrapped."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    importlib.import_module("mulogic.cli")  # the tracer wraps names of the CLI too
+    tracer = module.Tracer()
+    try:
+        tracer.install(mulogic)
+        patched = list(tracer._patches)
+        assert patched and all(getattr(owner, attr) is not original
+                               for owner, attr, original in patched)
+    finally:
+        tracer.restore()
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)
