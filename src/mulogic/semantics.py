@@ -74,7 +74,12 @@ unbound variables.
   scope (its register is read), and when, at the top, it reads only
   levels outside the equality's (it runs once per value of those).  A
   closed equality at the top runs once, so its operands stay
-  applications of their own, which repeated operands share.
+  applications of their own, which repeated operands share.  An
+  ``Exists`` loop, and so a ``\\forall``, whose body ends in an equality
+  of two binary reads that writes the register the loop reads is fused
+  with it (:func:`_exists_equals_op`): the loop compares the two table
+  entries itself, with no instruction call per element, and when the
+  equality is the whole body it reads the other keys once per run.
 * **Applications.**  An application whose arguments placement knows to
   hold at most one bit each reads its table entry straight, with no test;
   any other tests its arguments when it runs, and lifts only wider ones
@@ -101,11 +106,14 @@ unbound variables.
   ``check_axiom`` share (:meth:`_Program.search`): in product order, it
   re-runs only the levels from the first variable that changed and stops
   at the first valuation whose result is not the one wanted.  An
-  ``Exists`` or ``Mu`` instruction loops over its body's list (an
-  ``Exists`` whose body is one instruction calls that one), so Python
-  recursion depth is the run-time nesting of binder loops, not the
-  pattern depth, and placement refuses a nesting the recursion limit has
-  no room for (:class:`~mulogic.errors.NestingTooDeepError`).  An
+  ``Exists`` or ``Mu`` instruction loops over its body's list.  An
+  ``Exists`` loop takes one of three forms: it calls a body of one
+  instruction directly, loops over any other list, or, fused with the
+  equality its body ends in, compares that equality's table entries
+  itself after the instructions before it.  So Python recursion depth is
+  the run-time nesting of binder loops, not the pattern depth, and
+  placement refuses a nesting the recursion limit has no room for
+  (:class:`~mulogic.errors.NestingTooDeepError`).  Each form of an
   ``Exists`` loop runs its body for every element of its carrier, so its
   work does not depend on where in carrier order its union fills.
 
@@ -557,7 +565,9 @@ def _compile(
     most one bit, it takes back the register it allocated and emits the
     read ``(node, table, args, level)`` in place of a signed register,
     which the equality settles (:func:`_settled`); else it is placed as
-    any application.
+    any application.  ``equation`` keeps the register and reads of the
+    last equality of two binary reads placed: an ``Exists`` whose body's
+    result is that register fuses with it (:func:`_exists_equals_op`).
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
@@ -567,6 +577,7 @@ def _compile(
     full = model._full_mask
     functions = model._functions
     terms: set[int] = set()  # id(node) of each application placed that is a term
+    equation = None  # (register, table, keys, other, other_keys): the last binary equality of reads
 
     def decode(reg: int, sort: Sort) -> tuple[int, int]:
         """A signed register of ``sort`` as (register, value to XOR it with)."""
@@ -741,6 +752,8 @@ def _compile(
                 _, table, keys, _ = x
                 if type(y) is tuple:
                     op = _equals_reads_op(regs, dst, table, keys, y[1], y[2], full(node.sort))
+                    if len(keys) == len(y[2]) == 2:  # a loop over it may fuse with it
+                        equation = dst, table, keys, y[1], y[2]
                 else:
                     b, flip = decode(y, sort)
                     op = _equals_read_op(regs, dst, table, keys, b, flip, full(node.sort))
@@ -754,7 +767,11 @@ def _compile(
         elif kind is Exists:
             res, flip = decode(args[0], node.sort)
             elems = model._elem_masks(node.binder_sort)
-            op = _exists_op(regs, dst, inner.var, res, inner.code, elems, flip)
+            if equation is not None and equation[0] == res:  # the body ends in that equality
+                op = _exists_equals_op(regs, dst, inner.var, equation[1:], inner.code, elems,
+                                       full(node.sort), flip)
+            else:
+                op = _exists_op(regs, dst, inner.var, res, inner.code, elems, flip)
         else:  # Mu
             res, flip = decode(args[0], node.sort)
             width = full(node.sort).bit_length()
@@ -1027,7 +1044,9 @@ def _exists_op(
     a ``\\forall``, where its first counterexample lies).  ``body`` is
     complete when the ``Exists`` is placed, so a body of one instruction,
     the inner ``\\forall`` of a quantified equation, is called without a
-    loop over the list."""
+    loop over the list.  A body that ends in an equality of two binary
+    reads takes the third form, :func:`_exists_equals_op`, which keeps this
+    rule: it too visits every element."""
     if len(body) == 1:
         (step,) = body
 
@@ -1049,6 +1068,56 @@ def _exists_op(
                     step()
                 acc |= regs[res] ^ flip
             regs[dst] = acc
+
+    return op
+
+
+def _exists_equals_op(
+    regs: list[int], dst: int, var: int, equation: tuple, body: list, elems: list[int],
+    full: int, flip: int,
+) -> Callable[[], None]:
+    """:func:`_exists_op` over a ``body`` whose last instruction is the
+    :func:`_equals_reads_op` of ``equation``, ``(table, (x, y), other, (u,
+    v))``, that writes the register the union reads, run as one loop that
+    compares the two table entries itself and ORs ``full`` if they are
+    equal, else 0, XORed with ``flip``, into the union.  When the equality
+    is the whole body, the keys that are not ``var`` are read once per run
+    and each element mask goes straight into ``var``'s key positions; else
+    the earlier instructions run first for each element, and every key is
+    read after them, since they may write one.  Like :func:`_exists_op`,
+    it visits every element."""
+    table, (x, y), other, (u, v) = equation
+    get, other_get = table.get, other.get
+    hit, miss = full ^ flip, flip  # the union's term when the entries agree, and when not
+    prefix = body[:-1]
+    if not prefix:
+        at = (x == var, y == var, u == var, v == var)  # the key positions of the element
+
+        def op() -> None:
+            ax, ay, au, av = at
+            rx, ry, ru, rv = regs[x], regs[y], regs[u], regs[v]  # the body writes none
+            acc = 0
+            for elem in elems:
+                acc |= hit if get((elem if ax else rx, elem if ay else ry), 0) == other_get(
+                    (elem if au else ru, elem if av else rv), 0) else miss
+            regs[dst] = acc
+
+        return op
+    if len(prefix) == 1:
+        (step,) = prefix
+    else:
+
+        def step() -> None:
+            for each in prefix:
+                each()
+
+    def op() -> None:
+        acc = 0
+        for elem in elems:
+            regs[var] = elem
+            step()
+            acc |= hit if get((regs[x], regs[y]), 0) == other_get((regs[u], regs[v]), 0) else miss
+        regs[dst] = acc
 
     return op
 
