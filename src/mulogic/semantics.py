@@ -35,7 +35,14 @@ unbound variables.
   bare, and one leave item per node with operands; the scopes of the
   binders around the node entered are walk state, which a binder saves
   on its body's scope when it enters its body and restores when it is
-  left.
+  left.  Every fact that decides a node's instruction is settled before
+  the node gets a register, so no register is taken back and every
+  operand's result is a register: a node's scope and memo entry when it
+  is entered; its level, and whether an application is a term, from its
+  operands when it is left; which operands of an equality its comparison
+  reads from their tables when the equality is entered, by a look-ahead
+  over their arguments, and whether it is the node an ``Exists`` loop
+  reads, which it may then fuse with (see *Fused instructions*).
 * **Signed registers.**  A ``Not`` places no register and no instruction
   (the complement edges of BDD packages: Brace, Rudell & Bryant, DAC
   1990).  Each placed result is a signed register, ``r`` or its complement
@@ -61,25 +68,30 @@ unbound variables.
   their sort when exactly one of them is a complement, equals ``B``'s,
   else 0 (a superoperator: Proebsting, POPL 1995).  Its scope, memo
   entry, register and free-variable level are the outer ``Not``'s, as
-  for any node; every other shape compiles node by node.  An operand
-  that is an application, is not yet in the memo of the equality's
-  scope and would be placed in that scope (it reads the variable that
-  put the equality there; at the top, a free variable) places only its
-  arguments; if each holds at most one bit (see *Applications*), it
-  gets no register, and the comparison reads its table entry itself, so
-  an equation of two terms in a loop is one instruction, read against
-  read or read against register.  Otherwise it is placed as any
-  application: when an argument may hold more (a relation, a μ or set
-  variable, a complement), when the other operand placed it in the same
-  scope (its register is read), and when, at the top, it reads only
-  levels outside the equality's (it runs once per value of those).  A
-  closed equality at the top runs once, so its operands stay
+  for any node; every other shape compiles node by node.  When the
+  equality is entered, it looks ahead at each operand: an application
+  whose arguments each hold at most one bit (see *Applications*), of a
+  symbol the model has a table for, that is not yet in the memo of the
+  equality's scope and would be placed in that scope (it reads the
+  variable that put the equality there; at the top, a free variable) may
+  be read by the comparison itself, and only its arguments are entered.
+  When the equality is left, such an operand that the other operand has
+  placed meanwhile in the same scope is that register, and at the top one
+  that reads only levels outside the equality's is an application of its
+  own at its level, where it runs once per value of those; any other gets
+  no register, and the comparison reads its table entry itself, so an
+  equation of two terms in a loop is one instruction, read against read
+  or read against register.  Every other operand is placed as any node,
+  and a closed equality at the top runs once, so its operands stay
   applications of their own, which repeated operands share.  An
   ``Exists`` loop, and so a ``\\forall``, whose body ends in an equality
-  of two binary reads that writes the register the loop reads is fused
-  with it (:func:`_exists_equals_op`): the loop compares the two table
-  entries itself, with no instruction call per element, and when the
-  equality is the whole body it reads the other keys once per run.
+  of two binary reads, directly or under binders in between that read no
+  variable of their own, is fused with it (:func:`_exists_equals_op`): the
+  equality places no instruction, and the loop compares the two table
+  entries itself after the instructions before it, with no instruction
+  call per element; when the equality is the whole body it reads the
+  other keys once per run.  Each ``Exists`` body scope keeps the node its
+  loop reads, so the equality sees on entry that it is that node.
 * **Applications.**  An application whose arguments placement knows to
   hold at most one bit each reads its table entry straight, with no test;
   any other tests its arguments when it runs, and lifts only wider ones
@@ -443,15 +455,23 @@ class _Scope:
     binder; ``resumed`` lists the registers of the warm μ instructions
     placed in it and, handed up from their bodies, of every warm μ below
     them: the ones that the μ whose body it is resets when it starts, if
-    it is cold, or hands up in turn, if it is warm."""
+    it is cold, or hands up in turn, if it is warm.  ``body``, on an
+    ``Exists``'s body scope, is the node whose result its loop reads: the
+    ``Exists``'s body, or the body of a binder there that reads no
+    variable of its own, which hands its own body on when it is entered;
+    an equality that finds itself there when it is entered may fuse with
+    the loop, and then sets ``body`` to None and ``equation`` to its two
+    reads.  ``body`` is None on every other scope."""
 
-    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo", "ctxs")
+    __slots__ = ("depth", "var", "loops", "ascending", "code", "resumed", "memo", "ctxs",
+                 "body", "equation")
 
     def __init__(self, depth: int, var: int, loops: int = 0, ascending: bool = False):
         self.depth, self.var, self.loops, self.ascending = depth, var, loops, ascending
         self.code: list[Callable[[], None]] = []
         self.resumed: list[int] = []
         self.memo: dict[int, int] = {}  # id(node) -> result, for each node entered here
+        self.body = None
 
 
 class _Program:
@@ -517,11 +537,6 @@ def _loop_room() -> int:
     return (sys.getrecursionlimit() - depth - _SPARE_FRAMES) // _FRAMES_PER_LOOP
 
 
-# the ``inner`` of the leave item of an equality's operand entered as a read,
-# and of an equality with such an operand (see _compile)
-_READ = object()
-
-
 def _compile(
     model: FiniteModel,
     p: Pattern,
@@ -535,56 +550,63 @@ def _compile(
 
     Results are signed registers: ``r`` or its complement ``~r``, which is
     ``r ^ -1``.  The stack holds a node itself to enter it and the tuple
-    ``(node, scope, inner, n, sign)`` to leave a node with ``n`` placed
-    operands; the node's result goes out XORed with ``sign``, 0 or -1.
-    ``inner`` is a binder's body scope.  The walk keeps ``ctxs``, the pair
-    ``(exs, mus)`` of the scopes of the binders around the node entered,
-    outermost first, indexed like a node's ``(ex, mu)`` contexts by the
-    context kind: a bound variable of kind ``k`` and de Bruijn index ``i``
-    is scope ``ctxs[k][-1 - i]``.  A binder of kind ``k`` saves ``ctxs``
-    on its body scope and enters its body with that scope appended to
-    ``ctxs[k]``; its leave item, popped once the whole body is left,
-    restores them for the siblings below it on the stack.  Entering a
-    chain of ``Not`` nodes flips ``sign``, 0 on entry, once per node and
-    goes on to the first node below it that is not one, in the same step;
-    a ``Not`` whose
-    ``_operands`` fact is set, the root of an ``\\equals``, is not part of
-    a chain and enters only its two operands.  A variable is its register
-    at once and pushes no leave item.  Every other node is looked up in
-    the memo of ``scope``, the scope in which it is entered, keyed by its
+    ``(node, scope, inner, n, sign)`` to leave a node with ``n`` results
+    of its operands; the node's result goes out XORed with ``sign``, 0 or
+    -1.  ``inner`` is a binder's body scope, and for an equality that may
+    read an operand from its table the triple ``(table of A, table of B,
+    whether it is the node its ``Exists`` loop reads)``, with None for an
+    operand that is placed as any node (see below).  The walk keeps
+    ``ctxs``, the pair ``(exs, mus)`` of the scopes of the binders around
+    the node entered, outermost first, indexed like a node's ``(ex, mu)``
+    contexts by the context kind: a bound variable of kind ``k`` and de
+    Bruijn index ``i`` is scope ``ctxs[k][-1 - i]``.  A binder of kind
+    ``k`` saves ``ctxs`` on its body scope and enters its body with that
+    scope appended to ``ctxs[k]``; its leave item, popped once the whole
+    body is left, restores them for the siblings below it on the stack.
+    Entering a chain of ``Not`` nodes flips ``sign``, 0 on entry, once per
+    node and goes on to the first node below it that is not one, in the
+    same step; a ``Not`` whose ``_operands`` fact is set, the root of an
+    ``\\equals``, is not part of a chain.  A variable is its register at
+    once and pushes no leave item.  Every other node is looked up in the
+    memo of ``scope``, the scope in which it is entered, keyed by its
     identity, which keeps its result before ``sign`` is applied; a node
     whose ``scope`` is the top goes on leave to the innermost level its
     operands read, but stays in the top's memo.
 
-    ``terms`` holds the identity of each application placed that is a
-    term (module docstring).  An equality's operand that the equality may
-    read (:func:`_read_here`) is not entered: the equality pushes its
-    leave item and its arguments, and marks both leave items with
-    ``inner`` ``_READ``.  On leave, such an operand that the other operand
-    has placed meanwhile is that register; else, if each argument holds at
-    most one bit, it takes back the register it allocated and emits the
-    read ``(node, table, args, level)`` in place of a signed register,
-    which the equality settles (:func:`_settled`); else it is placed as
-    any application.  ``equation`` keeps the register and reads of the
-    last equality of two binary reads placed: an ``Exists`` whose body's
-    result is that register fuses with it (:func:`_exists_equals_op`).
+    Each fact is settled before the node it concerns gets a register.  An
+    application is a term when it is left, from its arguments: ``terms``
+    holds the identity of each application placed that is one, which its
+    parents read.  An equality decides when it is entered which operands
+    it may read from their tables (:func:`_read_table` looks ahead over
+    each operand's arguments, which are not placed yet), and enters only
+    the arguments of those.  When it is left, with those arguments and
+    the other operand placed, such an operand that is now in the memo
+    (the other operand placed it) is read from its register; at the top,
+    one that reads only levels outside the equality's is placed as an
+    application at its own level, where it runs less often; any other is
+    read by the comparison, and gets no register.  An ``Exists`` keeps its
+    body on its body scope, and a binder that is that body, in case it
+    reads no variable of its own, hands its own body on: so an equality
+    knows when it is entered whether its result is what the loop reads.
+    If so, and it reads both operands with two keys each, it places no
+    instruction: it leaves its reads on that scope, and the loop compares
+    them itself (:func:`_exists_equals_op`).
     """
     top = _Scope(0, -1)
     levels = [_Scope(k + 1, k) for k in range(len(variables))]
     regs = [0] * len(levels)
+    # register -> the depth of the innermost level it reads; a level's own is its depth
     reads: dict[int, int] = {}  # register -> its innermost level's depth
     room = None  # how deep binder loops may nest, found at the first binder
     full = model._full_mask
     functions = model._functions
     terms: set[int] = set()  # id(node) of each application placed that is a term
-    equation = None  # (register, table, keys, other, other_keys): the last binary equality of reads
 
     def decode(reg: int, sort: Sort) -> tuple[int, int]:
         """A signed register of ``sort`` as (register, value to XOR it with)."""
         return (~reg, full(sort)) if reg < 0 else (reg, 0)
 
-    base = len(levels)
-    results: list = []  # signed registers (or reads) of the children met so far
+    results: list[int] = []  # signed registers of the children met so far
     emit = results.append
     ctxs, stack = ((), ()), [p]  # the walk's binder contexts; nodes to enter, leave items
     pop, push = stack.pop, stack.append
@@ -624,9 +646,8 @@ def _compile(
                     push((node, scope, None, len(args), sign))
                     stack += reversed(args)
                 else:  # a constant
-                    value = model.mask_table(node.symbol).get((), 0)
                     reg = scope.memo[id(node)] = len(regs)
-                    regs.append(value)
+                    regs.append(model.mask_table(node.symbol).get((), 0))
                     emit(reg ^ sign)
             elif kind is And:
                 push((node, scope, None, 2, sign))
@@ -634,22 +655,18 @@ def _compile(
                 push(node.left)
             elif kind is Not:  # an equality: only its two operands are placed
                 a, b = node._operands
-                push((node, scope, None, 2, sign))
                 if free or scope is not top:  # else it runs once, and reads no table
                     # the variable that puts the equality in ``scope``: none at the top
                     mu_bit = mu & -mu if mu and scope is inner else 0
                     ex_bit = 0 if mu_bit or scope is top else ex & -ex
-                    read_a = _read_here(a, scope.memo, ex_bit, mu_bit)
-                    read_b = _read_here(b, scope.memo, ex_bit, mu_bit)
-                    if read_a or read_b:
-                        stack[-1] = (node, scope, _READ, 2, sign)
-                        for operand, read in ((b, read_b), (a, read_a)):
-                            if read:
-                                push((operand, scope, _READ, len(operand.args), 0))
-                                stack += reversed(operand.args)
-                            else:
-                                push(operand)
+                    ta = _read_table(model, a, scope.memo, ex_bit, mu_bit)
+                    tb = _read_table(model, b, scope.memo, ex_bit, mu_bit)
+                    if ta is not None or tb is not None:  # it places only their arguments
+                        kids = ((a,) if ta is None else a.args) + ((b,) if tb is None else b.args)
+                        push((node, scope, (ta, tb, item is scope.body), len(kids), sign))
+                        stack += reversed(kids)
                         continue
+                push((node, scope, None, 2, sign))
                 push(b)
                 push(a)
             elif kind is Defined:
@@ -673,11 +690,17 @@ def _compile(
                 ascending = kind is Mu and mode == LFP_ITERATE
                 # the binder's variable is the next register; its loop sets it
                 # before each run of the body
-                inner = _Scope(base + len(exs) + len(mus) + 1, len(regs), loops, ascending)
+                inner = _Scope(len(levels) + len(exs) + len(mus) + 1, len(regs), loops, ascending)
                 inner.ctxs = ctxs  # restored when the binder is left
                 regs.append(0)
                 push((node, scope, inner, 1, sign))
-                ctxs = (exs + (inner,), mus) if kind is Exists else (exs, mus + (inner,))
+                if item is scope.body:  # a loop's body; if it reads no variable of its
+                    scope.body = node.body  # own, it passes up its body's result
+                if kind is Exists:
+                    inner.body = node.body
+                    ctxs = (exs + (inner,), mus)
+                else:
+                    ctxs = (exs, mus + (inner,))
                 push(node.body)
             continue
         node, scope, inner, n, sign = item
@@ -688,22 +711,18 @@ def _compile(
         level = 0
         if node._facts[3]:
             for a in args:
-                depth = a[3] if type(a) is tuple else reads.get(a if a >= 0 else ~a, 0)
+                depth = reads.get(a if a >= 0 else ~a, 0)
                 if depth > level:
                     level = depth
             if level and scope is top:
                 scope = levels[level - 1]
-        if inner is not None:
-            if inner is not _READ:  # a binder: its body is left
-                ctxs = inner.ctxs
-                ex, even, odd, _, _ = node.body._facts
-                if not (ex if kind is Exists else even | odd) & 1:
-                    # a body without the bound variable is its own union and fixpoint
-                    memo[id(node)] = args[0]
-                    emit(args[0] ^ sign)
-                    continue
-            elif kind is App and id(node) in memo:  # the other operand placed it
-                emit(memo[id(node)])
+        if inner is not None and kind is not Not:  # a binder: its body is left
+            ctxs = inner.ctxs
+            ex, even, odd, _, _ = node.body._facts
+            if not (ex if kind is Exists else even | odd) & 1:
+                # a body without the bound variable is its own union and fixpoint
+                memo[id(node)] = args[0]
+                emit(args[0] ^ sign)
                 continue
         dst = out = len(regs)
         regs.append(0)
@@ -719,11 +738,6 @@ def _compile(
                     break
             else:
                 single = True
-            if single and inner is _READ:  # the equality reads it: it takes no register
-                regs.pop()
-                reads.pop(dst, None)
-                emit((node, table, args, level))
-                continue
             flips = (0,) * n
             if single and node.symbol in functions:
                 terms.add(id(node))
@@ -738,27 +752,43 @@ def _compile(
         elif kind is Not:  # an equality
             # the operands' sort is that of the iff under the floor
             sort = node.body.body.sort
-            x, y = args
-            if inner is _READ:  # an operand entered as a read may stay one (see _settled)
-                # no comprehension here: it would turn these locals into cells
-                outer = item[1] is top and level
-                if type(x) is tuple:
-                    x = _settled(x, memo, outer, regs, reads, terms, functions, top, levels)
-                if type(y) is tuple:
-                    y = _settled(y, memo, outer, regs, reads, terms, functions, top, levels)
-                if type(x) is not tuple:  # the equality is symmetric: a read goes first
-                    x, y = y, x
-            if type(x) is tuple:
-                _, table, keys, _ = x
-                if type(y) is tuple:
-                    op = _equals_reads_op(regs, dst, table, keys, y[1], y[2], full(node.sort))
-                    if len(keys) == len(y[2]) == 2:  # a loop over it may fuse with it
-                        equation = dst, table, keys, y[1], y[2]
-                else:
-                    b, flip = decode(y, sort)
-                    op = _equals_read_op(regs, dst, table, keys, b, flip, full(node.sort))
+            placed, looked_up = args, ()  # signed registers; (table, keys) of reads
+            if inner is not None:  # some operand may be read
+                placed, looked_up, i = [], [], 0
+                for operand, table in zip(node._operands, inner):  # inner ends in a flag
+                    keys = args[i:i + (1 if table is None else len(operand.args))]
+                    i += len(keys)  # keys: its result, or its arguments'
+                    if table is None or id(operand) in memo:  # or the other operand placed it
+                        placed.append(keys[0] if table is None else memo[id(operand)])
+                        continue
+                    # at the top, the innermost level it reads, at least 1 as it reads a
+                    # free variable: one outside the equality's runs it less often
+                    depth = max(map(reads.get, keys, [0] * len(keys))) if item[1] is top else level
+                    if depth < level:
+                        reg = memo[id(operand)] = len(regs)
+                        regs.append(0)
+                        reads[reg] = depth
+                        if operand.symbol in functions:
+                            terms.add(id(operand))
+                        levels[depth - 1].code.append(
+                            _app_op(regs, reg, keys, table, (0,) * len(keys), True))
+                        placed.append(reg)
+                    else:
+                        looked_up.append((table, keys))
+            if len(looked_up) == 2:
+                (table, keys), (other, other_keys) = looked_up
+                # the node its loop reads, of two binary reads: the loop compares them
+                if inner[2] and len(keys) == len(other_keys) == 2:
+                    scope.body, scope.equation = None, (table, keys, other, other_keys)
+                    emit(out ^ sign)
+                    continue
+                op = _equals_reads_op(regs, dst, table, keys, other, other_keys, full(node.sort))
+            elif looked_up:
+                (table, keys), = looked_up
+                b, flip = decode(placed[0], sort)
+                op = _equals_read_op(regs, dst, table, keys, b, flip, full(node.sort))
             else:
-                (a, fa), (b, fb) = decode(x, sort), decode(y, sort)
+                (a, fa), (b, fb) = decode(placed[0], sort), decode(placed[1], sort)
                 op = _equals_op(regs, dst, a, b, fa ^ fb, full(node.sort))
         elif kind is Defined:
             # the complement of a is empty where a is full
@@ -767,8 +797,8 @@ def _compile(
         elif kind is Exists:
             res, flip = decode(args[0], node.sort)
             elems = model._elem_masks(node.binder_sort)
-            if equation is not None and equation[0] == res:  # the body ends in that equality
-                op = _exists_equals_op(regs, dst, inner.var, equation[1:], inner.code, elems,
+            if inner.body is None:  # its body is an equality of two binary reads, fused
+                op = _exists_equals_op(regs, dst, inner.var, inner.equation, inner.code, elems,
                                        full(node.sort), flip)
             else:
                 op = _exists_op(regs, dst, inner.var, res, inner.code, elems, flip)
@@ -796,45 +826,32 @@ def _compile(
     return _Program(regs, top.code, levels, *decode(results[0], p.sort))
 
 
-def _read_here(operand: Pattern, memo: dict[int, int], ex_bit: int, mu_bit: int) -> bool:
-    """Whether an equality's operand is entered as a read (see
-    :func:`_compile`): an application with arguments, not in ``memo``, the
-    memo of the equality's scope, that reads the variable that puts the
-    equality there, bit ``ex_bit`` of its ex mask or ``mu_bit`` of its mu
-    mask, and so is placed there too; at the top (both 0), one that reads
-    a free variable, whose level is then at most the equality's."""
+def _read_table(model: FiniteModel, operand: Pattern, memo: dict[int, int], ex_bit: int,
+                mu_bit: int) -> Mapping | None:
+    """The table of an equality's operand that the comparison may read
+    itself (see :func:`_compile`), else None: an application with
+    arguments, each a term, of a symbol the model has a table for, not in
+    ``memo``, the memo of the equality's scope, that reads the variable
+    that puts the equality there, bit ``ex_bit`` of its ex mask or
+    ``mu_bit`` of its mu mask, and so is placed there too; at the top
+    (both 0), one that reads a free variable, whose level is then at most
+    the equality's.  An unknown symbol is left to the application's own
+    placement, which raises where a node-by-node evaluation would."""
     if type(operand) is not App or not operand.args or id(operand) in memo:
-        return False
+        return None
     ex, even, odd, free, _ = operand._facts
-    return bool(ex & ex_bit or (even | odd) & mu_bit) if ex_bit | mu_bit else free
-
-
-def _settled(
-    read: tuple, memo: dict[int, int], level: int, regs: list[int], reads: dict[int, int],
-    terms: set[int], functions: frozenset, top: _Scope, levels: Sequence[_Scope],
-) -> int | tuple:
-    """An equality's operand ``read``, ``(node, table, args, depth)``, as
-    the equality takes it: the register of ``node`` if the other operand
-    placed it in the equality's scope, whose memo is ``memo``; else, if
-    the equality is at the top and ``depth`` is a level outside its
-    ``level``, the register of an application instruction placed at
-    ``depth`` (the top for 0), as for any application; else the read
-    itself."""
-    node, table, args, depth = read
-    reg = memo.get(id(node))
-    if reg is not None:
-        return reg
-    if depth >= level:
-        return read
-    reg = memo[id(node)] = len(regs)
-    regs.append(0)
-    if depth:
-        reads[reg] = depth
-    if node.symbol in functions:
-        terms.add(id(node))
-    (levels[depth - 1] if depth else top).code.append(
-        _app_op(regs, reg, args, table, (0,) * len(args), True))
-    return reg
+    if not (ex & ex_bit or (even | odd) & mu_bit if ex_bit | mu_bit else free):
+        return None
+    functions, kids, seen = model._functions, [*operand.args], set()
+    for kid in kids:  # is each argument a term?  The list grows as the walk goes
+        kind = type(kid)
+        if kind is App and kid.symbol in functions:
+            if kid.args and id(kid) not in seen:
+                seen.add(id(kid))
+                kids += kid.args
+        elif kind is not BoundEVar and kind is not FreeEVar:
+            return None
+    return model._masks.get(operand.symbol)
 
 
 # --- instructions -----------------------------------------------------------
@@ -1076,26 +1093,24 @@ def _exists_equals_op(
     regs: list[int], dst: int, var: int, equation: tuple, body: list, elems: list[int],
     full: int, flip: int,
 ) -> Callable[[], None]:
-    """:func:`_exists_op` over a ``body`` whose last instruction is the
-    :func:`_equals_reads_op` of ``equation``, ``(table, (x, y), other, (u,
-    v))``, that writes the register the union reads, run as one loop that
-    compares the two table entries itself and ORs ``full`` if they are
-    equal, else 0, XORed with ``flip``, into the union.  When the equality
-    is the whole body, the keys that are not ``var`` are read once per run
-    and each element mask goes straight into ``var``'s key positions; else
-    the earlier instructions run first for each element, and every key is
-    read after them, since they may write one.  Like :func:`_exists_op`,
-    it visits every element."""
+    """:func:`_exists_op` over a body that ends in an equality of two
+    binary reads, ``equation``, ``(table, (x, y), other, (u, v))``, whose
+    result the union reads, run as one loop that runs the instructions
+    ``body`` before the equality, compares the two table entries itself
+    and ORs ``full`` if they are equal, else 0, XORed with ``flip``, into
+    the union.  When ``body`` is empty, the keys that are not ``var`` are
+    read once per run and each element mask goes straight into ``var``'s
+    key positions; else every key is read after ``body`` runs, since it
+    may write one.  Like :func:`_exists_op`, it visits every element."""
     table, (x, y), other, (u, v) = equation
     get, other_get = table.get, other.get
     hit, miss = full ^ flip, flip  # the union's term when the entries agree, and when not
-    prefix = body[:-1]
-    if not prefix:
+    if not body:
         at = (x == var, y == var, u == var, v == var)  # the key positions of the element
 
         def op() -> None:
             ax, ay, au, av = at
-            rx, ry, ru, rv = regs[x], regs[y], regs[u], regs[v]  # the body writes none
+            rx, ry, ru, rv = regs[x], regs[y], regs[u], regs[v]  # nothing writes them
             acc = 0
             for elem in elems:
                 acc |= hit if get((elem if ax else rx, elem if ay else ry), 0) == other_get(
@@ -1103,12 +1118,12 @@ def _exists_equals_op(
             regs[dst] = acc
 
         return op
-    if len(prefix) == 1:
-        (step,) = prefix
+    if len(body) == 1:
+        (step,) = body
     else:
 
         def step() -> None:
-            for each in prefix:
+            for each in body:
                 each()
 
     def op() -> None:
